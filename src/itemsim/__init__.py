@@ -13,7 +13,6 @@ from .analysis import (
     agreement_matrix,
     agreement_topn,
     cluster_eval,
-    flatten_pairs,
     hierarchical_order,
     kmeans,
     meta_agreement,
@@ -57,7 +56,7 @@ from .measures import (
     format_measure,
     parse_measure,
 )
-from .projection import Embedding, mds_project, pca_decorrelate, pca_project
+from .projection import Embedding, mds_project, pca_project
 from .robot import parse_robot_program, pretty_print
 from .similarity import (
     SimilarityMatrix,

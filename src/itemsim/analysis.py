@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import PerformanceRecord
 from .errors import ItemsimError
-from .similarity import SimilarityMatrix, performance_similarity
+from .similarity import SimilarityMatrix, pearson, performance_similarity
 
 log = logging.getLogger("itemsim.analysis")
 
@@ -71,17 +71,6 @@ class Partition:
         return max(self.labels) + 1 if self.labels else 0
 
 
-def flatten_pairs(s: SimilarityMatrix) -> list[tuple[tuple[str, str], float]]:
-    """Strict upper triangle in row-major order, missing entries skipped."""
-    out = []
-    for i in range(s.n_items):
-        for j in range(i + 1, s.n_items):
-            v = s.values[i, j]
-            if not np.isnan(v):
-                out.append(((s.item_ids[i], s.item_ids[j]), float(v)))
-    return out
-
-
 def _common_pair_values(s1: SimilarityMatrix, s2: SimilarityMatrix):
     if s1.item_ids != s2.item_ids:
         raise ItemsimError("similarity matrices cover different item sets")
@@ -97,13 +86,10 @@ def agreement_correlation(s1: SimilarityMatrix, s2: SimilarityMatrix) -> float:
     x, y = _common_pair_values(s1, s2)
     if len(x) < 2:
         raise ItemsimError(f"only {len(x)} common defined pairs; need at least 2")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    nx = math.sqrt(float(xc @ xc))
-    ny = math.sqrt(float(yc @ yc))
-    if nx == 0.0 or ny == 0.0:
+    r = pearson(x, y)
+    if math.isnan(r):
         raise ItemsimError("zero variance over common pairs")
-    return max(-1.0, min(1.0, float(xc @ yc) / (nx * ny)))
+    return r
 
 
 def _top_neighbors(s: SimilarityMatrix, i: int, n: int) -> set[str] | None:
@@ -176,13 +162,10 @@ def meta_agreement(a1: AgreementMatrix, a2: AgreementMatrix) -> float:
     y = a2.values[i, j]
     if len(x) < 2:
         raise ItemsimError(f"only {len(x)} off-diagonal entries; need at least 2")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    nx = math.sqrt(float(xc @ xc))
-    ny = math.sqrt(float(yc @ yc))
-    if nx == 0.0 or ny == 0.0:
+    r = pearson(x, y)
+    if math.isnan(r):
         raise ItemsimError("zero variance over agreement entries")
-    return max(-1.0, min(1.0, float(xc @ yc) / (nx * ny)))
+    return r
 
 
 def split_half_stability(
@@ -253,7 +236,8 @@ def _kmeans_once(x: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.nd
         centers = new_centers
         labels = _nearest(x, centers)
         wcss = _wcss(x, centers, labels)
-        assert wcss <= prev_wcss + 1e-9 * max(1.0, prev_wcss), "k-means objective increased"
+        if wcss > prev_wcss + 1e-9 * max(1.0, prev_wcss):
+            raise ItemsimError("k-means objective increased")
         prev_wcss = wcss
         if shift < 1e-9:
             break

@@ -13,6 +13,8 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
+from numbers import Real
 from pathlib import Path
 
 from .analysis import (
@@ -87,26 +89,21 @@ def load_config(path: str) -> dict:
     return obj
 
 
-def _require(cfg: dict, key: str, kind: type, what: str):
-    if key not in cfg:
-        raise ConfigError(f"config needs {key!r} for {what}")
-    value = cfg[key]
-    if kind is int and isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(f"config key {key!r} must be a {kind.__name__}")
-    return value
-
-
 def _optional(cfg: dict, key: str, kind: type, default):
     if key not in cfg:
         return default
     value = cfg[key]
-    if kind is int and isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(f"config key {key!r} must be a {kind.__name__}")
+    # JSON true/false load as bool, a subclass of int: never a valid value
+    if isinstance(value, bool) or not isinstance(value, kind):
+        name = "number" if kind is Real else kind.__name__
+        raise ConfigError(f"config key {key!r} must be a {name}")
     return value
 
 
-def _load_corpus(cfg: dict) -> Corpus:
-    return load_corpus(_require(cfg, "corpus", str, "this subcommand"))
+def _require(cfg: dict, key: str, kind: type, what: str):
+    if key not in cfg:
+        raise ConfigError(f"config needs {key!r} for {what}")
+    return _optional(cfg, key, kind, None)
 
 
 def _load_records(cfg: dict, corpus: Corpus | None, required: bool):
@@ -122,30 +119,35 @@ def _load_records(cfg: dict, corpus: Corpus | None, required: bool):
 
 
 def _measure_params(cfg: dict) -> MeasureParams:
-    stopwords: frozenset[str] = frozenset()
+    default = MeasureParams()
+    stopwords = default.stopwords
     if "stopwords" in cfg:
         path = _require(cfg, "stopwords", str, "stopwords")
         words = Path(path).read_text(encoding="utf-8").split()
         stopwords = frozenset(w.lower() for w in words)
     nw = _optional(cfg, "nw", dict, {})
-    unknown = sorted(set(nw) - {"match", "mismatch", "gap"})
+    nw_default = asdict(default.nw_scoring)
+    unknown = sorted(set(nw) - set(nw_default))
     if unknown:
         raise ConfigError(f"unknown nw keys: {', '.join(unknown)}")
-    scoring = NwScoring(
-        match=float(nw.get("match", 1.0)),
-        mismatch=float(nw.get("mismatch", -1.0)),
-        gap=float(nw.get("gap", -1.0)),
-    )
+    scoring = NwScoring(**{k: float(_optional(nw, k, Real, v)) for k, v in nw_default.items()})
     return MeasureParams(
-        selector=_optional(cfg, "selector", str, "sample"),
-        aggregation=_optional(cfg, "aggregation", str, "min"),
+        selector=_optional(cfg, "selector", str, default.selector),
+        aggregation=_optional(cfg, "aggregation", str, default.aggregation),
         nw_scoring=scoring,
-        min_overlap=_optional(cfg, "min_overlap", int, 10),
-        perf_measure=_optional(cfg, "perf_measure", str, "log_time"),
+        min_overlap=_optional(cfg, "min_overlap", int, default.min_overlap),
+        perf_measure=_optional(cfg, "perf_measure", str, default.perf_measure),
         stopwords=stopwords,
-        unroll_cap=_optional(cfg, "unroll_cap", int, 100),
-        total_cap=_optional(cfg, "total_cap", int, 10000),
+        unroll_cap=_optional(cfg, "unroll_cap", int, default.unroll_cap),
+        total_cap=_optional(cfg, "total_cap", int, default.total_cap),
     )
+
+
+def _inputs(cfg: dict, needs_records: bool):
+    """Corpus, measure parameters and performance records (or None)."""
+    corpus = load_corpus(_require(cfg, "corpus", str, "this subcommand"))
+    params = _measure_params(cfg)
+    return corpus, params, _load_records(cfg, corpus, required=needs_records)
 
 
 def _seed(cfg: dict, args) -> int:
@@ -162,10 +164,13 @@ def _out_dir(args) -> Path:
 
 def _measure_names(cfg: dict, args) -> list[str]:
     if args.measures:
-        return [m for m in args.measures.split(",") if m]
-    names = _require(cfg, "measures", list, "agreement")
-    if not all(isinstance(n, str) for n in names):
-        raise ConfigError('config key "measures" must be a list of strings')
+        names = [m for m in args.measures.split(",") if m]
+    else:
+        names = _require(cfg, "measures", list, "agreement")
+        if not all(isinstance(n, str) for n in names):
+            raise ConfigError('config key "measures" must be a list of strings')
+    if len(names) < 2:
+        raise ItemsimError("need at least 2 measures")
     return names
 
 
@@ -183,14 +188,20 @@ def _needs_performance(names: list[str]) -> bool:
 
 
 def _computed_measures(cfg: dict, args, names: list[str]):
-    corpus = _load_corpus(cfg)
-    params = _measure_params(cfg)
-    records = _load_records(cfg, corpus, required=_needs_performance(names))
+    corpus, params, records = _inputs(cfg, _needs_performance(names))
     matrices = [compute_measure(corpus, n, records=records, params=params) for n in names]
     common = [i for i in corpus.item_ids if all(i in m.item_ids for m in matrices)]
     if not common:
         raise ItemsimError("measures share no items")
     return [restrict(m, tuple(common)) for m in matrices]
+
+
+def _spec(cls, fields: dict, what: str):
+    """A synth spec from config keys; a wrongly typed value is a config error."""
+    try:
+        return cls(**fields)
+    except TypeError as e:
+        raise ConfigError(f"bad {what} spec: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +211,8 @@ def _computed_measures(cfg: dict, args, names: list[str]):
 
 def cmd_features(args) -> None:
     cfg = load_config(args.config)
-    corpus = _load_corpus(cfg)
-    params = _measure_params(cfg)
     source = _require(cfg, "source", str, "features")
-    records = _load_records(cfg, corpus, required=source == "performance")
+    corpus, params, records = _inputs(cfg, source == "performance")
     tokens = tuple(_optional(cfg, "transforms", list, []))
     for t in tokens:
         if t not in TRANSFORM_TOKENS:
@@ -215,10 +224,8 @@ def cmd_features(args) -> None:
 
 def cmd_sim(args) -> None:
     cfg = load_config(args.config)
-    name = parse_measure(_require(cfg, "measure", str, "sim"))
-    corpus = _load_corpus(cfg)
-    params = _measure_params(cfg)
-    records = _load_records(cfg, corpus, required=_needs_performance([_require(cfg, "measure", str, "sim")]))
+    name = _require(cfg, "measure", str, "sim")
+    corpus, params, records = _inputs(cfg, _needs_performance([name]))
     s = compute_measure(corpus, name, records=records, params=params)
     write_text(_out_dir(args) / "sim.csv", similarity_csv(s))
 
@@ -226,8 +233,6 @@ def cmd_sim(args) -> None:
 def cmd_agree(args) -> None:
     cfg = load_config(args.config)
     names = _measure_names(cfg, args)
-    if len(names) < 2:
-        raise ItemsimError("need at least 2 measures")
     matrices = _computed_measures(cfg, args, names)
     a = agreement_matrix(matrices, method=_method(cfg, args))
     write_text(_out_dir(args) / "agreement.csv", agreement_csv(a))
@@ -236,8 +241,6 @@ def cmd_agree(args) -> None:
 def cmd_meta_agree(args) -> None:
     cfg = load_config(args.config)
     names = _measure_names(cfg, args)
-    if len(names) < 2:
-        raise ItemsimError("need at least 2 measures")
     methods = _optional(cfg, "methods", list, ["correlation", "top:5"])
     if len(methods) != 2 or not all(isinstance(m, str) for m in methods):
         raise ConfigError('config key "methods" must be a list of two method strings')
@@ -250,9 +253,7 @@ def cmd_meta_agree(args) -> None:
 def cmd_cluster(args) -> None:
     cfg = load_config(args.config)
     name = _require(cfg, "measure", str, "cluster")
-    corpus = _load_corpus(cfg)
-    params = _measure_params(cfg)
-    records = _load_records(cfg, corpus, required=_needs_performance([name]))
+    corpus, params, records = _inputs(cfg, _needs_performance([name]))
     s = compute_measure(corpus, name, records=records, params=params)
     k = _optional(cfg, "k", int, 9)
     runs = _optional(cfg, "runs", int, 10)
@@ -269,20 +270,18 @@ def cmd_cluster(args) -> None:
 
 def cmd_project(args) -> None:
     cfg = load_config(args.config)
-    corpus = _load_corpus(cfg)
-    params = _measure_params(cfg)
     kind = _optional(cfg, "projection", str, "pca")
     dims = _optional(cfg, "dims", int, 2)
     if kind == "pca":
         source = _require(cfg, "source", str, "pca projection")
-        records = _load_records(cfg, corpus, required=source == "performance")
+        corpus, params, records = _inputs(cfg, source == "performance")
         tokens = tuple(_optional(cfg, "transforms", list, []))
         m = build_features(corpus, source, records=records, params=params)
         m = apply_transforms(m, transform_specs(tokens))
         embedding = pca_project(m, dims)
     elif kind == "mds":
         name = _require(cfg, "measure", str, "mds projection")
-        records = _load_records(cfg, corpus, required=_needs_performance([name]))
+        corpus, params, records = _inputs(cfg, _needs_performance([name]))
         s = compute_measure(corpus, name, records=records, params=params)
         embedding = mds_project(s, dims)
     else:
@@ -292,7 +291,7 @@ def cmd_project(args) -> None:
 
 def cmd_stability(args) -> None:
     cfg = load_config(args.config)
-    corpus = _load_corpus(cfg) if "corpus" in cfg else None
+    corpus = load_corpus(_require(cfg, "corpus", str, "stability")) if "corpus" in cfg else None
     records = _load_records(cfg, corpus, required=True)
     params = _measure_params(cfg)
     value = split_half_stability(
@@ -310,21 +309,18 @@ def cmd_synth(args) -> None:
     unknown = sorted(set(synth_cfg) - _SYNTH_KEYS)
     if unknown:
         raise ConfigError(f"unknown synth keys: {', '.join(unknown)}")
-    perf_cfg = synth_cfg.pop("performance", None)
+    perf_cfg = _optional(synth_cfg, "performance", dict, None)
+    synth_cfg.pop("performance", None)
     if args.seed is not None:
         synth_cfg["seed"] = args.seed
-    try:
-        spec = CorpusSpec(**synth_cfg)
-    except TypeError as e:
-        raise ConfigError(f"bad synth spec: {e}") from e
-    corpus = generate_corpus(spec)
+    corpus = generate_corpus(_spec(CorpusSpec, synth_cfg, "synth"))
     out = _out_dir(args)
     save_corpus(corpus, out)
     if perf_cfg is not None:
         unknown = sorted(set(perf_cfg) - _PERF_KEYS)
         if unknown:
             raise ConfigError(f"unknown synth performance keys: {', '.join(unknown)}")
-        records = generate_performance(corpus, PerfSpec(**perf_cfg))
+        records = generate_performance(corpus, _spec(PerfSpec, perf_cfg, "synth performance"))
         save_performance(records, out / "performance.csv")
 
 

@@ -38,23 +38,11 @@ class Embedding:
         return self.coordinates.shape[1]
 
 
-def _fix_signs(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flip each component so its largest-magnitude loading is positive."""
-    for c in range(vt.shape[0]):
-        pivot = int(np.abs(vt[c]).argmax())
-        if vt[c, pivot] < 0:
-            vt[c] = -vt[c]
-            u[:, c] = -u[:, c]
-    return u, vt
-
-
-def _centered_svd(m: FeatureMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if m.n_items < 2:
-        raise ItemsimError("need at least 2 items")
-    x = m.values - m.values.mean(axis=0, keepdims=True)
-    u, sing, vt = np.linalg.svd(x, full_matrices=False)
-    u, vt = _fix_signs(u, vt)
-    return u, sing, vt
+def _pivot_signs(rows: np.ndarray) -> np.ndarray:
+    """+1 or -1 per row: the factor that makes the row's largest-magnitude
+    entry (the first, on ties) positive."""
+    pivots = rows[np.arange(len(rows)), np.abs(rows).argmax(axis=1)]
+    return np.where(pivots < 0, -1.0, 1.0)
 
 
 def pca_project(m: FeatureMatrix, dims: int) -> Embedding:
@@ -64,28 +52,17 @@ def pca_project(m: FeatureMatrix, dims: int) -> Embedding:
     limit = min(m.n_items, m.n_features)
     if not 1 <= dims <= limit:
         raise ItemsimError(f"dims={dims} out of range 1..{limit}")
-    u, sing, _ = _centered_svd(m)
-    coords = u[:, :dims] * sing[:dims]
+    if m.n_items < 2:
+        raise ItemsimError("need at least 2 items")
+    x = m.values - m.values.mean(axis=0, keepdims=True)
+    u, sing, vt = np.linalg.svd(x, full_matrices=False)
+    coords = u[:, :dims] * _pivot_signs(vt[:dims]) * sing[:dims]
     total = float((sing ** 2).sum())
     if total > 0:
         shares = tuple(float(s * s / total) for s in sing[:dims])
     else:
         shares = (0.0,) * dims
     return Embedding(item_ids=m.item_ids, coordinates=coords, explained_variance=shares)
-
-
-def pca_decorrelate(m: FeatureMatrix) -> FeatureMatrix:
-    """Full-rank PCA scores as features pc1..pck (group tag structural),
-    ready to feed back into similarity_from_features."""
-    u, sing, _ = _centered_svd(m)
-    scores = u * sing
-    k = scores.shape[1]
-    return FeatureMatrix(
-        item_ids=m.item_ids,
-        groups=("structural",) * k,
-        names=tuple(f"pc{c + 1}" for c in range(k)),
-        values=scores,
-    )
 
 
 def mds_project(s: SimilarityMatrix, dims: int) -> Embedding:
@@ -110,8 +87,5 @@ def mds_project(s: SimilarityMatrix, dims: int) -> Embedding:
         log.warning("MDS clamped %d negative eigenvalues (most negative %.3g)",
                     clamped, float(top.min()))
     coords = eigvecs[:, order] * np.sqrt(np.maximum(top, 0.0))
-    for c in range(coords.shape[1]):
-        col = coords[:, c]
-        if np.abs(col).max() > 0 and col[int(np.abs(col).argmax())] < 0:
-            coords[:, c] = -col
+    coords *= _pivot_signs(coords.T)
     return Embedding(item_ids=s.item_ids, coordinates=coords)

@@ -36,25 +36,23 @@ def _write_rows(rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
+def _matrix_csv(corner: str, columns, rows, values) -> str:
+    lines = [[corner, *columns]]
+    for name, row in zip(rows, values):
+        lines.append([name, *(format_value(v) for v in row)])
+    return _write_rows(lines)
+
+
 def feature_csv(m: FeatureMatrix) -> str:
-    rows = [["item_id", *m.full_names]]
-    for i, item_id in enumerate(m.item_ids):
-        rows.append([item_id, *(format_value(v) for v in m.values[i])])
-    return _write_rows(rows)
+    return _matrix_csv("item_id", m.full_names, m.item_ids, m.values)
 
 
 def similarity_csv(s: SimilarityMatrix) -> str:
-    rows = [["item_id", *s.item_ids]]
-    for i, item_id in enumerate(s.item_ids):
-        rows.append([item_id, *(format_value(v) for v in s.values[i])])
-    return _write_rows(rows)
+    return _matrix_csv("item_id", s.item_ids, s.item_ids, s.values)
 
 
 def agreement_csv(a: AgreementMatrix) -> str:
-    rows = [["measure", *a.measure_names]]
-    for i, name in enumerate(a.measure_names):
-        rows.append([name, *(format_value(v) for v in a.values[i])])
-    return _write_rows(rows)
+    return _matrix_csv("measure", a.measure_names, a.measure_names, a.values)
 
 
 def partition_csv(p: Partition) -> str:
@@ -68,12 +66,10 @@ def embedding_csv(e: Embedding) -> str:
     head = ""
     if e.explained_variance is not None:
         head = "# explained_variance: " + ",".join(
-            format_value(v) for v in e.explained_variance
+            map(format_value, e.explained_variance)
         ) + "\n"
-    rows = [["item_id", *(f"x{d + 1}" for d in range(e.dims))]]
-    for i, item_id in enumerate(e.item_ids):
-        rows.append([item_id, *(format_value(v) for v in e.coordinates[i])])
-    return head + _write_rows(rows)
+    columns = [f"x{d + 1}" for d in range(e.dims)]
+    return head + _matrix_csv("item_id", columns, e.item_ids, e.coordinates)
 
 
 def scalar_text(v: float) -> str:
@@ -82,7 +78,8 @@ def scalar_text(v: float) -> str:
 
 def read_square_csv(text: str, source: str = "matrix") -> tuple[tuple[str, ...], np.ndarray]:
     """Parse a square matrix CSV (similarity or agreement shaped): header
-    holds the ids, each row starts with its id, empty fields are missing."""
+    holds the ids, each row starts with its id, empty fields are missing
+    and all others must be finite numbers."""
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -105,9 +102,12 @@ def read_square_csv(text: str, source: str = "matrix") -> tuple[tuple[str, ...],
         for j, cell in enumerate(row[1:]):
             if cell != "":
                 try:
-                    values[len(row_ids) - 1, j] = float(cell)
+                    value = float(cell)
                 except ValueError:
                     raise ItemsimError(f"{source}: non-numeric cell {cell!r}") from None
+                if not math.isfinite(value):
+                    raise ItemsimError(f"{source}: non-finite cell {cell!r}")
+                values[len(row_ids) - 1, j] = value
     if tuple(row_ids) != ids:
         raise ItemsimError(f"{source}: row ids must match column ids in order")
     return ids, values

@@ -24,8 +24,6 @@ log = logging.getLogger("itemsim.similarity")
 
 METRICS = ("pearson", "cosine", "euclidean")
 
-EDIT_KINDS = ("levenshtein", "ted", "nw")
-
 
 @dataclass(frozen=True)
 class SimilarityMatrix:
@@ -114,7 +112,9 @@ def restrict(s: SimilarityMatrix, item_ids: tuple[str, ...]) -> SimilarityMatrix
     )
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+def pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson correlation of two equal-length vectors, clipped to [-1, 1];
+    NaN when either vector has zero variance."""
     xc = x - x.mean()
     yc = y - y.mean()
     nx = math.sqrt(float(xc @ xc))
@@ -122,6 +122,25 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     if nx == 0.0 or ny == 0.0:
         return math.nan
     return max(-1.0, min(1.0, float(xc @ yc) / (nx * ny)))
+
+
+def _distance_similarity(d: float, la: int, lb: int) -> float:
+    return 1.0 - d / max(la + lb, 1)
+
+
+# kind -> (prepare(ast, caps), size(input), kernel(a, b, nw_scoring),
+# to_similarity(value, size_a, size_b), sign). The best pair has the smallest
+# sign * value: distances are minimised, alignment scores maximised. The
+# lambdas look canonize and action_sequence up at call time, so rebinding
+# the module attributes reaches them.
+_EDIT_KINDS = {
+    "levenshtein": (lambda ast, caps: canonize(ast), len,
+                    lambda a, b, scoring: levenshtein(a, b), _distance_similarity, 1.0),
+    "ted": (lambda ast, caps: ast, node_count,
+            lambda a, b, scoring: tree_edit_distance(a, b), _distance_similarity, 1.0),
+    "nw": (lambda ast, caps: action_sequence(ast, **caps), len,
+           needleman_wunsch, lambda score, la, lb: score / max(la, lb, 1), -1.0),
+}
 
 
 def edit_similarity(
@@ -136,12 +155,13 @@ def edit_similarity(
     """Solution-based similarity. Distances are computed between every
     cross-pair of the items' selected solutions and aggregated: min keeps
     the closest pair (largest score for alignment), average takes the mean
-    of the per-pair similarities.
+    of the per-pair similarities. The diagonal aggregates each solution
+    paired with itself.
 
     Conversion per pair: levenshtein and ted use S = 1 - d/(len(a)+len(b))
     over token and node counts; nw uses S = score/max(len(a), len(b), 1)
     over action sequences."""
-    if kind not in EDIT_KINDS:
+    if kind not in _EDIT_KINDS:
         raise ItemsimError(f"unknown edit-distance kind {kind!r}")
     if aggregation not in ("min", "average"):
         raise ItemsimError(f"unknown aggregation {aggregation!r}")
@@ -151,63 +171,24 @@ def edit_similarity(
         raise ItemsimError(
             f"no solution under selector {selector!r} for items: {', '.join(empty)}"
         )
+    prepare, size, kernel, to_similarity, sign = _EDIT_KINDS[kind]
+    caps = {"unroll_cap": unroll_cap, "total_cap": total_cap}
+    prepared = [[prepare(s.ast, caps) for s in sols] for _, sols in chosen]
+    sized = [[(x, size(x)) for x in inputs] for inputs in prepared]
 
-    if kind == "levenshtein":
-        prepared = [[canonize(s.ast) for s in sols] for _, sols in chosen]
-        lengths = [[len(seq) for seq in seqs] for seqs in prepared]
-    elif kind == "ted":
-        prepared = [[s.ast for s in sols] for _, sols in chosen]
-        lengths = [[node_count(t) for t in trees] for trees in prepared]
-    else:
-        prepared = [
-            [action_sequence(s.ast, unroll_cap=unroll_cap, total_cap=total_cap) for s in sols]
-            for _, sols in chosen
-        ]
-        lengths = [[len(seq) for seq in seqs] for seqs in prepared]
-
-    def raw(a, b) -> float:
-        if kind == "levenshtein":
-            return levenshtein(a, b)
-        if kind == "ted":
-            return tree_edit_distance(a, b)
-        return needleman_wunsch(a, b, nw_scoring)
-
-    def convert(value: float, la: int, lb: int) -> float:
-        if kind == "nw":
-            return value / max(la, lb, 1)
-        return 1.0 - value / max(la + lb, 1)
-
-    def cell(i: int, j: int) -> float:
-        pairs = [
-            (raw(a, b), lengths[i][ai], lengths[j][bi])
-            for ai, a in enumerate(prepared[i])
-            for bi, b in enumerate(prepared[j])
-        ]
+    def cell(pairs) -> float:
+        scored = [(kernel(a, b, nw_scoring), la, lb) for (a, la), (b, lb) in pairs]
         if aggregation == "min":
-            if kind == "nw":
-                best = max(pairs, key=lambda p: p[0])
-            else:
-                best = min(pairs, key=lambda p: p[0])
-            return convert(*best)
-        return float(np.mean([convert(*p) for p in pairs]))
+            # the pick is by raw distance or score, ties to the first pair
+            return to_similarity(*min(scored, key=lambda p: sign * p[0]))
+        return float(np.mean([to_similarity(*p) for p in scored]))
 
     n = len(chosen)
     values = np.zeros((n, n))
     for i in range(n):
-        # diagonal pairs each solution with itself: distance 0, so 1 for
-        # levenshtein/ted; alignment self-score for nw
-        self_pairs = [
-            (raw(a, a), lengths[i][ai], lengths[i][ai]) for ai, a in enumerate(prepared[i])
-        ]
-        if aggregation == "min":
-            best = max(self_pairs, key=lambda p: p[0]) if kind == "nw" else min(
-                self_pairs, key=lambda p: p[0]
-            )
-            values[i, i] = convert(*best)
-        else:
-            values[i, i] = float(np.mean([convert(*p) for p in self_pairs]))
+        values[i, i] = cell([(x, x) for x in sized[i]])
         for j in range(i + 1, n):
-            values[i, j] = values[j, i] = cell(i, j)
+            values[i, j] = values[j, i] = cell([(x, y) for x in sized[i] for y in sized[j]])
     name = kind if selector == "sample" and aggregation == "min" else f"{kind}/{selector}/{aggregation}"
     return SimilarityMatrix(
         item_ids=tuple(item_id for item_id, _ in chosen), values=values, measure_name=name
@@ -252,5 +233,5 @@ def performance_similarity(
             common = have[:, i] & have[:, j]
             if int(common.sum()) < min_overlap:
                 continue
-            values[i, j] = values[j, i] = _pearson(table[common, i], table[common, j])
+            values[i, j] = values[j, i] = pearson(table[common, i], table[common, j])
     return SimilarityMatrix(item_ids=item_ids, values=values, measure_name="perfcorr")

@@ -26,9 +26,6 @@ class AstNode:
         if not self.label:
             raise ItemsimError("empty label in AST node")
 
-    def is_leaf(self) -> bool:
-        return not self.children
-
 
 def node(label: str, *children: AstNode) -> AstNode:
     """Shorthand constructor."""

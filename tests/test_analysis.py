@@ -1,8 +1,11 @@
 """Agreement levels, split-half stability, clustering quality."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from itemsim import analysis
 from itemsim import (
     AgreementMatrix,
     ItemsimError,
@@ -13,7 +16,6 @@ from itemsim import (
     agreement_matrix,
     agreement_topn,
     cluster_eval,
-    flatten_pairs,
     hierarchical_order,
     kmeans,
     meta_agreement,
@@ -40,23 +42,6 @@ def pair_sim(ids, pairs, name="m"):
     for (x, y), val in pairs.items():
         v[index[x], index[y]] = v[index[y], index[x]] = val
     return SimilarityMatrix(item_ids=tuple(ids), values=v, measure_name=name)
-
-
-class TestFlattenPairs:
-    def test_three_items_give_three_pairs(self):
-        s = sim([[1.0, 0.5, 0.2], [0.5, 1.0, 0.7], [0.2, 0.7, 1.0]])
-        pairs = flatten_pairs(s)
-        assert len(pairs) == 3
-        assert pairs[0] == (("a", "b"), 0.5)
-        assert pairs[2] == (("b", "c"), 0.7)
-
-    def test_single_item_gives_none(self):
-        assert flatten_pairs(sim([[1.0]])) == []
-
-    def test_missing_entries_skipped(self):
-        v = np.array([[1.0, np.nan, 0.2], [np.nan, 1.0, 0.7], [0.2, 0.7, 1.0]])
-        pairs = flatten_pairs(sim(v))
-        assert [p[0] for p in pairs] == [("a", "c"), ("b", "c")]
 
 
 class TestAgreementCorrelation:
@@ -275,6 +260,14 @@ class TestKmeans:
         assert p.labels[0] != p.labels[3]
         oracle_labels, _ = oracle_best_two_partition(v)
         assert rand_index(p, Partition(ids, oracle_labels)) == 1.0
+
+    def test_objective_increase_raises(self, monkeypatch):
+        # a raise, not an assert, so the check also runs under python -O
+        growing = itertools.count()
+        monkeypatch.setattr(analysis, "_wcss", lambda *args: float(next(growing)))
+        s = random_similarity(np.random.default_rng(4), n=5)
+        with pytest.raises(ItemsimError, match="k-means objective increased"):
+            kmeans(s, k=2, seed=0)
 
     def test_missing_entries_rejected(self):
         rng = np.random.default_rng(5)

@@ -67,6 +67,15 @@ class TestSynth:
         run_error(["synth", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
                   "unknown synth keys: n_levls")
 
+    @pytest.mark.parametrize("performance, fragment", [
+        ({"n_learners": "x"}, "bad synth performance spec"),
+        (5, "config key 'performance' must be a dict"),
+    ])
+    def test_badly_typed_performance_spec(self, tmp_path, capsys, performance, fragment):
+        cfg = write_config(tmp_path, synth={"n_items": 5, "n_levels": 2,
+                                            "performance": performance})
+        run_error(["synth", "-c", cfg, "-o", str(tmp_path / "o")], capsys, fragment)
+
 
 class TestSim:
     def test_five_item_matrix_has_six_lines(self, corpus_dir, tmp_path):
@@ -295,6 +304,12 @@ class TestConfigAndErrors:
         cfg = write_config(tmp_path, corpus=str(corpus_dir))
         run_error(["sim", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
                   "config needs 'measure'")
+
+    @pytest.mark.parametrize("value", ["abc", True])
+    def test_nw_score_must_be_a_number(self, corpus_dir, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, corpus=str(corpus_dir), measure="nw", nw={"match": value})
+        run_error(["sim", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
+                  "config key 'match' must be a number")
 
     def test_unknown_subcommand(self, capsys):
         assert main(["transmogrify", "-c", "x", "-o", "y"]) == 1

@@ -11,7 +11,6 @@ from itemsim import (
     ItemsimError,
     SimilarityMatrix,
     mds_project,
-    pca_decorrelate,
     pca_project,
     similarity_from_features,
 )
@@ -98,31 +97,6 @@ class TestPcaProject:
     def test_needs_two_items(self):
         with pytest.raises(ItemsimError, match="at least 2 items"):
             pca_project(fm(np.ones((1, 3))), dims=1)
-
-
-class TestPcaDecorrelate:
-    def test_components_are_uncorrelated(self):
-        rng = np.random.default_rng(4)
-        v = rng.normal(size=(12, 5)) @ rng.normal(size=(5, 5))
-        out = pca_decorrelate(fm(v))
-        assert out.names[0] == "pc1"
-        assert all(g == "structural" for g in out.groups)
-        centered = out.values - out.values.mean(axis=0)
-        cov = centered.T @ centered
-        off = cov - np.diag(np.diag(cov))
-        assert np.abs(off).max() < 1e-9
-
-    def test_euclidean_similarity_unchanged(self):
-        rng = np.random.default_rng(5)
-        m = fm(rng.normal(size=(10, 4)))
-        before = similarity_from_features(m, "euclidean").values
-        after = similarity_from_features(pca_decorrelate(m), "euclidean").values
-        assert np.abs(before - after).max() < 1e-9
-
-    def test_two_items_leave_one_direction(self):
-        out = pca_decorrelate(fm(np.array([[0.0, 0.0], [1.0, 1.0]])))
-        nonzero = (np.abs(out.values) > 1e-12).any(axis=0)
-        assert int(nonzero.sum()) <= 1
 
 
 class TestMdsProject:

@@ -110,6 +110,11 @@ class TestReadSquareCsv:
         with pytest.raises(ItemsimError, match="non-numeric cell"):
             read_square_csv("item_id,a\na,soon\n")
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "Infinity"])
+    def test_non_finite_cell(self, cell):
+        with pytest.raises(ItemsimError, match=f"m.csv: non-finite cell '{cell}'"):
+            read_square_csv(f"item_id,a,b\na,1,{cell}\nb,{cell},1\n", source="m.csv")
+
     def test_too_many_rows(self):
         with pytest.raises(ItemsimError, match="more rows than columns"):
             read_square_csv("item_id,a\na,1\nb,2\n")

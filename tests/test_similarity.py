@@ -6,14 +6,24 @@ import numpy as np
 import pytest
 
 from itemsim import (
+    Corpus,
     FeatureMatrix,
+    Item,
     ItemsimError,
     NwScoring,
     PerformanceRecord,
     SimilarityMatrix,
+    Solution,
+    action_sequence,
+    canonize,
     edit_similarity,
+    levenshtein,
+    needleman_wunsch,
+    node_count,
+    parse_robot_program,
     performance_similarity,
     similarity_from_features,
+    tree_edit_distance,
 )
 from itemsim.similarity import restrict
 
@@ -160,6 +170,39 @@ class TestEditSimilarity:
         ]
         d, la, lb = min(pairs, key=lambda p: p[0])
         assert s.values[0, 1] == pytest.approx(1.0 - d / (la + lb))
+
+    # In each case the pair with the lowest distance (for nw, the highest
+    # score) is not the pair with the highest similarity, because the
+    # pairs' lengths differ; min must pick by the raw value.
+    @pytest.mark.parametrize("kind, a_programs, b_programs", [
+        ("ted", ["move move move move"], ["left", "move " * 9]),
+        ("levenshtein", ["move move move move"], ["left", "move " * 9]),
+        ("nw", ["move", "move " * 5], ["move", "move " * 5 + "left"]),
+    ], ids=["ted", "levenshtein", "nw"])
+    def test_min_aggregation_picks_pair_by_raw_value(self, kind, a_programs, b_programs):
+        def item(item_id, programs):
+            sols = tuple(Solution(ast=parse_robot_program(p)) for p in programs)
+            return Item(id=item_id, statement_text="x", solutions=sols)
+
+        corpus = Corpus((item("a", a_programs), item("b", b_programs)))
+        s = edit_similarity(corpus, kind=kind, selector="all", aggregation="min")
+        pairs = []
+        for x in corpus.items[0].solutions:
+            for y in corpus.items[1].solutions:
+                if kind == "ted":
+                    d = tree_edit_distance(x.ast, y.ast)
+                    pairs.append((d, 1.0 - d / (node_count(x.ast) + node_count(y.ast))))
+                elif kind == "levenshtein":
+                    a, b = canonize(x.ast), canonize(y.ast)
+                    d = levenshtein(a, b)
+                    pairs.append((d, 1.0 - d / (len(a) + len(b))))
+                else:
+                    a, b = action_sequence(x.ast), action_sequence(y.ast)
+                    score = needleman_wunsch(a, b)
+                    pairs.append((-score, score / max(len(a), len(b))))
+        by_value = min(pairs, key=lambda p: p[0])[1]
+        assert by_value < max(sim for _, sim in pairs)
+        assert s.values[0, 1] == by_value
 
     def test_average_aggregation_means_all_cross_pairs(self):
         corpus = make_tiny_corpus()
