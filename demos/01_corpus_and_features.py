@@ -60,8 +60,8 @@ print("word counts for 'collect':",
       {n: int(v) for n, v in zip(bow.names, bow.values[0]) if v})
 
 # Solution source: construct keywords counted over each item's solutions.
-# The all_weighted selector averages solutions by their learner weights.
-kw = solution_keyword_features(corpus, "all_weighted")
+# The "all" selector averages solutions by their learner weights.
+kw = solution_keyword_features(corpus, "all")
 print("\nsolution keywords:", ", ".join(kw.names))
 for item_id, row in zip(kw.item_ids, kw.values):
     print(f"  {item_id:8s}", [float(round(v, 2)) for v in row])

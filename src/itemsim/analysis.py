@@ -66,10 +66,6 @@ class Partition:
         if any(not isinstance(l, int) or l < 0 for l in self.labels):
             raise ItemsimError("labels must be non-negative integers")
 
-    @property
-    def n_clusters(self) -> int:
-        return max(self.labels) + 1 if self.labels else 0
-
 
 def _common_pair_values(s1: SimilarityMatrix, s2: SimilarityMatrix):
     if s1.item_ids != s2.item_ids:

@@ -9,11 +9,10 @@ reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from numbers import Real
 from pathlib import Path
 
@@ -25,19 +24,20 @@ from .analysis import (
     meta_agreement,
     split_half_stability,
 )
-from .corpus import Corpus, load_corpus, load_performance, save_corpus, save_performance
+from .corpus import (
+    Corpus,
+    load_corpus,
+    load_performance,
+    read_json,
+    read_text,
+    save_corpus,
+    save_performance,
+)
 from .editdist import NwScoring
 from .errors import ConfigError, ItemsimError
 from .features import apply_transforms
 from .heatmap import heatmap_svg
-from .measures import (
-    MeasureParams,
-    TRANSFORM_TOKENS,
-    build_features,
-    compute_measure,
-    parse_measure,
-    transform_specs,
-)
+from .measures import MeasureParams, build_features, compute_measure, parse_measure, transform_specs
 from .projection import mds_project, pca_project
 from .serialize import (
     embedding_csv,
@@ -62,23 +62,16 @@ _CONFIG_KEYS = {
     "matrix", "ordering",
 }
 
-_SYNTH_KEYS = {
-    "n_items", "n_levels", "concepts_per_level", "statement_vocab",
-    "statement_len", "noise_tokens", "seed", "performance",
-}
+_SYNTH_KEYS = {f.name for f in fields(CorpusSpec)} | {"performance"}
 
-_PERF_KEYS = {"n_learners", "solve_prob", "skill_sd", "difficulty_sd", "noise_sd", "seed"}
+_PERF_KEYS = {f.name for f in fields(PerfSpec)}
 
 
 def load_config(path: str) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        obj = read_json(path)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e.strerror or e}") from e
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: malformed JSON: {e}") from e
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     if obj.get("schema") != 1:
@@ -97,6 +90,11 @@ def _optional(cfg: dict, key: str, kind: type, default):
     if isinstance(value, bool) or not isinstance(value, kind):
         name = "number" if kind is Real else kind.__name__
         raise ConfigError(f"config key {key!r} must be a {name}")
+    if kind is Real:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"config key {key!r} must be a number within float range") from None
     return value
 
 
@@ -123,14 +121,14 @@ def _measure_params(cfg: dict) -> MeasureParams:
     stopwords = default.stopwords
     if "stopwords" in cfg:
         path = _require(cfg, "stopwords", str, "stopwords")
-        words = Path(path).read_text(encoding="utf-8").split()
+        words = read_text(path).split()
         stopwords = frozenset(w.lower() for w in words)
     nw = _optional(cfg, "nw", dict, {})
     nw_default = asdict(default.nw_scoring)
     unknown = sorted(set(nw) - set(nw_default))
     if unknown:
         raise ConfigError(f"unknown nw keys: {', '.join(unknown)}")
-    scoring = NwScoring(**{k: float(_optional(nw, k, Real, v)) for k, v in nw_default.items()})
+    scoring = NwScoring(**{k: _optional(nw, k, Real, v) for k, v in nw_default.items()})
     return MeasureParams(
         selector=_optional(cfg, "selector", str, default.selector),
         aggregation=_optional(cfg, "aggregation", str, default.aggregation),
@@ -151,9 +149,10 @@ def _inputs(cfg: dict, needs_records: bool):
 
 
 def _seed(cfg: dict, args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return _optional(cfg, "seed", int, 0)
+    seed = args.seed if args.seed is not None else _optional(cfg, "seed", int, 0)
+    if seed < 0:
+        raise ConfigError("seed must be non-negative")
+    return seed
 
 
 def _out_dir(args) -> Path:
@@ -174,22 +173,31 @@ def _measure_names(cfg: dict, args) -> list[str]:
     return names
 
 
-def _method(cfg: dict, args, default: str = "correlation") -> str:
-    method = args.method if getattr(args, "method", None) else _optional(cfg, "method", str, default)
-    return _normalize_method(method)
+def _method(cfg: dict, args) -> str:
+    return _normalize_method(args.method or _optional(cfg, "method", str, "correlation"))
 
 
 def _normalize_method(method: str) -> str:
     return "correlation" if method in ("corr", "correlation") else method
 
 
-def _needs_performance(names: list[str]) -> bool:
-    return any(parse_measure(n).source in ("perfcorr", "performance") for n in names)
+def _features(cfg: dict, what: str):
+    """The transformed feature matrix of the config's source."""
+    source = _require(cfg, "source", str, what)
+    specs = transform_specs(tuple(_optional(cfg, "transforms", list, [])))
+    corpus, params, records = _inputs(cfg, source == "performance")
+    return apply_transforms(build_features(corpus, source, records=records, params=params), specs)
 
 
-def _computed_measures(cfg: dict, args, names: list[str]):
-    corpus, params, records = _inputs(cfg, _needs_performance(names))
-    matrices = [compute_measure(corpus, n, records=records, params=params) for n in names]
+def _measures(cfg: dict, names: list[str]):
+    """The corpus and one similarity matrix per measure name."""
+    needs_records = any(parse_measure(n).source in ("perfcorr", "performance") for n in names)
+    corpus, params, records = _inputs(cfg, needs_records)
+    return corpus, [compute_measure(corpus, n, records=records, params=params) for n in names]
+
+
+def _computed_measures(cfg: dict, names: list[str]):
+    corpus, matrices = _measures(cfg, names)
     common = [i for i in corpus.item_ids if all(i in m.item_ids for m in matrices)]
     if not common:
         raise ItemsimError("measures share no items")
@@ -209,52 +217,35 @@ def _spec(cls, fields: dict, what: str):
 # ---------------------------------------------------------------------------
 
 
-def cmd_features(args) -> None:
-    cfg = load_config(args.config)
-    source = _require(cfg, "source", str, "features")
-    corpus, params, records = _inputs(cfg, source == "performance")
-    tokens = tuple(_optional(cfg, "transforms", list, []))
-    for t in tokens:
-        if t not in TRANSFORM_TOKENS:
-            raise ConfigError(f"unknown transform token {t!r}")
-    m = build_features(corpus, source, records=records, params=params)
-    m = apply_transforms(m, transform_specs(tokens))
-    write_text(_out_dir(args) / "features.csv", feature_csv(m))
+def cmd_features(cfg: dict, args) -> None:
+    write_text(_out_dir(args) / "features.csv", feature_csv(_features(cfg, "features")))
 
 
-def cmd_sim(args) -> None:
-    cfg = load_config(args.config)
-    name = _require(cfg, "measure", str, "sim")
-    corpus, params, records = _inputs(cfg, _needs_performance([name]))
-    s = compute_measure(corpus, name, records=records, params=params)
+def cmd_sim(cfg: dict, args) -> None:
+    _, (s,) = _measures(cfg, [_require(cfg, "measure", str, "sim")])
     write_text(_out_dir(args) / "sim.csv", similarity_csv(s))
 
 
-def cmd_agree(args) -> None:
-    cfg = load_config(args.config)
+def cmd_agree(cfg: dict, args) -> None:
     names = _measure_names(cfg, args)
-    matrices = _computed_measures(cfg, args, names)
+    matrices = _computed_measures(cfg, names)
     a = agreement_matrix(matrices, method=_method(cfg, args))
     write_text(_out_dir(args) / "agreement.csv", agreement_csv(a))
 
 
-def cmd_meta_agree(args) -> None:
-    cfg = load_config(args.config)
+def cmd_meta_agree(cfg: dict, args) -> None:
     names = _measure_names(cfg, args)
     methods = _optional(cfg, "methods", list, ["correlation", "top:5"])
     if len(methods) != 2 or not all(isinstance(m, str) for m in methods):
         raise ConfigError('config key "methods" must be a list of two method strings')
-    matrices = _computed_measures(cfg, args, names)
+    matrices = _computed_measures(cfg, names)
     a1 = agreement_matrix(matrices, method=_normalize_method(methods[0]))
     a2 = agreement_matrix(matrices, method=_normalize_method(methods[1]))
     write_text(_out_dir(args) / "meta_agree.txt", scalar_text(meta_agreement(a1, a2)))
 
 
-def cmd_cluster(args) -> None:
-    cfg = load_config(args.config)
-    name = _require(cfg, "measure", str, "cluster")
-    corpus, params, records = _inputs(cfg, _needs_performance([name]))
-    s = compute_measure(corpus, name, records=records, params=params)
+def cmd_cluster(cfg: dict, args) -> None:
+    corpus, (s,) = _measures(cfg, [_require(cfg, "measure", str, "cluster")])
     k = _optional(cfg, "k", int, 9)
     runs = _optional(cfg, "runs", int, 10)
     restarts = _optional(cfg, "restarts", int, 1)
@@ -268,29 +259,20 @@ def cmd_cluster(args) -> None:
     write_text(out / "rand_index.txt", scalar_text(cluster_eval(s, manual, k, runs=runs, seed=seed)))
 
 
-def cmd_project(args) -> None:
-    cfg = load_config(args.config)
+def cmd_project(cfg: dict, args) -> None:
     kind = _optional(cfg, "projection", str, "pca")
     dims = _optional(cfg, "dims", int, 2)
     if kind == "pca":
-        source = _require(cfg, "source", str, "pca projection")
-        corpus, params, records = _inputs(cfg, source == "performance")
-        tokens = tuple(_optional(cfg, "transforms", list, []))
-        m = build_features(corpus, source, records=records, params=params)
-        m = apply_transforms(m, transform_specs(tokens))
-        embedding = pca_project(m, dims)
+        embedding = pca_project(_features(cfg, "pca projection"), dims)
     elif kind == "mds":
-        name = _require(cfg, "measure", str, "mds projection")
-        corpus, params, records = _inputs(cfg, _needs_performance([name]))
-        s = compute_measure(corpus, name, records=records, params=params)
+        _, (s,) = _measures(cfg, [_require(cfg, "measure", str, "mds projection")])
         embedding = mds_project(s, dims)
     else:
         raise ConfigError(f"unknown projection {kind!r}; use pca or mds")
     write_text(_out_dir(args) / "embedding.csv", embedding_csv(embedding))
 
 
-def cmd_stability(args) -> None:
-    cfg = load_config(args.config)
+def cmd_stability(cfg: dict, args) -> None:
     corpus = load_corpus(_require(cfg, "corpus", str, "stability")) if "corpus" in cfg else None
     records = _load_records(cfg, corpus, required=True)
     params = _measure_params(cfg)
@@ -303,8 +285,7 @@ def cmd_stability(args) -> None:
     write_text(_out_dir(args) / "stability.txt", scalar_text(value))
 
 
-def cmd_synth(args) -> None:
-    cfg = load_config(args.config)
+def cmd_synth(cfg: dict, args) -> None:
     synth_cfg = _require(cfg, "synth", dict, "synth")
     unknown = sorted(set(synth_cfg) - _SYNTH_KEYS)
     if unknown:
@@ -324,12 +305,10 @@ def cmd_synth(args) -> None:
         save_performance(records, out / "performance.csv")
 
 
-def cmd_heatmap(args) -> None:
-    cfg = load_config(args.config)
+def cmd_heatmap(cfg: dict, args) -> None:
     matrix_path = _require(cfg, "matrix", str, "heatmap")
     ordering = _optional(cfg, "ordering", str, "none")
-    text = Path(matrix_path).read_text(encoding="utf-8")
-    ids, values = read_square_csv(text, source=matrix_path)
+    ids, values = read_square_csv(read_text(matrix_path), source=matrix_path)
     write_text(_out_dir(args) / "heatmap.svg", heatmap_svg(ids, values, ordering=ordering))
 
 
@@ -385,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args.func(args)
+        args.func(load_config(args.config), args)
     except (ItemsimError, OSError) as e:
         message = " ".join(str(e).split())
         print(f"error: {message}", file=sys.stderr)

@@ -22,11 +22,13 @@ import json
 import logging
 import math
 import re
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ItemsimError
-from .robot import parse_robot_program
+from .robot import parse_robot_program, pretty_print
 from .tree import AstNode, ast_to_document, parse_ast_document
 
 log = logging.getLogger("itemsim.corpus")
@@ -47,6 +49,10 @@ class WorldSpec:
     legend: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not all(isinstance(row, str) for row in self.grid):
+            raise ItemsimError("world grid rows must be strings")
+        if not all(isinstance(name, str) for name in self.legend.values()):
+            raise ItemsimError("world legend values must be concept name strings")
         if self.grid:
             width = len(self.grid[0])
             if any(len(row) != width for row in self.grid):
@@ -101,6 +107,13 @@ class Item:
             raise ItemsimError(f"invalid item id {self.id!r}")
         if self.statement_text is None and self.world is None and not self.solutions:
             raise ItemsimError(f"item {self.id!r} has no statement, world, or solutions")
+        if self.statement_text is not None and not isinstance(self.statement_text, str):
+            raise ItemsimError(f"item {self.id!r}: statement_text must be a string")
+        for name in ("command_limit", "level"):
+            value = getattr(self, name)
+            # JSON true/false load as bool, a subclass of int: never a valid value
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ItemsimError(f"item {self.id!r}: {name} must be an integer")
         if self.command_limit is not None and self.command_limit < 1:
             raise ItemsimError(f"item {self.id!r}: command_limit must be positive")
 
@@ -181,6 +194,30 @@ class PerformanceRecord:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _decoding(path):
+    """Report input that is not UTF-8 as an error naming the file it came from."""
+    try:
+        yield
+    except UnicodeDecodeError as e:
+        raise ItemsimError(f"{path}: not valid UTF-8 ({e.reason})") from None
+
+
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file. Every input file is read through here, or
+    for streamed files, under `_decoding`."""
+    with _decoding(path):
+        return Path(path).read_text(encoding="utf-8")
+
+
+def read_json(path: str | Path):
+    """The JSON document in a UTF-8 file."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as e:
+        raise ItemsimError(f"{path}: malformed JSON: {e}") from e
+
+
 def _world_from_obj(obj, item_id: str) -> WorldSpec:
     if not isinstance(obj, dict) or not isinstance(obj.get("grid"), list):
         raise ItemsimError(f"item {item_id!r}: world must be an object with a grid list")
@@ -197,17 +234,14 @@ def load_corpus(path: str | Path) -> Corpus:
     index_path = root / "items.json"
     if not index_path.is_file():
         raise ItemsimError(f"missing items.json in {root}")
-    try:
-        index = json.loads(index_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ItemsimError(f"{index_path}: malformed JSON: {e}") from e
+    index = read_json(index_path)
     if not isinstance(index, list):
         raise ItemsimError(f"{index_path}: expected a JSON array")
 
     entries: dict[str, dict] = {}
     for obj in index:
-        if not isinstance(obj, dict) or "id" not in obj:
-            raise ItemsimError(f"{index_path}: every entry needs an 'id' field")
+        if not isinstance(obj, dict) or not isinstance(obj.get("id"), str):
+            raise ItemsimError(f"{index_path}: every entry needs a string 'id' field")
         item_id = obj["id"]
         if item_id in entries:
             raise ItemsimError(f"duplicate item id {item_id!r} in items.json")
@@ -245,25 +279,31 @@ def _load_solutions(sol_dir: Path) -> tuple[Solution, ...]:
     weights = {}
     weights_path = sol_dir / "weights.json"
     if weights_path.is_file():
-        weights = json.loads(weights_path.read_text(encoding="utf-8"))
+        weights = read_json(weights_path)
         if not isinstance(weights, dict):
             raise ItemsimError(f"{weights_path}: expected an object")
     solutions = []
     for path in sorted(sol_dir.iterdir()):
-        if path.name == "weights.json" or not path.is_file():
+        if not path.is_file():
             continue
-        text = path.read_text(encoding="utf-8")
+        if path.name.endswith(".ast.json"):
+            parse = parse_ast_document
+        elif path.suffix == ".robot":
+            parse = parse_robot_program
+        else:
+            continue  # weights.json and any other file that is not a solution
+        text = read_text(path)
         try:
-            if path.name.endswith(".ast.json"):
-                ast = parse_ast_document(text)
-            elif path.suffix == ".robot":
-                ast = parse_robot_program(text)
-            else:
-                continue
+            ast = parse(text)
         except ItemsimError as e:
             raise ItemsimError(f"{path}: {e}") from e
         kind = "sample" if path.name.split(".")[0].startswith("sample") else "learner"
-        solutions.append(Solution(ast=ast, weight=float(weights.get(path.name, 1.0)), kind=kind))
+        weight = weights.get(path.name, 1.0)
+        # a bool is an int to isinstance; an int past float range would overflow float()
+        number = isinstance(weight, (int, float)) and not isinstance(weight, bool)
+        if not (number and 0 < weight <= sys.float_info.max):
+            raise ItemsimError(f"{weights_path}: {path.name!r} needs a finite positive weight")
+        solutions.append(Solution(ast=ast, weight=float(weight), kind=kind))
     return tuple(solutions)
 
 
@@ -272,7 +312,7 @@ def load_performance(path: str | Path, corpus: Corpus | None = None) -> list[Per
     occurrence; the dropped count is logged. When a corpus is given, item
     ids are cross-checked against it."""
     path = Path(path)
-    with path.open(encoding="utf-8", newline="") as fh:
+    with _decoding(path), path.open(encoding="utf-8", newline="") as fh:
         return read_performance(fh, corpus=corpus, source=str(path))
 
 
@@ -346,8 +386,6 @@ def items_index_json(corpus: Corpus) -> str:
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write the standard directory layout. Robot-fragment solutions are
     emitted as .robot source, everything else as .ast.json documents."""
-    from .robot import pretty_print  # local import to avoid cycle at module load
-
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     (root / "items.json").write_text(items_index_json(corpus), encoding="utf-8")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Item, PerformanceRecord, Solution, select_solutions
+from .corpus import Corpus, PerformanceRecord, Solution, select_solutions
 from .errors import ItemsimError
 from .tree import AstNode, iter_labels, max_depth, node_count
 
@@ -128,30 +128,18 @@ def _label_counts(ast: AstNode) -> dict[str, int]:
     return counts
 
 
-def _select_weighted(item: Item, selector: str) -> tuple[tuple[Solution, float], ...]:
-    """Return (solution, normalized weight) pairs for one item."""
-    if selector == "all_weighted":
-        if not item.solutions:
-            return ()
-        total = sum(s.weight for s in item.solutions)
-        return tuple((s, s.weight / total) for s in item.solutions)
-    if selector in ("sample", "top_learner"):
-        chosen = select_solutions(item, selector)
-        return tuple((s, 1.0) for s in chosen)
-    raise ItemsimError(f"unknown solution selector {selector!r}")
-
-
 def solution_keyword_features(corpus: Corpus, selector: str = "sample") -> FeatureMatrix:
-    """AST-label count matrix over selected solutions. For all_weighted the
-    row is the weighted average of per-solution count vectors (weights
-    normalized to sum 1 per item). Items with an empty selection are
-    excluded and reported."""
+    """AST-label count matrix over selected solutions. Each row is the
+    weighted average of the item's per-solution count vectors (weights
+    normalized to sum 1 per item), so under "all" heavier solutions count
+    more. Items with an empty selection are excluded and reported."""
     selected: list[tuple[str, tuple[tuple[Solution, float], ...]]] = []
     skipped = []
     for it in corpus.items:
-        chosen = _select_weighted(it, selector)
+        chosen = select_solutions(it, selector)
         if chosen:
-            selected.append((it.id, chosen))
+            total = sum(s.weight for s in chosen)
+            selected.append((it.id, tuple((s, s.weight / total) for s in chosen)))
         else:
             skipped.append(it.id)
     if not selected:

@@ -35,8 +35,6 @@ BARE_MEASURES = ("ted", "levenshtein", "nw", "perfcorr")
 
 FEATURE_SOURCES = ("bag", "statement", "solution", "structural", "world", "performance")
 
-TRANSFORM_TOKENS = ("bin", "log", "max", "idf", "weights")
-
 METRIC_TOKENS = ("correlation", "cosine", "euclidean")
 
 SOLUTION_WEIGHT_FACTOR = 5.0
@@ -48,6 +46,8 @@ _TOKEN_TO_SPEC = {
     "idf": TransformSpec("idf"),
     "weights": TransformSpec("scale", group="solution", factor=SOLUTION_WEIGHT_FACTOR),
 }
+
+TRANSFORM_TOKENS = tuple(_TOKEN_TO_SPEC)
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,7 @@ class MeasureName:
                 raise ItemsimError(f"unknown feature source {self.source!r}")
             if self.metric not in METRIC_TOKENS:
                 raise ItemsimError(f"unknown metric {self.metric!r}")
-            for t in self.transforms:
-                if t not in TRANSFORM_TOKENS:
-                    raise ItemsimError(f"unknown transform token {t!r}")
+            transform_specs(self.transforms)
 
 
 def parse_measure(text: str) -> MeasureName:
@@ -127,8 +125,7 @@ def build_features(
     if source == "statement":
         return statement_bow(corpus, stopwords=params.stopwords)
     if source == "solution":
-        selector = "all_weighted" if params.selector == "all" else params.selector
-        return solution_keyword_features(corpus, selector=selector)
+        return solution_keyword_features(corpus, selector=params.selector)
     if source == "structural":
         return structural_features(corpus)
     if source == "world":
@@ -139,15 +136,15 @@ def build_features(
         return performance_features(records, item_ids=corpus.item_ids)
     if source == "bag":
         statement = statement_bow(corpus, stopwords=params.stopwords)
-        selector = "all_weighted" if params.selector == "all" else params.selector
-        solution = solution_keyword_features(corpus, selector=selector)
+        solution = solution_keyword_features(corpus, selector=params.selector)
         statement = restrict_items(statement, solution.item_ids)
         return concat_features([statement, solution])
     raise ItemsimError(f"unknown feature source {source!r}")
 
 
 def transform_specs(tokens: tuple[str, ...]) -> list[TransformSpec]:
-    unknown = [t for t in tokens if t not in _TOKEN_TO_SPEC]
+    """Transform pipeline for tokens; a non-string or unknown token is rejected."""
+    unknown = [str(t) for t in tokens if not (isinstance(t, str) and t in _TOKEN_TO_SPEC)]
     if unknown:
         raise ItemsimError(f"unknown transform tokens: {', '.join(unknown)}")
     return [_TOKEN_TO_SPEC[t] for t in tokens]

@@ -90,12 +90,6 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
-        return self.advance()
-
     def program(self) -> AstNode:
         stmts = []
         while self.peek().kind != "eof":

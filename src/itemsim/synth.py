@@ -50,6 +50,8 @@ class CorpusSpec:
                 raise ItemsimError(f"{field_name} must be positive")
         if self.noise_tokens < 0:
             raise ItemsimError("noise_tokens must be non-negative")
+        if self.seed < 0:
+            raise ItemsimError("seed must be non-negative")
         if self.n_levels > self.n_items:
             raise ItemsimError("n_levels cannot exceed n_items")
 
@@ -66,6 +68,8 @@ class PerfSpec:
     def __post_init__(self):
         if self.n_learners < 1:
             raise ItemsimError("n_learners must be positive")
+        if self.seed < 0:
+            raise ItemsimError("seed must be non-negative")
         if not 0 < self.solve_prob <= 1:
             raise ItemsimError("solve_prob must be in (0, 1]")
         for field_name in ("skill_sd", "difficulty_sd", "noise_sd"):

@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from itemsim import load_corpus
+from itemsim import load_corpus, save_corpus
 from itemsim.cli import main
 from itemsim.serialize import read_square_csv
+
+from conftest import make_tiny_corpus
 
 
 def write_config(directory, name="config.json", **settings):
@@ -47,6 +49,21 @@ def corpus_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture
+def tiny_dir(tmp_path):
+    """The tiny corpus (learner solutions, weights, worlds, levels) on disk."""
+    root = tmp_path / "tiny"
+    save_corpus(make_tiny_corpus(), root)
+    return root
+
+
+def edit_first_item(corpus_root, **fields):
+    path = corpus_root / "items.json"
+    entries = json.loads(path.read_text(encoding="utf-8"))
+    entries[0].update(fields)
+    path.write_text(json.dumps(entries), encoding="utf-8")
+
+
 class TestSynth:
     def test_writes_loadable_corpus_with_performance(self, corpus_dir):
         corpus = load_corpus(corpus_dir)
@@ -78,6 +95,13 @@ class TestSynth:
 
 
 class TestSim:
+    @pytest.mark.parametrize("measure", ["bag/none/correlation", "solution/log/cosine", "ted"])
+    def test_removed_selector_alias_is_rejected(self, tiny_dir, tmp_path, capsys, measure):
+        cfg = write_config(tmp_path, corpus=str(tiny_dir), measure=measure,
+                           selector="all_weighted")
+        run_error(["sim", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
+                  "unknown solution selector")
+
     def test_five_item_matrix_has_six_lines(self, corpus_dir, tmp_path):
         cfg = write_config(tmp_path, corpus=str(corpus_dir), measure="ted")
         out = tmp_path / "out"
@@ -219,6 +243,14 @@ class TestProject:
         assert lines[0] == "item_id,x1,x2"
         assert len(lines) == 6
 
+    @pytest.mark.parametrize("transforms", [[3], [["x"]]], ids=["int", "list"])
+    def test_pca_rejects_non_string_transform_tokens(self, corpus_dir, tmp_path, capsys,
+                                                     transforms):
+        cfg = write_config(tmp_path, corpus=str(corpus_dir), projection="pca",
+                           source="bag", transforms=transforms)
+        run_error(["project", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
+                  "unknown transform tokens: ")
+
     def test_unknown_projection(self, corpus_dir, tmp_path, capsys):
         cfg = write_config(tmp_path, corpus=str(corpus_dir), projection="tsne")
         run_error(["project", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
@@ -241,9 +273,6 @@ class TestStability:
         assert (out / "stability.txt").is_file()
 
     def test_missing_performance(self, tmp_path, capsys):
-        from itemsim import save_corpus
-        from conftest import make_tiny_corpus
-
         bare = tmp_path / "bare"
         save_corpus(make_tiny_corpus(), bare)
         cfg = write_config(tmp_path, corpus=str(bare))
@@ -305,7 +334,7 @@ class TestConfigAndErrors:
         run_error(["sim", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
                   "config needs 'measure'")
 
-    @pytest.mark.parametrize("value", ["abc", True])
+    @pytest.mark.parametrize("value", ["abc", True, pytest.param(10**400, id="huge_int")])
     def test_nw_score_must_be_a_number(self, corpus_dir, tmp_path, capsys, value):
         cfg = write_config(tmp_path, corpus=str(corpus_dir), measure="nw", nw={"match": value})
         run_error(["sim", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
@@ -327,3 +356,114 @@ class TestConfigAndErrors:
         assert main(["sim", "-c", str(path), "-o", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
+
+
+class TestNegativeSeeds:
+    @pytest.mark.parametrize("sub, settings, flag", [
+        ("cluster", {"measure": "ted", "k": 2, "seed": -1}, []),
+        ("cluster", {"measure": "ted", "k": 2}, ["--seed", "-1"]),
+        ("stability", {"min_overlap": 5, "seed": -1}, []),
+        ("stability", {"min_overlap": 5}, ["--seed", "-1"]),
+    ], ids=["cluster_config", "cluster_flag", "stability_config", "stability_flag"])
+    def test_analysis_seed(self, corpus_dir, tmp_path, capsys, sub, settings, flag):
+        cfg = write_config(tmp_path, corpus=str(corpus_dir), **settings)
+        run_error([sub, "-c", cfg, "-o", str(tmp_path / "o"), *flag], capsys,
+                  "seed must be non-negative")
+
+    @pytest.mark.parametrize("synth, flag", [
+        ({"n_items": 5, "n_levels": 2, "seed": -1}, []),
+        ({"n_items": 5, "n_levels": 2}, ["--seed", "-1"]),
+        ({"n_items": 5, "n_levels": 2, "performance": {"seed": -1}}, []),
+    ], ids=["config", "flag", "performance"])
+    def test_synth_seed(self, tmp_path, capsys, synth, flag):
+        cfg = write_config(tmp_path, synth=synth)
+        run_error(["synth", "-c", cfg, "-o", str(tmp_path / "o"), *flag], capsys,
+                  "seed must be non-negative")
+
+
+NOT_UTF8 = b"move \xff\xfe"
+
+
+class TestInputFiles:
+    """Each input file that is not UTF-8 (or not JSON) gives one error line
+    naming it."""
+
+    @pytest.mark.parametrize("relative, measure", [
+        ("items.json", "ted"),
+        ("solutions/alpha/weights.json", "ted"),
+        ("solutions/alpha/extra.robot", "ted"),
+        ("solutions/alpha/extra.ast.json", "ted"),
+        ("performance.csv", "perfcorr"),
+    ])
+    def test_undecodable_corpus_file(self, tiny_dir, tmp_path, capsys, relative, measure):
+        (tiny_dir / relative).write_bytes(NOT_UTF8)
+        cfg = write_config(tmp_path, corpus=str(tiny_dir), measure=measure)
+        run_error(["sim", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
+                  f"{relative}: not valid UTF-8")
+
+    def test_other_files_in_a_solution_directory_are_not_read(self, tiny_dir, tmp_path):
+        (tiny_dir / "solutions" / "alpha" / "notes.bin").write_bytes(NOT_UTF8)
+        cfg = write_config(tmp_path, corpus=str(tiny_dir), measure="ted")
+        run_ok(["sim", "-c", cfg, "-o", str(tmp_path / "o")])
+
+    def test_undecodable_config(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(NOT_UTF8)
+        run_error(["sim", "-c", str(path), "-o", str(tmp_path / "o")], capsys,
+                  "config.json: not valid UTF-8")
+
+    def test_undecodable_stopwords(self, tiny_dir, tmp_path, capsys):
+        (tmp_path / "stop.txt").write_bytes(NOT_UTF8)
+        cfg = write_config(tmp_path, corpus=str(tiny_dir), measure="statement/none/cosine",
+                           stopwords=str(tmp_path / "stop.txt"))
+        run_error(["sim", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
+                  "stop.txt: not valid UTF-8")
+
+    def test_undecodable_heatmap_matrix(self, tmp_path, capsys):
+        (tmp_path / "sim.csv").write_bytes(NOT_UTF8)
+        cfg = write_config(tmp_path, matrix=str(tmp_path / "sim.csv"))
+        run_error(["heatmap", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
+                  "sim.csv: not valid UTF-8")
+
+    def test_malformed_weights_json(self, tiny_dir, tmp_path, capsys):
+        (tiny_dir / "solutions" / "alpha" / "weights.json").write_text("{oops", encoding="utf-8")
+        cfg = write_config(tmp_path, corpus=str(tiny_dir), measure="ted")
+        run_error(["sim", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
+                  "weights.json: malformed JSON")
+
+
+class TestInputValues:
+    """Badly typed values in items.json and weights.json are rejected where
+    they are read, by the subcommand that used to crash on them."""
+
+    @pytest.mark.parametrize("sub, settings, fields, fragment", [
+        ("sim", {"measure": "ted"}, {"command_limit": "7"},
+         "command_limit must be an integer"),
+        ("sim", {"measure": "ted"}, {"command_limit": True},
+         "command_limit must be an integer"),
+        ("cluster", {"measure": "ted", "k": 2}, {"level": "x"}, "level must be an integer"),
+        ("cluster", {"measure": "ted", "k": 2}, {"level": True}, "level must be an integer"),
+        ("sim", {"measure": "statement/none/cosine"}, {"statement_text": 5},
+         "statement_text must be a string"),
+        ("sim", {"measure": "world/none/cosine"},
+         {"world": {"grid": ["D..", 5], "legend": {"D": "diamond"}}},
+         "world grid rows must be strings"),
+        ("sim", {"measure": "world/none/cosine"},
+         {"world": {"grid": ["D..", "M.."], "legend": {"D": 1, "M": 2}}},
+         "world legend values must be concept name strings"),
+        ("sim", {"measure": "ted"}, {"id": 5}, "every entry needs a string 'id' field"),
+    ], ids=["command_limit_str", "command_limit_bool", "level_str", "level_bool",
+            "statement_int", "grid_row_int", "legend_value_int", "id_int"])
+    def test_items_json(self, tiny_dir, tmp_path, capsys, sub, settings, fields, fragment):
+        edit_first_item(tiny_dir, **fields)
+        cfg = write_config(tmp_path, corpus=str(tiny_dir), **settings)
+        run_error([sub, "-c", cfg, "-o", str(tmp_path / "o")], capsys, fragment)
+
+    @pytest.mark.parametrize("weight", ["abc", "2.5", True, None,
+                                        pytest.param(10**400, id="huge_int")])
+    def test_weights_json(self, tiny_dir, tmp_path, capsys, weight):
+        path = tiny_dir / "solutions" / "alpha" / "weights.json"
+        path.write_text(json.dumps({"learner.robot": weight}), encoding="utf-8")
+        cfg = write_config(tmp_path, corpus=str(tiny_dir), measure="ted")
+        run_error(["sim", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
+                  "'learner.robot' needs a finite positive weight")

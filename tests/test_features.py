@@ -109,7 +109,7 @@ class TestSourceExtractors:
     def test_solution_keywords_weighted_average(self):
         # alpha learners: repeat 2 { move } shoot (w=3), move shoot (w=1);
         # sample move move shoot (w=1). "move" counts 1, 1, 2 -> (3+1+2)/5
-        m = solution_keyword_features(make_tiny_corpus(), "all_weighted")
+        m = solution_keyword_features(make_tiny_corpus(), "all")
         assert m.values[0, m.names.index("move")] == pytest.approx(6 / 5)
         assert m.values[0, m.names.index("repeat_2")] == pytest.approx(3 / 5)
 

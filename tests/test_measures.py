@@ -122,7 +122,7 @@ class TestBuildFeatures:
         direct = build_features(corpus, "solution",
                                 params=MeasureParams(selector="all"))
         from itemsim import solution_keyword_features
-        expected = solution_keyword_features(corpus, selector="all_weighted")
+        expected = solution_keyword_features(corpus, selector="all")
         assert np.array_equal(direct.values, expected.values)
 
     def test_performance_source_needs_records(self):
