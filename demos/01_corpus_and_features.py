@@ -11,7 +11,6 @@ from itemsim import (
     Corpus,
     Item,
     Solution,
-    TransformSpec,
     WorldSpec,
     apply_transforms,
     parse_robot_program,
@@ -72,8 +71,8 @@ worlds = world_features(corpus)
 print("\nworld features", worlds.names, "for", worlds.item_ids)
 
 # Transforms reshape a matrix without changing its meaning: log compresses
-# heavy-tailed counts, idf downweights words every item shares.
-pipeline = [TransformSpec("log"), TransformSpec("idf"), TransformSpec("max_normalize")]
-shaped = apply_transforms(bow, pipeline)
+# heavy-tailed counts, idf downweights words every item shares, max scales
+# each feature to a peak of 1. They take the measure grammar's tokens.
+shaped = apply_transforms(bow, ["log", "idf", "max"])
 print("\nafter log+idf+max, 'collect' row:",
       {n: float(round(v, 3)) for n, v in zip(shaped.names, shaped.values[0]) if v})

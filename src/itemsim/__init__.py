@@ -35,7 +35,6 @@ from .editdist import NwScoring, levenshtein, needleman_wunsch, tree_edit_distan
 from .errors import ConfigError, ItemsimError, ParseError
 from .features import (
     FeatureMatrix,
-    TransformSpec,
     apply_transform,
     apply_transforms,
     combine_matrices,

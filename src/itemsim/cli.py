@@ -35,9 +35,9 @@ from .corpus import (
 )
 from .editdist import NwScoring
 from .errors import ConfigError, ItemsimError
-from .features import apply_transforms
+from .features import apply_transforms, check_transforms
 from .heatmap import heatmap_svg
-from .measures import MeasureParams, build_features, compute_measure, parse_measure, transform_specs
+from .measures import RECORD_SOURCES, MeasureParams, build_features, compute_measure, parse_measure
 from .projection import mds_project, pca_project
 from .serialize import (
     embedding_csv,
@@ -104,16 +104,14 @@ def _require(cfg: dict, key: str, kind: type, what: str):
     return _optional(cfg, key, kind, None)
 
 
-def _load_records(cfg: dict, corpus: Corpus | None, required: bool):
+def _load_records(cfg: dict, corpus: Corpus | None):
     if "performance" in cfg:
         return load_performance(_require(cfg, "performance", str, "performance data"), corpus)
     if "corpus" in cfg:
         default = Path(cfg["corpus"]) / "performance.csv"
         if default.is_file():
             return load_performance(default, corpus)
-    if required:
-        raise ConfigError('config needs "performance" (or a corpus performance.csv)')
-    return None
+    raise ConfigError('config needs "performance" (or a corpus performance.csv)')
 
 
 def _measure_params(cfg: dict) -> MeasureParams:
@@ -141,11 +139,13 @@ def _measure_params(cfg: dict) -> MeasureParams:
     )
 
 
-def _inputs(cfg: dict, needs_records: bool):
-    """Corpus, measure parameters and performance records (or None)."""
+def _inputs(cfg: dict, sources: list[str]):
+    """Corpus, measure parameters, and the performance records when one of
+    the sources reads them (None otherwise)."""
     corpus = load_corpus(_require(cfg, "corpus", str, "this subcommand"))
     params = _measure_params(cfg)
-    return corpus, params, _load_records(cfg, corpus, required=needs_records)
+    needs_records = any(source in RECORD_SOURCES for source in sources)
+    return corpus, params, _load_records(cfg, corpus) if needs_records else None
 
 
 def _seed(cfg: dict, args) -> int:
@@ -184,15 +184,14 @@ def _normalize_method(method: str) -> str:
 def _features(cfg: dict, what: str):
     """The transformed feature matrix of the config's source."""
     source = _require(cfg, "source", str, what)
-    specs = transform_specs(tuple(_optional(cfg, "transforms", list, [])))
-    corpus, params, records = _inputs(cfg, source == "performance")
-    return apply_transforms(build_features(corpus, source, records=records, params=params), specs)
+    tokens = check_transforms(_optional(cfg, "transforms", list, []))
+    corpus, params, records = _inputs(cfg, [source])
+    return apply_transforms(build_features(corpus, source, records=records, params=params), tokens)
 
 
 def _measures(cfg: dict, names: list[str]):
     """The corpus and one similarity matrix per measure name."""
-    needs_records = any(parse_measure(n).source in ("perfcorr", "performance") for n in names)
-    corpus, params, records = _inputs(cfg, needs_records)
+    corpus, params, records = _inputs(cfg, [parse_measure(n).source for n in names])
     return corpus, [compute_measure(corpus, n, records=records, params=params) for n in names]
 
 
@@ -205,10 +204,10 @@ def _computed_measures(cfg: dict, names: list[str]):
 
 
 def _spec(cls, fields: dict, what: str):
-    """A synth spec from config keys; a wrongly typed value is a config error."""
+    """A synth spec from config keys; the error of a bad value names the spec."""
     try:
         return cls(**fields)
-    except TypeError as e:
+    except ItemsimError as e:
         raise ConfigError(f"bad {what} spec: {e}") from e
 
 
@@ -274,7 +273,7 @@ def cmd_project(cfg: dict, args) -> None:
 
 def cmd_stability(cfg: dict, args) -> None:
     corpus = load_corpus(_require(cfg, "corpus", str, "stability")) if "corpus" in cfg else None
-    records = _load_records(cfg, corpus, required=True)
+    records = _load_records(cfg, corpus)
     params = _measure_params(cfg)
     value = split_half_stability(
         records,
@@ -294,15 +293,18 @@ def cmd_synth(cfg: dict, args) -> None:
     synth_cfg.pop("performance", None)
     if args.seed is not None:
         synth_cfg["seed"] = args.seed
-    corpus = generate_corpus(_spec(CorpusSpec, synth_cfg, "synth"))
-    out = _out_dir(args)
-    save_corpus(corpus, out)
+    corpus_spec = _spec(CorpusSpec, synth_cfg, "synth")
+    perf_spec = None
     if perf_cfg is not None:
         unknown = sorted(set(perf_cfg) - _PERF_KEYS)
         if unknown:
             raise ConfigError(f"unknown synth performance keys: {', '.join(unknown)}")
-        records = generate_performance(corpus, _spec(PerfSpec, perf_cfg, "synth performance"))
-        save_performance(records, out / "performance.csv")
+        perf_spec = _spec(PerfSpec, perf_cfg, "synth performance")
+    corpus = generate_corpus(corpus_spec)
+    out = _out_dir(args)
+    save_corpus(corpus, out)
+    if perf_spec is not None:
+        save_performance(generate_performance(corpus, perf_spec), out / "performance.csv")
 
 
 def cmd_heatmap(cfg: dict, args) -> None:

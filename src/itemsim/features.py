@@ -2,8 +2,8 @@
 
 Sources: statement text (bag of words), solution ASTs (keyword counts and
 structural summaries), world grids (concept counts), and performance logs
-(aggregate statistics). Transforms: binarize, log, max_normalize, idf, and
-per-group scaling.
+(aggregate statistics). Transforms, named by their measure-grammar tokens:
+bin, log, max, idf, and weights.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,9 @@ log = logging.getLogger("itemsim.features")
 
 FEATURE_GROUPS = ("statement", "solution", "structural", "world", "performance")
 
-TRANSFORM_KINDS = ("binarize", "log", "max_normalize", "idf", "scale")
+TRANSFORM_TOKENS = ("bin", "log", "max", "idf", "weights")
+
+SOLUTION_WEIGHT_FACTOR = 5.0
 
 _WORD_SPLIT = re.compile(r"[^0-9a-z]+")
 
@@ -71,27 +74,6 @@ class FeatureMatrix:
     @property
     def n_features(self) -> int:
         return len(self.names)
-
-
-@dataclass(frozen=True)
-class TransformSpec:
-    """One step of the transformation algebra. `group` and `factor` are
-    only meaningful for kind="scale"."""
-
-    kind: str
-    group: str | None = None
-    factor: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in TRANSFORM_KINDS:
-            raise ItemsimError(f"unknown transform {self.kind!r}")
-        if self.kind == "scale":
-            if self.group not in FEATURE_GROUPS:
-                raise ItemsimError(f"scale transform needs a feature group, got {self.group!r}")
-            if self.factor is None or not (math.isfinite(self.factor) and self.factor > 0):
-                raise ItemsimError("scale factor must be finite and positive")
-        elif self.group is not None or self.factor is not None:
-            raise ItemsimError(f"transform {self.kind!r} takes no options")
 
 
 def tokenize_statement(text: str, stopwords: frozenset[str] = frozenset()) -> list[str]:
@@ -257,36 +239,45 @@ def performance_features(
     )
 
 
-def apply_transform(m: FeatureMatrix, t: TransformSpec) -> FeatureMatrix:
-    """binarize: v>0 becomes 1. log: ln(1+v). max_normalize: per-feature
-    division by the maximum (all-zero features unchanged). idf: per-feature
-    multiplication by ln(N/df) where df counts items with v>0 (df=0 features
-    unchanged). scale: multiply one feature group by a factor."""
+def check_transforms(tokens: Sequence) -> tuple[str, ...]:
+    """The tokens as a tuple; a non-string or unknown token is rejected."""
+    unknown = [str(t) for t in tokens if not (isinstance(t, str) and t in TRANSFORM_TOKENS)]
+    if unknown:
+        raise ItemsimError(f"unknown transform tokens: {', '.join(unknown)}")
+    return tuple(tokens)
+
+
+def apply_transform(m: FeatureMatrix, token: str) -> FeatureMatrix:
+    """bin: v>0 becomes 1. log: ln(1+v). max: per-feature division by the
+    maximum (all-zero features unchanged). idf: per-feature multiplication by
+    ln(N/df) where df counts items with v>0 (df=0 features unchanged).
+    weights: the solution group times SOLUTION_WEIGHT_FACTOR."""
+    check_transforms((token,))
     v = m.values
-    if t.kind in ("binarize", "log", "idf") and np.any(v < 0):
-        raise ItemsimError(f"{t.kind} transform requires non-negative values")
-    if t.kind == "binarize":
+    if token in ("bin", "log", "idf") and np.any(v < 0):
+        raise ItemsimError(f"{token} transform requires non-negative values")
+    if token == "bin":
         out = (v > 0).astype(np.float64)
-    elif t.kind == "log":
+    elif token == "log":
         out = np.log1p(v)
-    elif t.kind == "max_normalize":
+    elif token == "max":
         col_max = v.max(axis=0) if len(v) else np.zeros(m.n_features)
         divisor = np.where(col_max > 0, col_max, 1.0)
         out = v / divisor
-    elif t.kind == "idf":
+    elif token == "idf":
         df = (v > 0).sum(axis=0)
         weight = np.where(df > 0, np.log(len(m.item_ids) / np.maximum(df, 1)), 1.0)
         out = v * weight
-    else:  # scale
-        mask = np.array([g == t.group for g in m.groups])
+    else:  # weights
+        mask = np.array([g == "solution" for g in m.groups], dtype=bool)
         out = v.copy()
-        out[:, mask] *= t.factor
+        out[:, mask] *= SOLUTION_WEIGHT_FACTOR
     return FeatureMatrix(item_ids=m.item_ids, groups=m.groups, names=m.names, values=out)
 
 
-def apply_transforms(m: FeatureMatrix, ts: list[TransformSpec]) -> FeatureMatrix:
-    for t in ts:
-        m = apply_transform(m, t)
+def apply_transforms(m: FeatureMatrix, tokens: Sequence[str]) -> FeatureMatrix:
+    for token in tokens:
+        m = apply_transform(m, token)
     return m
 
 

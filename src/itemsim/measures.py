@@ -8,6 +8,7 @@ edit-distance measures, and perfcorr denotes direct performance correlation.
 
 `bag` concatenates statement word counts with solution keyword counts; the
 `weights` transform multiplies the solution feature group by 5.
+Performance records feed perfcorr and the performance source only.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from .editdist import NwScoring
 from .errors import ItemsimError
 from .features import (
     FeatureMatrix,
-    TransformSpec,
     apply_transforms,
+    check_transforms,
     concat_features,
     performance_features,
     restrict_items,
@@ -29,25 +30,15 @@ from .features import (
     structural_features,
     world_features,
 )
-from .similarity import SimilarityMatrix, edit_similarity, performance_similarity, similarity_from_features
+from .similarity import (
+    METRICS, SimilarityMatrix, edit_similarity, performance_similarity, similarity_from_features,
+)
 
 BARE_MEASURES = ("ted", "levenshtein", "nw", "perfcorr")
 
 FEATURE_SOURCES = ("bag", "statement", "solution", "structural", "world", "performance")
 
-METRIC_TOKENS = ("correlation", "cosine", "euclidean")
-
-SOLUTION_WEIGHT_FACTOR = 5.0
-
-_TOKEN_TO_SPEC = {
-    "bin": TransformSpec("binarize"),
-    "log": TransformSpec("log"),
-    "max": TransformSpec("max_normalize"),
-    "idf": TransformSpec("idf"),
-    "weights": TransformSpec("scale", group="solution", factor=SOLUTION_WEIGHT_FACTOR),
-}
-
-TRANSFORM_TOKENS = tuple(_TOKEN_TO_SPEC)
+RECORD_SOURCES = ("perfcorr", "performance")
 
 
 @dataclass(frozen=True)
@@ -69,9 +60,9 @@ class MeasureName:
         else:
             if self.source not in FEATURE_SOURCES:
                 raise ItemsimError(f"unknown feature source {self.source!r}")
-            if self.metric not in METRIC_TOKENS:
+            if self.metric not in METRICS:
                 raise ItemsimError(f"unknown metric {self.metric!r}")
-            transform_specs(self.transforms)
+            check_transforms(self.transforms)
 
 
 def parse_measure(text: str) -> MeasureName:
@@ -142,14 +133,6 @@ def build_features(
     raise ItemsimError(f"unknown feature source {source!r}")
 
 
-def transform_specs(tokens: tuple[str, ...]) -> list[TransformSpec]:
-    """Transform pipeline for tokens; a non-string or unknown token is rejected."""
-    unknown = [str(t) for t in tokens if not (isinstance(t, str) and t in _TOKEN_TO_SPEC)]
-    if unknown:
-        raise ItemsimError(f"unknown transform tokens: {', '.join(unknown)}")
-    return [_TOKEN_TO_SPEC[t] for t in tokens]
-
-
 def compute_measure(
     corpus: Corpus,
     name: MeasureName | str,
@@ -182,6 +165,5 @@ def compute_measure(
             )
         return replace(s, measure_name=canonical)
     m = build_features(corpus, name.source, records=records, params=params)
-    m = apply_transforms(m, transform_specs(name.transforms))
-    metric = "pearson" if name.metric == "correlation" else name.metric
-    return similarity_from_features(m, metric=metric, measure_name=canonical)
+    m = apply_transforms(m, name.transforms)
+    return similarity_from_features(m, metric=name.metric, measure_name=canonical)

@@ -22,7 +22,7 @@ from .tree import action_sequence, canonize, node_count
 
 log = logging.getLogger("itemsim.similarity")
 
-METRICS = ("pearson", "cosine", "euclidean")
+METRICS = ("correlation", "cosine", "euclidean")
 
 
 @dataclass(frozen=True)
@@ -66,11 +66,12 @@ def _mirror_upper(values: np.ndarray) -> np.ndarray:
 
 
 def similarity_from_features(
-    m: FeatureMatrix, metric: str = "pearson", measure_name: str | None = None
+    m: FeatureMatrix, metric: str = "correlation", measure_name: str | None = None
 ) -> SimilarityMatrix:
-    """Row-vector similarity under pearson, cosine, or subtracted euclidean
-    (S = -distance). Degenerate rows (constant for pearson, zero for cosine)
-    yield missing entries against every other item."""
+    """Row-vector similarity under correlation (Pearson), cosine, or
+    subtracted euclidean (S = -distance). Degenerate rows (constant for
+    correlation, zero for cosine) yield missing entries against every other
+    item."""
     if metric not in METRICS:
         raise ItemsimError(f"unknown metric {metric!r}")
     if m.n_items == 0 or m.n_features == 0:
@@ -83,7 +84,7 @@ def similarity_from_features(
         s = _mirror_upper(s)
         np.fill_diagonal(s, 0.0)
     else:
-        rows = v - v.mean(axis=1, keepdims=True) if metric == "pearson" else v
+        rows = v - v.mean(axis=1, keepdims=True) if metric == "correlation" else v
         norms = np.linalg.norm(rows, axis=1)
         valid = norms > 0
         safe = np.where(valid, norms, 1.0)

@@ -10,8 +10,9 @@ from a shared vocabulary independently of the solutions.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -33,6 +34,16 @@ _WORD_REPEAT_P = 0.5
 _WORLD_LEGEND = {"D": "diamond", "M": "meteorite", "W": "wormhole"}
 
 
+def _check_types(spec) -> None:
+    """A field with an integer default takes an integer, the others any real
+    number; a boolean is neither (JSON true loads as a bool, a subclass of int)."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        kind, what = (Integral, "an integer") if type(f.default) is int else (Real, "a number")
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ItemsimError(f"{f.name} must be {what}")
+
+
 @dataclass(frozen=True)
 class CorpusSpec:
     n_items: int = 45
@@ -44,6 +55,7 @@ class CorpusSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_types(self)
         for field_name in ("n_items", "n_levels", "concepts_per_level",
                            "statement_vocab", "statement_len"):
             if getattr(self, field_name) < 1:
@@ -66,6 +78,7 @@ class PerfSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_types(self)
         if self.n_learners < 1:
             raise ItemsimError("n_learners must be positive")
         if self.seed < 0:
@@ -74,7 +87,7 @@ class PerfSpec:
             raise ItemsimError("solve_prob must be in (0, 1]")
         for field_name in ("skill_sd", "difficulty_sd", "noise_sd"):
             v = getattr(self, field_name)
-            if not (math.isfinite(v) and v >= 0):
+            if not 0 <= v <= sys.float_info.max:  # also rejects nan and ints beyond float
                 raise ItemsimError(f"{field_name} must be finite and non-negative")
 
 

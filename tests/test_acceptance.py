@@ -62,7 +62,7 @@ def test_criterion_2_pearson_equals_centered_cosine():
     for _ in range(50):
         values = rng.normal(size=(20, 10))
         centered = values - values.mean(axis=1, keepdims=True)
-        p = similarity_from_features(_fm(values), "pearson").values
+        p = similarity_from_features(_fm(values), "correlation").values
         c = similarity_from_features(_fm(centered), "cosine").values
         worst = max(worst, float(np.max(np.abs(p - c))))
     _record(2, "pearson equals centered cosine", worst < 1e-9, f"max diff {worst:.2e}")

@@ -93,6 +93,26 @@ class TestSynth:
                                             "performance": performance})
         run_error(["synth", "-c", cfg, "-o", str(tmp_path / "o")], capsys, fragment)
 
+    @pytest.mark.parametrize("synth, fragment", [
+        ({"seed": 1.5}, "bad synth spec: seed must be an integer"),
+        ({"n_items": 5.5}, "bad synth spec: n_items must be an integer"),
+        ({"seed": True}, "bad synth spec: seed must be an integer"),
+        ({"performance": {"n_learners": 3.5}},
+         "bad synth performance spec: n_learners must be an integer"),
+        ({"performance": {"seed": 2.5}}, "bad synth performance spec: seed must be an integer"),
+    ], ids=["seed_float", "n_items_float", "seed_bool", "n_learners_float",
+            "performance_seed_float"])
+    def test_spec_value_types(self, tmp_path, capsys, synth, fragment):
+        cfg = write_config(tmp_path, synth={"n_items": 5, "n_levels": 2, **synth})
+        run_error(["synth", "-c", cfg, "-o", str(tmp_path / "o")], capsys, fragment)
+
+    def test_bad_performance_spec_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, synth={"n_items": 5, "n_levels": 2,
+                                            "performance": {"n_learners": 0}})
+        run_error(["synth", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
+                  "n_learners must be positive")
+        assert not (tmp_path / "o").exists()
+
 
 class TestSim:
     @pytest.mark.parametrize("measure", ["bag/none/correlation", "solution/log/cosine", "ted"])
@@ -143,6 +163,17 @@ class TestFeatures:
                            transforms=["sqrt"])
         run_error(["features", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
                   "unknown transform token")
+
+    def test_weights_on_a_matrix_without_features(self, tiny_dir, tmp_path, capsys):
+        # every statement word is a stopword, so the statement matrix has no column
+        words = " ".join(it.statement_text for it in make_tiny_corpus().items)
+        (tmp_path / "stop.txt").write_text(words, encoding="utf-8")
+        cfg = write_config(tmp_path, corpus=str(tiny_dir), source="statement",
+                           transforms=["weights"], stopwords=str(tmp_path / "stop.txt"))
+        run_ok(["features", "-c", cfg, "-o", str(tmp_path / "out")])
+        cfg = write_config(tmp_path, corpus=str(tiny_dir), measure="statement/weights/cosine",
+                           stopwords=str(tmp_path / "stop.txt"))
+        run_error(["sim", "-c", cfg, "-o", str(tmp_path / "o")], capsys, "empty feature matrix")
 
 
 class TestAgree:
@@ -278,6 +309,37 @@ class TestStability:
         cfg = write_config(tmp_path, corpus=str(bare))
         run_error(["stability", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
                   'config needs "performance"')
+
+
+class TestRecordsReadOnlyWhenUsed:
+    """performance.csv is read only by commands whose measures use records,
+    so a broken file fails those commands and no others."""
+
+    @pytest.fixture
+    def broken_records(self, tiny_dir):
+        (tiny_dir / "performance.csv").write_text(
+            "learner_id,item_id,time_seconds,success\nL1,nowhere,2.0,1\n", encoding="utf-8")
+        return tiny_dir
+
+    @pytest.mark.parametrize("sub, settings", [
+        ("sim", {"measure": "ted"}),
+        ("features", {"source": "bag"}),
+        ("cluster", {"measure": "bag/log/correlation", "k": 2}),
+        ("project", {"projection": "mds", "measure": "levenshtein"}),
+    ], ids=["sim_ted", "features_bag", "cluster_bag", "project_mds"])
+    def test_unused_file_is_not_read(self, broken_records, tmp_path, sub, settings):
+        cfg = write_config(tmp_path, corpus=str(broken_records), **settings)
+        run_ok([sub, "-c", cfg, "-o", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("sub, settings", [
+        ("sim", {"measure": "perfcorr"}),
+        ("features", {"source": "performance"}),
+        ("stability", {}),
+    ], ids=["sim_perfcorr", "features_performance", "stability"])
+    def test_used_file_is_read(self, broken_records, tmp_path, capsys, sub, settings):
+        cfg = write_config(tmp_path, corpus=str(broken_records), **settings)
+        run_error([sub, "-c", cfg, "-o", str(tmp_path / "o")], capsys,
+                  "performance.csv:2: unknown item id 'nowhere'")
 
 
 class TestHeatmap:

@@ -12,7 +12,6 @@ from itemsim import (
     ItemsimError,
     PerformanceRecord,
     Solution,
-    TransformSpec,
     apply_transform,
     apply_transforms,
     combine_matrices,
@@ -181,58 +180,54 @@ class TestSourceExtractors:
 
 class TestTransforms:
     def test_spec_validation(self):
-        with pytest.raises(ItemsimError, match="unknown transform"):
-            TransformSpec("sqrt")
-        with pytest.raises(ItemsimError, match="feature group"):
-            TransformSpec("scale", factor=2.0)
-        with pytest.raises(ItemsimError, match="factor"):
-            TransformSpec("scale", group="solution", factor=-1.0)
-        with pytest.raises(ItemsimError, match="takes no options"):
-            TransformSpec("log", factor=2.0)
+        with pytest.raises(ItemsimError, match="unknown transform tokens: sqrt"):
+            apply_transform(fm([[1.0]]), "sqrt")
+        with pytest.raises(ItemsimError, match="unknown transform tokens: 2"):
+            apply_transforms(fm([[1.0]]), ["log", 2])
 
     def test_binarize(self):
-        m = apply_transform(fm([[0, 2], [3, 0]]), TransformSpec("binarize"))
+        m = apply_transform(fm([[0, 2], [3, 0]]), "bin")
         assert m.values.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_binarize_idempotent(self):
         m = fm([[0, 2], [3, 0]])
-        once = apply_transform(m, TransformSpec("binarize"))
-        twice = apply_transform(once, TransformSpec("binarize"))
+        once = apply_transform(m, "bin")
+        twice = apply_transform(once, "bin")
         assert np.array_equal(once.values, twice.values)
 
     def test_log(self):
-        m = apply_transform(fm([[0.0], [math.e - 1]]), TransformSpec("log"))
+        m = apply_transform(fm([[0.0], [math.e - 1]]), "log")
         assert m.values[0, 0] == 0.0
         assert m.values[1, 0] == pytest.approx(1.0)
 
     def test_log_rejects_negatives(self):
         with pytest.raises(ItemsimError, match="non-negative"):
-            apply_transform(fm([[-1.0]]), TransformSpec("log"))
+            apply_transform(fm([[-1.0]]), "log")
 
     def test_max_normalize(self):
-        m = apply_transform(fm([[2.0], [4.0], [0.0]]), TransformSpec("max_normalize"))
+        m = apply_transform(fm([[2.0], [4.0], [0.0]]), "max")
         assert m.values[:, 0].tolist() == [0.5, 1.0, 0.0]
 
     def test_max_normalize_keeps_all_zero_features(self):
-        m = apply_transform(fm([[0.0, 1.0], [0.0, 3.0]]), TransformSpec("max_normalize"))
+        m = apply_transform(fm([[0.0, 1.0], [0.0, 3.0]]), "max")
         assert m.values[:, 0].tolist() == [0.0, 0.0]
 
     def test_max_normalize_handles_negatives(self):
-        m = apply_transform(fm([[-2.0], [4.0]]), TransformSpec("max_normalize"))
+        m = apply_transform(fm([[-2.0], [4.0]]), "max")
         assert m.values[:, 0].tolist() == [-0.5, 1.0]
 
     def test_idf(self):
         # feature present in 1 of 4 items, value 2 -> 2 ln 4
         values = [[2.0], [0.0], [0.0], [0.0]]
-        m = apply_transform(fm(values), TransformSpec("idf"))
+        m = apply_transform(fm(values), "idf")
         assert m.values[0, 0] == pytest.approx(2 * math.log(4))
 
     def test_idf_everywhere_present_zeroes_out(self):
-        m = apply_transform(fm([[1.0], [2.0]]), TransformSpec("idf"))
+        m = apply_transform(fm([[1.0], [2.0]]), "idf")
         assert m.values[:, 0].tolist() == [0.0, 0.0]
 
     def test_idf_absent_feature_unchanged(self):
-        m = apply_transform(fm([[0.0], [0.0]]), TransformSpec("idf"))
+        m = apply_transform(fm([[0.0], [0.0]]), "idf")
         assert m.values[:, 0].tolist() == [0.0, 0.0]
 
     def test_scale_targets_one_group(self):
@@ -242,15 +237,15 @@ class TestTransforms:
             names=("x", "y"),
             values=np.array([[2.0, 2.0]]),
         )
-        out = apply_transform(m, TransformSpec("scale", group="solution", factor=5.0))
+        out = apply_transform(m, "weights")
         assert out.values.tolist() == [[2.0, 10.0]]
 
     def test_pipeline_order_matters(self):
         m = fm([[3.0], [1.0]])
         log_then_max = apply_transforms(
-            m, [TransformSpec("log"), TransformSpec("max_normalize")])
+            m, ["log", "max"])
         max_then_log = apply_transforms(
-            m, [TransformSpec("max_normalize"), TransformSpec("log")])
+            m, ["max", "log"])
         assert not np.allclose(log_then_max.values, max_then_log.values)
 
 

@@ -1,0 +1,146 @@
+"""Seeded malformed-input fuzzing of every subcommand.
+
+Each subcommand has one valid config over the tiny fixture corpus. The
+fuzzer mutates it (drop a key, give a value another JSON type, negate a
+number; nested objects and lists included) and runs the result through
+`main`. Every run must either succeed or print exactly one `error:` line
+and exit 1: a traceback fails the test with the config that caused it.
+"""
+
+import copy
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from itemsim import PerformanceRecord, save_corpus, save_performance
+from itemsim.cli import main
+
+from conftest import make_tiny_corpus
+
+MUTANTS_PER_CONFIG = 120
+
+# one value of each JSON type; ints and floats count as different types,
+# because a float where an integer belongs is a typical mistake
+_REPLACEMENTS = (None, True, 3, 2.5, "x", ["x"], {"x": 1})
+
+
+def _json_type(value) -> str:
+    if isinstance(value, bool):
+        return "bool"
+    return type(value).__name__
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """The tiny corpus with performance records, a stopword list and a
+    similarity CSV for the heatmap."""
+    root = tmp_path_factory.mktemp("fuzz")
+    corpus = root / "tiny"
+    save_corpus(make_tiny_corpus(), corpus)
+    rng = np.random.default_rng(5)
+    save_performance(
+        [PerformanceRecord(f"L{l}", item, float(np.exp(rng.normal())), bool(rng.integers(2)))
+         for l in range(8) for item in ("alpha", "beta", "gamma")],
+        corpus / "performance.csv",
+    )
+    (root / "stop.txt").write_text("the before", encoding="utf-8")
+    (root / "sim.csv").write_text(
+        "item_id,a,b,c\na,1,0.5,0\nb,0.5,1,-0.25\nc,0,-0.25,1\n", encoding="utf-8")
+    return root
+
+
+def _configs(root) -> dict[str, tuple[str, dict]]:
+    corpus = str(root / "tiny")
+    return {
+        "features": ("features", {
+            "corpus": corpus, "source": "bag", "transforms": ["log", "weights"],
+            "selector": "all", "stopwords": str(root / "stop.txt"),
+        }),
+        "sim": ("sim", {
+            "corpus": corpus, "measure": "nw", "selector": "all", "aggregation": "average",
+            "nw": {"match": 2, "mismatch": -1, "gap": -1}, "unroll_cap": 20, "total_cap": 200,
+        }),
+        "sim_perfcorr": ("sim", {
+            "corpus": corpus, "measure": "perfcorr", "min_overlap": 3,
+            "perf_measure": "success", "performance": str(root / "tiny" / "performance.csv"),
+        }),
+        "agree": ("agree", {
+            "corpus": corpus, "measures": ["ted", "bag/log+idf/cosine", "statement/none/cosine"],
+            "method": "top:1",
+        }),
+        "meta_agree": ("meta-agree", {
+            "corpus": corpus, "measures": ["ted", "bag/log/cosine", "statement/none/cosine"],
+            "methods": ["correlation", "top:1"],
+        }),
+        "cluster": ("cluster", {
+            "corpus": corpus, "measure": "bag/log/correlation", "k": 2, "runs": 3,
+            "restarts": 2, "seed": 1,
+        }),
+        "project_pca": ("project", {
+            "corpus": corpus, "projection": "pca", "source": "solution",
+            "transforms": ["max"], "dims": 2,
+        }),
+        "project_mds": ("project", {
+            "corpus": corpus, "projection": "mds", "measure": "levenshtein", "dims": 1,
+        }),
+        "stability": ("stability", {"corpus": corpus, "min_overlap": 2, "seed": 3}),
+        "synth": ("synth", {"synth": {
+            "n_items": 4, "n_levels": 2, "seed": 1,
+            "performance": {"n_learners": 6, "solve_prob": 0.9, "noise_sd": 0.5, "seed": 2},
+        }}),
+        "heatmap": ("heatmap", {"matrix": str(root / "sim.csv"), "ordering": "hierarchical"}),
+    }
+
+
+def _slots(value, path=()):
+    """Every (path, value) below the top-level object, depth first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield path + (key,), child
+        if isinstance(child, (dict, list)):
+            yield from _slots(child, path + (key,))
+
+
+def _mutate(cfg: dict, rng) -> dict:
+    cfg = copy.deepcopy(cfg)
+    slots = list(_slots(cfg))
+    if not slots:
+        return cfg
+    path, value = slots[int(rng.integers(len(slots)))]
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    roll = int(rng.integers(3))
+    if roll == 0:
+        del parent[path[-1]]
+    elif roll == 1 and numeric:
+        parent[path[-1]] = -value
+    else:
+        options = [r for r in _REPLACEMENTS if _json_type(r) != _json_type(value)]
+        parent[path[-1]] = copy.deepcopy(options[int(rng.integers(len(options)))])
+    return cfg
+
+
+@pytest.mark.parametrize("name", list(_configs(Path("."))))
+def test_mutated_configs(inputs, tmp_path, capsys, name):
+    sub, base = _configs(inputs)[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    mutants = [base] + [_mutate(base, rng) for _ in range(MUTANTS_PER_CONFIG)]
+    for k in range(MUTANTS_PER_CONFIG // 4):
+        mutants.append(_mutate(mutants[1 + k], rng))  # two mutations at once
+    config = tmp_path / "config.json"
+    for i, cfg in enumerate(mutants):
+        config.write_text(json.dumps({"schema": 1, **cfg}), encoding="utf-8")
+        try:
+            code = main([sub, "-c", str(config), "-o", str(tmp_path / "out")])
+        except Exception as e:
+            pytest.fail(f"{sub} {json.dumps(cfg)}: {type(e).__name__}: {e}")
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        if i == 0:
+            assert code == 0, f"base config of {name} fails: {errors}"
+        expected = 1 if code else 0
+        assert code in (0, 1) and len(errors) == expected, (sub, cfg, code, errors)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from itemsim import (
+    FeatureMatrix,
     ItemsimError,
     MeasureName,
     MeasureParams,
@@ -19,7 +20,6 @@ from itemsim import (
     similarity_from_features,
 )
 from itemsim.features import apply_transforms, statement_bow
-from itemsim.measures import transform_specs
 from itemsim.synth import CorpusSpec, PerfSpec, generate_corpus, generate_performance
 
 from conftest import make_tiny_corpus
@@ -81,13 +81,12 @@ class TestGrammar:
             MeasureName(source="ted", transforms=("log",))
 
     def test_transform_specs_mapping(self):
-        specs = transform_specs(("log", "weights"))
-        assert specs[0].kind == "log"
-        assert specs[1].kind == "scale"
-        assert specs[1].group == "solution"
-        assert specs[1].factor == 5.0
+        m = FeatureMatrix(item_ids=("a",), groups=("statement", "solution"),
+                          names=("x", "y"), values=np.array([[2.0, 3.0]]))
+        out = apply_transforms(m, ("log", "weights"))
+        assert out.values.tolist() == [[np.log1p(2.0), 5.0 * np.log1p(3.0)]]
         with pytest.raises(ItemsimError, match="unknown transform tokens: zip"):
-            transform_specs(("log", "zip"))
+            apply_transforms(m, ("log", "zip"))
 
 
 class TestFixtureNames:
@@ -138,8 +137,8 @@ class TestComputeMeasure:
     def test_feature_measure_matches_manual_pipeline(self):
         corpus = make_tiny_corpus()
         s = compute_measure(corpus, "statement/log/correlation")
-        manual = apply_transforms(statement_bow(corpus), transform_specs(("log",)))
-        expected = similarity_from_features(manual, "pearson")
+        manual = apply_transforms(statement_bow(corpus), ("log",))
+        expected = similarity_from_features(manual, "correlation")
         assert np.array_equal(np.nan_to_num(s.values, nan=-9),
                               np.nan_to_num(expected.values, nan=-9))
         assert s.measure_name == "statement/log/correlation"

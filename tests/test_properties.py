@@ -56,14 +56,9 @@ from itemsim import (
 )
 from itemsim.analysis import _top_neighbors
 from itemsim.cli import main
-from itemsim.features import TransformSpec
-from itemsim.measures import (
-    BARE_MEASURES,
-    FEATURE_SOURCES,
-    METRIC_TOKENS,
-    TRANSFORM_TOKENS,
-    transform_specs,
-)
+from itemsim.features import TRANSFORM_TOKENS, check_transforms
+from itemsim.measures import BARE_MEASURES, FEATURE_SOURCES
+from itemsim.similarity import METRICS
 from itemsim.synth import CorpusSpec, generate_corpus
 from itemsim.tree import action_sequence, ast_to_document, canonize
 
@@ -166,11 +161,10 @@ def _corpus_load_deterministic():
 @invariant("features-binarize-idempotent")
 def _features_binarize_idempotent():
     rng = np.random.default_rng(21)
-    binarize = TransformSpec("binarize")
     for _ in range(100):
         m = _random_fm(rng, int(rng.integers(1, 8)), int(rng.integers(1, 8)))
-        once = apply_transform(m, binarize)
-        twice = apply_transform(once, binarize)
+        once = apply_transform(m, "bin")
+        twice = apply_transform(once, "bin")
         assert np.array_equal(once.values, twice.values)
 
 
@@ -184,7 +178,7 @@ def _features_max_normalize_range():
         values = m.values.copy()
         values[:, rng.random(m.n_features) < 0.3] = 0.0
         m = FeatureMatrix(m.item_ids, m.groups, m.names, values)
-        out = apply_transform(m, TransformSpec("max_normalize")).values
+        out = apply_transform(m, "max").values
         assert out.min() >= 0.0 and out.max() <= 1.0
         for j in range(out.shape[1]):
             if values[:, j].max() > 0:
@@ -196,7 +190,7 @@ def _features_log_monotone():
     rng = np.random.default_rng(23)
     for _ in range(100):
         m = _random_fm(rng, 4, 5)
-        out = apply_transform(m, TransformSpec("log")).values
+        out = apply_transform(m, "log").values
         flat_in, flat_out = m.values.ravel(), out.ravel()
         for _ in range(3):
             a, b = rng.integers(flat_in.size, size=2)
@@ -211,7 +205,6 @@ def _features_idf_binarize_commute():
     """binarize(idf(m)) == binarize(m) whenever no feature is present in
     every item, because idf then never zeroes a positive value."""
     rng = np.random.default_rng(24)
-    binarize = TransformSpec("binarize")
     for _ in range(100):
         m = _random_fm(rng, int(rng.integers(2, 9)), int(rng.integers(1, 8)))
         values = m.values.copy()
@@ -219,8 +212,8 @@ def _features_idf_binarize_commute():
         for j in range(values.shape[1]):
             values[int(rng.integers(values.shape[0])), j] = 0.0
         m = FeatureMatrix(m.item_ids, m.groups, m.names, values)
-        via_idf = apply_transform(apply_transform(m, TransformSpec("idf")), binarize)
-        direct = apply_transform(m, binarize)
+        via_idf = apply_transform(apply_transform(m, "idf"), "bin")
+        direct = apply_transform(m, "bin")
         assert np.array_equal(via_idf.values, direct.values)
 
 
@@ -243,16 +236,10 @@ def _features_combine_permutation():
 @invariant("features-transforms-deterministic")
 def _features_transforms_deterministic():
     rng = np.random.default_rng(26)
-    pool = [
-        TransformSpec("binarize"),
-        TransformSpec("log"),
-        TransformSpec("max_normalize"),
-        TransformSpec("idf"),
-        TransformSpec("scale", group="solution", factor=5.0),
-    ]
     for _ in range(100):
         m = _random_fm(rng, int(rng.integers(2, 8)), int(rng.integers(2, 8)))
-        steps = [pool[i] for i in rng.integers(len(pool), size=int(rng.integers(0, 5)))]
+        steps = [TRANSFORM_TOKENS[i]
+                 for i in rng.integers(len(TRANSFORM_TOKENS), size=int(rng.integers(0, 5)))]
         assert np.array_equal(apply_transforms(m, steps).values, apply_transforms(m, steps).values)
 
 
@@ -270,7 +257,7 @@ def _assert_symmetric(s: SimilarityMatrix):
 @invariant("similarity-symmetry")
 def _similarity_symmetry():
     rng = np.random.default_rng(31)
-    metrics = ("pearson", "cosine", "euclidean")
+    metrics = ("correlation", "cosine", "euclidean")
     for i in range(100):
         if i % 2 == 0:
             m = _random_fm(rng, int(rng.integers(2, 9)), int(rng.integers(2, 7)), nonneg=False)
@@ -289,7 +276,7 @@ def _similarity_pearson_cosine():
         centered = FeatureMatrix(
             m.item_ids, m.groups, m.names, m.values - m.values.mean(axis=1, keepdims=True)
         )
-        p = similarity_from_features(m, "pearson").values
+        p = similarity_from_features(m, "correlation").values
         c = similarity_from_features(centered, "cosine").values
         assert np.array_equal(np.isnan(p), np.isnan(c))
         defined = ~np.isnan(p)
@@ -561,7 +548,7 @@ def _cli_measure_roundtrip():
             name = MeasureName(
                 source=FEATURE_SOURCES[int(rng.integers(len(FEATURE_SOURCES)))],
                 transforms=tuple(TRANSFORM_TOKENS[int(p)] for p in picks),
-                metric=METRIC_TOKENS[int(rng.integers(len(METRIC_TOKENS)))],
+                metric=METRICS[int(rng.integers(len(METRICS)))],
             )
         assert parse_measure(format_measure(name)) == name
 
@@ -576,7 +563,7 @@ def _catalogued_measure_sweep() -> int:
         for text in names:
             name = parse_measure(text)
             assert format_measure(name) == text
-            transform_specs(name.transforms)
+            check_transforms(name.transforms)
             s = compute_measure(corpus, name)
             assert s.measure_name == text
             computed += 1

@@ -88,19 +88,19 @@ class TestFeatureMetrics:
         assert s.values[0, 0] == 1.0
 
     def test_pearson_perfectly_correlated(self):
-        s = similarity_from_features(fm([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]), "pearson")
+        s = similarity_from_features(fm([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]), "correlation")
         assert s.values[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_pearson_equals_cosine_of_centered_rows(self):
         rng = np.random.default_rng(0)
         v = rng.normal(size=(12, 6))
-        direct = similarity_from_features(fm(v), "pearson").values
+        direct = similarity_from_features(fm(v), "correlation").values
         centered = v - v.mean(axis=1, keepdims=True)
         via_cosine = similarity_from_features(fm(centered), "cosine").values
         assert np.nanmax(np.abs(direct - via_cosine)) < 1e-9
 
     def test_constant_row_is_missing_under_pearson(self):
-        s = similarity_from_features(fm([[2.0, 2.0], [1.0, 3.0], [0.0, 4.0]]), "pearson")
+        s = similarity_from_features(fm([[2.0, 2.0], [1.0, 3.0], [0.0, 4.0]]), "correlation")
         assert np.isnan(s.values[0, 1]) and np.isnan(s.values[0, 2])
         assert s.values[0, 0] == 1.0  # diagonal stays defined
         assert not np.isnan(s.values[1, 2])
@@ -113,14 +113,14 @@ class TestFeatureMetrics:
     def test_values_clipped_to_unit_interval(self):
         rng = np.random.default_rng(1)
         v = rng.normal(size=(30, 4))
-        for metric in ("pearson", "cosine"):
+        for metric in ("correlation", "cosine"):
             s = similarity_from_features(fm(v), metric).values
             assert np.nanmax(s) <= 1.0
             assert np.nanmin(s) >= -1.0
 
     def test_exact_symmetry(self):
         rng = np.random.default_rng(2)
-        s = similarity_from_features(fm(rng.normal(size=(25, 7))), "pearson")
+        s = similarity_from_features(fm(rng.normal(size=(25, 7))), "correlation")
         assert np.array_equal(s.values, s.values.T)
 
     def test_unknown_metric(self):
