@@ -301,10 +301,18 @@ def cmd_synth(cfg: dict, args) -> None:
             raise ConfigError(f"unknown synth performance keys: {', '.join(unknown)}")
         perf_spec = _spec(PerfSpec, perf_cfg, "synth performance")
     corpus = generate_corpus(corpus_spec)
+    records = None
+    if perf_spec is not None:
+        try:
+            records = generate_performance(corpus, perf_spec)
+        except MemoryError as e:
+            raise ConfigError(
+                f"bad synth performance spec: n_learners={perf_spec.n_learners} too large"
+            ) from e
     out = _out_dir(args)
     save_corpus(corpus, out)
-    if perf_spec is not None:
-        save_performance(generate_performance(corpus, perf_spec), out / "performance.csv")
+    if records is not None:
+        save_performance(records, out / "performance.csv")
 
 
 def cmd_heatmap(cfg: dict, args) -> None:

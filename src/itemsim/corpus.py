@@ -297,6 +297,8 @@ def _load_solutions(sol_dir: Path) -> tuple[Solution, ...]:
             ast = parse(text)
         except ItemsimError as e:
             raise ItemsimError(f"{path}: {e}") from e
+        except RecursionError as e:  # the JSON decoder and the parser recurse per level
+            raise ItemsimError(f"{path}: nesting too deep") from e
         kind = "sample" if path.name.split(".")[0].startswith("sample") else "learner"
         weight = weights.get(path.name, 1.0)
         # a bool is an int to isinstance; an int past float range would overflow float()

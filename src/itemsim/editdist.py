@@ -2,7 +2,8 @@
 
 levenshtein: unit-cost insert/delete/substitute over tokens.
 tree_edit_distance: Zhang-Shasha ordered-tree edit distance, unit costs
-(relabel free for equal labels).
+(relabel free for equal labels); tree_form prepares a tree once, and
+zhang_shasha compares two prepared trees.
 needleman_wunsch: global alignment score, higher is more similar.
 """
 
@@ -11,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isfinite
 from typing import Sequence
-
-import numpy as np
 
 from .errors import ItemsimError
 from .tree import AstNode
@@ -32,67 +31,82 @@ def levenshtein(a: Sequence[str], b: Sequence[str]) -> int:
     return prev[len(b)]
 
 
-def _postorder(root: AstNode) -> tuple[list[str], list[int]]:
-    """Postorder labels plus, per node, the postorder index of its leftmost
-    leaf descendant."""
+TreeForm = tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]
+
+
+def tree_form(ast: AstNode) -> TreeForm:
+    """The Zhang-Shasha view of a tree: postorder labels, the postorder
+    index of each node's leftmost leaf, and the keyroots (the highest node
+    per leftmost leaf), ascending. Walks without recursion, so any depth
+    that parsed is accepted."""
     labels: list[str] = []
     leftmost: list[int] = []
+    # (node, postorder index of its leftmost leaf, children not yet walked):
+    # the first node a subtree emits in postorder is its leftmost leaf
+    stack = [(ast, 0, iter(ast.children))]
+    while stack:
+        n, first, rest = stack[-1]
+        child = next(rest, None)
+        if child is None:
+            stack.pop()
+            labels.append(n.label)
+            leftmost.append(first)
+        else:
+            stack.append((child, len(labels), iter(child.children)))
+    highest = {l: i for i, l in enumerate(leftmost)}
+    return tuple(labels), tuple(leftmost), tuple(sorted(highest.values()))
 
-    def walk(node: AstNode) -> int:
-        first = None
-        for child in node.children:
-            idx = walk(child)
-            if first is None:
-                first = idx
-        labels.append(node.label)
-        leftmost.append(first if first is not None else len(labels) - 1)
-        return leftmost[-1]
 
-    walk(root)
-    return labels, leftmost
-
-
-def _keyroots(leftmost: list[int]) -> list[int]:
-    # highest postorder index per distinct leftmost-leaf value
-    highest: dict[int, int] = {}
-    for i, l in enumerate(leftmost):
-        highest[l] = i
-    return sorted(highest.values())
+def zhang_shasha(form_a: TreeForm, form_b: TreeForm) -> int:
+    """Zhang-Shasha distance between two tree forms with unit costs:
+    insert 1, delete 1, relabel 1 unless labels are equal."""
+    la, lma, kra = form_a
+    lb, lmb, krb = form_b
+    td = [[0] * len(lb) for _ in la]
+    # per keyroot of b, its columns: (postorder index, label, leftmost offset)
+    columns = {j: [(y, lb[y], lmb[y] - lmb[j]) for y in range(lmb[j], j + 1)] for j in krb}
+    for i in kra:
+        li = lma[i]
+        for j in krb:
+            if li == i and lmb[j] == j:  # two leaves
+                td[i][j] = 0 if la[i] == lb[j] else 1
+                continue
+            cols = columns[j]
+            # fd[x - li + 1][k]: distance from a's forest li..x to b's first
+            # k columns; rows on i's leftmost path pair whole subtrees
+            fd = [list(range(len(cols) + 1))]
+            for x in range(li, i + 1):
+                prev, tdx, lx = fd[-1], td[x], lma[x]
+                left = x - li + 1
+                row = [left]
+                if lx == li:  # x is on i's leftmost path
+                    ax = la[x]
+                    for (y, by, off), up, diag in zip(cols, prev[1:], prev):
+                        best = up + 1 if up < left else left + 1
+                        # off is fd[0][off]: deleting the columns before y's subtree
+                        cand = off + tdx[y] if off else (diag if ax == by else diag + 1)
+                        if cand < best:
+                            best = cand
+                        if not off:
+                            tdx[y] = best
+                        row.append(best)
+                        left = best
+                else:
+                    base = fd[lx - li]
+                    for (y, _, off), up in zip(cols, prev[1:]):
+                        best = up + 1 if up < left else left + 1
+                        cand = base[off] + tdx[y]
+                        if cand < best:
+                            best = cand
+                        row.append(best)
+                        left = best
+                fd.append(row)
+    return td[-1][-1]
 
 
 def tree_edit_distance(t1: AstNode, t2: AstNode) -> int:
-    """Zhang-Shasha distance between ordered labeled trees with unit costs:
-    insert 1, delete 1, relabel 1 unless labels are equal."""
-    la, lma = _postorder(t1)
-    lb, lmb = _postorder(t2)
-    m, n = len(la), len(lb)
-    td = np.zeros((m, n), dtype=np.int64)
-
-    for i in _keyroots(lma):
-        for j in _keyroots(lmb):
-            li, lj = lma[i], lmb[j]
-            rows, cols = i - li + 2, j - lj + 2
-            fd = np.zeros((rows, cols), dtype=np.int64)
-            fd[1:, 0] = np.arange(1, rows)
-            fd[0, 1:] = np.arange(1, cols)
-            for di in range(1, rows):
-                x = li + di - 1
-                for dj in range(1, cols):
-                    y = lj + dj - 1
-                    if lma[x] == li and lmb[y] == lj:
-                        fd[di, dj] = min(
-                            fd[di - 1, dj] + 1,
-                            fd[di, dj - 1] + 1,
-                            fd[di - 1, dj - 1] + (la[x] != lb[y]),
-                        )
-                        td[x, y] = fd[di, dj]
-                    else:
-                        fd[di, dj] = min(
-                            fd[di - 1, dj] + 1,
-                            fd[di, dj - 1] + 1,
-                            fd[lma[x] - li, lmb[y] - lj] + td[x, y],
-                        )
-    return int(td[m - 1, n - 1])
+    """Zhang-Shasha distance between ordered labeled trees with unit costs."""
+    return zhang_shasha(tree_form(t1), tree_form(t2))
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus, PerformanceRecord, select_solutions
-from .editdist import NwScoring, levenshtein, needleman_wunsch, tree_edit_distance
+from .editdist import NwScoring, levenshtein, needleman_wunsch, tree_form, zhang_shasha
 from .errors import ItemsimError
 from .features import FeatureMatrix
-from .tree import action_sequence, canonize, node_count
+from .tree import action_sequence, canonize
 
 log = logging.getLogger("itemsim.similarity")
 
@@ -130,17 +130,20 @@ def _distance_similarity(d: float, la: int, lb: int) -> float:
 
 
 # kind -> (prepare(ast, caps), size(input), kernel(a, b, nw_scoring),
-# to_similarity(value, size_a, size_b), sign). The best pair has the smallest
-# sign * value: distances are minimised, alignment scores maximised. The
+# to_similarity(value, size_a, size_b), sign, self_value). prepare returns a
+# hashable kernel input. The best pair has the smallest sign * value:
+# distances are minimised, alignment scores maximised. self_value is the
+# kernel's value on two equal inputs where one is known: 0 for the
+# distances, none for nw, whose self score depends on the scoring. The
 # lambdas look canonize and action_sequence up at call time, so rebinding
 # the module attributes reaches them.
 _EDIT_KINDS = {
-    "levenshtein": (lambda ast, caps: canonize(ast), len,
-                    lambda a, b, scoring: levenshtein(a, b), _distance_similarity, 1.0),
-    "ted": (lambda ast, caps: ast, node_count,
-            lambda a, b, scoring: tree_edit_distance(a, b), _distance_similarity, 1.0),
-    "nw": (lambda ast, caps: action_sequence(ast, **caps), len,
-           needleman_wunsch, lambda score, la, lb: score / max(la, lb, 1), -1.0),
+    "levenshtein": (lambda ast, caps: tuple(canonize(ast)), len,
+                    lambda a, b, scoring: levenshtein(a, b), _distance_similarity, 1.0, 0),
+    "ted": (lambda ast, caps: tree_form(ast), lambda form: len(form[0]),
+            lambda a, b, scoring: zhang_shasha(a, b), _distance_similarity, 1.0, 0),
+    "nw": (lambda ast, caps: tuple(action_sequence(ast, **caps)), len,
+           needleman_wunsch, lambda score, la, lb: score / max(la, lb, 1), -1.0, None),
 }
 
 
@@ -161,7 +164,11 @@ def edit_similarity(
 
     Conversion per pair: levenshtein and ted use S = 1 - d/(len(a)+len(b))
     over token and node counts; nw uses S = score/max(len(a), len(b), 1)
-    over action sequences."""
+    over action sequences.
+
+    Each solution is prepared once. Solutions with equal kernel inputs
+    share one index, so the kernel runs once per ordered pair of distinct
+    inputs, and never on two equal inputs of ted or levenshtein."""
     if kind not in _EDIT_KINDS:
         raise ItemsimError(f"unknown edit-distance kind {kind!r}")
     if aggregation not in ("min", "average"):
@@ -172,13 +179,29 @@ def edit_similarity(
         raise ItemsimError(
             f"no solution under selector {selector!r} for items: {', '.join(empty)}"
         )
-    prepare, size, kernel, to_similarity, sign = _EDIT_KINDS[kind]
+    prepare, size, kernel, to_similarity, sign, self_value = _EDIT_KINDS[kind]
     caps = {"unroll_cap": unroll_cap, "total_cap": total_cap}
-    prepared = [[prepare(s.ast, caps) for s in sols] for _, sols in chosen]
-    sized = [[(x, size(x)) for x in inputs] for inputs in prepared]
+    index: dict = {}  # kernel input -> its index among the distinct inputs
+    groups = [
+        [index.setdefault(prepare(s.ast, caps), len(index)) for s in sols] for _, sols in chosen
+    ]
+    inputs = list(index)
+    sizes = [size(x) for x in inputs]
+    computed: dict[tuple[int, int], float] = {}
+    counts = {"pairs": 0, "self": 0}
+
+    def value(a: int, b: int):
+        counts["pairs"] += 1
+        if a == b and self_value is not None:
+            counts["self"] += 1
+            return self_value
+        v = computed.get((a, b))
+        if v is None:
+            v = computed[a, b] = kernel(inputs[a], inputs[b], nw_scoring)
+        return v
 
     def cell(pairs) -> float:
-        scored = [(kernel(a, b, nw_scoring), la, lb) for (a, la), (b, lb) in pairs]
+        scored = [(value(a, b), sizes[a], sizes[b]) for a, b in pairs]
         if aggregation == "min":
             # the pick is by raw distance or score, ties to the first pair
             return to_similarity(*min(scored, key=lambda p: sign * p[0]))
@@ -187,9 +210,14 @@ def edit_similarity(
     n = len(chosen)
     values = np.zeros((n, n))
     for i in range(n):
-        values[i, i] = cell([(x, x) for x in sized[i]])
+        values[i, i] = cell([(a, a) for a in groups[i]])
         for j in range(i + 1, n):
-            values[i, j] = values[j, i] = cell([(x, y) for x in sized[i] for y in sized[j]])
+            values[i, j] = values[j, i] = cell([(a, b) for a in groups[i] for b in groups[j]])
+    log.info(
+        "edit %s: %d items, %d solution pairs, %d kernel calls, %d known self pairs, "
+        "%d pairs from repeated inputs", kind, n, counts["pairs"], len(computed),
+        counts["self"], counts["pairs"] - counts["self"] - len(computed),
+    )
     name = kind if selector == "sample" and aggregation == "min" else f"{kind}/{selector}/{aggregation}"
     return SimilarityMatrix(
         item_ids=tuple(item_id for item_id, _ in chosen), values=values, measure_name=name

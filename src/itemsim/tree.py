@@ -32,22 +32,31 @@ def node(label: str, *children: AstNode) -> AstNode:
     return AstNode(label, tuple(children))
 
 
+# The walks below keep their own stack: a tree as deep as the parsers
+# accept would exhaust the interpreter's recursion limit.
+
+
 def node_count(ast: AstNode) -> int:
-    return 1 + sum(node_count(c) for c in ast.children)
+    return sum(1 for _ in iter_labels(ast))
 
 
 def max_depth(ast: AstNode) -> int:
     """Depth of the deepest node, root counting as 1."""
-    if not ast.children:
-        return 1
-    return 1 + max(max_depth(c) for c in ast.children)
+    deepest, stack = 0, [(ast, 1)]
+    while stack:
+        n, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((c, depth + 1) for c in n.children)
+    return deepest
 
 
 def iter_labels(ast: AstNode):
     """Preorder label stream (no delimiters)."""
-    yield ast.label
-    for c in ast.children:
-        yield from iter_labels(c)
+    stack = [ast]
+    while stack:
+        n = stack.pop()
+        yield n.label
+        stack.extend(reversed(n.children))
 
 
 # ---------------------------------------------------------------------------

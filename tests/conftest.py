@@ -19,6 +19,7 @@ from itemsim import (
     parse_robot_program,
 )
 from itemsim.robot import BASE_COMMANDS
+from itemsim.synth import CorpusSpec, generate_corpus
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -96,6 +97,23 @@ def random_sequence(rng: np.random.Generator, max_len: int = 8,
     return tuple(alphabet[int(rng.integers(len(alphabet)))] for _ in range(n))
 
 
+def top_level_mutant(program: AstNode, rng: np.random.Generator) -> AstNode:
+    """Copy of a program with 1-3 random top-level edits: insert a base
+    command, delete a statement, or swap two neighbouring statements."""
+    children = list(program.children)
+    for _ in range(int(rng.integers(1, 4))):
+        op = int(rng.integers(3))
+        if op == 0:
+            command = node(BASE_COMMANDS[int(rng.integers(len(BASE_COMMANDS)))])
+            children.insert(int(rng.integers(len(children) + 1)), command)
+        elif op == 1 and len(children) > 1:
+            del children[int(rng.integers(len(children)))]
+        elif op == 2 and len(children) > 1:
+            k = int(rng.integers(len(children) - 1))
+            children[k], children[k + 1] = children[k + 1], children[k]
+    return AstNode(program.label, tuple(children))
+
+
 def random_similarity(rng: np.random.Generator, n: int = 10, missing: float = 0.0,
                       name: str = "m") -> SimilarityMatrix:
     """Random symmetric matrix with unit diagonal; `missing` is the chance
@@ -167,3 +185,26 @@ def make_tiny_corpus() -> Corpus:
         level=1,
     )
     return Corpus((alpha, beta, gamma))
+
+
+def make_multi_corpus(n_items: int = 4, seed: int = 1) -> Corpus:
+    """Synthetic items with four solutions each: the sample, an exact
+    learner copy of it, and two top-level mutants. The last item's second
+    mutant is replaced by the first item's sample, so equal solutions also
+    meet across items."""
+    rng = np.random.default_rng(seed)
+    base = generate_corpus(CorpusSpec(n_items=n_items, n_levels=n_items, seed=seed))
+    items = []
+    for k, it in enumerate(base.items):
+        sample = it.solutions[0].ast
+        mutants = [top_level_mutant(sample, rng) for _ in range(2)]
+        if k == n_items - 1:
+            mutants[1] = base.items[0].solutions[0].ast
+        solutions = (
+            Solution(ast=sample, kind="sample"),
+            Solution(ast=sample, weight=3.0, kind="learner"),
+            *(Solution(ast=m, weight=float(w), kind="learner") for m, w in zip(mutants, (1, 2))),
+        )
+        items.append(Item(id=it.id, statement_text=it.statement_text, solutions=solutions,
+                          level=it.level))
+    return Corpus(tuple(items))

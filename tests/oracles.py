@@ -94,6 +94,63 @@ def oracle_tree_edit(t1: AstNode, t2: AstNode) -> int:
     return best
 
 
+def reference_tree_edit_distance(t1: AstNode, t2: AstNode) -> int:
+    """The Zhang-Shasha recurrence written plainly: numpy tables, a forest
+    table per keyroot pair, labels and leftmost leaves recomputed per call.
+    The fast kernel, `itemsim.tree_edit_distance`, must equal it on trees of
+    any size."""
+
+    def postorder(root: AstNode) -> tuple[list[str], list[int]]:
+        labels: list[str] = []
+        leftmost: list[int] = []
+
+        def walk(n: AstNode) -> int:
+            first = None
+            for child in n.children:
+                idx = walk(child)
+                if first is None:
+                    first = idx
+            labels.append(n.label)
+            leftmost.append(first if first is not None else len(labels) - 1)
+            return leftmost[-1]
+
+        walk(root)
+        return labels, leftmost
+
+    def keyroots(leftmost: list[int]) -> list[int]:
+        highest = {l: i for i, l in enumerate(leftmost)}
+        return sorted(highest.values())
+
+    la, lma = postorder(t1)
+    lb, lmb = postorder(t2)
+    td = np.zeros((len(la), len(lb)), dtype=np.int64)
+    for i in keyroots(lma):
+        for j in keyroots(lmb):
+            li, lj = lma[i], lmb[j]
+            rows, cols = i - li + 2, j - lj + 2
+            fd = np.zeros((rows, cols), dtype=np.int64)
+            fd[1:, 0] = np.arange(1, rows)
+            fd[0, 1:] = np.arange(1, cols)
+            for di in range(1, rows):
+                x = li + di - 1
+                for dj in range(1, cols):
+                    y = lj + dj - 1
+                    if lma[x] == li and lmb[y] == lj:
+                        fd[di, dj] = min(
+                            fd[di - 1, dj] + 1,
+                            fd[di, dj - 1] + 1,
+                            fd[di - 1, dj - 1] + (la[x] != lb[y]),
+                        )
+                        td[x, y] = fd[di, dj]
+                    else:
+                        fd[di, dj] = min(
+                            fd[di - 1, dj] + 1,
+                            fd[di, dj - 1] + 1,
+                            fd[lma[x] - li, lmb[y] - lj] + td[x, y],
+                        )
+    return int(td[-1, -1])
+
+
 def oracle_alignment(a, b, s: NwScoring = NwScoring()) -> float:
     """Best global alignment score, enumerated as monotone matchings:
     matched position pairs score match/mismatch, every unmatched position

@@ -9,6 +9,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from itemsim import NwScoring, edit_similarity
+
+from conftest import make_tiny_corpus
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -28,3 +32,22 @@ def test_every_patch_target_resolves_under_src():
         if not callable(getattr(module, attr, None)):
             missing.append(f"{module_name}.{attr}")
     assert not missing, f"benchmark hooks without a target: {', '.join(missing)}"
+
+
+def test_kernel_replay_and_edit_matrices_on_the_tiny_corpus():
+    # the benchmark replays the edit kernels over the pairs edit_similarity
+    # evaluates; a renamed or re-signatured kernel fails here
+    tracing = _tracing_module()
+    corpus = make_tiny_corpus()
+    chosen = tracing.chosen_solutions(corpus, "all")
+    counts = tracing.edit_counts(chosen)
+    assert counts["editdist.pairs"] == 17
+    assert counts["editdist.self_pairs"] == 6
+    replay = tracing.replay_kernels(tracing.Tracer(), chosen, NwScoring())
+    assert set(replay) == set(tracing.EDIT_KINDS)
+    assert replay["ted"]["nonzero_self_pairs"] == 0
+    assert replay["levenshtein"]["nonzero_self_pairs"] == 0
+    matrices = {kind: edit_similarity(corpus, kind=kind, selector="all")
+                for kind in tracing.EDIT_KINDS}
+    report = tracing.edit_matrix_report(matrices)
+    assert all(not r["problems"] for r in report.values()), report

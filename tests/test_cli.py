@@ -1,10 +1,15 @@
 """End-to-end runs of every CLI subcommand through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import itemsim
 from itemsim import load_corpus, save_corpus
 from itemsim.cli import main
 from itemsim.serialize import read_square_csv
@@ -112,6 +117,15 @@ class TestSynth:
         run_error(["synth", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
                   "n_learners must be positive")
         assert not (tmp_path / "o").exists()
+
+    def test_performance_too_large_to_allocate_writes_nothing(self, tmp_path, capsys):
+        # the first array of this many learners cannot be allocated, so the
+        # request fails at once without touching memory
+        cfg = write_config(tmp_path, synth={"n_items": 5, "n_levels": 2,
+                                            "performance": {"n_learners": 10_000_000_000_000}})
+        run_error(["synth", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
+                  "bad synth performance spec: n_learners=10000000000000 too large")
+        assert not (tmp_path / "o" / "items.json").exists()
 
 
 class TestSim:
@@ -529,3 +543,60 @@ class TestInputValues:
         cfg = write_config(tmp_path, corpus=str(tiny_dir), measure="ted")
         run_error(["sim", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
                   "'learner.robot' needs a finite positive weight")
+
+
+def _nested_robot(depth):
+    return "while wall {\n" * depth + "move\n" + "}\n" * depth
+
+
+def _nested_document(depth):
+    doc = '{"label":"move","children":[]}'
+    for _ in range(depth):
+        doc = '{"label":"while_wall","children":[' + doc + "]}"
+    return '{"label":"program","children":[' + doc + "]}"
+
+
+class TestDeepNesting:
+    @pytest.mark.parametrize("name, text", [
+        ("deep.robot", _nested_robot(1200)),
+        ("deep.ast.json", _nested_document(900)),
+    ], ids=["robot", "ast_json"])
+    @pytest.mark.parametrize("measure", ["ted", "levenshtein", "nw"])
+    def test_too_deep_is_one_error_line(self, tiny_dir, tmp_path, capsys, name, text, measure):
+        (tiny_dir / "solutions" / "gamma" / name).write_text(text, encoding="utf-8")
+        cfg = write_config(tmp_path, corpus=str(tiny_dir), measure=measure)
+        run_error(["sim", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
+                  f"gamma/{name}: nesting too deep")
+
+    @pytest.mark.parametrize("measure", ["ted", "levenshtein", "nw"])
+    def test_300_levels_still_compute(self, tiny_dir, tmp_path, measure):
+        (tiny_dir / "solutions" / "gamma" / "sample.robot").write_text(
+            _nested_robot(300), encoding="utf-8")
+        cfg = write_config(tmp_path, corpus=str(tiny_dir), measure=measure)
+        run_ok(["sim", "-c", cfg, "-o", str(tmp_path / "o")])
+        ids, values = read_square_csv((tmp_path / "o" / "sim.csv").read_text(encoding="utf-8"))
+        assert ids == ("alpha", "beta", "gamma")
+        assert np.isfinite(values).all()
+
+
+class TestLogging:
+    def test_info_reports_edit_work_and_outputs_stay_the_same(self, tiny_dir, tmp_path):
+        cfg = write_config(tmp_path, corpus=str(tiny_dir), measure="ted", selector="all")
+        src = str(Path(itemsim.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "ITEMSIM_LOG"}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        runs = {}
+        for level in ("default", "info"):
+            out = tmp_path / level
+            run_env = env if level == "default" else {**env, "ITEMSIM_LOG": level}
+            result = subprocess.run(
+                [sys.executable, "-m", "itemsim.cli", "sim", "-c", cfg, "-o", str(out)],
+                env=run_env, capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            runs[level] = result.stderr, (out / "sim.csv").read_bytes()
+        assert runs["default"][0] == ""
+        # 6 self pairs on the diagonal and 3*2 + 3*1 + 2*1 cross pairs
+        assert ("INFO itemsim.similarity: edit ted: 3 items, 17 solution pairs, "
+                "11 kernel calls, 6 known self pairs, 0 pairs from repeated inputs"
+                in runs["info"][0])
+        assert runs["default"][1] == runs["info"][1]

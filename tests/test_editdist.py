@@ -1,12 +1,29 @@
 """Sequence and tree edit distances against hand values and brute force."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from itemsim import ItemsimError, NwScoring, levenshtein, needleman_wunsch, node, tree_edit_distance
+from itemsim import (
+    CorpusSpec,
+    ItemsimError,
+    NwScoring,
+    generate_corpus,
+    levenshtein,
+    needleman_wunsch,
+    node,
+    tree_edit_distance,
+)
+from itemsim.editdist import tree_form
 
-from conftest import random_sequence, random_tree
-from oracles import oracle_alignment, oracle_levenshtein, oracle_tree_edit
+from conftest import random_sequence, random_tree, top_level_mutant
+from oracles import (
+    oracle_alignment,
+    oracle_levenshtein,
+    oracle_tree_edit,
+    reference_tree_edit_distance,
+)
 
 
 class TestLevenshtein:
@@ -83,6 +100,45 @@ class TestTreeEditDistance:
             t2 = random_tree(rng, max_nodes=5, labels=("a", "b"))
             assert tree_edit_distance(t1, t2) == oracle_tree_edit(t1, t2)
 
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_equals_reference_on_synthetic_programs(self, seed):
+        # every pair of a synthetic corpus's programs (about 45 nodes each),
+        # plus each program against a top-level mutant of itself
+        corpus = generate_corpus(CorpusSpec(n_items=12, n_levels=9, seed=seed))
+        programs = [it.solutions[0].ast for it in corpus.items]
+        rng = np.random.default_rng(seed)
+        pairs = [*combinations(programs, 2), *((p, top_level_mutant(p, rng)) for p in programs)]
+        for a, b in pairs:
+            want = reference_tree_edit_distance(a, b)
+            assert tree_edit_distance(a, b) == want
+            assert tree_edit_distance(b, a) == want
+
+    def test_equals_reference_on_random_trees(self):
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            t1 = random_tree(rng, max_nodes=12)
+            t2 = random_tree(rng, max_nodes=12)
+            assert tree_edit_distance(t1, t2) == reference_tree_edit_distance(t1, t2)
+
+
+class TestTreeForm:
+    def test_postorder_leftmost_leaves_and_keyroots(self):
+        # a(b(c, d), e): postorder c d b e a
+        t = node("a", node("b", node("c"), node("d")), node("e"))
+        labels, leftmost, keyroots = tree_form(t)
+        assert labels == ("c", "d", "b", "e", "a")
+        assert leftmost == (0, 1, 0, 3, 0)
+        assert keyroots == (1, 3, 4)
+
+    def test_deep_chain_needs_no_recursion(self):
+        t = node("leaf")
+        for _ in range(5000):
+            t = node("while_x", t)
+        labels, leftmost, keyroots = tree_form(t)
+        assert len(labels) == 5001
+        assert set(leftmost) == {0}
+        assert keyroots == (5000,)
 
 class TestNeedlemanWunsch:
     def test_identical_pair(self):

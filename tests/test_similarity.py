@@ -1,5 +1,6 @@
 """Similarity matrices: feature metrics, edit distances, performance."""
 
+import logging
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from itemsim import (
 )
 from itemsim.similarity import restrict
 
-from conftest import make_tiny_corpus
+from conftest import make_multi_corpus, make_tiny_corpus
 
 
 def fm(values, group="statement"):
@@ -252,6 +253,82 @@ class TestEditSimilarity:
             edit_similarity(corpus, kind="hamming")
         with pytest.raises(ItemsimError, match="unknown aggregation"):
             edit_similarity(corpus, aggregation="median")
+
+
+def _brute_force_edit(corpus, kind, aggregation, scoring):
+    """edit_similarity with one kernel call per solution pair and nothing
+    shared between pairs: the diagonal pairs each solution with itself,
+    the other cells take every cross pair."""
+
+    def scored(x, y):  # (value minimised by min, similarity)
+        if kind == "ted":
+            d = tree_edit_distance(x, y)
+            return d, 1.0 - d / max(node_count(x) + node_count(y), 1)
+        if kind == "levenshtein":
+            a, b = canonize(x), canonize(y)
+            d = levenshtein(a, b)
+            return d, 1.0 - d / max(len(a) + len(b), 1)
+        a, b = action_sequence(x), action_sequence(y)
+        score = needleman_wunsch(a, b, scoring)
+        return -score, score / max(len(a), len(b), 1)
+
+    sols = [[s.ast for s in it.solutions] for it in corpus.items]
+    n = len(sols)
+    values = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            pairs = [(x, x) for x in sols[i]] if i == j else [(x, y) for x in sols[i] for y in sols[j]]
+            results = [scored(x, y) for x, y in pairs]
+            if aggregation == "min":
+                v = min(results, key=lambda r: r[0])[1]
+            else:
+                v = float(np.mean([sim for _, sim in results]))
+            values[i, j] = values[j, i] = v
+    return values
+
+
+class TestEditSimilarityPairSharing:
+    """Each distinct solution pair is computed once, and ted and levenshtein
+    self pairs are known to be 0; the matrices must not change."""
+
+    @pytest.mark.parametrize("kind, scoring", [
+        ("ted", NwScoring()),
+        ("levenshtein", NwScoring()),
+        ("nw", NwScoring()),
+        ("nw", NwScoring(1.0, -0.5, -0.7)),
+        # match < 2 * gap: gaps beat matches, even against itself
+        ("nw", NwScoring(-1.0, -2.0, -0.3)),
+    ], ids=["ted", "levenshtein", "nw", "nw-fractional", "nw-gaps-win"])
+    @pytest.mark.parametrize("aggregation", ["min", "average"])
+    def test_equals_one_kernel_call_per_pair(self, kind, scoring, aggregation):
+        corpus = make_multi_corpus()
+        s = edit_similarity(corpus, kind=kind, selector="all", aggregation=aggregation,
+                            nw_scoring=scoring)
+        assert np.array_equal(s.values, _brute_force_edit(corpus, kind, aggregation, scoring))
+
+    def test_nw_self_pairs_are_computed(self):
+        corpus = make_multi_corpus()
+        s = edit_similarity(corpus, kind="nw", nw_scoring=NwScoring(-1.0, -2.0, -0.3))
+        # all-gap self alignment: 2 * len * gap / len
+        assert np.allclose(np.diag(s.values), -0.6)
+
+    def test_logs_one_info_line_per_call(self, caplog):
+        p, q = (parse_robot_program(text) for text in ("move left", "move right move"))
+        corpus = Corpus((
+            Item(id="a", statement_text="x", solutions=(Solution(ast=p), Solution(ast=p))),
+            Item(id="b", statement_text="x", solutions=(Solution(ast=p), Solution(ast=q))),
+        ))
+        with caplog.at_level(logging.INFO, logger="itemsim.similarity"):
+            edit_similarity(corpus, kind="ted", selector="all")
+            edit_similarity(corpus, kind="nw", selector="all")
+        assert [r.getMessage() for r in caplog.records] == [
+            # pairs: a's two self pairs, b's two, 2 x 2 cross pairs; only p-q differs
+            "edit ted: 2 items, 8 solution pairs, 1 kernel calls, 6 known self pairs, "
+            "1 pairs from repeated inputs",
+            # nw knows no self value: p-p, q-q and p-q are computed
+            "edit nw: 2 items, 8 solution pairs, 3 kernel calls, 0 known self pairs, "
+            "5 pairs from repeated inputs",
+        ]
 
 
 def _records(table, items=("a", "b", "c")):

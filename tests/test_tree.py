@@ -36,6 +36,15 @@ def test_iter_labels_preorder():
     assert list(iter_labels(t)) == ["a", "b", "c", "d"]
 
 
+def test_walks_follow_trees_deeper_than_the_recursion_limit():
+    t = node("move")
+    for _ in range(5000):
+        t = node("while_wall", t)
+    assert node_count(t) == 5001
+    assert max_depth(t) == 5001
+    assert sum(1 for label in iter_labels(t) if label == "while_wall") == 5000
+
+
 class TestAstDocument:
     def test_leaf(self):
         assert parse_ast_document('{"label":"print","children":[]}') == node("print")
