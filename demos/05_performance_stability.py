@@ -19,17 +19,20 @@ print("learners  mean stability over 5 seeds")
 for n_learners in (15, 30, 60, 120, 500):
     values = []
     for seed in range(5):
-        records = generate_performance(
+        table = generate_performance(
             corpus,
             PerfSpec(n_learners=n_learners, skill_sd=1.0, noise_sd=0.5, seed=seed),
         )
-        values.append(split_half_stability(records, min_overlap=5, seed=seed))
+        values.append(split_half_stability(table, min_overlap=5, seed=seed))
     print(f"{n_learners:8d}  {np.mean(values):.3f}")
 
 # The full-data similarity matrix behind those numbers: with two difficulty
 # groups, log-time correlations are strongly positive within a group.
-records = generate_performance(corpus, PerfSpec(n_learners=500, seed=0))
-s = performance_similarity(records)
+# generate_performance and load_performance both return a PerformanceTable:
+# learner x item matrices of times and successes, NaN where not attempted.
+table = generate_performance(corpus, PerfSpec(n_learners=500, seed=0))
+print(f"\n{len(table.learner_ids)} learners x {len(table.item_ids)} items, {len(table)} attempts")
+s = performance_similarity(table)
 levels = np.array([it.level for it in corpus.items])
 same = (levels[:, None] == levels[None, :]) & ~np.eye(s.n_items, dtype=bool)
 print(f"\nperformance similarity within a difficulty group {s.values[same].mean():.3f}"

@@ -22,7 +22,7 @@ from .analysis import (
 from .corpus import (
     Corpus,
     Item,
-    PerformanceRecord,
+    PerformanceTable,
     Solution,
     WorldSpec,
     load_corpus,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import PerformanceRecord
+from .corpus import PerformanceTable
 from .errors import ItemsimError
 from .similarity import SimilarityMatrix, pearson, performance_similarity
 
@@ -165,7 +165,7 @@ def meta_agreement(a1: AgreementMatrix, a2: AgreementMatrix) -> float:
 
 
 def split_half_stability(
-    records: list[PerformanceRecord],
+    table: PerformanceTable,
     measure: str = "log_time",
     min_overlap: int = 10,
     seed: int = 0,
@@ -173,18 +173,14 @@ def split_half_stability(
     """Shuffle learners with a seeded PRNG, split them into two halves
     (first half rounded up), compute performance similarity per half over
     the full item set, and return the agreement correlation of the halves."""
-    learners = sorted({r.learner_id for r in records})
-    if len(learners) < 2:
+    n = len(table.learner_ids)
+    if n < 2:
         raise ItemsimError("need at least 2 learners")
-    item_ids = tuple(sorted({r.item_id for r in records}))
-    rng = np.random.default_rng(seed)
-    order = [learners[i] for i in rng.permutation(len(learners))]
-    cut = (len(order) + 1) // 2
-    first = set(order[:cut])
-    half_a = [r for r in records if r.learner_id in first]
-    half_b = [r for r in records if r.learner_id not in first]
-    s1 = performance_similarity(half_a, measure=measure, min_overlap=min_overlap, item_ids=item_ids)
-    s2 = performance_similarity(half_b, measure=measure, min_overlap=min_overlap, item_ids=item_ids)
+    order = np.random.default_rng(seed).permutation(n)
+    first = np.zeros(n, dtype=bool)
+    first[order[: (n + 1) // 2]] = True
+    s1 = performance_similarity(table.learner_rows(first), measure, min_overlap, table.item_ids)
+    s2 = performance_similarity(table.learner_rows(~first), measure, min_overlap, table.item_ids)
     return agreement_correlation(s1, s2)
 
 

@@ -186,13 +186,13 @@ def _features(cfg: dict, what: str):
     source = _require(cfg, "source", str, what)
     tokens = check_transforms(_optional(cfg, "transforms", list, []))
     corpus, params, records = _inputs(cfg, [source])
-    return apply_transforms(build_features(corpus, source, records=records, params=params), tokens)
+    return apply_transforms(build_features(corpus, source, performance=records, params=params), tokens)
 
 
 def _measures(cfg: dict, names: list[str]):
     """The corpus and one similarity matrix per measure name."""
     corpus, params, records = _inputs(cfg, [parse_measure(n).source for n in names])
-    return corpus, [compute_measure(corpus, n, records=records, params=params) for n in names]
+    return corpus, [compute_measure(corpus, n, performance=records, params=params) for n in names]
 
 
 def _computed_measures(cfg: dict, names: list[str]):

@@ -17,15 +17,18 @@ to 1. Solutions are ordered by filename within an item.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 import math
 import re
 import sys
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ItemsimError
 from .robot import parse_robot_program, pretty_print
@@ -173,20 +176,58 @@ class Corpus:
         raise KeyError(item_id)
 
 
-@dataclass(frozen=True)
-class PerformanceRecord:
-    learner_id: str
-    item_id: str
-    time_seconds: float
-    success: bool
+@dataclass(frozen=True, eq=False)
+class PerformanceTable:
+    """Learner x item performance over sorted ids: time_seconds and success
+    (0 or 1) are NaN where the learner did not attempt the item. log_time is
+    math.log of each attempted time, taken once when the table is built."""
+
+    learner_ids: tuple[str, ...]
+    item_ids: tuple[str, ...]
+    time_seconds: np.ndarray
+    success: np.ndarray
+    log_time: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.learner_id:
-            raise ItemsimError("empty learner_id")
-        if not (math.isfinite(self.time_seconds) and self.time_seconds > 0):
-            raise ItemsimError(
-                f"time_seconds must be finite and positive, got {self.time_seconds!r}"
-            )
+        if self.log_time is None:
+            attempted = ~np.isnan(self.time_seconds)
+            log_time = np.full(self.time_seconds.shape, np.nan)
+            log_time[attempted] = [math.log(t) for t in self.time_seconds[attempted].tolist()]
+            object.__setattr__(self, "log_time", log_time)
+
+    @classmethod
+    def from_records(cls, rows: Iterable[tuple[str, str, float, bool]]) -> PerformanceTable:
+        """The table of (learner_id, item_id, time_seconds, success) rows,
+        over the ids they name; a repeated (learner, item) pair keeps its
+        first row. Rows are taken as valid: non-empty ids, finite positive
+        times (read_performance checks a file's rows line by line)."""
+        learners: dict[str, int] = {}  # id -> row (column for items), in first-seen order
+        items: dict[str, int] = {}
+        cells, times, successes = [], [], []
+        for learner_id, item_id, time_seconds, success in rows:
+            row = learners.setdefault(learner_id, len(learners))
+            cells.append(row << 32 | items.setdefault(item_id, len(items)))
+            times.append(time_seconds)
+            successes.append(success)
+        # np.unique returns the index of each cell's first row: keep-first
+        cells, first = np.unique(np.array(cells, dtype=np.int64), return_index=True)
+        at = (cells >> 32, cells & 0xFFFFFFFF)
+        time_seconds, success = np.full((2, len(learners), len(items)), np.nan)
+        time_seconds[at] = np.array(times, dtype=np.float64)[first]
+        success[at] = np.array(successes, dtype=np.float64)[first]
+        learner_ids, item_ids = tuple(sorted(learners)), tuple(sorted(items))
+        by_id = np.ix_([learners[i] for i in learner_ids], [items[i] for i in item_ids])
+        return cls(learner_ids, item_ids, time_seconds[by_id], success[by_id])
+
+    def __len__(self) -> int:
+        """The number of attempts."""
+        return int(np.count_nonzero(~np.isnan(self.time_seconds)))
+
+    def learner_rows(self, mask: np.ndarray) -> PerformanceTable:
+        """The learners where mask is true, in table order, over every item."""
+        ids = tuple(compress(self.learner_ids, mask))
+        return PerformanceTable(ids, self.item_ids, self.time_seconds[mask],
+                                self.success[mask], self.log_time[mask])
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +350,7 @@ def _load_solutions(sol_dir: Path) -> tuple[Solution, ...]:
     return tuple(solutions)
 
 
-def load_performance(path: str | Path, corpus: Corpus | None = None) -> list[PerformanceRecord]:
+def load_performance(path: str | Path, corpus: Corpus | None = None) -> PerformanceTable:
     """Load performance.csv. Duplicate (learner, item) rows keep the first
     occurrence; the dropped count is logged. When a corpus is given, item
     ids are cross-checked against it."""
@@ -318,50 +359,55 @@ def load_performance(path: str | Path, corpus: Corpus | None = None) -> list[Per
         return read_performance(fh, corpus=corpus, source=str(path))
 
 
-def read_performance(fh, corpus: Corpus | None = None, source: str = "performance.csv"):
+def csv_rows(fh, source: str):
+    """The rows of a CSV stream. Input the csv module rejects, such as a
+    field over its size limit, is an error naming the source and line."""
     reader = csv.reader(fh)
     try:
-        header = tuple(next(reader))
-    except StopIteration:
-        raise ItemsimError(f"{source}: empty file") from None
-    if header != PERFORMANCE_HEADER:
+        yield from reader
+    except csv.Error as e:
+        raise ItemsimError(f"{source}:{reader.line_num}: malformed CSV ({e})") from None
+
+
+def read_performance(fh, corpus: Corpus | None = None, source: str = "performance.csv"):
+    rows = csv_rows(fh, source)
+    header = next(rows, None)
+    if header is None:
+        raise ItemsimError(f"{source}: empty file")
+    if tuple(header) != PERFORMANCE_HEADER:
         raise ItemsimError(
             f"{source}: expected header {','.join(PERFORMANCE_HEADER)!r}, got {','.join(header)!r}"
         )
     known = set(corpus.item_ids) if corpus is not None else None
-    records = []
-    seen: set[tuple[str, str]] = set()
-    dropped = 0
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != 4:
-            raise ItemsimError(f"{source}:{lineno}: expected 4 columns, got {len(row)}")
-        learner_id, item_id, time_text, success_text = row
-        try:
-            time_seconds = float(time_text)
-        except ValueError:
-            raise ItemsimError(f"{source}:{lineno}: non-numeric time {time_text!r}") from None
-        if not (math.isfinite(time_seconds) and time_seconds > 0):
-            raise ItemsimError(f"{source}:{lineno}: non-positive time {time_text!r}")
-        if success_text not in ("0", "1"):
-            raise ItemsimError(f"{source}:{lineno}: success must be 0 or 1, got {success_text!r}")
-        if known is not None and item_id not in known:
-            raise ItemsimError(f"{source}:{lineno}: unknown item id {item_id!r}")
-        key = (learner_id, item_id)
-        if key in seen:
-            dropped += 1
-            continue
-        seen.add(key)
-        records.append(
-            PerformanceRecord(
-                learner_id=learner_id,
-                item_id=item_id,
-                time_seconds=time_seconds,
-                success=success_text == "1",
-            )
-        )
+    data_rows = 0
+
+    def parsed():
+        nonlocal data_rows
+        for lineno, row in enumerate(rows, start=2):
+            if len(row) != 4:
+                raise ItemsimError(f"{source}:{lineno}: expected 4 columns, got {len(row)}")
+            learner_id, item_id, time_text, success_text = row
+            for name, value in (("learner_id", learner_id), ("item_id", item_id)):
+                if not value:
+                    raise ItemsimError(f"{source}:{lineno}: empty {name}")
+            try:
+                time_seconds = float(time_text)
+            except ValueError:
+                raise ItemsimError(f"{source}:{lineno}: non-numeric time {time_text!r}") from None
+            if not (math.isfinite(time_seconds) and time_seconds > 0):
+                raise ItemsimError(f"{source}:{lineno}: non-positive time {time_text!r}")
+            if success_text not in ("0", "1"):
+                raise ItemsimError(f"{source}:{lineno}: success must be 0 or 1, got {success_text!r}")
+            if known is not None and item_id not in known:
+                raise ItemsimError(f"{source}:{lineno}: unknown item id {item_id!r}")
+            data_rows += 1
+            yield learner_id, item_id, time_seconds, success_text == "1"
+
+    table = PerformanceTable.from_records(parsed())
+    dropped = data_rows - len(table)
     if dropped:
         log.warning("%s: dropped %d duplicate (learner, item) rows, first kept", source, dropped)
-    return records
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +463,15 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
             )
 
 
-def performance_csv(records: list[PerformanceRecord]) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(PERFORMANCE_HEADER) + "\n")
-    for r in records:
-        buf.write(f"{r.learner_id},{r.item_id},{r.time_seconds:.9g},{int(r.success)}\n")
-    return buf.getvalue()
+def performance_csv(table: PerformanceTable) -> str:
+    """One row per attempt, learner-major in sorted id order."""
+    rows, cols = np.nonzero(~np.isnan(table.time_seconds))
+    times, successes = table.time_seconds[rows, cols].tolist(), table.success[rows, cols].tolist()
+    lines = [",".join(PERFORMANCE_HEADER)]
+    for i, j, t, success in zip(rows.tolist(), cols.tolist(), times, successes):
+        lines.append(f"{table.learner_ids[i]},{table.item_ids[j]},{t:.9g},{int(success)}")
+    return "\n".join(lines) + "\n"
 
 
-def save_performance(records: list[PerformanceRecord], path: str | Path) -> None:
-    Path(path).write_text(performance_csv(records), encoding="utf-8")
+def save_performance(table: PerformanceTable, path: str | Path) -> None:
+    Path(path).write_text(performance_csv(table), encoding="utf-8")

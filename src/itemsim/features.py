@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, PerformanceRecord, Solution, select_solutions
+from .corpus import Corpus, PerformanceTable, Solution, select_solutions
 from .errors import ItemsimError
 from .tree import AstNode, iter_labels, max_depth, node_count
 
@@ -209,28 +209,24 @@ def world_features(corpus: Corpus) -> FeatureMatrix:
 
 
 def performance_features(
-    records: list[PerformanceRecord], item_ids: tuple[str, ...] | None = None
+    table: PerformanceTable, item_ids: tuple[str, ...] | None = None
 ) -> FeatureMatrix:
     """mean_log_time, var_log_time (population variance), success_rate per
-    item. Items default to the sorted ids present in the records."""
-    by_item: dict[str, list[PerformanceRecord]] = {}
-    for r in records:
-        by_item.setdefault(r.item_id, []).append(r)
-    if item_ids is None:
-        item_ids = tuple(sorted(by_item))
-    else:
-        missing = [i for i in item_ids if i not in by_item]
-        if missing:
-            log.warning("performance features: excluded %d items without records: %s",
-                        len(missing), ", ".join(missing))
-        item_ids = tuple(i for i in item_ids if i in by_item)
+    item. Items default to the table's."""
+    column = {item_id: j for j, item_id in enumerate(table.item_ids)}
+    item_ids = table.item_ids if item_ids is None else item_ids
+    missing = [i for i in item_ids if i not in column]
+    if missing:
+        log.warning("performance features: excluded %d items without records: %s",
+                    len(missing), ", ".join(missing))
+    item_ids = tuple(i for i in item_ids if i in column)
     if not item_ids:
         raise ItemsimError("no performance records")
     values = np.zeros((len(item_ids), 3))
-    for i, item_id in enumerate(item_ids):
-        logs = np.log([r.time_seconds for r in by_item[item_id]])
-        succ = [r.success for r in by_item[item_id]]
-        values[i] = [logs.mean(), logs.var(), sum(succ) / len(succ)]
+    for i, j in enumerate(column[item_id] for item_id in item_ids):
+        attempted = ~np.isnan(table.time_seconds[:, j])
+        logs = table.log_time[attempted, j]
+        values[i] = [logs.mean(), logs.var(), table.success[attempted, j].sum() / len(logs)]
     return FeatureMatrix(
         item_ids=item_ids,
         groups=("performance",) * 3,

@@ -8,14 +8,14 @@ edit-distance measures, and perfcorr denotes direct performance correlation.
 
 `bag` concatenates statement word counts with solution keyword counts; the
 `weights` transform multiplies the solution feature group by 5.
-Performance records feed perfcorr and the performance source only.
+A performance table feeds perfcorr and the performance source only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .corpus import Corpus, PerformanceRecord
+from .corpus import Corpus, PerformanceTable
 from .editdist import NwScoring
 from .errors import ItemsimError
 from .features import (
@@ -109,7 +109,7 @@ class MeasureParams:
 def build_features(
     corpus: Corpus,
     source: str,
-    records: list[PerformanceRecord] | None = None,
+    performance: PerformanceTable | None = None,
     params: MeasureParams = MeasureParams(),
 ) -> FeatureMatrix:
     """Feature matrix for one source name from the measure grammar."""
@@ -122,9 +122,9 @@ def build_features(
     if source == "world":
         return world_features(corpus)
     if source == "performance":
-        if records is None:
+        if performance is None:
             raise ItemsimError("performance features need performance records")
-        return performance_features(records, item_ids=corpus.item_ids)
+        return performance_features(performance, item_ids=corpus.item_ids)
     if source == "bag":
         statement = statement_bow(corpus, stopwords=params.stopwords)
         solution = solution_keyword_features(corpus, selector=params.selector)
@@ -136,7 +136,7 @@ def build_features(
 def compute_measure(
     corpus: Corpus,
     name: MeasureName | str,
-    records: list[PerformanceRecord] | None = None,
+    performance: PerformanceTable | None = None,
     params: MeasureParams = MeasureParams(),
 ) -> SimilarityMatrix:
     """Similarity matrix for one named measure over a corpus."""
@@ -145,10 +145,10 @@ def compute_measure(
     canonical = format_measure(name)
     if name.metric is None:
         if name.source == "perfcorr":
-            if records is None:
+            if performance is None:
                 raise ItemsimError("perfcorr needs performance records")
             s = performance_similarity(
-                records,
+                performance,
                 measure=params.perf_measure,
                 min_overlap=params.min_overlap,
                 item_ids=corpus.item_ids,
@@ -164,6 +164,6 @@ def compute_measure(
                 total_cap=params.total_cap,
             )
         return replace(s, measure_name=canonical)
-    m = build_features(corpus, name.source, records=records, params=params)
+    m = build_features(corpus, name.source, performance=performance, params=params)
     m = apply_transforms(m, name.transforms)
     return similarity_from_features(m, metric=name.metric, measure_name=canonical)

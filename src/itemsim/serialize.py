@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import AgreementMatrix, Partition
+from .corpus import csv_rows
 from .errors import ItemsimError
 from .features import FeatureMatrix
 from .projection import Embedding
@@ -80,11 +81,10 @@ def read_square_csv(text: str, source: str = "matrix") -> tuple[tuple[str, ...],
     """Parse a square matrix CSV (similarity or agreement shaped): header
     holds the ids, each row starts with its id, empty fields are missing
     and all others must be finite numbers."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ItemsimError(f"{source}: empty file") from None
+    reader = csv_rows(io.StringIO(text), source)
+    header = next(reader, None)
+    if header is None:
+        raise ItemsimError(f"{source}: empty file")
     if len(header) < 2:
         raise ItemsimError(f"{source}: expected an id column plus one column per entry")
     ids = tuple(header[1:])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, PerformanceRecord, select_solutions
+from .corpus import Corpus, PerformanceTable, select_solutions
 from .editdist import NwScoring, levenshtein, needleman_wunsch, tree_form, zhang_shasha
 from .errors import ItemsimError
 from .features import FeatureMatrix
@@ -225,7 +225,7 @@ def edit_similarity(
 
 
 def performance_similarity(
-    records: list[PerformanceRecord],
+    table: PerformanceTable,
     measure: str = "log_time",
     min_overlap: int = 10,
     item_ids: tuple[str, ...] | None = None,
@@ -233,27 +233,20 @@ def performance_similarity(
     """Pairwise Pearson correlation of learner performance over the learners
     who attempted both items; pairs with fewer than min_overlap common
     learners stay missing. measure: log_time (natural log of time_seconds)
-    or success (0/1)."""
+    or success (0/1). item_ids default to the table's; an id the table lacks
+    gets a column without attempts."""
     if measure not in ("log_time", "success"):
         raise ItemsimError(f"unknown performance measure {measure!r}")
     if min_overlap < 1:
         raise ItemsimError("min_overlap must be positive")
-    if item_ids is None:
-        item_ids = tuple(sorted({r.item_id for r in records}))
-    item_index = {item_id: j for j, item_id in enumerate(item_ids)}
-    learner_ids = sorted({r.learner_id for r in records})
-    learner_index = {learner_id: i for i, learner_id in enumerate(learner_ids)}
+    item_ids = table.item_ids if item_ids is None else item_ids
+    source = table.log_time if measure == "log_time" else table.success
+    # column -1 is all NaN: the column of an id the table lacks
+    padded = np.column_stack([source, np.full(len(source), np.nan)])
+    column = {item_id: j for j, item_id in enumerate(table.item_ids)}
+    data = padded[:, [column.get(item_id, -1) for item_id in item_ids]]
 
-    table = np.full((len(learner_ids), len(item_ids)), np.nan)
-    for r in records:
-        j = item_index.get(r.item_id)
-        if j is None:
-            continue
-        i = learner_index[r.learner_id]
-        if np.isnan(table[i, j]):  # keep-first on duplicates
-            table[i, j] = math.log(r.time_seconds) if measure == "log_time" else float(r.success)
-
-    have = ~np.isnan(table)
+    have = ~np.isnan(data)
     n = len(item_ids)
     values = np.full((n, n), np.nan)
     np.fill_diagonal(values, 1.0)
@@ -262,5 +255,5 @@ def performance_similarity(
             common = have[:, i] & have[:, j]
             if int(common.sum()) < min_overlap:
                 continue
-            values[i, j] = values[j, i] = pearson(table[common, i], table[common, j])
+            values[i, j] = values[j, i] = pearson(data[common, i], data[common, j])
     return SimilarityMatrix(item_ids=item_ids, values=values, measure_name="perfcorr")

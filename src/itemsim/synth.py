@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, fields
+from itertools import compress
 from numbers import Integral, Real
 
 import numpy as np
 
-from .corpus import Corpus, Item, PerformanceRecord, Solution, WorldSpec
+from .corpus import Corpus, Item, PerformanceTable, Solution, WorldSpec
 from .errors import ItemsimError
 from .robot import BASE_COMMANDS
 from .tree import AstNode, node
@@ -194,7 +195,7 @@ def level_partition(corpus: Corpus):
     return Partition(item_ids=corpus.item_ids, labels=tuple(int(l) for l in levels))
 
 
-def generate_performance(corpus: Corpus, spec: PerfSpec) -> list[PerformanceRecord]:
+def generate_performance(corpus: Corpus, spec: PerfSpec) -> PerformanceTable:
     """Log-normal solving times: log time = difficulty - skill + noise.
 
     Skill is drawn per (learner, level) rather than once per learner, so the
@@ -215,19 +216,16 @@ def generate_performance(corpus: Corpus, spec: PerfSpec) -> list[PerformanceReco
     )
     solved = rng.random((spec.n_learners, n_items)) < spec.solve_prob
     noise = rng.normal(0.0, spec.noise_sd, size=(spec.n_learners, n_items))
+    log_time = difficulty - skills[:, [group_index[int(l)] for l in levels]] + noise
+    time_seconds = np.full(solved.shape, np.nan)
+    time_seconds[solved] = np.exp(log_time[solved])
+    # learners and items without an attempt have no row in the table
+    rows, cols = solved.any(axis=1), solved.any(axis=0)
     lwidth = max(4, len(str(spec.n_learners - 1)))
-    records = []
-    for l in range(spec.n_learners):
-        for i, it in enumerate(corpus.items):
-            if not solved[l, i]:
-                continue
-            log_time = difficulty[i] - skills[l, group_index[int(levels[i])]] + noise[l, i]
-            records.append(
-                PerformanceRecord(
-                    learner_id=f"learner_{l:0{lwidth}d}",
-                    item_id=it.id,
-                    time_seconds=float(np.exp(log_time)),
-                    success=True,
-                )
-            )
-    return records
+    learner_ids = [f"learner_{l:0{lwidth}d}" for l in np.flatnonzero(rows).tolist()]
+    return PerformanceTable(
+        learner_ids=tuple(learner_ids),
+        item_ids=tuple(compress(corpus.item_ids, cols)),
+        time_seconds=time_seconds[np.ix_(rows, cols)],
+        success=np.where(solved, 1.0, np.nan)[np.ix_(rows, cols)],
+    )

@@ -11,7 +11,6 @@ from itemsim import (
     AstNode,
     Corpus,
     Item,
-    PerformanceRecord,
     SimilarityMatrix,
     Solution,
     WorldSpec,
@@ -130,20 +129,26 @@ def random_similarity(rng: np.random.Generator, n: int = 10, missing: float = 0.
 
 
 def random_records(rng: np.random.Generator, n_learners: int = 12, n_items: int = 5,
-                   attempt_prob: float = 0.9) -> list[PerformanceRecord]:
+                   attempt_prob: float = 0.9) -> list[tuple[str, str, float, bool]]:
+    """(learner_id, item_id, time_seconds, success) rows, learner-major."""
     records = []
     for l in range(n_learners):
         for i in range(n_items):
             if rng.random() < attempt_prob:
                 records.append(
-                    PerformanceRecord(
-                        learner_id=f"L{l:03d}",
-                        item_id=f"i{i}",
-                        time_seconds=float(np.exp(rng.normal())),
-                        success=bool(rng.integers(2)),
-                    )
+                    (f"L{l:03d}", f"i{i}", float(np.exp(rng.normal())), bool(rng.integers(2)))
                 )
     return records
+
+
+def scrambled_records(rng: np.random.Generator, **kwargs) -> list[tuple[str, str, float, bool]]:
+    """random_records in shuffled order, with a few (learner, item) pairs
+    repeated under other values, before or after the original row."""
+    rows = random_records(rng, **kwargs)
+    repeats = [(learner, item, float(np.exp(rng.normal())), bool(rng.integers(2)))
+               for learner, item, _, _ in rows[: int(rng.integers(0, 4))]]
+    rows = rows + repeats
+    return [rows[k] for k in rng.permutation(len(rows))]
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,19 @@ algorithms.
 Everything here favors obviousness over speed: exhaustive searches over
 edit scripts, tree edit mappings, alignments, and cluster assignments.
 They are only feasible for tiny inputs, which is exactly where they are
-used.
+used. The reference_* functions are earlier, slower implementations of a
+fast path, kept to compare against.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, product
 
 import numpy as np
 
-from itemsim import AstNode, NwScoring
+from itemsim import AstNode, NwScoring, SimilarityMatrix, agreement_correlation
+from itemsim.similarity import pearson
 
 
 def oracle_levenshtein(a, b) -> int:
@@ -214,3 +217,54 @@ def oracle_best_two_partition(points) -> tuple[tuple[int, ...], float]:
         if wcss < best_wcss:
             best_labels, best_wcss = labels, wcss
     return best_labels, best_wcss
+
+
+def reference_performance_similarity(rows, measure: str = "log_time", min_overlap: int = 10,
+                                     item_ids=None) -> SimilarityMatrix:
+    """The per-record perfcorr loop: (learner_id, item_id, time_seconds,
+    success) rows pivoted one at a time into a learner x item table over
+    the sorted learners, keeping the first row of a repeated pair, then
+    Pearson over the common learners of each item pair."""
+    if item_ids is None:
+        item_ids = tuple(sorted({item for _, item, _, _ in rows}))
+    item_index = {item_id: j for j, item_id in enumerate(item_ids)}
+    learner_ids = sorted({learner for learner, _, _, _ in rows})
+    learner_index = {learner_id: i for i, learner_id in enumerate(learner_ids)}
+
+    table = np.full((len(learner_ids), len(item_ids)), np.nan)
+    for learner, item, time_seconds, success in rows:
+        j = item_index.get(item)
+        if j is None:
+            continue
+        i = learner_index[learner]
+        if np.isnan(table[i, j]):  # keep-first on duplicates
+            table[i, j] = math.log(time_seconds) if measure == "log_time" else float(success)
+
+    have = ~np.isnan(table)
+    n = len(item_ids)
+    values = np.full((n, n), np.nan)
+    np.fill_diagonal(values, 1.0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            common = have[:, i] & have[:, j]
+            if int(common.sum()) < min_overlap:
+                continue
+            values[i, j] = values[j, i] = pearson(table[common, i], table[common, j])
+    return SimilarityMatrix(item_ids=item_ids, values=values, measure_name="perfcorr")
+
+
+def reference_split_half_stability(rows, measure: str = "log_time", min_overlap: int = 10,
+                                   seed: int = 0) -> float:
+    """The per-record split-half loop: the shuffled learners' first half
+    (rounded up) and the rest each filter the rows, and each half's
+    reference perfcorr over the full item set is compared."""
+    learners = sorted({learner for learner, _, _, _ in rows})
+    item_ids = tuple(sorted({item for _, item, _, _ in rows}))
+    rng = np.random.default_rng(seed)
+    order = [learners[i] for i in rng.permutation(len(learners))]
+    first = set(order[: (len(order) + 1) // 2])
+    half_a = [r for r in rows if r[0] in first]
+    half_b = [r for r in rows if r[0] not in first]
+    s1 = reference_performance_similarity(half_a, measure, min_overlap, item_ids)
+    s2 = reference_performance_similarity(half_b, measure, min_overlap, item_ids)
+    return agreement_correlation(s1, s2)

@@ -10,7 +10,7 @@ from itemsim import (
     AgreementMatrix,
     ItemsimError,
     Partition,
-    PerformanceRecord,
+    PerformanceTable,
     SimilarityMatrix,
     agreement_correlation,
     agreement_matrix,
@@ -24,8 +24,8 @@ from itemsim import (
 )
 from itemsim.synth import CorpusSpec, PerfSpec, generate_corpus, generate_performance
 
-from conftest import random_similarity
-from oracles import oracle_best_two_partition
+from conftest import random_similarity, scrambled_records
+from oracles import oracle_best_two_partition, reference_split_half_stability
 
 
 def sim(values, ids=None, name="m"):
@@ -225,9 +225,54 @@ class TestSplitHalfStability:
         assert len(values) > 1
 
     def test_needs_two_learners(self):
-        records = [PerformanceRecord("solo", "a", 1.0, True)]
+        table = PerformanceTable.from_records([("solo", "a", 1.0, True)])
         with pytest.raises(ItemsimError, match="at least 2 learners"):
-            split_half_stability(records)
+            split_half_stability(table)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ItemsimError as e:
+        return str(e)
+
+
+class TestSplitHalfMatchesReference:
+    """The row-mask split equals the per-record split it replaced: the same
+    scalar, or the same error, compared with ==."""
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(62)
+        values = 0
+        for trial in range(60):
+            rows = scrambled_records(rng, n_learners=int(rng.integers(2, 30)),
+                                     n_items=int(rng.integers(2, 7)),
+                                     attempt_prob=float(rng.uniform(0.3, 1.0)))
+            table = PerformanceTable.from_records(rows)
+            for seed in (0, 3):
+                args = (("log_time", "success")[trial % 2], int(rng.integers(1, 6)), seed)
+                got = _outcome(split_half_stability, table, *args)
+                assert got == _outcome(reference_split_half_stability, rows, *args)
+                values += isinstance(got, float)
+        assert values > 30  # most cases reach a scalar, not an error
+
+    def test_generated_tables(self):
+        # sparse attempts leave learners, and at seed 11 an item, without an
+        # attempt; the table drops them as the record list did
+        for seed in (1, 11):
+            corpus = generate_corpus(CorpusSpec(n_items=10, n_levels=3, seed=seed))
+            for n_learners, solve_prob in ((60, 0.2), (30, 0.1)):
+                table = generate_performance(
+                    corpus, PerfSpec(n_learners=n_learners, solve_prob=solve_prob, seed=seed))
+                attempted = ~np.isnan(table.time_seconds)
+                assert attempted.any(axis=0).all() and attempted.any(axis=1).all()
+                assert len(table.learner_ids) < n_learners
+                rows = [(table.learner_ids[i], table.item_ids[j], table.time_seconds[i, j], True)
+                        for i, j in zip(*np.nonzero(attempted))]
+                for split_seed in (0, 3):
+                    args = ("log_time", 1, split_seed)
+                    assert (_outcome(split_half_stability, table, *args)
+                            == _outcome(reference_split_half_stability, rows, *args))
 
 
 class TestKmeans:

@@ -5,11 +5,13 @@ the commands look them up under. A renamed or moved function would only
 show up when the benchmark runs, so it is checked here.
 """
 
+import hashlib
 import importlib
 import importlib.util
 from pathlib import Path
 
-from itemsim import NwScoring, edit_similarity
+from itemsim import NwScoring, edit_similarity, load_performance, save_performance
+from itemsim.synth import CorpusSpec, PerfSpec, generate_corpus, generate_performance
 
 from conftest import make_tiny_corpus
 
@@ -51,3 +53,21 @@ def test_kernel_replay_and_edit_matrices_on_the_tiny_corpus():
                 for kind in tracing.EDIT_KINDS}
     report = tracing.edit_matrix_report(matrices)
     assert all(not r["problems"] for r in report.values()), report
+
+
+def test_performance_calls_of_the_benchmark(tmp_path):
+    # perfbench/child.py writes the analysis inputs with
+    # save_performance(generate_performance(...)) and counts records with
+    # len(load_performance(...)). The digest pins the file's bytes, from
+    # which the benchmark's recorded reference outputs were computed.
+    corpus = generate_corpus(CorpusSpec(n_items=24, n_levels=3, seed=1))
+    path = tmp_path / "performance.csv"
+    save_performance(generate_performance(corpus, PerfSpec(n_learners=30, solve_prob=0.7, seed=2)),
+                     path)
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "93b144603a8a7dd3b0a1f52a53ba03db660bb785f03d3b112f656d0429f82069")
+    assert len(load_performance(path, corpus)) == data.count(b"\n") - 1 == 507
+    # a repeated (learner, item) row is not counted
+    path.write_bytes(data + data.splitlines(keepends=True)[1])
+    assert len(load_performance(path, corpus)) == 507

@@ -501,6 +501,28 @@ class TestInputFiles:
         run_error(["heatmap", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
                   "sim.csv: not valid UTF-8")
 
+    @pytest.mark.parametrize("sub, key, text", [
+        ("stability", "performance",
+         "learner_id,item_id,time_seconds,success\n" + "L" * 200_000 + ",alpha,1,1\n"),
+        ("heatmap", "matrix", "item_id,a\na," + "1" * 200_000 + "\n"),
+    ], ids=["performance_csv", "heatmap_matrix"])
+    def test_csv_field_over_the_size_limit(self, tmp_path, capsys, sub, key, text):
+        (tmp_path / "in.csv").write_text(text, encoding="utf-8")
+        cfg = write_config(tmp_path, **{key: str(tmp_path / "in.csv")})
+        run_error([sub, "-c", cfg, "-o", str(tmp_path / "o")], capsys,
+                  "in.csv:2: malformed CSV (field larger than field limit (131072))")
+
+    @pytest.mark.parametrize("row, fragment", [
+        (",alpha,1,1", "p.csv:3: empty learner_id"),
+        ("L2,,1,1", "p.csv:3: empty item_id"),
+    ], ids=["learner", "item"])
+    def test_empty_performance_id(self, tmp_path, capsys, row, fragment):
+        # without a corpus no item id is cross-checked
+        (tmp_path / "p.csv").write_text(
+            f"learner_id,item_id,time_seconds,success\nL1,alpha,1,1\n{row}\n", encoding="utf-8")
+        cfg = write_config(tmp_path, performance=str(tmp_path / "p.csv"))
+        run_error(["stability", "-c", cfg, "-o", str(tmp_path / "o")], capsys, fragment)
+
     def test_malformed_weights_json(self, tiny_dir, tmp_path, capsys):
         (tiny_dir / "solutions" / "alpha" / "weights.json").write_text("{oops", encoding="utf-8")
         cfg = write_config(tmp_path, corpus=str(tiny_dir), measure="ted")

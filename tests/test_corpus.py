@@ -3,13 +3,14 @@
 import json
 import logging
 
+import numpy as np
 import pytest
 
 from itemsim import (
     Corpus,
     Item,
     ItemsimError,
-    PerformanceRecord,
+    PerformanceTable,
     Solution,
     WorldSpec,
     load_corpus,
@@ -242,10 +243,13 @@ class TestPerformance:
     def test_reads_rows_in_order(self, tmp_path):
         path = tmp_path / "performance.csv"
         path.write_text(PERF_TEXT, encoding="utf-8")
-        records = load_performance(path)
-        assert len(records) == 3
-        assert records[0] == PerformanceRecord("l1", "alpha", 12.5, True)
-        assert records[1].success is False
+        table = load_performance(path)
+        assert len(table) == 3
+        assert table.learner_ids == ("l1", "l2")
+        assert table.item_ids == ("alpha", "beta")
+        assert table.time_seconds[0, 0] == 12.5 and table.success[0, 0] == 1.0
+        assert table.success[0, 1] == 0.0
+        assert np.isnan(table.time_seconds[1, 1]) and np.isnan(table.success[1, 1])
 
     def test_header_must_match_exactly(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -282,14 +286,29 @@ class TestPerformance:
         with pytest.raises(ItemsimError, match="success"):
             load_performance(path)
 
+    def test_empty_ids_name_the_line(self, tmp_path):
+        for row, name in ((",i,1,1", "learner_id"), ("l,,1,1", "item_id")):
+            path = tmp_path / "p.csv"
+            path.write_text(f"learner_id,item_id,time_seconds,success\nl,i,1,1\n{row}\n",
+                            encoding="utf-8")
+            with pytest.raises(ItemsimError, match=f"p.csv:3: empty {name}$"):
+                load_performance(path)
+
+    def test_malformed_csv_names_the_line(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text('learner_id,item_id,time_seconds,success\nl,i,1,1\n"l' + "x" * 200_000
+                        + '",i,1,1\n', encoding="utf-8")
+        with pytest.raises(ItemsimError, match=r"p.csv:3: malformed CSV \(field larger"):
+            load_performance(path)
+
     def test_duplicates_keep_first_and_are_counted(self, caplog):
         import io
         text = ("learner_id,item_id,time_seconds,success\n"
                 "l,i,1,1\nl,i,99,0\nl,j,2,1\n")
         with caplog.at_level(logging.WARNING, logger="itemsim.corpus"):
-            records = read_performance(io.StringIO(text))
-        assert len(records) == 2
-        assert records[0].time_seconds == 1.0
+            table = read_performance(io.StringIO(text))
+        assert len(table) == 2
+        assert table.time_seconds[0, 0] == 1.0
         assert "1 duplicate" in caplog.text
 
     def test_corpus_cross_check(self, tmp_path):
@@ -300,11 +319,14 @@ class TestPerformance:
             load_performance(path, corpus=make_tiny_corpus())
 
     def test_csv_round_trip(self, tmp_path):
-        records = [
-            PerformanceRecord("l1", "alpha", 12.5, True),
-            PerformanceRecord("l2", "beta", 0.125, False),
-        ]
+        table = PerformanceTable.from_records([
+            ("l1", "alpha", 12.5, True),
+            ("l2", "beta", 0.125, False),
+        ])
         path = tmp_path / "performance.csv"
-        save_performance(records, path)
-        assert load_performance(path) == records
-        assert performance_csv(records).endswith("l2,beta,0.125,0\n")
+        save_performance(table, path)
+        loaded = load_performance(path)
+        assert (loaded.learner_ids, loaded.item_ids) == (table.learner_ids, table.item_ids)
+        for name in ("time_seconds", "success", "log_time"):
+            assert np.array_equal(getattr(loaded, name), getattr(table, name), equal_nan=True)
+        assert performance_csv(table).endswith("l2,beta,0.125,0\n")

@@ -10,7 +10,7 @@ from itemsim import (
     FeatureMatrix,
     Item,
     ItemsimError,
-    PerformanceRecord,
+    PerformanceTable,
     Solution,
     apply_transform,
     apply_transforms,
@@ -154,28 +154,28 @@ class TestSourceExtractors:
 
     def test_performance(self):
         e = math.e
-        records = [
-            PerformanceRecord("l1", "a", e, True),
-            PerformanceRecord("l2", "a", e, True),
-            PerformanceRecord("l1", "b", 1.0, True),
-            PerformanceRecord("l2", "b", 1.0, False),
-            PerformanceRecord("l3", "b", 1.0, True),
-            PerformanceRecord("l4", "b", 1.0, True),
-        ]
-        m = performance_features(records)
+        table = PerformanceTable.from_records([
+            ("l1", "a", e, True),
+            ("l2", "a", e, True),
+            ("l1", "b", 1.0, True),
+            ("l2", "b", 1.0, False),
+            ("l3", "b", 1.0, True),
+            ("l4", "b", 1.0, True),
+        ])
+        m = performance_features(table)
         assert m.item_ids == ("a", "b")
         assert m.values[0, 0] == pytest.approx(1.0)   # mean log time
         assert m.values[0, 1] == pytest.approx(0.0)   # population variance
         assert m.values[1, 2] == pytest.approx(0.75)  # success rate
 
     def test_performance_respects_item_order(self):
-        records = [PerformanceRecord("l", i, 2.0, True) for i in ("b", "a")]
-        m = performance_features(records, item_ids=("b", "a"))
+        table = PerformanceTable.from_records([("l", i, 2.0, True) for i in ("b", "a")])
+        m = performance_features(table, item_ids=("b", "a"))
         assert m.item_ids == ("b", "a")
 
     def test_performance_empty(self):
         with pytest.raises(ItemsimError, match="no performance"):
-            performance_features([])
+            performance_features(PerformanceTable.from_records([]))
 
 
 class TestTransforms:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from itemsim import PerformanceRecord, save_corpus, save_performance
+from itemsim import PerformanceTable, save_corpus, save_performance
 from itemsim.cli import main
 
 from conftest import make_tiny_corpus
@@ -41,8 +41,9 @@ def inputs(tmp_path_factory):
     save_corpus(make_tiny_corpus(), corpus)
     rng = np.random.default_rng(5)
     save_performance(
-        [PerformanceRecord(f"L{l}", item, float(np.exp(rng.normal())), bool(rng.integers(2)))
-         for l in range(8) for item in ("alpha", "beta", "gamma")],
+        PerformanceTable.from_records(
+            (f"L{l}", item, float(np.exp(rng.normal())), bool(rng.integers(2)))
+            for l in range(8) for item in ("alpha", "beta", "gamma")),
         corpus / "performance.csv",
     )
     (root / "stop.txt").write_text("the before", encoding="utf-8")

@@ -102,7 +102,7 @@ class TestFixtureNames:
         records = generate_performance(corpus, PerfSpec(n_learners=40, seed=0))
         params = MeasureParams(min_overlap=5)
         for text in json.loads(FIXTURE.read_text(encoding="utf-8")):
-            s = compute_measure(corpus, text, records=records, params=params)
+            s = compute_measure(corpus, text, performance=records, params=params)
             assert s.measure_name == text
             assert s.item_ids == corpus.item_ids
             assert np.array_equal(s.values, s.values.T)
@@ -153,7 +153,7 @@ class TestComputeMeasure:
     def test_perfcorr_matches_direct_call(self):
         corpus = generate_corpus(CorpusSpec(n_items=6, n_levels=2, seed=1))
         records = generate_performance(corpus, PerfSpec(n_learners=30, seed=1))
-        s = compute_measure(corpus, "perfcorr", records=records,
+        s = compute_measure(corpus, "perfcorr", performance=records,
                             params=MeasureParams(min_overlap=5))
         direct = performance_similarity(records, min_overlap=5,
                                         item_ids=corpus.item_ids)

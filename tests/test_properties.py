@@ -29,6 +29,7 @@ from itemsim import (
     FeatureMatrix,
     MeasureName,
     Partition,
+    PerformanceTable,
     SimilarityMatrix,
     agreement_correlation,
     agreement_topn,
@@ -263,7 +264,8 @@ def _similarity_symmetry():
             m = _random_fm(rng, int(rng.integers(2, 9)), int(rng.integers(2, 7)), nonneg=False)
             s = similarity_from_features(m, metrics[i % 3])
         else:
-            s = performance_similarity(random_records(rng), min_overlap=3)
+            s = performance_similarity(PerformanceTable.from_records(random_records(rng)),
+                                       min_overlap=3)
         _assert_symmetric(s)
 
 
@@ -322,7 +324,7 @@ def _similarity_performance_range():
     rng = np.random.default_rng(36)
     for i in range(100):
         s = performance_similarity(
-            random_records(rng, n_learners=int(rng.integers(6, 16))),
+            PerformanceTable.from_records(random_records(rng, n_learners=int(rng.integers(6, 16)))),
             measure="log_time" if i % 2 == 0 else "success",
             min_overlap=3,
         )
@@ -413,7 +415,8 @@ def _analysis_kmeans_wcss():
 def _analysis_split_half_reproducible():
     rng = np.random.default_rng(46)
     for i in range(100):
-        records = random_records(rng, n_learners=20, n_items=6, attempt_prob=0.95)
+        records = PerformanceTable.from_records(
+            random_records(rng, n_learners=20, n_items=6, attempt_prob=0.95))
         first = split_half_stability(records, min_overlap=5, seed=i)
         second = split_half_stability(records, min_overlap=5, seed=i)
         assert first == second

@@ -12,7 +12,7 @@ from itemsim import (
     Item,
     ItemsimError,
     NwScoring,
-    PerformanceRecord,
+    PerformanceTable,
     SimilarityMatrix,
     Solution,
     action_sequence,
@@ -28,7 +28,8 @@ from itemsim import (
 )
 from itemsim.similarity import restrict
 
-from conftest import make_multi_corpus, make_tiny_corpus
+from conftest import make_multi_corpus, make_tiny_corpus, scrambled_records
+from oracles import reference_performance_similarity
 
 
 def fm(values, group="statement"):
@@ -331,13 +332,11 @@ class TestEditSimilarityPairSharing:
         ]
 
 
-def _records(table, items=("a", "b", "c")):
-    """table: {learner: {item: time}}; success defaults to True."""
-    out = []
-    for learner, row in table.items():
-        for item, t in row.items():
-            out.append(PerformanceRecord(learner, item, t, True))
-    return out
+def _table(times):
+    """times: {learner: {item: time}}; success defaults to True."""
+    return PerformanceTable.from_records(
+        (learner, item, t, True) for learner, row in times.items() for item, t in row.items()
+    )
 
 
 class TestPerformanceSimilarity:
@@ -348,7 +347,7 @@ class TestPerformanceSimilarity:
             "l2": {"a": e ** 2, "b": e ** 4},
             "l3": {"a": e ** 3, "b": e ** 6},
         }
-        s = performance_similarity(_records(table), min_overlap=3)
+        s = performance_similarity(_table(table), min_overlap=3)
         assert s.measure_name == "perfcorr"
         assert s.values[0, 1] == pytest.approx(1.0)
 
@@ -358,20 +357,20 @@ class TestPerformanceSimilarity:
             "l2": {"a": 2.0, "b": 1.0},
             "l3": {"a": 3.0, "b": 5.0},
         }
-        s = performance_similarity(_records(table), min_overlap=10)
+        s = performance_similarity(_table(table), min_overlap=10)
         assert np.isnan(s.values[0, 1])
         assert s.values[0, 0] == 1.0
 
     def test_success_measure(self):
-        records = [
-            PerformanceRecord("l1", "a", 1.0, True),
-            PerformanceRecord("l1", "b", 1.0, True),
-            PerformanceRecord("l2", "a", 1.0, False),
-            PerformanceRecord("l2", "b", 1.0, False),
-            PerformanceRecord("l3", "a", 1.0, True),
-            PerformanceRecord("l3", "b", 1.0, False),
-        ]
-        s = performance_similarity(records, measure="success", min_overlap=3)
+        table = PerformanceTable.from_records([
+            ("l1", "a", 1.0, True),
+            ("l1", "b", 1.0, True),
+            ("l2", "a", 1.0, False),
+            ("l2", "b", 1.0, False),
+            ("l3", "a", 1.0, True),
+            ("l3", "b", 1.0, False),
+        ])
+        s = performance_similarity(table, measure="success", min_overlap=3)
         assert s.values[0, 1] == pytest.approx(0.5)
 
     def test_constant_column_is_missing(self):
@@ -380,18 +379,67 @@ class TestPerformanceSimilarity:
             "l2": {"a": 2.0, "b": 5.0},
             "l3": {"a": 2.0, "b": 9.0},
         }
-        s = performance_similarity(_records(table), min_overlap=2)
+        s = performance_similarity(_table(table), min_overlap=2)
         assert np.isnan(s.values[0, 1])
 
     def test_explicit_item_ids_fix_order_and_axes(self):
         table = {"l1": {"a": 1.0}, "l2": {"a": 2.0}}
-        s = performance_similarity(_records(table), item_ids=("b", "a"), min_overlap=1)
+        s = performance_similarity(_table(table), item_ids=("b", "a"), min_overlap=1)
         assert s.item_ids == ("b", "a")
         assert np.isnan(s.values[0, 1])
         assert s.values[0, 0] == 1.0
 
     def test_unknown_measure_and_bad_overlap(self):
+        empty = PerformanceTable.from_records([])
         with pytest.raises(ItemsimError, match="unknown performance measure"):
-            performance_similarity([], measure="speed")
+            performance_similarity(empty, measure="speed")
         with pytest.raises(ItemsimError, match="min_overlap"):
-            performance_similarity([], min_overlap=0)
+            performance_similarity(empty, min_overlap=0)
+
+
+# File order unsorted; ("l1", "a") repeated, the later row to be ignored;
+# learner ids "l1" and "l1\x00" distinct (csv accepts a NUL in a field);
+# item "k" constant under both measures. Items a and b share 4 learners,
+# as do a and k.
+HAND_ROWS = [
+    ("l3", "b", 4.0, False), ("l1", "a", 2.0, True), ("l1\x00", "a", 3.0, False),
+    ("l2", "b", 1.5, True), ("l1", "b", 2.5, True), ("l2", "a", 7.0, False),
+    ("l1", "a", 99.0, False), ("l3", "a", 5.5, True), ("l1\x00", "b", 0.5, True),
+    ("l1", "k", 3.0, True), ("l3", "k", 3.0, True), ("l2", "k", 3.0, True),
+    ("l1\x00", "k", 3.0, True),
+]
+
+
+def _assert_same_as_reference(rows, measure, min_overlap, item_ids):
+    got = performance_similarity(PerformanceTable.from_records(rows), measure, min_overlap,
+                                 item_ids)
+    want = reference_performance_similarity(rows, measure, min_overlap, item_ids)
+    assert got.item_ids == want.item_ids
+    assert np.array_equal(got.values, want.values, equal_nan=True)
+    return got
+
+
+class TestPerformanceTableMatchesReference:
+    """The table path equals the per-record loop it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("measure", ["log_time", "success"])
+    @pytest.mark.parametrize("min_overlap", [3, 4, 5])
+    def test_hand_built_rows(self, measure, min_overlap):
+        s = _assert_same_as_reference(HAND_ROWS, measure, min_overlap, None)
+        assert s.item_ids == ("a", "b", "k")
+        assert np.isnan(s.values[0, 1]) == (min_overlap > 4)
+        assert np.isnan(s.values[0, 2])  # constant column
+        # an explicit order, with an id the table lacks
+        s = _assert_same_as_reference(HAND_ROWS, measure, min_overlap, ("k", "zz", "b", "a"))
+        assert np.isnan(s.values[1, [0, 2, 3]]).all() and s.values[1, 1] == 1.0
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(61)
+        pool = [f"i{k}" for k in range(8)]
+        for trial in range(80):
+            rows = scrambled_records(rng, n_learners=int(rng.integers(1, 25)),
+                                     n_items=int(rng.integers(1, 7)),
+                                     attempt_prob=float(rng.uniform(0.2, 1.0)))
+            item_ids = None if trial % 3 else tuple(rng.permutation(pool)[: rng.integers(1, 9)])
+            _assert_same_as_reference(rows, ("log_time", "success")[trial % 2],
+                                      int(rng.integers(1, 8)), item_ids)

@@ -110,37 +110,33 @@ class TestGenerateCorpus:
 class TestGeneratePerformance:
     def test_full_attempt_grid(self):
         corpus = generate_corpus(CorpusSpec(n_items=10, n_levels=2, seed=0))
-        records = generate_performance(corpus, PerfSpec(n_learners=100, solve_prob=1.0))
-        assert len(records) == 1000
-        assert all(r.success for r in records)
-        assert records[0].learner_id == "learner_0000"
+        table = generate_performance(corpus, PerfSpec(n_learners=100, solve_prob=1.0))
+        assert len(table) == 1000
+        assert np.all(table.success == 1.0)
+        assert table.learner_ids[0] == "learner_0000"
 
     def test_solve_prob_thins_the_grid(self):
         corpus = generate_corpus(CorpusSpec(n_items=10, n_levels=2, seed=0))
-        records = generate_performance(
+        table = generate_performance(
             corpus, PerfSpec(n_learners=100, solve_prob=0.5, seed=1))
-        assert 300 < len(records) < 700
+        assert 300 < len(table) < 700
 
     def test_degenerate_model_gives_per_item_constants(self):
         corpus = generate_corpus(CorpusSpec(n_items=6, n_levels=2, seed=0))
-        records = generate_performance(
+        table = generate_performance(
             corpus, PerfSpec(n_learners=5, skill_sd=0.0, difficulty_sd=0.0,
                              noise_sd=0.0))
-        by_item = {}
-        for r in records:
-            by_item.setdefault(r.item_id, set()).add(r.time_seconds)
-        assert all(len(times) == 1 for times in by_item.values())
+        for times in table.time_seconds.T:
+            assert len(set(times[~np.isnan(times)].tolist())) == 1
 
     def test_harder_levels_take_longer(self):
         corpus = generate_corpus(CorpusSpec(n_items=10, n_levels=5, seed=0))
-        records = generate_performance(
+        table = generate_performance(
             corpus, PerfSpec(n_learners=200, skill_sd=0.2, noise_sd=0.2, seed=0))
-        mean_log = {}
-        for r in records:
-            mean_log.setdefault(r.item_id, []).append(np.log(r.time_seconds))
+        mean_log = dict(zip(table.item_ids, np.nanmean(table.log_time, axis=0)))
         level_of = {it.id: it.level for it in corpus.items}
-        lows = [np.mean(mean_log[i]) for i in mean_log if level_of[i] == 0]
-        highs = [np.mean(mean_log[i]) for i in mean_log if level_of[i] == 4]
+        lows = [mean_log[i] for i in mean_log if level_of[i] == 0]
+        highs = [mean_log[i] for i in mean_log if level_of[i] == 4]
         assert np.mean(highs) > np.mean(lows) + 2
 
     def test_deterministic_per_seed(self):
