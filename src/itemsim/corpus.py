@@ -17,6 +17,7 @@ to 1. Solutions are ordered by filename within an item.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import math
@@ -463,13 +464,23 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
             )
 
 
+def _csv_field(text: str) -> str:
+    """text as one CSV field: quoted when it holds a comma, a quote, or a
+    line break (\r included, which a writer ending lines in \n leaves bare)."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\r\n").writerow([text])
+    return out.getvalue()[:-2]
+
+
 def performance_csv(table: PerformanceTable) -> str:
     """One row per attempt, learner-major in sorted id order."""
     rows, cols = np.nonzero(~np.isnan(table.time_seconds))
     times, successes = table.time_seconds[rows, cols].tolist(), table.success[rows, cols].tolist()
+    learners = [_csv_field(x) for x in table.learner_ids]
+    items = [_csv_field(x) for x in table.item_ids]
     lines = [",".join(PERFORMANCE_HEADER)]
     for i, j, t, success in zip(rows.tolist(), cols.tolist(), times, successes):
-        lines.append(f"{table.learner_ids[i]},{table.item_ids[j]},{t:.9g},{int(success)}")
+        lines.append(f"{learners[i]},{items[j]},{t:.9g},{int(success)}")
     return "\n".join(lines) + "\n"
 
 

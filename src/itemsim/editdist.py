@@ -1,11 +1,19 @@
 """Edit distances over token sequences and ordered trees.
 
-levenshtein: unit-cost insert/delete/substitute over tokens.
+levenshtein: unit-cost insert/delete/substitute over tokens, bit-parallel
+(a DP column per Python int).
 tree_edit_distance: Zhang-Shasha ordered-tree edit distance, unit costs
 (relabel free for equal labels); tree_form prepares a tree once, and
 zhang_shasha compares two prepared trees.
-needleman_wunsch: global alignment score, higher is more similar.
-"""
+needleman_wunsch_batch: global alignment scores, higher is more similar,
+of many sequence pairs at once, as one anti-diagonal wavefront per batch
+of pairs; needleman_wunsch aligns one pair.
+
+Each kernel returns exactly what the plain DP recurrence returns:
+Levenshtein computes in integers, and each alignment cell adds and
+compares the same float64 operands in the same order as the scalar
+recurrence, so its score is bit-identical under any scoring, signed zeros
+included. tests/oracles.py keeps the scalar recurrences as references."""
 
 from __future__ import annotations
 
@@ -13,22 +21,45 @@ from dataclasses import dataclass
 from math import isfinite
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ItemsimError
 from .tree import AstNode
 
 
 def levenshtein(a: Sequence[str], b: Sequence[str]) -> int:
     """Minimal number of token insertions, deletions, and substitutions
-    turning a into b."""
+    turning a into b.
+
+    Bit-parallel (Myers 1999, Hyyrö 2003): one Python int per DP column
+    holds, in bit i, whether D[i+1][j] - D[i][j] is +1 (pv) or -1 (mv)
+    down the longer sequence; each token of the shorter one advances the
+    column with a fixed number of word operations, and dist follows the
+    last row."""
     if len(a) < len(b):
         a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, x in enumerate(a, start=1):
-        cur = [i]
-        for j, y in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y)))
-        prev = cur
-    return prev[len(b)]
+    if not b:
+        return len(a)
+    match: dict = {}  # token -> bits of the positions in a that hold it
+    for i, x in enumerate(a):
+        match[x] = match.get(x, 0) | 1 << i
+    full = (1 << len(a)) - 1
+    last = 1 << (len(a) - 1)
+    pv, mv, dist = full, 0, len(a)
+    for y in b:
+        eq = match.get(y, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = (mv | ~(xh | pv)) & full
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        ph = ph << 1 | 1
+        pv = (mh << 1 | ~(xv | ph)) & full
+        mv = ph & xv
+    return dist
 
 
 TreeForm = tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]
@@ -121,18 +152,97 @@ class NwScoring:
                 raise ItemsimError("alignment scores must be finite")
 
 
+# a batch holds at most this many padded sequence positions, pairs x
+# (longest a + longest b + 2), which bounds its working set
+_BATCH_POSITIONS = 1 << 14
+
+
+def needleman_wunsch_batch(
+    seqs: Sequence[Sequence[str]], pairs: Sequence[tuple[int, int]], s: NwScoring = NwScoring()
+) -> tuple[list[float], int]:
+    """Optimal global alignment score of seqs[a] against seqs[b] under s
+    for every (a, b) in pairs, and the number of batches they ran in.
+
+    Pairs sorted by the lengths of a, then b, are cut into batches of at
+    most _BATCH_POSITIONS padded positions. A batch computes the DP
+    matrices of all its pairs together, one anti-diagonal d = i + j at a
+    time (inter-sequence parallelism, as in Wozniak 1997 and Rognes 2011).
+    Scores that overflow float64 come out as +-inf, without a warning."""
+    codes: dict = {}
+    encoded = [np.array([codes.setdefault(t, len(codes)) for t in x], dtype=np.int64)
+               for x in seqs]
+    lengths = [(len(seqs[a]), len(seqs[b])) for a, b in pairs]
+    batches = []
+    longest_a = longest_b = 0
+    for k in sorted(range(len(pairs)), key=lengths.__getitem__):
+        la, lb = lengths[k]
+        longest_a, longest_b = max(longest_a, la), max(longest_b, lb)
+        if not batches or (len(batches[-1]) + 1) * (longest_a + longest_b + 2) > _BATCH_POSITIONS:
+            batches.append([])
+            longest_a, longest_b = la, lb
+        batches[-1].append(k)
+    values = [0.0] * len(pairs)
+    with np.errstate(over="ignore"):
+        for batch in batches:
+            batch.sort(key=lambda k: -sum(lengths[k]))
+            scores = _wavefront([(encoded[pairs[k][0]], encoded[pairs[k][1]]) for k in batch], s)
+            for k, v in zip(batch, scores):
+                values[k] = v
+    return values, len(batches)
+
+
+def _wavefront(pairs: list[tuple[np.ndarray, np.ndarray]], s: NwScoring) -> list[float]:
+    """Alignment scores of encoded sequence pairs, given by descending
+    len(a) + len(b): the pairs still running at diagonal d are a prefix,
+    and a pair's score is cell (len(a), len(b)) on diagonal len(a) + len(b).
+
+    Row i of the diagonal buffers holds cell (i, d - i) of every pair, one
+    pair per column. Each cell is max(H[i-1][j-1] + sub, H[i-1][j] + gap,
+    H[i][j-1] + gap), the maximum taken in that order with ties kept first,
+    like Python's max, and H[k][0] = H[0][k] = k * gap. So every value
+    equals the scalar recurrence's bit for bit, signed zeros included."""
+    match, mismatch, gap = float(s.match), float(s.mismatch), float(s.gap)
+    ms = np.array([len(a) for a, _ in pairs], dtype=np.intp)
+    ends = [len(a) + len(b) for a, b in pairs]
+    m_max, n_max = int(ms.max()), max(len(b) for _, b in pairs)
+    # a[i - 1] in row i - 1; b reversed and right-aligned, so b[d - i - 1]
+    # sits in row n_max - d + i; the padding values match no token
+    a_rows = np.full((m_max, len(pairs)), -1, dtype=np.int64)
+    b_rows = np.full((n_max, len(pairs)), -2, dtype=np.int64)
+    for col, (a, b) in enumerate(pairs):
+        a_rows[:len(a), col] = a
+        b_rows[n_max - len(b):, col] = b[::-1]
+    h2, h1, h = (np.empty((m_max + 1, len(pairs))) for _ in range(3))
+    scores = np.empty(len(pairs))
+    live = len(pairs)
+    for d in range(ends[0] + 1):
+        if d <= n_max:
+            h[0, :live] = d * gap
+        if d <= m_max:
+            h[d, :live] = d * gap
+        lo, hi = max(1, d - n_max), min(d - 1, m_max)
+        if lo <= hi:
+            same = a_rows[lo - 1:hi, :live] == b_rows[n_max - d + lo:n_max - d + hi + 1, :live]
+            cell = h[lo:hi + 1, :live]
+            np.add(h2[lo - 1:hi, :live], np.where(same, match, mismatch), out=cell)
+            steps = h1[lo - 1:hi + 1, :live] + gap
+            # a later candidate wins only when strictly greater, as in max():
+            # np.maximum may return either zero of a -0.0/0.0 tie
+            for step in (steps[:-1], steps[1:]):
+                np.copyto(cell, step, where=step > cell)
+        done = live
+        while done and ends[done - 1] == d:
+            done -= 1
+        if done < live:
+            cols = np.arange(done, live)
+            scores[cols] = h[ms[done:live], cols]
+            live = done
+        h2, h1, h = h1, h, h2
+    return scores.tolist()
+
+
 def needleman_wunsch(a: Sequence[str], b: Sequence[str], s: NwScoring = NwScoring()) -> float:
-    """Optimal global alignment score of two sequences under s."""
-    prev = [j * s.gap for j in range(len(b) + 1)]
-    for i, x in enumerate(a, start=1):
-        cur = [i * s.gap]
-        for j, y in enumerate(b, start=1):
-            cur.append(
-                max(
-                    prev[j - 1] + (s.match if x == y else s.mismatch),
-                    prev[j] + s.gap,
-                    cur[j - 1] + s.gap,
-                )
-            )
-        prev = cur
-    return float(prev[len(b)])
+    """Optimal global alignment score of two sequences under s: a batch of
+    one pair."""
+    (score,), _ = needleman_wunsch_batch([a, b], [(0, 1)], s)
+    return score

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus, PerformanceTable, select_solutions
-from .editdist import NwScoring, levenshtein, needleman_wunsch, tree_form, zhang_shasha
+from .editdist import NwScoring, levenshtein, needleman_wunsch_batch, tree_form, zhang_shasha
 from .errors import ItemsimError
 from .features import FeatureMatrix
 from .tree import action_sequence, canonize
@@ -129,21 +129,29 @@ def _distance_similarity(d: float, la: int, lb: int) -> float:
     return 1.0 - d / max(la + lb, 1)
 
 
-# kind -> (prepare(ast, caps), size(input), kernel(a, b, nw_scoring),
+def _each_pair(kernel):
+    """A kind's kernel over many pairs that calls kernel once per pair, so
+    each pair is its own batch."""
+    return lambda inputs, pairs, scoring: ([kernel(inputs[a], inputs[b]) for a, b in pairs],
+                                           len(pairs))
+
+
+# kind -> (prepare(ast, caps), size(input), kernel(inputs, pairs, nw_scoring),
 # to_similarity(value, size_a, size_b), sign, self_value). prepare returns a
-# hashable kernel input. The best pair has the smallest sign * value:
-# distances are minimised, alignment scores maximised. self_value is the
-# kernel's value on two equal inputs where one is known: 0 for the
-# distances, none for nw, whose self score depends on the scoring. The
-# lambdas look canonize and action_sequence up at call time, so rebinding
-# the module attributes reaches them.
+# hashable kernel input. kernel returns the value of each (index_a, index_b)
+# pair of inputs and the number of batches it computed them in. The best
+# pair has the smallest sign * value: distances are minimised, alignment
+# scores maximised. self_value is the kernel's value on two equal inputs
+# where one is known: 0 for the distances, none for nw, whose self score
+# depends on the scoring. The lambdas look canonize and action_sequence up
+# at call time, so rebinding the module attributes reaches them.
 _EDIT_KINDS = {
-    "levenshtein": (lambda ast, caps: tuple(canonize(ast)), len,
-                    lambda a, b, scoring: levenshtein(a, b), _distance_similarity, 1.0, 0),
-    "ted": (lambda ast, caps: tree_form(ast), lambda form: len(form[0]),
-            lambda a, b, scoring: zhang_shasha(a, b), _distance_similarity, 1.0, 0),
-    "nw": (lambda ast, caps: tuple(action_sequence(ast, **caps)), len,
-           needleman_wunsch, lambda score, la, lb: score / max(la, lb, 1), -1.0, None),
+    "levenshtein": (lambda ast, caps: tuple(canonize(ast)), len, _each_pair(levenshtein),
+                    _distance_similarity, 1.0, 0),
+    "ted": (lambda ast, caps: tree_form(ast), lambda form: len(form[0]), _each_pair(zhang_shasha),
+            _distance_similarity, 1.0, 0),
+    "nw": (lambda ast, caps: tuple(action_sequence(ast, **caps)), len, needleman_wunsch_batch,
+           lambda score, la, lb: score / max(la, lb, 1), -1.0, None),
 }
 
 
@@ -164,11 +172,13 @@ def edit_similarity(
 
     Conversion per pair: levenshtein and ted use S = 1 - d/(len(a)+len(b))
     over token and node counts; nw uses S = score/max(len(a), len(b), 1)
-    over action sequences.
+    over action sequences. An alignment score or mean that overflows
+    float64 is an error.
 
     Each solution is prepared once. Solutions with equal kernel inputs
-    share one index, so the kernel runs once per ordered pair of distinct
-    inputs, and never on two equal inputs of ted or levenshtein."""
+    share one index, so each ordered pair of distinct inputs is computed
+    once, in one kernel call per measure, and two equal inputs of ted or
+    levenshtein never reach the kernel."""
     if kind not in _EDIT_KINDS:
         raise ItemsimError(f"unknown edit-distance kind {kind!r}")
     if aggregation not in ("min", "average"):
@@ -187,36 +197,42 @@ def edit_similarity(
     ]
     inputs = list(index)
     sizes = [size(x) for x in inputs]
-    computed: dict[tuple[int, int], float] = {}
-    counts = {"pairs": 0, "self": 0}
 
-    def value(a: int, b: int):
-        counts["pairs"] += 1
-        if a == b and self_value is not None:
-            counts["self"] += 1
-            return self_value
-        v = computed.get((a, b))
-        if v is None:
-            v = computed[a, b] = kernel(inputs[a], inputs[b], nw_scoring)
-        return v
+    # the solution pairs of each upper-triangle cell, with multiplicity
+    n = len(chosen)
+    cells = {}
+    for i in range(n):
+        cells[i, i] = [(a, a) for a in groups[i]]
+        for j in range(i + 1, n):
+            cells[i, j] = [(a, b) for a in groups[i] for b in groups[j]]
+    solution_pairs = [p for pairs in cells.values() for p in pairs]
+    known = {} if self_value is None else {(a, a): self_value for a in range(len(inputs))}
+    todo = list(dict.fromkeys(p for p in solution_pairs if p not in known))
+    computed, batches = kernel(inputs, todo, nw_scoring)
+    value = {**known, **dict(zip(todo, computed))}
 
     def cell(pairs) -> float:
-        scored = [(value(a, b), sizes[a], sizes[b]) for a, b in pairs]
+        scored = [(value[p], sizes[p[0]], sizes[p[1]]) for p in pairs]
         if aggregation == "min":
             # the pick is by raw distance or score, ties to the first pair
             return to_similarity(*min(scored, key=lambda p: sign * p[0]))
         return float(np.mean([to_similarity(*p) for p in scored]))
 
-    n = len(chosen)
     values = np.zeros((n, n))
-    for i in range(n):
-        values[i, i] = cell([(a, a) for a in groups[i]])
-        for j in range(i + 1, n):
-            values[i, j] = values[j, i] = cell([(a, b) for a in groups[i] for b in groups[j]])
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is the error below
+        for (i, j), pairs in cells.items():
+            values[i, j] = values[j, i] = cell(pairs)
+    if not (all(map(math.isfinite, computed)) and np.isfinite(values).all()):
+        raise ItemsimError(
+            f"{kind} alignment scores overflow float64 under match={nw_scoring.match!r}, "
+            f"mismatch={nw_scoring.mismatch!r}, gap={nw_scoring.gap!r}"
+        )
+    n_self = sum(p in known for p in solution_pairs)
     log.info(
         "edit %s: %d items, %d solution pairs, %d kernel calls, %d known self pairs, "
-        "%d pairs from repeated inputs", kind, n, counts["pairs"], len(computed),
-        counts["self"], counts["pairs"] - counts["self"] - len(computed),
+        "%d pairs from repeated inputs, %d batches, %d DP cells", kind, n, len(solution_pairs),
+        len(todo), n_self, len(solution_pairs) - n_self - len(todo), batches,
+        sum(sizes[a] * sizes[b] for a, b in todo),
     )
     name = kind if selector == "sample" and aggregation == "min" else f"{kind}/{selector}/{aggregation}"
     return SimilarityMatrix(

@@ -97,6 +97,41 @@ def oracle_tree_edit(t1: AstNode, t2: AstNode) -> int:
     return best
 
 
+def reference_levenshtein(a, b) -> int:
+    """The two-row Levenshtein recurrence over Python lists. The
+    bit-parallel kernel, `itemsim.levenshtein`, must equal it on sequences
+    of any length."""
+    if len(a) < len(b):
+        a, b = b, a
+    prev = list(range(len(b) + 1))
+    for i, x in enumerate(a, start=1):
+        cur = [i]
+        for j, y in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y)))
+        prev = cur
+    return prev[len(b)]
+
+
+def reference_needleman_wunsch(a, b, s: NwScoring = NwScoring()) -> float:
+    """The scalar two-row Needleman-Wunsch recurrence, one cell at a time
+    with Python's max. The batched wavefront, `itemsim.needleman_wunsch`
+    and `needleman_wunsch_batch`, must equal it bit for bit, signed zeros
+    included."""
+    prev = [j * s.gap for j in range(len(b) + 1)]
+    for i, x in enumerate(a, start=1):
+        cur = [i * s.gap]
+        for j, y in enumerate(b, start=1):
+            cur.append(
+                max(
+                    prev[j - 1] + (s.match if x == y else s.mismatch),
+                    prev[j] + s.gap,
+                    cur[j - 1] + s.gap,
+                )
+            )
+        prev = cur
+    return float(prev[len(b)])
+
+
 def reference_tree_edit_distance(t1: AstNode, t2: AstNode) -> int:
     """The Zhang-Shasha recurrence written plainly: numpy tables, a forest
     table per keyroot pair, labels and leftmost leaves recomputed per call.

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -415,6 +416,24 @@ class TestConfigAndErrors:
         cfg = write_config(tmp_path, corpus=str(corpus_dir), measure="nw", nw={"match": value})
         run_error(["sim", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
                   "config key 'match' must be a number")
+
+    @pytest.mark.parametrize("sub, settings", [
+        ("sim", {"measure": "nw"}),
+        ("meta-agree", {"measures": ["nw", "ted"]}),
+    ], ids=["sim", "meta-agree"])
+    @pytest.mark.parametrize("scores", [
+        (1e308, -1e308, -1e308), (1e308, 1e308, 1e308), (-1e308, -1e308, -1e308),
+    ], ids=["mixed", "positive", "negative"])
+    def test_overflowing_nw_scores(self, corpus_dir, tmp_path, capsys, sub, settings, scores):
+        # finite scores whose alignments of whole programs are not
+        nw = dict(zip(("match", "mismatch", "gap"), scores))
+        cfg = write_config(tmp_path, corpus=str(corpus_dir), nw=nw, **settings)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may reach stderr
+            run_error([sub, "-c", cfg, "-o", str(tmp_path / "o")], capsys,
+                      "error: nw alignment scores overflow float64 under "
+                      f"match={scores[0]!r}, mismatch={scores[1]!r}, gap={scores[2]!r}\n")
+        assert not list(tmp_path.glob("o/*"))
 
     def test_unknown_subcommand(self, capsys):
         assert main(["transmogrify", "-c", "x", "-o", "y"]) == 1

@@ -330,3 +330,21 @@ class TestPerformance:
         for name in ("time_seconds", "success", "log_time"):
             assert np.array_equal(getattr(loaded, name), getattr(table, name), equal_nan=True)
         assert performance_csv(table).endswith("l2,beta,0.125,0\n")
+
+    def test_ids_needing_quotes_round_trip(self, tmp_path):
+        # read -> write -> read: ids holding a comma, a quote and line breaks
+        text = ('learner_id,item_id,time_seconds,success\n'
+                '"a,b","i""1",2.5,1\n'
+                '"two\nlines",plain,3,0\n'
+                '"cr\rid","i""1",4,1\n')
+        path = tmp_path / "performance.csv"
+        path.write_bytes(text.encode("utf-8"))
+        table = load_performance(path)
+        assert table.learner_ids == ("a,b", "cr\rid", "two\nlines")
+        assert table.item_ids == ('i"1', "plain")
+        save_performance(table, path)
+        again = load_performance(path)
+        assert (again.learner_ids, again.item_ids) == (table.learner_ids, table.item_ids)
+        for name in ("time_seconds", "success"):
+            assert np.array_equal(getattr(again, name), getattr(table, name), equal_nan=True)
+        assert performance_csv(again).encode("utf-8") == path.read_bytes()

@@ -1,5 +1,6 @@
 """Sequence and tree edit distances against hand values and brute force."""
 
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -9,21 +10,44 @@ from itemsim import (
     CorpusSpec,
     ItemsimError,
     NwScoring,
+    action_sequence,
+    canonize,
     generate_corpus,
     levenshtein,
     needleman_wunsch,
     node,
     tree_edit_distance,
 )
-from itemsim.editdist import tree_form
+from itemsim.editdist import needleman_wunsch_batch, tree_form
 
 from conftest import random_sequence, random_tree, top_level_mutant
 from oracles import (
     oracle_alignment,
     oracle_levenshtein,
     oracle_tree_edit,
+    reference_levenshtein,
+    reference_needleman_wunsch,
     reference_tree_edit_distance,
 )
+
+# integer, fractional, and gaps beating matches (match < 2 * gap)
+SCORINGS = [NwScoring(), NwScoring(1.0, -0.5, -0.7), NwScoring(-1.0, -2.0, -0.3)]
+SCORING_IDS = ["integer", "fractional", "gaps-win"]
+
+
+def same_float(x: float, y: float) -> bool:
+    """Equal values with equal signs: == alone (and np.array_equal) takes
+    -0.0 for 0.0."""
+    return x == y and np.signbit(x) == np.signbit(y)
+
+
+def program_pairs(seed: int) -> list[tuple]:
+    """Every pair of a synthetic corpus's programs, plus each program
+    against a top-level mutant of itself."""
+    corpus = generate_corpus(CorpusSpec(n_items=12, n_levels=9, seed=seed))
+    programs = [it.solutions[0].ast for it in corpus.items]
+    rng = np.random.default_rng(seed)
+    return [*combinations(programs, 2), *((p, top_level_mutant(p, rng)) for p in programs)]
 
 
 class TestLevenshtein:
@@ -53,6 +77,30 @@ class TestLevenshtein:
             a = random_sequence(rng, max_len=6, alphabet=("x", "y"))
             b = random_sequence(rng, max_len=6, alphabet=("x", "y"))
             assert levenshtein(a, b) == oracle_levenshtein(a, b)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_equals_reference_on_synthetic_programs(self, seed):
+        # canonical token sequences of about 30-100 tokens, in both orders
+        for x, y in program_pairs(seed):
+            a, b = canonize(x), canonize(y)
+            want = reference_levenshtein(a, b)
+            assert levenshtein(a, b) == want
+            assert levenshtein(b, a) == want
+
+    def test_equals_reference_beyond_one_machine_word(self):
+        # the bit vectors are as long as the longer input: 65-300 positions
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            a = random_sequence(rng, max_len=300, alphabet=tuple("abcdefg"))
+            b = random_sequence(rng, max_len=300, alphabet=tuple("abcdefg"))
+            a, b = a + ("a",) * 65, b[:int(rng.integers(len(b) + 1))]
+            want = reference_levenshtein(a, b)
+            assert levenshtein(a, b) == want
+            assert levenshtein(b, a) == want
+        a = tuple("ab" * 70)
+        assert levenshtein(a, a) == 0
+        assert levenshtein(a, tuple("c" * 140)) == 140
+        assert levenshtein(a, a[1:]) == 1
 
 
 class TestTreeEditDistance:
@@ -170,6 +218,78 @@ class TestNeedlemanWunsch:
             NwScoring(gap=float("-inf"))
         with pytest.raises(ItemsimError, match="finite"):
             NwScoring(match=float("nan"))
+
+    @pytest.mark.parametrize("scoring", SCORINGS, ids=SCORING_IDS)
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_equals_reference_on_synthetic_programs(self, seed, scoring):
+        # action sequences of about 20-110 actions (loops unrolled at most
+        # 3 times keep the scalar reference quick), every pair in both
+        # orders: one batched call over all of them, and one-pair calls
+        seqs, pairs = [], []
+        for x, y in program_pairs(seed):
+            seqs += [action_sequence(x, unroll_cap=3), action_sequence(y, unroll_cap=3)]
+            pairs += [(len(seqs) - 2, len(seqs) - 1), (len(seqs) - 1, len(seqs) - 2)]
+        want = [reference_needleman_wunsch(seqs[a], seqs[b], scoring) for a, b in pairs]
+        got, _ = needleman_wunsch_batch(seqs, pairs, scoring)
+        assert all(map(same_float, got, want))
+        for (a, b), w in list(zip(pairs, want))[-24:]:  # the mutant pairs
+            assert same_float(needleman_wunsch(seqs[a], seqs[b], scoring), w)
+
+    @pytest.mark.parametrize("scoring", [
+        *SCORINGS,
+        # every score a zero of either sign: cells tie between -0.0 and 0.0,
+        # and the first candidate in max() order must win
+        NwScoring(0.0, -0.0, -0.0), NwScoring(-0.0, 0.0, -0.0), NwScoring(-0.0, -0.0, 0.0),
+    ], ids=[*SCORING_IDS, "zeros-1", "zeros-2", "zeros-3"])
+    def test_equals_reference_on_random_sequences(self, scoring):
+        rng = np.random.default_rng(9)
+        seqs = [random_sequence(rng, max_len=6, alphabet=("x", "y")) for _ in range(40)]
+        pairs = [(a, b) for a in range(len(seqs)) for b in range(len(seqs))]
+        want = [reference_needleman_wunsch(seqs[a], seqs[b], scoring) for a, b in pairs]
+        got, _ = needleman_wunsch_batch(seqs, pairs, scoring)
+        assert all(map(same_float, got, want))
+        assert all(same_float(needleman_wunsch(seqs[a], seqs[b], scoring), w)
+                   for (a, b), w in zip(pairs, want))
+
+    @pytest.mark.parametrize("scoring", SCORINGS, ids=SCORING_IDS)
+    def test_empty_and_single_token_pairs(self, scoring):
+        # len(a) + len(b) <= 1; the empty pair scores 0 * gap, -0.0 here
+        seqs = [(), ("x",), ("y",)]
+        pairs = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (0, 2)]
+        want = [reference_needleman_wunsch(seqs[a], seqs[b], scoring) for a, b in pairs]
+        assert np.signbit(want[0])
+        got, batches = needleman_wunsch_batch(seqs, pairs, scoring)
+        assert batches == 1
+        assert all(map(same_float, got, want))
+        assert needleman_wunsch_batch(seqs, [], scoring) == ([], 0)
+
+    @pytest.mark.parametrize("scoring", SCORINGS, ids=SCORING_IDS)
+    def test_one_batch_of_very_unequal_lengths(self, scoring):
+        rng = np.random.default_rng(10)
+        seqs = [(), *(tuple(rng.choice(list("mlrs"), size=n)) for n in (1, 2, 7, 150, 220))]
+        pairs = [(a, b) for a in range(len(seqs)) for b in range(len(seqs))]
+        want = [reference_needleman_wunsch(seqs[a], seqs[b], scoring) for a, b in pairs]
+        got, batches = needleman_wunsch_batch(seqs, pairs, scoring)
+        assert batches == 1
+        assert all(map(same_float, got, want))
+
+    def test_many_pairs_split_into_batches(self):
+        rng = np.random.default_rng(11)
+        seqs = [tuple(rng.choice(list("mlrs"), size=int(rng.integers(25, 41))))
+                for _ in range(24)]
+        pairs = [(a, b) for a in range(len(seqs)) for b in range(len(seqs))]
+        s = NwScoring(1.0, -0.5, -0.7)
+        got, batches = needleman_wunsch_batch(seqs, pairs, s)
+        assert batches > 1
+        assert all(same_float(g, reference_needleman_wunsch(seqs[a], seqs[b], s))
+                   for g, (a, b) in zip(got, pairs))
+
+    def test_overflow_gives_infinities_without_warnings(self):
+        seqs = [("x",) * 3, ("y",) * 3]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, _ = needleman_wunsch_batch(seqs, [(0, 0), (0, 1)], NwScoring(1e308, -1e308, -1e308))
+        assert got == [float("inf"), float("-inf")]
 
     def test_matches_exhaustive_search(self):
         rng = np.random.default_rng(6)

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -243,6 +244,24 @@ class TestEditSimilarity:
                             unroll_cap=1)
         assert np.all(np.diag(s.values) == 2.0)
 
+    def test_overflowing_mean_is_an_error(self):
+        # each one-action alignment scores a finite 1.7e308; a's two
+        # solutions average two of them, which overflows
+        p = parse_robot_program("move")
+        corpus = Corpus((
+            Item(id="a", statement_text="x",
+                 solutions=(Solution(ast=p), Solution(ast=p, kind="learner"))),
+            Item(id="b", statement_text="x", solutions=(Solution(ast=p),)),
+        ))
+        scoring = NwScoring(1.7e308, -1.0, -1.0)
+        kwargs = {"kind": "nw", "selector": "all", "nw_scoring": scoring}
+        assert np.all(edit_similarity(corpus, aggregation="min", **kwargs).values == 1.7e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ItemsimError, match="nw alignment scores overflow float64 under "
+                                                   r"match=1\.7e\+308, mismatch=-1\.0, gap=-1\.0"):
+                edit_similarity(corpus, aggregation="average", **kwargs)
+
     def test_missing_solutions_rejected(self):
         corpus = make_tiny_corpus()
         with pytest.raises(ItemsimError, match="top_learner.*gamma"):
@@ -324,11 +343,13 @@ class TestEditSimilarityPairSharing:
             edit_similarity(corpus, kind="nw", selector="all")
         assert [r.getMessage() for r in caplog.records] == [
             # pairs: a's two self pairs, b's two, 2 x 2 cross pairs; only p-q differs
+            # p and q have 3 and 4 nodes: 12 DP cells
             "edit ted: 2 items, 8 solution pairs, 1 kernel calls, 6 known self pairs, "
-            "1 pairs from repeated inputs",
-            # nw knows no self value: p-p, q-q and p-q are computed
+            "1 pairs from repeated inputs, 1 batches, 12 DP cells",
+            # nw knows no self value: p-p, q-q and p-q are computed, all in
+            # one batch, over 2 x 2 + 3 x 3 + 2 x 3 actions
             "edit nw: 2 items, 8 solution pairs, 3 kernel calls, 0 known self pairs, "
-            "5 pairs from repeated inputs",
+            "5 pairs from repeated inputs, 1 batches, 19 DP cells",
         ]
 
 
