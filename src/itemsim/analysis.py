@@ -88,42 +88,41 @@ def agreement_correlation(s1: SimilarityMatrix, s2: SimilarityMatrix) -> float:
     return r
 
 
-def _top_neighbors(s: SimilarityMatrix, i: int, n: int) -> set[str] | None:
-    """Ids of the n most similar other items; ties by ascending item id.
-    None when fewer than n neighbors are defined."""
-    candidates = [
-        (-s.values[i, j], s.item_ids[j])
-        for j in range(s.n_items)
-        if j != i and not np.isnan(s.values[i, j])
-    ]
-    if len(candidates) < n:
-        return None
-    candidates.sort()
-    return {item_id for _, item_id in candidates[:n]}
+def _top_neighbors(s: SimilarityMatrix, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row i of the first array marks the n most similar other items of
+    item i, ties by ascending item id (Python string order); the second
+    says which items have at least n defined neighbors. One lexsort per row
+    over (undefined or diagonal, -value, id rank): undefined entries sort
+    last by their own key, so a defined -inf keeps its place."""
+    k = s.n_items
+    rank = np.empty(k, dtype=np.int64)
+    rank[sorted(range(k), key=s.item_ids.__getitem__)] = np.arange(k)
+    undefined = np.isnan(s.values)
+    np.fill_diagonal(undefined, True)
+    order = np.lexsort((np.broadcast_to(rank, (k, k)), -s.values, undefined))
+    top = np.zeros((k, k), dtype=bool)
+    np.put_along_axis(top, order[:, :n], True, axis=1)
+    return top, k - undefined.sum(axis=1) >= n
 
 
 def agreement_topn(s1: SimilarityMatrix, s2: SimilarityMatrix, n: int) -> float:
-    """Mean normalized overlap of per-item top-n neighbor sets. Items with
-    fewer than n defined neighbors in either matrix are skipped."""
+    """Mean normalized overlap of per-item top-n neighbor sets, in item
+    order. Neighbors tie by ascending item id. Items with fewer than n
+    defined neighbors in either matrix are skipped."""
     if n < 1:
         raise ItemsimError("n must be positive")
     if s1.item_ids != s2.item_ids:
         raise ItemsimError("similarity matrices cover different item sets")
-    overlaps = []
-    skipped = []
-    for i in range(s1.n_items):
-        top1 = _top_neighbors(s1, i, n)
-        top2 = _top_neighbors(s2, i, n)
-        if top1 is None or top2 is None:
-            skipped.append(s1.item_ids[i])
-            continue
-        overlaps.append(len(top1 & top2) / n)
+    top1, enough1 = _top_neighbors(s1, n)
+    top2, enough2 = _top_neighbors(s2, n)
+    kept = enough1 & enough2
+    skipped = [item_id for item_id, k in zip(s1.item_ids, kept) if not k]
     if skipped:
         log.warning("top-%d agreement: skipped %d items with too few defined neighbors: %s",
                     n, len(skipped), ", ".join(skipped))
-    if not overlaps:
+    if not kept.any():
         raise ItemsimError(f"no item has {n} defined neighbors in both matrices")
-    return float(np.mean(overlaps))
+    return float(np.mean((top1 & top2)[kept].sum(axis=1) / n))
 
 
 def agreement_matrix(measures: list[SimilarityMatrix], method: str = "correlation") -> AgreementMatrix:

@@ -113,16 +113,28 @@ def restrict(s: SimilarityMatrix, item_ids: tuple[str, ...]) -> SimilarityMatrix
     )
 
 
-def pearson(x: np.ndarray, y: np.ndarray) -> float:
-    """Pearson correlation of two equal-length vectors, clipped to [-1, 1];
-    NaN when either vector has zero variance."""
+def _centred_sums(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     xc = x - x.mean()
     yc = y - y.mean()
-    nx = math.sqrt(float(xc @ xc))
-    ny = math.sqrt(float(yc @ yc))
-    if nx == 0.0 or ny == 0.0:
+    return float(xc @ xc), float(yc @ yc), float(xc @ yc)
+
+
+def pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson correlation of two equal-length vectors, clipped to [-1, 1];
+    NaN when all values of either vector are equal (or either holds a NaN
+    or an infinity). Correlation is scale-invariant: vectors whose centred
+    sums of squares leave the float64 range are divided by their largest
+    magnitude first, and all others are used as they are, bit for bit."""
+    if len(x) == 0 or x.min() == x.max() or y.min() == y.max():
         return math.nan
-    return max(-1.0, min(1.0, float(xc @ yc) / (nx * ny)))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        sums = _centred_sums(x, y)
+        if not (all(map(math.isfinite, sums)) and sums[0] and sums[1]):
+            sums = _centred_sums(x / np.abs(x).max(), y / np.abs(y).max())
+    sxx, syy, sxy = sums
+    if not (all(map(math.isfinite, sums)) and sxx and syy):
+        return math.nan
+    return max(-1.0, min(1.0, sxy / (math.sqrt(sxx) * math.sqrt(syy))))
 
 
 def _distance_similarity(d: float, la: int, lb: int) -> float:
@@ -248,9 +260,23 @@ def performance_similarity(
 ) -> SimilarityMatrix:
     """Pairwise Pearson correlation of learner performance over the learners
     who attempted both items; pairs with fewer than min_overlap common
-    learners stay missing. measure: log_time (natural log of time_seconds)
-    or success (0/1). item_ids default to the table's; an id the table lacks
-    gets a column without attempts."""
+    learners stay missing, and so do pairs where either item's values over
+    the common learners are all equal. measure: log_time (natural log of
+    time_seconds) or success (0/1). item_ids default to the table's; an id
+    the table lacks gets a column without attempts.
+
+    All pairs come from masked Gram products over the learner x item matrix
+    X (zero where not attempted, each column shifted by the mean of its
+    attempts) and the attempt mask H: common learners H^T H, sums X^T H,
+    squares (X*X)^T H and cross-products X^T X give each pair's variances
+    and covariance over its common learners. A pair is computed again with
+    `pearson` over its common learners when either variance is below 2**-10
+    of its sum of squares about the column mean (cancellation would cost
+    the Gram form more than about 1e-13) or below 2**-20 of the sum of
+    squares of the values themselves (pearson's rounded mean would move
+    its own result by more than that); an exact zero variance is always
+    among them. So values are within 1e-12 of `pearson` over the common
+    learners, and missing exactly where it is."""
     if measure not in ("log_time", "success"):
         raise ItemsimError(f"unknown performance measure {measure!r}")
     if min_overlap < 1:
@@ -260,16 +286,53 @@ def performance_similarity(
     # column -1 is all NaN: the column of an id the table lacks
     padded = np.column_stack([source, np.full(len(source), np.nan)])
     column = {item_id: j for j, item_id in enumerate(table.item_ids)}
-    data = padded[:, [column.get(item_id, -1) for item_id in item_ids]]
+    cols = [column.get(item_id, -1) for item_id in item_ids]
+    x = padded[:, cols]
+    del padded
 
-    have = ~np.isnan(data)
+    have = ~np.isnan(x)
+    # a column whose attempts are all equal is missing against every item
+    constant = (x.min(axis=0, where=have, initial=np.inf)
+                == x.max(axis=0, where=have, initial=-np.inf))
+    h = have.astype(np.float64)
+    x[~have] = 0.0
+    shift = x.sum(axis=0) / np.maximum(h.sum(axis=0), 1.0)
+    x -= shift
+    x *= h
+    counts = h.T @ h
+    sums = x.T @ h  # sums[i, j]: item i's values summed over the learners common with j
+    values = x.T @ x
+    squares = np.square(x, out=x).T @ h
+    del h, x
+    shift = shift[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        means = sums / counts
+        values -= sums * means.T  # the covariances
+        var = np.subtract(squares, sums * means, out=means)
+        # sums of squares of the values themselves: about zero, not the shift
+        unshifted = counts * shift
+        unshifted += 2.0 * sums
+        unshifted *= shift
+        unshifted += squares
+        low = (var <= 2.0 ** -10 * squares) | (var <= 2.0 ** -20 * unshifted)
+        del unshifted
+        norms = var * var.T
+        values /= np.sqrt(norms, out=norms)
+
     n = len(item_ids)
-    values = np.full((n, n), np.nan)
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    enough = counts >= min_overlap
+    defined = enough & ~constant[:, None] & ~constant[None, :]
+    pairs = np.argwhere(defined & (low | low.T) & upper)
+    for i, j in pairs:  # both items have attempts, so both are columns of source
+        common = have[:, i] & have[:, j]
+        values[i, j] = pearson(source[common, cols[i]], source[common, cols[j]])
+    values[~defined] = np.nan
+    np.clip(values, -1.0, 1.0, out=values)
+    values = _mirror_upper(values)
     np.fill_diagonal(values, 1.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            common = have[:, i] & have[:, j]
-            if int(common.sum()) < min_overlap:
-                continue
-            values[i, j] = values[j, i] = pearson(data[common, i], data[common, j])
+    log.info("perfcorr %s: %d items, %d learners, %d pairs below min_overlap %d, "
+             "%d pairs with a constant item, %d low-variance pairs re-checked", measure, n,
+             len(source), np.count_nonzero(upper & ~enough), min_overlap,
+             np.count_nonzero(upper & enough & ~defined), len(pairs))
     return SimilarityMatrix(item_ids=item_ids, values=values, measure_name="perfcorr")

@@ -15,7 +15,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from itemsim import AstNode, NwScoring, SimilarityMatrix, agreement_correlation
+from itemsim import AstNode, ItemsimError, NwScoring, SimilarityMatrix
 from itemsim.similarity import pearson
 
 
@@ -288,11 +288,12 @@ def reference_performance_similarity(rows, measure: str = "log_time", min_overla
     return SimilarityMatrix(item_ids=item_ids, values=values, measure_name="perfcorr")
 
 
-def reference_split_half_stability(rows, measure: str = "log_time", min_overlap: int = 10,
-                                   seed: int = 0) -> float:
+def reference_split_halves(rows, measure: str = "log_time", min_overlap: int = 10,
+                           seed: int = 0) -> tuple[SimilarityMatrix, SimilarityMatrix]:
     """The per-record split-half loop: the shuffled learners' first half
     (rounded up) and the rest each filter the rows, and each half's
-    reference perfcorr over the full item set is compared."""
+    reference perfcorr is taken over the full item set. Split-half
+    stability is their agreement correlation."""
     learners = sorted({learner for learner, _, _, _ in rows})
     item_ids = tuple(sorted({item for _, item, _, _ in rows}))
     rng = np.random.default_rng(seed)
@@ -300,6 +301,29 @@ def reference_split_half_stability(rows, measure: str = "log_time", min_overlap:
     first = set(order[: (len(order) + 1) // 2])
     half_a = [r for r in rows if r[0] in first]
     half_b = [r for r in rows if r[0] not in first]
-    s1 = reference_performance_similarity(half_a, measure, min_overlap, item_ids)
-    s2 = reference_performance_similarity(half_b, measure, min_overlap, item_ids)
-    return agreement_correlation(s1, s2)
+    return (reference_performance_similarity(half_a, measure, min_overlap, item_ids),
+            reference_performance_similarity(half_b, measure, min_overlap, item_ids))
+
+
+def reference_agreement_topn(s1: SimilarityMatrix, s2: SimilarityMatrix, n: int) -> float:
+    """The per-item top-n loop: each item's defined other items sorted as
+    (-value, id) tuples, the first n taken as a set, and the mean of the
+    normalized set overlaps in item order over the items with n defined
+    neighbors in both matrices."""
+
+    def top(s: SimilarityMatrix, i: int):
+        candidates = [(-s.values[i, j], s.item_ids[j]) for j in range(s.n_items)
+                      if j != i and not np.isnan(s.values[i, j])]
+        if len(candidates) < n:
+            return None
+        candidates.sort()
+        return {item_id for _, item_id in candidates[:n]}
+
+    overlaps = []
+    for i in range(s1.n_items):
+        top1, top2 = top(s1, i), top(s2, i)
+        if top1 is not None and top2 is not None:
+            overlaps.append(len(top1 & top2) / n)
+    if not overlaps:
+        raise ItemsimError(f"no item has {n} defined neighbors in both matrices")
+    return float(np.mean(overlaps))

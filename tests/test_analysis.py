@@ -19,13 +19,18 @@ from itemsim import (
     hierarchical_order,
     kmeans,
     meta_agreement,
+    performance_similarity,
     rand_index,
     split_half_stability,
 )
 from itemsim.synth import CorpusSpec, PerfSpec, generate_corpus, generate_performance
 
 from conftest import random_similarity, scrambled_records
-from oracles import oracle_best_two_partition, reference_split_half_stability
+from oracles import (
+    oracle_best_two_partition,
+    reference_agreement_topn,
+    reference_split_halves,
+)
 
 
 def sim(values, ids=None, name="m"):
@@ -128,6 +133,57 @@ class TestAgreementTopn:
         s = sim(np.eye(2))
         with pytest.raises(ItemsimError, match="positive"):
             agreement_topn(s, s, 0)
+
+
+def _tied_similarity(rng, n, ids):
+    """A symmetric matrix rounded to 2 decimals (many ties) with NaN pairs,
+    signed zeros and infinities among the off-diagonal entries."""
+    values = np.round(rng.uniform(-0.05, 0.05, size=(n, n)), 2)
+    special = rng.choice(np.array([np.nan, 0.0, -0.0, np.inf, -np.inf]), size=(n, n))
+    values = np.where(rng.random((n, n)) < rng.uniform(0.0, 0.5), special, values)
+    i, j = np.tril_indices(n, k=-1)
+    values[i, j] = values[j, i]
+    np.fill_diagonal(values, 1.0)
+    return SimilarityMatrix(item_ids=ids, values=values, measure_name="m")
+
+
+class TestAgreementTopnMatchesReference:
+    """The row-sort top-n equals the per-item candidate loop with ==, or
+    raises the same error."""
+
+    def test_random_tied_matrices(self):
+        rng = np.random.default_rng(63)
+        pool = ["b", "a", "B", "a0", "a_", "Z9", "é", "10", "9", "", "aa", "ab"]
+        values = 0
+        for trial in range(300):
+            k = int(rng.integers(1, len(pool) + 1))
+            ids = tuple(rng.permutation(pool)[:k])  # unsorted ids
+            s1, s2 = _tied_similarity(rng, k, ids), _tied_similarity(rng, k, ids)
+            for n in (1, 2, 3, k):
+                outcomes = []
+                for topn in (agreement_topn, reference_agreement_topn):
+                    try:
+                        outcomes.append(topn(s1, s2, n))
+                    except ItemsimError as e:
+                        outcomes.append(str(e))
+                assert outcomes[0] == outcomes[1], (trial, n)
+                values += isinstance(outcomes[0], float)
+        assert values > 600
+
+    def test_signed_zero_ties_break_by_id(self):
+        ids = ("c", "a", "b")
+        s1 = pair_sim(ids, {("c", "a"): -0.0, ("c", "b"): 0.0, ("a", "b"): 0.5}, "s1")
+        s2 = pair_sim(ids, {("c", "a"): 0.0, ("c", "b"): -0.0, ("a", "b"): 0.5}, "s2")
+        # -0.0 == 0.0: item c picks a, the smaller id, in both matrices
+        assert agreement_topn(s1, s2, 1) == reference_agreement_topn(s1, s2, 1) == 1.0
+
+    def test_defined_minus_inf_is_a_neighbor(self):
+        nan, inf = np.nan, np.inf
+        s1 = sim([[1.0, -inf, nan], [-inf, 1.0, 0.5], [nan, 0.5, 1.0]], name="x")
+        s2 = sim([[1.0, nan, 0.3], [nan, 1.0, 0.5], [0.3, 0.5, 1.0]], name="y")
+        # item a's one defined neighbor is b at -inf in s1 and c in s2: a is
+        # kept with overlap 0, and b and c agree
+        assert agreement_topn(s1, s2, 1) == reference_agreement_topn(s1, s2, 1) == 2 / 3
 
 
 class TestAgreementMatrix:
@@ -237,9 +293,37 @@ def _outcome(f, *args):
         return str(e)
 
 
+def _assert_split_half_matches(table, rows, measure, min_overlap, seed):
+    """Each half's perfcorr has the reference's missing entries and values
+    within 1e-12; split_half_stability gives the same error as the
+    agreement correlation of the reference halves, or a scalar within
+    1e-12 times the conditioning of that correlation: over m pair values it
+    moves by up to 2 sqrt(m) / (the smaller centred norm of the two halves'
+    values) times the change in its inputs, without bound when one half's
+    values are all -1 or 1 up to rounding."""
+    s1, s2 = reference_split_halves(rows, measure, min_overlap, seed)
+    n = len(table.learner_ids)
+    first = np.zeros(n, dtype=bool)
+    first[np.random.default_rng(seed).permutation(n)[: (n + 1) // 2]] = True
+    for half, want in ((first, s1), (~first, s2)):
+        got = performance_similarity(table.learner_rows(half), measure, min_overlap,
+                                     table.item_ids).values
+        assert np.array_equal(np.isnan(got), np.isnan(want.values))
+        assert np.nanmax(np.abs(got - want.values), initial=0.0) <= 1e-12
+    got = _outcome(split_half_stability, table, measure, min_overlap, seed)
+    want = _outcome(agreement_correlation, s1, s2)
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+        return False
+    x, y = analysis._common_pair_values(s1, s2)
+    spread = min(np.linalg.norm(x - x.mean()), np.linalg.norm(y - y.mean()))
+    assert abs(got - want) <= 1e-12 * max(1.0, 2.0 * np.sqrt(len(x)) / spread), (got, want)
+    return True
+
+
 class TestSplitHalfMatchesReference:
-    """The row-mask split equals the per-record split it replaced: the same
-    scalar, or the same error, compared with ==."""
+    """The row-mask split over Gram-product perfcorr matches the per-record
+    split with a per-pair loop."""
 
     def test_random_rows(self):
         rng = np.random.default_rng(62)
@@ -251,9 +335,7 @@ class TestSplitHalfMatchesReference:
             table = PerformanceTable.from_records(rows)
             for seed in (0, 3):
                 args = (("log_time", "success")[trial % 2], int(rng.integers(1, 6)), seed)
-                got = _outcome(split_half_stability, table, *args)
-                assert got == _outcome(reference_split_half_stability, rows, *args)
-                values += isinstance(got, float)
+                values += _assert_split_half_matches(table, rows, *args)
         assert values > 30  # most cases reach a scalar, not an error
 
     def test_generated_tables(self):
@@ -270,9 +352,7 @@ class TestSplitHalfMatchesReference:
                 rows = [(table.learner_ids[i], table.item_ids[j], table.time_seconds[i, j], True)
                         for i, j in zip(*np.nonzero(attempted))]
                 for split_seed in (0, 3):
-                    args = ("log_time", 1, split_seed)
-                    assert (_outcome(split_half_stability, table, *args)
-                            == _outcome(reference_split_half_stability, rows, *args))
+                    _assert_split_half_matches(table, rows, "log_time", 1, split_seed)
 
 
 class TestKmeans:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import itemsim
-from itemsim import load_corpus, save_corpus
+from itemsim import NwScoring, edit_similarity, load_corpus, save_corpus
 from itemsim.cli import main
 from itemsim.serialize import read_square_csv
 
@@ -435,6 +435,21 @@ class TestConfigAndErrors:
                       f"match={scores[0]!r}, mismatch={scores[1]!r}, gap={scores[2]!r}\n")
         assert not list(tmp_path.glob("o/*"))
 
+    def test_huge_nw_scores_correlate(self, corpus_dir, tmp_path, capsys):
+        # finite nw similarities whose centred sums of squares overflow
+        nw = {"match": 1e300, "mismatch": -1, "gap": -1}
+        cfg = write_config(tmp_path, corpus=str(corpus_dir), nw=nw, measures=["nw", "ted"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may reach stderr
+            run_ok(["agree", "-c", cfg, "-o", str(tmp_path / "o")])
+        assert capsys.readouterr().err == ""
+        _, got = read_square_csv((tmp_path / "o" / "agreement.csv").read_text(encoding="utf-8"))
+        corpus = load_corpus(corpus_dir)
+        i, j = np.triu_indices(len(corpus.items), k=1)
+        x = edit_similarity(corpus, "nw", nw_scoring=NwScoring(**nw)).values[i, j] / 1e300
+        y = edit_similarity(corpus, "ted").values[i, j]
+        assert got[0, 1] == pytest.approx(np.corrcoef(x, y)[0, 1], abs=1e-8)
+
     def test_unknown_subcommand(self, capsys):
         assert main(["transmogrify", "-c", "x", "-o", "y"]) == 1
         assert "error: " in capsys.readouterr().err
@@ -620,24 +635,36 @@ class TestDeepNesting:
         assert np.isfinite(values).all()
 
 
+def _sim_stderr_and_bytes(cfg, out_root):
+    """stderr and sim.csv of `sim` run as a subprocess at the default log
+    level and at info."""
+    src = str(Path(itemsim.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "ITEMSIM_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    runs = {}
+    for level in ("default", "info"):
+        out = out_root / level
+        run_env = env if level == "default" else {**env, "ITEMSIM_LOG": level}
+        result = subprocess.run(
+            [sys.executable, "-m", "itemsim.cli", "sim", "-c", cfg, "-o", str(out)],
+            env=run_env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        runs[level] = result.stderr, (out / "sim.csv").read_bytes()
+    assert runs["default"][0] == ""
+    assert runs["default"][1] == runs["info"][1]
+    return runs["info"][0]
+
+
 class TestLogging:
     def test_info_reports_edit_work_and_outputs_stay_the_same(self, tiny_dir, tmp_path):
         cfg = write_config(tmp_path, corpus=str(tiny_dir), measure="ted", selector="all")
-        src = str(Path(itemsim.__file__).resolve().parents[1])
-        env = {k: v for k, v in os.environ.items() if k != "ITEMSIM_LOG"}
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        runs = {}
-        for level in ("default", "info"):
-            out = tmp_path / level
-            run_env = env if level == "default" else {**env, "ITEMSIM_LOG": level}
-            result = subprocess.run(
-                [sys.executable, "-m", "itemsim.cli", "sim", "-c", cfg, "-o", str(out)],
-                env=run_env, capture_output=True, text=True, timeout=120)
-            assert result.returncode == 0, result.stderr
-            runs[level] = result.stderr, (out / "sim.csv").read_bytes()
-        assert runs["default"][0] == ""
         # 6 self pairs on the diagonal and 3*2 + 3*1 + 2*1 cross pairs
         assert ("INFO itemsim.similarity: edit ted: 3 items, 17 solution pairs, "
                 "11 kernel calls, 6 known self pairs, 0 pairs from repeated inputs"
-                in runs["info"][0])
-        assert runs["default"][1] == runs["info"][1]
+                in _sim_stderr_and_bytes(cfg, tmp_path))
+
+    def test_info_reports_perfcorr_work_and_outputs_stay_the_same(self, corpus_dir, tmp_path):
+        cfg = write_config(tmp_path, corpus=str(corpus_dir), measure="perfcorr")
+        assert ("INFO itemsim.similarity: perfcorr log_time: 5 items, 25 learners, "
+                "0 pairs below min_overlap 10, 0 pairs with a constant item, "
+                "0 low-variance pairs re-checked\n" in _sim_stderr_and_bytes(cfg, tmp_path))

@@ -27,7 +27,9 @@ from itemsim import (
     similarity_from_features,
     tree_edit_distance,
 )
-from itemsim.similarity import restrict
+from itemsim.serialize import similarity_csv
+from itemsim.similarity import pearson, restrict
+from itemsim.synth import CorpusSpec, PerfSpec, generate_corpus, generate_performance
 
 from conftest import make_multi_corpus, make_tiny_corpus, scrambled_records
 from oracles import reference_performance_similarity
@@ -360,6 +362,56 @@ def _table(times):
     )
 
 
+class TestPearson:
+    def test_equal_values_are_missing(self):
+        # the mean of three copies of 0.1 is not 0.1: centring alone left
+        # a variance of about 1e-33 and a value of -8.7e-17
+        assert math.isnan(pearson(np.full(3, 0.1), np.array([1.0, 5.0, 2.0])))
+        assert math.isnan(pearson(np.array([1.0, 5.0, 2.0]), np.full(3, 0.1)))
+        assert math.isnan(pearson(np.array([2.0]), np.array([3.0])))
+
+    def test_values_one_ulp_apart_stay_defined(self):
+        x = np.array([1.0, np.nextafter(1.0, 2.0), 1.0, np.nextafter(1.0, 2.0)])
+        assert -1.0 <= pearson(x, np.array([1.0, 2.0, 1.0, 3.0])) <= 1.0
+
+    def test_ordinary_inputs_keep_their_bits(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            x, y = rng.normal(size=(2, int(rng.integers(2, 30)))) * 10.0 ** rng.integers(-5, 6)
+            xc, yc = x - x.mean(), y - y.mean()
+            plain = float(xc @ yc) / (math.sqrt(float(xc @ xc)) * math.sqrt(float(yc @ yc)))
+            assert pearson(x, y) == max(-1.0, min(1.0, plain))
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-170, 1e-300], ids=["huge", "tiny", "subnormal"])
+    def test_out_of_range_sums_are_rescaled_without_warnings(self, scale):
+        # centred sums of squares overflow to inf, or underflow to 0
+        rng = np.random.default_rng(8)
+        x, y = rng.normal(size=(2, 20))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pearson(x * scale, y)
+            assert got == pytest.approx(pearson(x, y), abs=1e-12)
+            assert pearson(y, x * scale) == got
+            assert math.isnan(pearson(np.array([1.0, np.inf]), y[:2]))
+            assert math.isnan(pearson(np.array([1.0, np.nan]), y[:2]))
+
+
+def _constant_on_common_table():
+    times = {f"l{i:02d}": {"a": 1.0 + i, "k": 3.0} for i in range(10)}
+    times["l10"] = {"k": 4.0, "b": 1.0}
+    times["l11"] = {"a": 2.0, "b": 5.0}
+    times["l12"] = {"a": 3.0, "b": 7.0}
+    return _table(times)
+
+
+def _one_ulp_table():
+    """Item a's log times 1 ulp apart, against item b."""
+    one_up = np.nextafter(1.0, 2.0)
+    log_time = np.array([[1.0, 1.0], [one_up, 2.0], [1.0, 1.0], [one_up, 2.0], [1.0, 3.0]])
+    return PerformanceTable(tuple(f"l{i}" for i in range(5)), ("a", "b"), np.exp(log_time),
+                            np.ones_like(log_time), log_time)
+
+
 class TestPerformanceSimilarity:
     def test_perfectly_correlated_pair(self):
         e = math.e
@@ -403,6 +455,52 @@ class TestPerformanceSimilarity:
         s = performance_similarity(_table(table), min_overlap=2)
         assert np.isnan(s.values[0, 1])
 
+    def test_constant_over_common_learners_only_is_missing(self):
+        # ten learners took 3.0 s on k, whose log's mean rounds off; an
+        # eleventh took 4.0 s on k but never tried a
+        s = performance_similarity(_constant_on_common_table(), min_overlap=2)
+        assert s.item_ids == ("a", "b", "k")
+        assert np.isnan(s.values[0, 2])
+        assert s.values[0, 1] == pytest.approx(1.0)  # two learners
+
+    def test_values_one_ulp_apart_stay_defined(self):
+        table = _one_ulp_table()
+        s = performance_similarity(table, min_overlap=5)
+        want = pearson(table.log_time[:, 0], table.log_time[:, 1])
+        assert not math.isnan(want)
+        assert s.values[0, 1] == want  # computed again with pearson
+
+    def test_missing_ids_and_empty_tables_warn_nothing(self):
+        table = _table({"l1": {"a": 1.0, "b": 2.0}, "l2": {"a": 2.0, "b": 1.0}})
+        empty = PerformanceTable.from_records([])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = performance_similarity(table, item_ids=("a", "zz", "b"), min_overlap=1)
+            assert np.isnan(s.values[1, [0, 2]]).all() and s.values[0, 2] == -1.0
+            s = performance_similarity(empty, item_ids=("a", "b"), min_overlap=1)
+            assert np.isnan(s.values[0, 1]) and s.values[0, 0] == 1.0
+            assert performance_similarity(empty).values.shape == (0, 0)
+
+    def test_logs_one_info_line_per_call(self, caplog):
+        with caplog.at_level(logging.INFO, logger="itemsim.similarity"):
+            performance_similarity(PerformanceTable.from_records(HAND_ROWS), min_overlap=4)
+            performance_similarity(PerformanceTable.from_records(HAND_ROWS), "success",
+                                   min_overlap=5, item_ids=("a", "b", "zz"))
+            performance_similarity(_constant_on_common_table(), min_overlap=2)
+            performance_similarity(_one_ulp_table(), min_overlap=5)
+        assert [r.getMessage() for r in caplog.records] == [
+            # every pair shares 4 learners; k is constant
+            "perfcorr log_time: 3 items, 4 learners, 0 pairs below min_overlap 4, "
+            "2 pairs with a constant item, 0 low-variance pairs re-checked",
+            "perfcorr success: 3 items, 4 learners, 3 pairs below min_overlap 5, "
+            "0 pairs with a constant item, 0 low-variance pairs re-checked",
+            # a-k: k constant over its 10 common learners; b-k: 1 common learner
+            "perfcorr log_time: 3 items, 13 learners, 1 pairs below min_overlap 2, "
+            "0 pairs with a constant item, 1 low-variance pairs re-checked",
+            "perfcorr log_time: 2 items, 5 learners, 0 pairs below min_overlap 5, "
+            "0 pairs with a constant item, 1 low-variance pairs re-checked",
+        ]
+
     def test_explicit_item_ids_fix_order_and_axes(self):
         table = {"l1": {"a": 1.0}, "l2": {"a": 2.0}}
         s = performance_similarity(_table(table), item_ids=("b", "a"), min_overlap=1)
@@ -431,17 +529,24 @@ HAND_ROWS = [
 ]
 
 
+def _assert_close(got, want):
+    """The same ids and missing entries, and values within 1e-12."""
+    assert got.item_ids == want.item_ids
+    missing = np.isnan(want.values)
+    assert np.array_equal(np.isnan(got.values), missing)
+    assert np.abs(got.values - want.values)[~missing].max(initial=0.0) <= 1e-12
+
+
 def _assert_same_as_reference(rows, measure, min_overlap, item_ids):
     got = performance_similarity(PerformanceTable.from_records(rows), measure, min_overlap,
                                  item_ids)
-    want = reference_performance_similarity(rows, measure, min_overlap, item_ids)
-    assert got.item_ids == want.item_ids
-    assert np.array_equal(got.values, want.values, equal_nan=True)
+    _assert_close(got, reference_performance_similarity(rows, measure, min_overlap, item_ids))
     return got
 
 
 class TestPerformanceTableMatchesReference:
-    """The table path equals the per-record loop it replaced, bit for bit."""
+    """The Gram-product path matches the per-record, per-pair loop: the
+    same missing entries, and values within 1e-12."""
 
     @pytest.mark.parametrize("measure", ["log_time", "success"])
     @pytest.mark.parametrize("min_overlap", [3, 4, 5])
@@ -453,6 +558,21 @@ class TestPerformanceTableMatchesReference:
         # an explicit order, with an id the table lacks
         s = _assert_same_as_reference(HAND_ROWS, measure, min_overlap, ("k", "zz", "b", "a"))
         assert np.isnan(s.values[1, [0, 2, 3]]).all() and s.values[1, 1] == 1.0
+
+    @pytest.mark.parametrize("seed", [1, 11])
+    def test_analysis_sized_tables(self, seed):
+        # the benchmark's analysis inputs: 240 items x 400 learners
+        corpus = generate_corpus(CorpusSpec(n_items=240, n_levels=9, seed=seed))
+        table = generate_performance(corpus, PerfSpec(n_learners=400, solve_prob=0.7,
+                                                      seed=seed + 1))
+        attempted = zip(*np.nonzero(~np.isnan(table.time_seconds)))
+        rows = [(table.learner_ids[i], table.item_ids[j], table.time_seconds[i, j],
+                 bool(table.success[i, j])) for i, j in attempted]
+        for measure in ("log_time", "success"):
+            got = performance_similarity(table, measure)
+            want = reference_performance_similarity(rows, measure)
+            _assert_close(got, want)
+            assert similarity_csv(got) == similarity_csv(want)
 
     def test_random_rows(self):
         rng = np.random.default_rng(61)
