@@ -67,25 +67,29 @@ class Partition:
             raise ItemsimError("labels must be non-negative integers")
 
 
-def _common_pair_values(s1: SimilarityMatrix, s2: SimilarityMatrix):
-    if s1.item_ids != s2.item_ids:
-        raise ItemsimError("similarity matrices cover different item sets")
-    i, j = np.triu_indices(s1.n_items, k=1)
-    x = s1.values[i, j]
-    y = s2.values[i, j]
+def _upper_correlation(a: np.ndarray, b: np.ndarray, counted: str, spread: str) -> float:
+    """Pearson correlation over the strict upper-triangle entries defined in
+    both matrices. Fewer than 2 of them, or a side whose values are equal up
+    to rounding (max - min within 2**-40 of its largest magnitude), is an error."""
+    i, j = np.triu_indices(len(a), k=1)
+    x, y = a[i, j], b[i, j]
     keep = ~(np.isnan(x) | np.isnan(y))
-    return x[keep], y[keep]
+    x, y = x[keep], y[keep]
+    if len(x) < 2:
+        raise ItemsimError(f"only {len(x)} {counted}; need at least 2")
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat = any(v.max() - v.min() <= 2.0 ** -40 * np.abs(v).max() for v in (x, y))
+    r = math.nan if flat else pearson(x, y)
+    if math.isnan(r):
+        raise ItemsimError(f"zero variance over {spread}")
+    return r
 
 
 def agreement_correlation(s1: SimilarityMatrix, s2: SimilarityMatrix) -> float:
     """Pearson correlation over item pairs defined in both matrices."""
-    x, y = _common_pair_values(s1, s2)
-    if len(x) < 2:
-        raise ItemsimError(f"only {len(x)} common defined pairs; need at least 2")
-    r = pearson(x, y)
-    if math.isnan(r):
-        raise ItemsimError("zero variance over common pairs")
-    return r
+    if s1.item_ids != s2.item_ids:
+        raise ItemsimError("similarity matrices cover different item sets")
+    return _upper_correlation(s1.values, s2.values, "common defined pairs", "common pairs")
 
 
 def _top_neighbors(s: SimilarityMatrix, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -152,15 +156,7 @@ def meta_agreement(a1: AgreementMatrix, a2: AgreementMatrix) -> float:
     triangles (level 3 of the evaluation)."""
     if a1.measure_names != a2.measure_names:
         raise ItemsimError("agreement matrices cover different measure sets")
-    i, j = np.triu_indices(len(a1.measure_names), k=1)
-    x = a1.values[i, j]
-    y = a2.values[i, j]
-    if len(x) < 2:
-        raise ItemsimError(f"only {len(x)} off-diagonal entries; need at least 2")
-    r = pearson(x, y)
-    if math.isnan(r):
-        raise ItemsimError("zero variance over agreement entries")
-    return r
+    return _upper_correlation(a1.values, a2.values, "off-diagonal entries", "agreement entries")
 
 
 def split_half_stability(
@@ -288,12 +284,10 @@ def cluster_eval(
 def hierarchical_order(s: SimilarityMatrix) -> list[int]:
     """Leaf order of an agglomerative average-linkage dendrogram over the
     dissimilarity max(S) - S. Merge ties pick the smallest index pair."""
-    if s.missing_mask().any():
-        raise ItemsimError("similarity matrix has missing entries")
+    d = s.dissimilarity()
     n = s.n_items
     if n == 0:
         return []
-    d = float(s.values.max()) - s.values
     leaves: list[list[int]] = [[i] for i in range(n)]
     sizes = [1.0] * n
     dist = [[float(d[i, j]) for j in range(n)] for i in range(n)]

@@ -26,6 +26,7 @@ from .analysis import (
 )
 from .corpus import (
     Corpus,
+    is_kind,
     load_corpus,
     load_performance,
     read_json,
@@ -76,18 +77,21 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"{path}: config must be a JSON object")
     if obj.get("schema") != 1:
         raise ConfigError(f'{path}: config needs "schema": 1')
-    unknown = sorted(set(obj) - _CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    _check_keys(obj, _CONFIG_KEYS, f"{path}: unknown config keys")
     return obj
+
+
+def _check_keys(obj: dict, allowed, what: str) -> None:
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{what}: {', '.join(unknown)}")
 
 
 def _optional(cfg: dict, key: str, kind: type, default):
     if key not in cfg:
         return default
     value = cfg[key]
-    # JSON true/false load as bool, a subclass of int: never a valid value
-    if isinstance(value, bool) or not isinstance(value, kind):
+    if not is_kind(value, kind):
         name = "number" if kind is Real else kind.__name__
         raise ConfigError(f"config key {key!r} must be a {name}")
     if kind is Real:
@@ -123,9 +127,7 @@ def _measure_params(cfg: dict) -> MeasureParams:
         stopwords = frozenset(w.lower() for w in words)
     nw = _optional(cfg, "nw", dict, {})
     nw_default = asdict(default.nw_scoring)
-    unknown = sorted(set(nw) - set(nw_default))
-    if unknown:
-        raise ConfigError(f"unknown nw keys: {', '.join(unknown)}")
+    _check_keys(nw, nw_default, "unknown nw keys")
     scoring = NwScoring(**{k: _optional(nw, k, Real, v) for k, v in nw_default.items()})
     return MeasureParams(
         selector=_optional(cfg, "selector", str, default.selector),
@@ -286,9 +288,7 @@ def cmd_stability(cfg: dict, args) -> None:
 
 def cmd_synth(cfg: dict, args) -> None:
     synth_cfg = _require(cfg, "synth", dict, "synth")
-    unknown = sorted(set(synth_cfg) - _SYNTH_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown synth keys: {', '.join(unknown)}")
+    _check_keys(synth_cfg, _SYNTH_KEYS, "unknown synth keys")
     perf_cfg = _optional(synth_cfg, "performance", dict, None)
     synth_cfg.pop("performance", None)
     if args.seed is not None:
@@ -296,9 +296,7 @@ def cmd_synth(cfg: dict, args) -> None:
     corpus_spec = _spec(CorpusSpec, synth_cfg, "synth")
     perf_spec = None
     if perf_cfg is not None:
-        unknown = sorted(set(perf_cfg) - _PERF_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown synth performance keys: {', '.join(unknown)}")
+        _check_keys(perf_cfg, _PERF_KEYS, "unknown synth performance keys")
         perf_spec = _spec(PerfSpec, perf_cfg, "synth performance")
     corpus = generate_corpus(corpus_spec)
     records = None

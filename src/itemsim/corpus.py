@@ -44,6 +44,11 @@ BLANK_CELLS = (" ", ".")
 PERFORMANCE_HEADER = ("learner_id", "item_id", "time_seconds", "success")
 
 
+def is_kind(value, kind) -> bool:
+    """isinstance, except that a bool (JSON true/false) is never a number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class WorldSpec:
     """Grid world: rows of single-character cell codes plus a legend
@@ -115,8 +120,7 @@ class Item:
             raise ItemsimError(f"item {self.id!r}: statement_text must be a string")
         for name in ("command_limit", "level"):
             value = getattr(self, name)
-            # JSON true/false load as bool, a subclass of int: never a valid value
-            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            if value is not None and not is_kind(value, int):
                 raise ItemsimError(f"item {self.id!r}: {name} must be an integer")
         if self.command_limit is not None and self.command_limit < 1:
             raise ItemsimError(f"item {self.id!r}: command_limit must be positive")
@@ -343,9 +347,8 @@ def _load_solutions(sol_dir: Path) -> tuple[Solution, ...]:
             raise ItemsimError(f"{path}: nesting too deep") from e
         kind = "sample" if path.name.split(".")[0].startswith("sample") else "learner"
         weight = weights.get(path.name, 1.0)
-        # a bool is an int to isinstance; an int past float range would overflow float()
-        number = isinstance(weight, (int, float)) and not isinstance(weight, bool)
-        if not (number and 0 < weight <= sys.float_info.max):
+        # an int past float range would overflow float()
+        if not (is_kind(weight, (int, float)) and 0 < weight <= sys.float_info.max):
             raise ItemsimError(f"{weights_path}: {path.name!r} needs a finite positive weight")
         solutions.append(Solution(ast=ast, weight=float(weight), kind=kind))
     return tuple(solutions)

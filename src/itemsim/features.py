@@ -11,12 +11,13 @@ from __future__ import annotations
 import logging
 import math
 import re
+from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import Corpus, PerformanceTable, Solution, select_solutions
+from .corpus import Corpus, PerformanceTable, select_solutions
 from .errors import ItemsimError
 from .tree import AstNode, iter_labels, max_depth, node_count
 
@@ -83,31 +84,40 @@ def tokenize_statement(text: str, stopwords: frozenset[str] = frozenset()) -> li
     return [t for t in tokens if len(t) >= 2 and t not in stopwords]
 
 
+def _matrix(group: str, item_ids: Sequence[str], rows: Sequence[dict[str, float]] = (),
+            fixed_names: tuple[str, ...] = (), fixed: Sequence = ()) -> FeatureMatrix:
+    """One row per item: its name -> value dict over the sorted names of all
+    rows (0 where a row lacks a name), then its row of `fixed` under
+    fixed_names. A counted name equal to a fixed one stays a duplicate name."""
+    names = sorted({name for row in rows for name in row})
+    index = {name: j for j, name in enumerate(names)}
+    values = np.zeros((len(item_ids), len(names) + len(fixed_names)))
+    for i, row in enumerate(rows):
+        for name, value in row.items():
+            values[i, index[name]] = value
+    values[:, len(names):] = np.reshape(fixed, (len(item_ids), len(fixed_names)))
+    names = tuple(names) + fixed_names
+    return FeatureMatrix(tuple(item_ids), (group,) * len(names), names, values)
+
+
+def _accepted(found: list[tuple[str, object]], source: str, lacking: str, none_left: str):
+    """Ids and values of the (item id, value) pairs whose value is not None. The others
+    are excluded with one warning; when none is left, the error is raised without it."""
+    kept = [(item_id, value) for item_id, value in found if value is not None]
+    if not kept:
+        raise ItemsimError(none_left)
+    skipped = [item_id for item_id, value in found if value is None]
+    if skipped:
+        log.warning("%s: excluded %d items without %s: %s",
+                    source, len(skipped), lacking, ", ".join(skipped))
+    return tuple(zip(*kept))
+
+
 def statement_bow(corpus: Corpus, stopwords: frozenset[str] = frozenset()) -> FeatureMatrix:
     """Word-count matrix over statement texts. Items without a statement get
     an all-zero row."""
-    per_item = [
-        tokenize_statement(it.statement_text or "", stopwords) for it in corpus.items
-    ]
-    vocab = sorted({t for tokens in per_item for t in tokens})
-    index = {t: j for j, t in enumerate(vocab)}
-    values = np.zeros((len(corpus), len(vocab)))
-    for i, tokens in enumerate(per_item):
-        for t in tokens:
-            values[i, index[t]] += 1
-    return FeatureMatrix(
-        item_ids=corpus.item_ids,
-        groups=("statement",) * len(vocab),
-        names=tuple(vocab),
-        values=values,
-    )
-
-
-def _label_counts(ast: AstNode) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for label in iter_labels(ast):
-        counts[label] = counts.get(label, 0) + 1
-    return counts
+    rows = [Counter(tokenize_statement(it.statement_text or "", stopwords)) for it in corpus.items]
+    return _matrix("statement", corpus.item_ids, rows)
 
 
 def solution_keyword_features(corpus: Corpus, selector: str = "sample") -> FeatureMatrix:
@@ -115,37 +125,19 @@ def solution_keyword_features(corpus: Corpus, selector: str = "sample") -> Featu
     weighted average of the item's per-solution count vectors (weights
     normalized to sum 1 per item), so under "all" heavier solutions count
     more. Items with an empty selection are excluded and reported."""
-    selected: list[tuple[str, tuple[tuple[Solution, float], ...]]] = []
-    skipped = []
-    for it in corpus.items:
-        chosen = select_solutions(it, selector)
-        if chosen:
-            total = sum(s.weight for s in chosen)
-            selected.append((it.id, tuple((s, s.weight / total) for s in chosen)))
-        else:
-            skipped.append(it.id)
-    if not selected:
-        raise ItemsimError(f"no item has a solution under selector {selector!r}")
-    if skipped:
-        log.warning(
-            "solution features (%s): excluded %d items without a matching solution: %s",
-            selector, len(skipped), ", ".join(skipped),
-        )
-    vocab = sorted(
-        {label for _, chosen in selected for sol, _ in chosen for label in _label_counts(sol.ast)}
-    )
-    index = {lab: j for j, lab in enumerate(vocab)}
-    values = np.zeros((len(selected), len(vocab)))
-    for i, (_, chosen) in enumerate(selected):
-        for sol, w in chosen:
-            for label, count in _label_counts(sol.ast).items():
-                values[i, index[label]] += w * count
-    return FeatureMatrix(
-        item_ids=tuple(item_id for item_id, _ in selected),
-        groups=("solution",) * len(vocab),
-        names=tuple(vocab),
-        values=values,
-    )
+    ids, selections = _accepted(
+        [(it.id, select_solutions(it, selector) or None) for it in corpus.items],
+        f"solution features ({selector})", "a matching solution",
+        f"no item has a solution under selector {selector!r}")
+    rows = []
+    for chosen in selections:
+        total = sum(s.weight for s in chosen)
+        row: Counter = Counter()
+        for sol in chosen:
+            for label, count in Counter(iter_labels(sol.ast)).items():
+                row[label] += sol.weight / total * count
+        rows.append(row)
+    return _matrix("solution", ids, rows)
 
 
 def _uses_functions(ast: AstNode) -> bool:
@@ -155,57 +147,24 @@ def _uses_functions(ast: AstNode) -> bool:
 def structural_features(corpus: Corpus) -> FeatureMatrix:
     """node_count, max_depth, uses_functions from each item's sample solution
     (first solution when no sample exists)."""
-    rows = []
-    ids = []
-    skipped = []
-    for it in corpus.items:
-        sol = it.sample_solution() or (it.solutions[0] if it.solutions else None)
-        if sol is None:
-            skipped.append(it.id)
-            continue
-        rows.append(
-            [node_count(sol.ast), max_depth(sol.ast), 1.0 if _uses_functions(sol.ast) else 0.0]
-        )
-        ids.append(it.id)
-    if skipped:
-        log.warning("structural features: excluded %d items without solutions: %s",
-                    len(skipped), ", ".join(skipped))
-    if not ids:
-        raise ItemsimError("no item has a solution")
-    return FeatureMatrix(
-        item_ids=tuple(ids),
-        groups=("structural",) * 3,
-        names=("node_count", "max_depth", "uses_functions"),
-        values=np.array(rows, dtype=np.float64),
-    )
+    ids, solutions = _accepted(
+        [(it.id, it.sample_solution() or next(iter(it.solutions), None)) for it in corpus.items],
+        "structural features", "solutions", "no item has a solution")
+    return _matrix("structural", ids, (), ("node_count", "max_depth", "uses_functions"), [
+        [node_count(s.ast), max_depth(s.ast), 1.0 if _uses_functions(s.ast) else 0.0]
+        for s in solutions
+    ])
 
 
 def world_features(corpus: Corpus) -> FeatureMatrix:
     """Per-concept cell counts plus grid_rows, grid_cols, command_limit
     (0 when absent). Items without worlds are excluded and reported."""
-    with_world = [it for it in corpus.items if it.world is not None]
-    skipped = [it.id for it in corpus.items if it.world is None]
-    if skipped:
-        log.warning("world features: excluded %d items without worlds: %s",
-                    len(skipped), ", ".join(skipped))
-    if not with_world:
-        raise ItemsimError("no item has a world")
-    concepts = sorted({name for it in with_world for name in it.world.legend.values()})
-    names = tuple(concepts) + ("grid_rows", "grid_cols", "command_limit")
-    values = np.zeros((len(with_world), len(names)))
-    for i, it in enumerate(with_world):
-        counts = it.world.concept_counts()
-        for j, concept in enumerate(concepts):
-            values[i, j] = counts.get(concept, 0)
-        values[i, len(concepts)] = it.world.rows
-        values[i, len(concepts) + 1] = it.world.cols
-        values[i, len(concepts) + 2] = it.command_limit or 0
-    return FeatureMatrix(
-        item_ids=tuple(it.id for it in with_world),
-        groups=("world",) * len(names),
-        names=names,
-        values=values,
-    )
+    ids, items = _accepted(
+        [(it.id, it if it.world is not None else None) for it in corpus.items],
+        "world features", "worlds", "no item has a world")
+    return _matrix("world", ids, [it.world.concept_counts() for it in items],
+                   ("grid_rows", "grid_cols", "command_limit"),
+                   [[it.world.rows, it.world.cols, it.command_limit or 0] for it in items])
 
 
 def performance_features(
@@ -215,24 +174,15 @@ def performance_features(
     item. Items default to the table's."""
     column = {item_id: j for j, item_id in enumerate(table.item_ids)}
     item_ids = table.item_ids if item_ids is None else item_ids
-    missing = [i for i in item_ids if i not in column]
-    if missing:
-        log.warning("performance features: excluded %d items without records: %s",
-                    len(missing), ", ".join(missing))
-    item_ids = tuple(i for i in item_ids if i in column)
-    if not item_ids:
-        raise ItemsimError("no performance records")
-    values = np.zeros((len(item_ids), 3))
-    for i, j in enumerate(column[item_id] for item_id in item_ids):
+    item_ids, columns = _accepted([(item_id, column.get(item_id)) for item_id in item_ids],
+                                  "performance features", "records", "no performance records")
+    stats = []
+    for j in columns:
         attempted = ~np.isnan(table.time_seconds[:, j])
         logs = table.log_time[attempted, j]
-        values[i] = [logs.mean(), logs.var(), table.success[attempted, j].sum() / len(logs)]
-    return FeatureMatrix(
-        item_ids=item_ids,
-        groups=("performance",) * 3,
-        names=("mean_log_time", "var_log_time", "success_rate"),
-        values=values,
-    )
+        stats.append([logs.mean(), logs.var(), table.success[attempted, j].sum() / len(logs)])
+    return _matrix("performance", item_ids, (),
+                   ("mean_log_time", "var_log_time", "success_rate"), stats)
 
 
 def check_transforms(tokens: Sequence) -> tuple[str, ...]:
@@ -295,16 +245,19 @@ def concat_features(ms: list[FeatureMatrix]) -> FeatureMatrix:
     )
 
 
-def restrict_items(m: FeatureMatrix, item_ids: tuple[str, ...]) -> FeatureMatrix:
-    """Keep only the given items, in the given order."""
-    index = {item_id: i for i, item_id in enumerate(m.item_ids)}
+def item_rows(have: tuple[str, ...], item_ids: tuple[str, ...], what: str) -> list[int]:
+    """The position in `have` of each item id; one it lacks is an error naming `what`."""
+    index = {item_id: i for i, item_id in enumerate(have)}
     missing = [i for i in item_ids if i not in index]
     if missing:
-        raise ItemsimError(f"items not in feature matrix: {', '.join(missing)}")
-    rows = [index[i] for i in item_ids]
-    return FeatureMatrix(
-        item_ids=tuple(item_ids), groups=m.groups, names=m.names, values=m.values[rows]
-    )
+        raise ItemsimError(f"items not in {what}: {', '.join(missing)}")
+    return [index[i] for i in item_ids]
+
+
+def restrict_items(m: FeatureMatrix, item_ids: tuple[str, ...]) -> FeatureMatrix:
+    """Keep only the given items, in the given order."""
+    rows = item_rows(m.item_ids, item_ids, "feature matrix")
+    return replace(m, item_ids=tuple(item_ids), values=m.values[rows])
 
 
 def combine_matrices(

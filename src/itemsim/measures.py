@@ -33,6 +33,7 @@ from .features import (
 from .similarity import (
     METRICS, SimilarityMatrix, edit_similarity, performance_similarity, similarity_from_features,
 )
+from .tree import DEFAULT_TOTAL_CAP, DEFAULT_UNROLL_CAP
 
 BARE_MEASURES = ("ted", "levenshtein", "nw", "perfcorr")
 
@@ -102,8 +103,8 @@ class MeasureParams:
     min_overlap: int = 10
     perf_measure: str = "log_time"
     stopwords: frozenset[str] = frozenset()
-    unroll_cap: int = 100
-    total_cap: int = 10000
+    unroll_cap: int = DEFAULT_UNROLL_CAP
+    total_cap: int = DEFAULT_TOTAL_CAP
 
 
 def build_features(

@@ -69,13 +69,10 @@ def mds_project(s: SimilarityMatrix, dims: int) -> Embedding:
     """Classical metric MDS on the dissimilarity d = max(S) - S: double-center
     -d^2/2, eigendecompose, embed with the top non-negative eigenvalues.
     Negative eigenvalues are clamped to zero and reported."""
-    if s.missing_mask().any():
-        raise ItemsimError("similarity matrix has missing entries")
+    d2 = np.square(s.dissimilarity())
     n = s.n_items
     if not 1 <= dims <= n - 1:
         raise ItemsimError(f"dims={dims} out of range 1..{n - 1}")
-    d = float(s.values.max()) - s.values
-    d2 = d * d
     centering = np.eye(n) - np.full((n, n), 1.0 / n)
     b = -0.5 * centering @ d2 @ centering
     b = (b + b.T) / 2.0

@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .corpus import Corpus, PerformanceTable, select_solutions
 from .editdist import NwScoring, levenshtein, needleman_wunsch_batch, tree_form, zhang_shasha
 from .errors import ItemsimError
-from .features import FeatureMatrix
-from .tree import action_sequence, canonize
+from .features import FeatureMatrix, item_rows
+from .tree import DEFAULT_TOTAL_CAP, DEFAULT_UNROLL_CAP, action_sequence, canonize
 
 log = logging.getLogger("itemsim.similarity")
 
@@ -55,6 +55,12 @@ class SimilarityMatrix:
 
     def missing_mask(self) -> np.ndarray:
         return np.isnan(self.values)
+
+    def dissimilarity(self) -> np.ndarray:
+        """max(S) - S; a missing entry is an error."""
+        if self.missing_mask().any():
+            raise ItemsimError("similarity matrix has missing entries")
+        return float(self.values.max(initial=-math.inf)) - self.values
 
 
 def _mirror_upper(values: np.ndarray) -> np.ndarray:
@@ -101,16 +107,8 @@ def similarity_from_features(
 
 def restrict(s: SimilarityMatrix, item_ids: tuple[str, ...]) -> SimilarityMatrix:
     """Keep only the given items, in the given order."""
-    index = {item_id: i for i, item_id in enumerate(s.item_ids)}
-    missing = [i for i in item_ids if i not in index]
-    if missing:
-        raise ItemsimError(f"items not in similarity matrix: {', '.join(missing)}")
-    rows = [index[i] for i in item_ids]
-    return SimilarityMatrix(
-        item_ids=tuple(item_ids),
-        values=s.values[np.ix_(rows, rows)],
-        measure_name=s.measure_name,
-    )
+    rows = item_rows(s.item_ids, item_ids, "similarity matrix")
+    return replace(s, item_ids=tuple(item_ids), values=s.values[np.ix_(rows, rows)])
 
 
 def _centred_sums(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -173,8 +171,8 @@ def edit_similarity(
     selector: str = "sample",
     aggregation: str = "min",
     nw_scoring: NwScoring = NwScoring(),
-    unroll_cap: int = 100,
-    total_cap: int = 10000,
+    unroll_cap: int = DEFAULT_UNROLL_CAP,
+    total_cap: int = DEFAULT_TOTAL_CAP,
 ) -> SimilarityMatrix:
     """Solution-based similarity. Distances are computed between every
     cross-pair of the items' selected solutions and aggregated: min keeps

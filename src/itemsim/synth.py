@@ -17,7 +17,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .corpus import Corpus, Item, PerformanceTable, Solution, WorldSpec
+from .corpus import Corpus, Item, PerformanceTable, Solution, WorldSpec, is_kind
 from .errors import ItemsimError
 from .robot import BASE_COMMANDS
 from .tree import AstNode, node
@@ -37,11 +37,11 @@ _WORLD_LEGEND = {"D": "diamond", "M": "meteorite", "W": "wormhole"}
 
 def _check_types(spec) -> None:
     """A field with an integer default takes an integer, the others any real
-    number; a boolean is neither (JSON true loads as a bool, a subclass of int)."""
+    number; a boolean is neither."""
     for f in fields(spec):
         value = getattr(spec, f.name)
         kind, what = (Integral, "an integer") if type(f.default) is int else (Real, "a number")
-        if isinstance(value, bool) or not isinstance(value, kind):
+        if not is_kind(value, kind):
             raise ItemsimError(f"{f.name} must be {what}")
 
 
@@ -203,20 +203,16 @@ def generate_performance(corpus: Corpus, spec: PerfSpec) -> PerformanceTable:
     correlate through the shared skill component, items of different levels
     do not. A single global skill would make every pairwise correlation
     identical and leave nothing for stability analysis to detect."""
-    levels = [it.level for it in corpus.items]
-    if any(l is None for l in levels):
-        raise ItemsimError("corpus items lack level labels")
-    groups = sorted({int(l) for l in levels})
+    levels = level_partition(corpus).labels
+    groups = sorted(set(levels))
     group_index = {g: gi for gi, g in enumerate(groups)}
     rng = np.random.default_rng(spec.seed)
     n_items = len(corpus)
     skills = rng.normal(0.0, spec.skill_sd, size=(spec.n_learners, len(groups)))
-    difficulty = np.array([float(l) for l in levels]) + rng.normal(
-        0.0, spec.difficulty_sd, size=n_items
-    )
+    difficulty = np.array(levels, dtype=np.float64) + rng.normal(0.0, spec.difficulty_sd, n_items)
     solved = rng.random((spec.n_learners, n_items)) < spec.solve_prob
     noise = rng.normal(0.0, spec.noise_sd, size=(spec.n_learners, n_items))
-    log_time = difficulty - skills[:, [group_index[int(l)] for l in levels]] + noise
+    log_time = difficulty - skills[:, [group_index[l] for l in levels]] + noise
     time_seconds = np.full(solved.shape, np.nan)
     time_seconds[solved] = np.exp(log_time[solved])
     # learners and items without an attempt have no row in the table

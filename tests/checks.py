@@ -15,10 +15,10 @@ from itemsim import (
     cluster_eval,
     compute_measure,
     levenshtein,
-    needleman_wunsch,
     split_half_stability,
     tree_edit_distance,
 )
+from itemsim.editdist import needleman_wunsch_batch
 from itemsim.synth import CorpusSpec, PerfSpec, generate_corpus, generate_performance, level_partition
 
 from oracles import (
@@ -64,16 +64,18 @@ def tree_edit_sweep() -> int:
 @lru_cache(maxsize=None)
 def alignment_sweep() -> int:
     """Compare against a brute-force alignment enumerator on every pair of
-    sequences over a 2-symbol alphabet with length <= 5."""
+    sequences over a 2-symbol alphabet with length <= 5, both orders of
+    each pair in one needleman_wunsch_batch call, the path edit_similarity
+    takes."""
     seqs = enumerate_sequences(5, ("a", "b"))
-    checked = 0
-    for i, a in enumerate(seqs):
-        for b in seqs[i:]:
-            want = oracle_alignment(a, b)
-            assert needleman_wunsch(a, b) == want, (a, b)
-            assert needleman_wunsch(b, a) == want, (b, a)
-            checked += 2
-    return checked
+    pairs = [(i, j) for i in range(len(seqs)) for j in range(i, len(seqs))]
+    ordered = [p for i, j in pairs for p in ((i, j), (j, i))]
+    scores, _ = needleman_wunsch_batch(seqs, ordered)
+    for k, (i, j) in enumerate(pairs):
+        want = oracle_alignment(seqs[i], seqs[j])
+        assert scores[2 * k] == want, (seqs[i], seqs[j])
+        assert scores[2 * k + 1] == want, (seqs[j], seqs[i])
+    return len(ordered)
 
 
 @lru_cache(maxsize=None)

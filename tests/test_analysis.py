@@ -83,6 +83,22 @@ class TestAgreementCorrelation:
         with pytest.raises(ItemsimError, match="zero variance"):
             agreement_correlation(s1, s2)
 
+    def test_values_equal_up_to_rounding_have_zero_variance(self):
+        # a side whose values span at most 2**-40 of its largest magnitude
+        # carries rounding noise, not a correlation
+        y = sim([[1.0, 0.5, 0.2], [0.5, 1.0, 0.7], [0.2, 0.7, 1.0]], name="y")
+        for spread, defined in ((2.0 ** -52, False), (2.0 ** -40, False), (2.0 ** -38, True)):
+            v = np.full((3, 3), -1.0)
+            v[0, 2] = v[2, 0] = -1.0 + spread
+            x = sim(v, ids=y.item_ids, name="x")
+            if defined:
+                assert abs(agreement_correlation(x, y)) <= 1.0
+                assert abs(agreement_correlation(y, x)) <= 1.0
+            else:
+                for a, b in ((x, y), (y, x)):
+                    with pytest.raises(ItemsimError, match="^zero variance over common pairs$"):
+                        agreement_correlation(a, b)
+
     def test_item_set_mismatch(self):
         s1 = sim(np.eye(2), ids=("a", "b"))
         s2 = sim(np.eye(2), ids=("a", "c"))
@@ -280,6 +296,15 @@ class TestSplitHalfStability:
         values = {split_half_stability(records, min_overlap=5, seed=s) for s in range(8)}
         assert len(values) > 1
 
+    def test_halves_of_rounding_noise_have_zero_variance(self):
+        # with one common learner allowed, one half's defined pairs all
+        # correlate -1 up to rounding; their Pearson correlation with the
+        # other half would depend on the summation order (-0.29 or -0.82)
+        corpus = generate_corpus(CorpusSpec(n_items=10, n_levels=3, seed=11))
+        table = generate_performance(corpus, PerfSpec(n_learners=60, solve_prob=0.2, seed=11))
+        with pytest.raises(ItemsimError, match="^zero variance over common pairs$"):
+            split_half_stability(table, min_overlap=1, seed=3)
+
     def test_needs_two_learners(self):
         table = PerformanceTable.from_records([("solo", "a", 1.0, True)])
         with pytest.raises(ItemsimError, match="at least 2 learners"):
@@ -315,7 +340,12 @@ def _assert_split_half_matches(table, rows, measure, min_overlap, seed):
     if isinstance(got, str) or isinstance(want, str):
         assert got == want
         return False
-    x, y = analysis._common_pair_values(s1, s2)
+    # the values analysis._upper_correlation correlates: the upper-triangle
+    # pairs defined in both halves
+    i, j = np.triu_indices(len(table.item_ids), k=1)
+    x, y = s1.values[i, j], s2.values[i, j]
+    defined = ~(np.isnan(x) | np.isnan(y))
+    x, y = x[defined], y[defined]
     spread = min(np.linalg.norm(x - x.mean()), np.linalg.norm(y - y.mean()))
     assert abs(got - want) <= 1e-12 * max(1.0, 2.0 * np.sqrt(len(x)) / spread), (got, want)
     return True

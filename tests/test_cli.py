@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -189,6 +190,17 @@ class TestFeatures:
         cfg = write_config(tmp_path, corpus=str(tiny_dir), measure="statement/weights/cosine",
                            stopwords=str(tmp_path / "stop.txt"))
         run_error(["sim", "-c", cfg, "-o", str(tmp_path / "o")], capsys, "empty feature matrix")
+
+    @pytest.mark.parametrize("concept", ["grid_rows", "grid_cols", "command_limit"])
+    def test_world_concept_named_like_a_grid_column(self, corpus_dir, tmp_path, capsys,
+                                                    concept):
+        # the concept column and the grid column of that name would collide
+        root = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, root)
+        edit_first_item(root, world={"grid": ["D."], "legend": {"D": concept}})
+        cfg = write_config(tmp_path, corpus=str(root), source="world")
+        run_error(["features", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
+                  "duplicate feature names")
 
 
 class TestAgree:

@@ -12,6 +12,7 @@ from itemsim import (
     ItemsimError,
     PerformanceTable,
     Solution,
+    WorldSpec,
     apply_transform,
     apply_transforms,
     combine_matrices,
@@ -176,6 +177,50 @@ class TestSourceExtractors:
     def test_performance_empty(self):
         with pytest.raises(ItemsimError, match="no performance"):
             performance_features(PerformanceTable.from_records([]))
+
+    def test_skip_warnings(self, caplog):
+        # a: a statement only; b: a world and a learner solution; c: a world,
+        # a sample solution and records
+        world = WorldSpec(grid=("D",), legend={"D": "diamond"})
+        corpus = Corpus((
+            Item(id="a", statement_text="text"),
+            Item(id="b", world=world, solutions=(Solution(ast=node("move"), kind="learner"),)),
+            Item(id="c", world=world, solutions=(Solution(ast=node("move"), kind="sample"),)),
+        ))
+        table = PerformanceTable.from_records([("l1", "c", 2.0, True)])
+        sources = (
+            (lambda: solution_keyword_features(corpus, "sample"), ("c",),
+             "solution features (sample): excluded 2 items without a matching solution: a, b"),
+            (lambda: structural_features(corpus), ("b", "c"),
+             "structural features: excluded 1 items without solutions: a"),
+            (lambda: world_features(corpus), ("b", "c"),
+             "world features: excluded 1 items without worlds: a"),
+            (lambda: performance_features(table, corpus.item_ids), ("c",),
+             "performance features: excluded 2 items without records: a, b"),
+        )
+        for build, kept, message in sources:
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="itemsim.features"):
+                assert build().item_ids == kept
+            assert [(r.levelname, r.getMessage()) for r in caplog.records] == [("WARNING", message)]
+
+    def test_no_item_left_raises_without_a_warning(self, caplog):
+        corpus = Corpus((Item(id="a", statement_text="text"),))
+        table = PerformanceTable.from_records([("l1", "b", 2.0, True)])
+        sources = (
+            (lambda: solution_keyword_features(corpus, "all"),
+             "no item has a solution under selector 'all'"),
+            (lambda: structural_features(corpus), "no item has a solution"),
+            (lambda: world_features(corpus), "no item has a world"),
+            (lambda: performance_features(table, corpus.item_ids), "no performance records"),
+        )
+        for build, message in sources:
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="itemsim.features"):
+                with pytest.raises(ItemsimError) as error:
+                    build()
+            assert str(error.value) == message
+            assert not caplog.records
 
 
 class TestTransforms:
