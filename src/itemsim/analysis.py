@@ -283,32 +283,28 @@ def cluster_eval(
 
 def hierarchical_order(s: SimilarityMatrix) -> list[int]:
     """Leaf order of an agglomerative average-linkage dendrogram over the
-    dissimilarity max(S) - S. Merge ties pick the smallest index pair."""
-    d = s.dissimilarity()
+    dissimilarity max(S) - S. Merge ties pick the smallest index pair: a cluster
+    keeps the index of its first member, and each merge takes the row-major
+    first minimum of the strict upper triangle between active clusters."""
     n = s.n_items
-    if n == 0:
-        return []
-    leaves: list[list[int]] = [[i] for i in range(n)]
-    sizes = [1.0] * n
-    dist = [[float(d[i, j]) for j in range(n)] for i in range(n)]
-    while len(leaves) > 1:
-        best = None
-        for i in range(len(leaves)):
-            for j in range(i + 1, len(leaves)):
-                key = (dist[i][j], i, j)
-                if best is None or key < best:
-                    best = key
-        _, bi, bj = best
-        merged_dist = [
-            (sizes[bi] * dist[bi][t] + sizes[bj] * dist[bj][t]) / (sizes[bi] + sizes[bj])
-            for t in range(len(leaves))
-        ]
-        leaves[bi] = leaves[bi] + leaves[bj]
-        sizes[bi] += sizes[bj]
-        for t in range(len(leaves)):
-            dist[bi][t] = dist[t][bi] = merged_dist[t]
-        dist[bi][bi] = 0.0
-        del leaves[bj], sizes[bj], dist[bj]
-        for row in dist:
-            del row[bj]
-    return leaves[0]
+    with np.errstate(over="ignore"):
+        dist = s.dissimilarity()
+    active = np.ones(n, dtype=bool)
+    # cells off the active strict upper triangle hold +inf; `active` tells them from real ones
+    upper = np.where(np.tri(n, dtype=bool), np.inf, dist)
+    sizes = np.ones(n)
+    leaves = [[i] for i in range(n)]
+    for _ in range(n - 1):
+        i, j = divmod(int(np.argmin(upper)), n)
+        if upper[i, j] == np.inf:  # every active pair is infinitely far apart
+            i, j = np.flatnonzero(active)[:2]
+        with np.errstate(over="ignore"):
+            merged = (sizes[i] * dist[i] + sizes[j] * dist[j]) / (sizes[i] + sizes[j])
+        dist[i] = dist[:, i] = merged  # the diagonal is never read
+        sizes[i] += sizes[j]
+        leaves[i] += leaves[j]
+        active[j] = False
+        upper[j] = upper[:, j] = np.inf
+        upper[i, i + 1:] = np.where(active[i + 1:], merged[i + 1:], np.inf)
+        upper[:i, i] = np.where(active[:i], merged[:i], np.inf)
+    return leaves[0] if leaves else []

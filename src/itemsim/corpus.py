@@ -124,6 +124,8 @@ class Item:
                 raise ItemsimError(f"item {self.id!r}: {name} must be an integer")
         if self.command_limit is not None and self.command_limit < 1:
             raise ItemsimError(f"item {self.id!r}: command_limit must be positive")
+        if self.command_limit is not None and self.command_limit > sys.float_info.max:
+            raise ItemsimError(f"item {self.id!r}: command_limit does not fit a float")
 
     def sample_solution(self) -> Solution | None:
         for s in self.solutions:

@@ -15,7 +15,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from itemsim import AstNode, ItemsimError, NwScoring, SimilarityMatrix
+from itemsim import AstNode, ItemsimError, NwScoring, SimilarityMatrix, heatmap
 from itemsim.similarity import pearson
 
 
@@ -327,3 +327,103 @@ def reference_agreement_topn(s1: SimilarityMatrix, s2: SimilarityMatrix, n: int)
     if not overlaps:
         raise ItemsimError(f"no item has {n} defined neighbors in both matrices")
     return float(np.mean(overlaps))
+
+
+def reference_hierarchical_order(s: SimilarityMatrix) -> list[int]:
+    """The nested-list average-linkage loop: every merge scans all pairs
+    of the remaining clusters for the smallest (distance, i, j) tuple,
+    averages the two rows by cluster size, and deletes the second row and
+    column."""
+    with np.errstate(over="ignore"):
+        d = s.dissimilarity()
+    n = s.n_items
+    if n == 0:
+        return []
+    leaves: list[list[int]] = [[i] for i in range(n)]
+    sizes = [1.0] * n
+    dist = [[float(d[i, j]) for j in range(n)] for i in range(n)]
+    while len(leaves) > 1:
+        best = None
+        for i in range(len(leaves)):
+            for j in range(i + 1, len(leaves)):
+                key = (dist[i][j], i, j)
+                if best is None or key < best:
+                    best = key
+        _, bi, bj = best
+        merged_dist = [
+            (sizes[bi] * dist[bi][t] + sizes[bj] * dist[bj][t]) / (sizes[bi] + sizes[bj])
+            for t in range(len(leaves))
+        ]
+        leaves[bi] = leaves[bi] + leaves[bj]
+        sizes[bi] += sizes[bj]
+        for t in range(len(leaves)):
+            dist[bi][t] = dist[t][bi] = merged_dist[t]
+        dist[bi][bi] = 0.0
+        del leaves[bj], sizes[bj], dist[bj]
+        for row in dist:
+            del row[bj]
+    return leaves[0]
+
+
+def _reference_ramp(t: float) -> str:
+    channels = (round(lo + t * (hi - lo)) for lo, hi in zip(heatmap._LOW, heatmap._HIGH))
+    return "#" + "".join(f"{c:02x}" for c in channels)
+
+
+def reference_heatmap_svg(ids: tuple[str, ...], values: np.ndarray,
+                          ordering: str = "none") -> str:
+    """The per-cell renderer: one `round()` per colour channel of every
+    cell, ordered by `reference_hierarchical_order` of the averaged
+    triangles. For matrices whose cells span a finite range."""
+    values = np.asarray(values, dtype=np.float64)
+    n = len(ids)
+    if ordering == "hierarchical":
+        if np.isnan(values).any():
+            raise ItemsimError("hierarchical ordering needs a fully defined matrix")
+        sym = SimilarityMatrix(item_ids=ids, values=(values + values.T) / 2.0)
+        perm = reference_hierarchical_order(sym)
+    else:
+        perm = list(range(n))
+    ids = tuple(ids[i] for i in perm)
+    values = values[np.ix_(perm, perm)]
+
+    defined = values[~np.isnan(values)]
+    lo = float(defined.min()) if defined.size else 0.0
+    hi = float(defined.max()) if defined.size else 0.0
+    span = hi - lo
+
+    cell, font, pad = heatmap.CELL, heatmap.FONT, heatmap.PAD
+
+    def escape(text: str) -> str:
+        return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+    label_w = pad * 2 + max((len(i) for i in ids), default=0) * (font * 3 // 5)
+    width = label_w + n * cell + pad
+    height = label_w + n * cell + pad
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<style>text{{font-family:monospace;font-size:{font}px;fill:#000}}</style>',
+    ]
+    for i, item_id in enumerate(ids):
+        y = label_w + i * cell + cell // 2 + font // 2
+        out.append(f'<text x="{pad}" y="{y}">{escape(item_id)}</text>')
+        x = label_w + i * cell + cell // 2
+        out.append(
+            f'<text x="{x}" y="{label_w - pad}" transform="rotate(-90 {x} {label_w - pad})">'
+            f"{escape(item_id)}</text>"
+        )
+    for i in range(n):
+        for j in range(n):
+            v = values[i, j]
+            if math.isnan(v):
+                fill = heatmap._MISSING
+            elif span == 0:
+                fill = _reference_ramp(0.5)
+            else:
+                fill = _reference_ramp((v - lo) / span)
+            x = label_w + j * cell
+            y = label_w + i * cell
+            out.append(f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" fill="{fill}"/>')
+    out.append("</svg>")
+    return "\n".join(out) + "\n"

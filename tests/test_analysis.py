@@ -29,6 +29,7 @@ from conftest import random_similarity, scrambled_records
 from oracles import (
     oracle_best_two_partition,
     reference_agreement_topn,
+    reference_hierarchical_order,
     reference_split_halves,
 )
 
@@ -529,3 +530,54 @@ class TestHierarchicalOrder:
         s = random_similarity(rng, n=5, missing=0.4)
         with pytest.raises(ItemsimError, match="missing entries"):
             hierarchical_order(s)
+
+
+def _symmetric(raw):
+    return np.triu(raw) + np.triu(raw, 1).T
+
+
+@pytest.mark.filterwarnings("error")
+class TestHierarchicalOrderMatchesReference:
+    """The numpy merge loop equals the nested-list loop with ==, ties and
+    infinite dissimilarities included, and never warns."""
+
+    def _check(self, values):
+        s = sim(_symmetric(np.asarray(values, dtype=np.float64)))
+        assert hierarchical_order(s) == reference_hierarchical_order(s)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_tiny(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            self._check(rng.normal(size=(n, n)).round(int(rng.integers(0, 3))))
+
+    def test_rounded_random_matrices(self):
+        # 0-2 decimals: many tied distances, also between merged clusters
+        rng = np.random.default_rng(31)
+        for _ in range(400):
+            n = int(rng.integers(2, 15))
+            self._check(rng.normal(size=(n, n)).round(int(rng.integers(0, 3))))
+
+    def test_all_equal(self):
+        for n in (2, 5, 9):
+            self._check(np.full((n, n), 0.3))
+
+    def test_signed_zero_ties(self):
+        rng = np.random.default_rng(32)
+        for _ in range(100):
+            n = int(rng.integers(2, 10))
+            self._check(rng.choice([0.0, -0.0, -1.0], size=(n, n)))
+
+    def test_infinite_dissimilarities(self):
+        # S spanning beyond float64, and a -inf similarity, give d = inf;
+        # masked cells must not win the ties between them
+        rng = np.random.default_rng(33)
+        for _ in range(100):
+            n = int(rng.integers(2, 9))
+            values = rng.choice([-1e308, 1.5e308, 0.0, -np.inf], size=(n, n))
+            np.fill_diagonal(values, 1.5e308)
+            self._check(values)
+        self._check([[0.0, -np.inf, -np.inf], [0.0, 0.0, -np.inf], [0.0, 0.0, 0.0]])
+        every_pair_infinite = np.full((4, 4), -np.inf)
+        np.fill_diagonal(every_pair_infinite, 0.0)
+        self._check(every_pair_infinite)

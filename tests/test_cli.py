@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -395,6 +396,37 @@ class TestHeatmap:
         run_ok(["heatmap", "-c", heat_cfg, "-o", str(out2)])
         assert (out1 / "heatmap.svg").read_bytes() == (out2 / "heatmap.svg").read_bytes()
 
+    @pytest.mark.parametrize("ordering", ["none", "hierarchical"])
+    def test_cells_spanning_beyond_float64(self, tmp_path, capsys, ordering):
+        (tmp_path / "m.csv").write_text("item_id,a,b\na,-1e308,1.5e308\nb,1.5e308,-1e308\n",
+                                        encoding="utf-8")
+        cfg = write_config(tmp_path, matrix=str(tmp_path / "m.csv"), ordering=ordering)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may reach stderr
+            run_error(["heatmap", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
+                      "heatmap cells from -1e+308 to 1.5e+308 span beyond the float64 range")
+        assert not list(tmp_path.glob("o/*"))
+
+    @pytest.mark.parametrize("rows, ordered", [
+        (["item_id,a,b", "a,1e308,1e308", "b,1e308,1e308"], ["a", "b"]),
+        (["item_id,a,b,c", "a,1e308,0,1.7e308", "b,0,1e308,1e308", "c,1.7e308,1e308,1e308"],
+         ["a", "c", "b"]),
+    ], ids=["constant", "spread"])
+    @pytest.mark.parametrize("ordering", ["none", "hierarchical"])
+    def test_huge_finite_cells_render(self, tmp_path, capsys, ordering, rows, ordered):
+        # the triangles' sums and the merged distances overflow; the order
+        # and colours do not
+        (tmp_path / "m.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        cfg = write_config(tmp_path, matrix=str(tmp_path / "m.csv"), ordering=ordering)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_ok(["heatmap", "-c", cfg, "-o", str(tmp_path / "o")])
+        assert capsys.readouterr().err == ""
+        svg = (tmp_path / "o" / "heatmap.svg").read_text(encoding="utf-8")
+        shown = re.findall(r'<text x="\d+" y="\d+">([^<]+)</text>', svg)
+        assert shown == (sorted(ordered) if ordering == "none" else ordered)
+        assert svg.count("<rect ") == len(ordered) ** 2
+
 
 class TestConfigAndErrors:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -596,8 +628,11 @@ class TestInputValues:
          {"world": {"grid": ["D..", "M.."], "legend": {"D": 1, "M": 2}}},
          "world legend values must be concept name strings"),
         ("sim", {"measure": "ted"}, {"id": 5}, "every entry needs a string 'id' field"),
+        ("features", {"source": "world"}, {"command_limit": 10**400},
+         "command_limit does not fit a float"),
     ], ids=["command_limit_str", "command_limit_bool", "level_str", "level_bool",
-            "statement_int", "grid_row_int", "legend_value_int", "id_int"])
+            "statement_int", "grid_row_int", "legend_value_int", "id_int",
+            "command_limit_huge"])
     def test_items_json(self, tiny_dir, tmp_path, capsys, sub, settings, fields, fragment):
         edit_first_item(tiny_dir, **fields)
         cfg = write_config(tmp_path, corpus=str(tiny_dir), **settings)

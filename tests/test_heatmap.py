@@ -6,6 +6,11 @@ import numpy as np
 import pytest
 
 from itemsim import ItemsimError, SimilarityMatrix, heatmap_svg, hierarchical_order
+from itemsim.measures import compute_measure
+from itemsim.serialize import read_square_csv, similarity_csv
+from itemsim.synth import CorpusSpec, PerfSpec, generate_corpus, generate_performance
+
+from oracles import reference_heatmap_svg
 
 
 def rect_fills(svg):
@@ -72,3 +77,67 @@ class TestHeatmapSvg:
         v = np.array([[1.0, np.nan], [np.nan, 1.0]])
         with pytest.raises(ItemsimError, match="fully defined"):
             heatmap_svg(("a", "b"), v, ordering="hierarchical")
+
+
+def _ids(n):
+    return tuple(f"i{k}" for k in range(n))
+
+
+@pytest.mark.filterwarnings("error")
+class TestHeatmapMatchesReference:
+    """The vectorised colour ramp renders the bytes of the per-cell one."""
+
+    def _check(self, ids, values, orderings=("none", "hierarchical")):
+        for order in orderings:
+            assert heatmap_svg(ids, values, order) == reference_heatmap_svg(ids, values, order)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_empty_and_single(self, n):
+        self._check(_ids(n), np.full((n, n), 0.25))
+
+    def test_rounded_random_matrices(self):
+        rng = np.random.default_rng(41)
+        for _ in range(150):
+            n = int(rng.integers(2, 9))
+            raw = rng.normal(size=(n, n)).round(int(rng.integers(0, 3)))
+            self._check(_ids(n), (raw + raw.T) / 2)
+
+    def test_missing_cells_unordered(self):
+        rng = np.random.default_rng(42)
+        for _ in range(50):
+            n = int(rng.integers(1, 8))
+            values = rng.normal(size=(n, n))
+            values[rng.random((n, n)) < 0.3] = np.nan
+            self._check(_ids(n), values, ("none",))
+        self._check(_ids(3), np.full((3, 3), np.nan), ("none",))
+
+    def test_constant_matrices(self):
+        # span 0: every defined cell takes the middle of the ramp
+        for value in (0.0, -0.0, 0.7, -3.0):
+            self._check(_ids(4), np.full((4, 4), value))
+        self._check(_ids(2), np.array([[0.5, np.nan], [np.nan, 0.5]]), ("none",))
+
+    def test_signed_zero_cells(self):
+        rng = np.random.default_rng(43)
+        for _ in range(30):
+            n = int(rng.integers(2, 6))
+            values = rng.choice([0.0, -0.0, 1.0, -1.0], size=(n, n))
+            self._check(_ids(n), np.triu(values) + np.triu(values, 1).T)
+        self._check(_ids(2), np.array([[0.0, -0.0], [-0.0, 0.0]]))
+
+    def test_escaped_ids(self):
+        ids = ("a<b", "c&d", "e>f&amp;", "é")
+        values = np.arange(16.0).reshape(4, 4)
+        self._check(ids, (values + values.T) / 2)
+
+    @pytest.mark.parametrize("seed", [1, 11])
+    def test_analysis_sized_matrices(self, seed):
+        # the benchmark's analysis inputs (240 items x 400 learners), as
+        # the heatmap command reads them back from sim.csv
+        corpus = generate_corpus(CorpusSpec(n_items=240, n_levels=9, seed=seed))
+        table = generate_performance(corpus, PerfSpec(n_learners=400, solve_prob=0.7,
+                                                      seed=seed + 1))
+        for measure in ("bag/log+max+idf+weights/correlation", "perfcorr"):
+            s = compute_measure(corpus, measure, performance=table)
+            ids, values = read_square_csv(similarity_csv(s))
+            self._check(ids, values)
