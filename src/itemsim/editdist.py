@@ -2,21 +2,24 @@
 
 levenshtein: unit-cost insert/delete/substitute over tokens, bit-parallel
 (a DP column per Python int).
-tree_edit_distance: Zhang-Shasha ordered-tree edit distance, unit costs
-(relabel free for equal labels); tree_form prepares a tree once, and
-zhang_shasha compares two prepared trees.
+zhang_shasha_batch: Zhang-Shasha ordered-tree edit distances, unit costs
+(relabel free for equal labels), of many pairs of prepared trees at once,
+computing each keyroot block once per pair of distinct subtrees; tree_form
+prepares a tree once, and zhang_shasha and tree_edit_distance compare one
+pair.
 needleman_wunsch_batch: global alignment scores, higher is more similar,
 of many sequence pairs at once, as one anti-diagonal wavefront per batch
 of pairs; needleman_wunsch aligns one pair.
 
 Each kernel returns exactly what the plain DP recurrence returns:
-Levenshtein computes in integers, and each alignment cell adds and
+Levenshtein and TED compute in integers, and each alignment cell adds and
 compares the same float64 operands in the same order as the scalar
 recurrence, so its score is bit-identical under any scoring, signed zeros
 included. tests/oracles.py keeps the scalar recurrences as references."""
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from math import isfinite
 from typing import Sequence
@@ -25,6 +28,8 @@ import numpy as np
 
 from .errors import ItemsimError
 from .tree import AstNode
+
+log = logging.getLogger("itemsim.editdist")
 
 
 def levenshtein(a: Sequence[str], b: Sequence[str]) -> int:
@@ -88,51 +93,112 @@ def tree_form(ast: AstNode) -> TreeForm:
     return tuple(labels), tuple(leftmost), tuple(sorted(highest.values()))
 
 
+def zhang_shasha_batch(
+    forms: Sequence[TreeForm], pairs: Sequence[tuple[int, int]]
+) -> tuple[list[int], int]:
+    """Zhang-Shasha distance of forms[a] to forms[b] with unit costs (insert
+    1, delete 1, relabel 1 unless labels are equal) for every (a, b) in
+    pairs, and the number of batches they ran in: one, or none for no pairs.
+
+    Keyroot block (i, j) writes td[x][y], the distance of subtree x to
+    subtree y, for x on i's leftmost path and y on j's, and those values
+    depend on the two subtrees only. So every subtree of every form gets an
+    id by interning (label, child ids), and a block that comes up again for
+    the same two subtrees replays its stored values onto the two paths.
+    A block is stored only if one of its subtrees is a keyroot more than
+    once among the forms: no other block can come up again. The store lives
+    for this call only."""
+    ids: dict = {}  # (label, child ids, last child first) -> subtree id
+    keyroots = []  # per form, per keyroot: (k, leftmost leaf, subtree id, leftmost path)
+    for labels, leftmost, roots in forms:
+        own: list[int] = []
+        for x, label in enumerate(labels):
+            # the last child of x is x - 1; the one before a child c is leftmost[c] - 1
+            children, c = [], x - 1
+            while c >= leftmost[x]:
+                children.append(own[c])
+                c = leftmost[c] - 1
+            own.append(ids.setdefault((label, tuple(children)), len(ids)))
+        keyroots.append([(k, leftmost[k], own[k],
+                          [x for x in range(leftmost[k], k + 1) if leftmost[x] == leftmost[k]])
+                         for k in roots])
+    n_ids = len(ids)
+    repeats = [0] * n_ids  # keyroot occurrences of each subtree id
+    for form_keyroots in keyroots:
+        for _, _, sid, _ in form_keyroots:
+            repeats[sid] += 1
+    memo: dict[int, tuple[int, ...]] = {}
+    computed = replayed = 0
+    values = [0] * len(pairs)
+    last_b = None
+    # grouped by b: each form's columns are built once, and one form's at a time are alive
+    for p in sorted(range(len(pairs)), key=lambda p: pairs[p][1]):
+        a, b = pairs[p]
+        la, lma, _ = forms[a]
+        if b != last_b:
+            last_b = b
+            lb, lmb, _ = forms[b]
+            # per keyroot of b, its columns: (postorder index, label, leftmost offset)
+            columns = [(j, lj, sid, path, [(y, lb[y], lmb[y] - lj) for y in range(lj, j + 1)])
+                       for j, lj, sid, path in keyroots[b]]
+        td = [[0] * len(lb) for _ in la]
+        for i, li, id_i, path_i in keyroots[a]:
+            for j, lj, id_j, path_j, cols in columns:
+                if li == i and lj == j:  # two leaves
+                    td[i][j] = 0 if la[i] == lb[j] else 1
+                    continue
+                key = id_i * n_ids + id_j
+                done = memo.get(key)
+                if done is not None:
+                    replayed += 1
+                    width = len(path_j)
+                    for r, x in enumerate(path_i):
+                        tdx = td[x]
+                        for y, v in zip(path_j, done[r * width:(r + 1) * width]):
+                            tdx[y] = v
+                    continue
+                computed += 1
+                # fd[x - li + 1][k]: distance from a's forest li..x to b's first
+                # k columns; rows on i's leftmost path pair whole subtrees
+                fd = [list(range(len(cols) + 1))]
+                for x in range(li, i + 1):
+                    prev, tdx, lx = fd[-1], td[x], lma[x]
+                    left = x - li + 1
+                    row = [left]
+                    if lx == li:  # x is on i's leftmost path
+                        ax = la[x]
+                        for (y, by, off), up, diag in zip(cols, prev[1:], prev):
+                            best = up + 1 if up < left else left + 1
+                            # off is fd[0][off]: deleting the columns before y's subtree
+                            cand = off + tdx[y] if off else (diag if ax == by else diag + 1)
+                            if cand < best:
+                                best = cand
+                            if not off:
+                                tdx[y] = best
+                            row.append(best)
+                            left = best
+                    else:
+                        base = fd[lx - li]
+                        for (y, _, off), up in zip(cols, prev[1:]):
+                            best = up + 1 if up < left else left + 1
+                            cand = base[off] + tdx[y]
+                            if cand < best:
+                                best = cand
+                            row.append(best)
+                            left = best
+                    fd.append(row)
+                if repeats[id_i] > 1 or repeats[id_j] > 1:
+                    memo[key] = tuple(td[x][y] for x in path_i for y in path_j)
+        values[p] = td[-1][-1]
+    log.debug("ted batch: %d pairs, %d distinct subtrees, %d blocks computed, %d replayed, "
+              "%d stored", len(pairs), n_ids, computed, replayed, len(memo))
+    return values, min(len(pairs), 1)
+
+
 def zhang_shasha(form_a: TreeForm, form_b: TreeForm) -> int:
-    """Zhang-Shasha distance between two tree forms with unit costs:
-    insert 1, delete 1, relabel 1 unless labels are equal."""
-    la, lma, kra = form_a
-    lb, lmb, krb = form_b
-    td = [[0] * len(lb) for _ in la]
-    # per keyroot of b, its columns: (postorder index, label, leftmost offset)
-    columns = {j: [(y, lb[y], lmb[y] - lmb[j]) for y in range(lmb[j], j + 1)] for j in krb}
-    for i in kra:
-        li = lma[i]
-        for j in krb:
-            if li == i and lmb[j] == j:  # two leaves
-                td[i][j] = 0 if la[i] == lb[j] else 1
-                continue
-            cols = columns[j]
-            # fd[x - li + 1][k]: distance from a's forest li..x to b's first
-            # k columns; rows on i's leftmost path pair whole subtrees
-            fd = [list(range(len(cols) + 1))]
-            for x in range(li, i + 1):
-                prev, tdx, lx = fd[-1], td[x], lma[x]
-                left = x - li + 1
-                row = [left]
-                if lx == li:  # x is on i's leftmost path
-                    ax = la[x]
-                    for (y, by, off), up, diag in zip(cols, prev[1:], prev):
-                        best = up + 1 if up < left else left + 1
-                        # off is fd[0][off]: deleting the columns before y's subtree
-                        cand = off + tdx[y] if off else (diag if ax == by else diag + 1)
-                        if cand < best:
-                            best = cand
-                        if not off:
-                            tdx[y] = best
-                        row.append(best)
-                        left = best
-                else:
-                    base = fd[lx - li]
-                    for (y, _, off), up in zip(cols, prev[1:]):
-                        best = up + 1 if up < left else left + 1
-                        cand = base[off] + tdx[y]
-                        if cand < best:
-                            best = cand
-                        row.append(best)
-                        left = best
-                fd.append(row)
-    return td[-1][-1]
+    """Zhang-Shasha distance between two tree forms: a batch of one pair."""
+    (distance,), _ = zhang_shasha_batch([form_a, form_b], [(0, 1)])
+    return distance
 
 
 def tree_edit_distance(t1: AstNode, t2: AstNode) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corpus import Corpus, PerformanceTable, select_solutions
-from .editdist import NwScoring, levenshtein, needleman_wunsch_batch, tree_form, zhang_shasha
+from .editdist import NwScoring, levenshtein, needleman_wunsch_batch, tree_form, zhang_shasha_batch
 from .errors import ItemsimError
 from .features import FeatureMatrix, item_rows
 from .tree import DEFAULT_TOTAL_CAP, DEFAULT_UNROLL_CAP, action_sequence, canonize
@@ -57,10 +57,14 @@ class SimilarityMatrix:
         return np.isnan(self.values)
 
     def dissimilarity(self) -> np.ndarray:
-        """max(S) - S; a missing entry is an error."""
+        """max(S) - S; a missing entry, or a largest entry that is not
+        finite, is an error."""
         if self.missing_mask().any():
             raise ItemsimError("similarity matrix has missing entries")
-        return float(self.values.max(initial=-math.inf)) - self.values
+        top = float(self.values.max(initial=-math.inf))
+        if self.n_items and not math.isfinite(top):
+            raise ItemsimError(f"similarity matrix has largest entry {top}: max(S) - S is undefined")
+        return top - self.values
 
 
 def _mirror_upper(values: np.ndarray) -> np.ndarray:
@@ -158,7 +162,8 @@ def _each_pair(kernel):
 _EDIT_KINDS = {
     "levenshtein": (lambda ast, caps: tuple(canonize(ast)), len, _each_pair(levenshtein),
                     _distance_similarity, 1.0, 0),
-    "ted": (lambda ast, caps: tree_form(ast), lambda form: len(form[0]), _each_pair(zhang_shasha),
+    "ted": (lambda ast, caps: tree_form(ast), lambda form: len(form[0]),
+            lambda forms, pairs, scoring: zhang_shasha_batch(forms, pairs),
             _distance_similarity, 1.0, 0),
     "nw": (lambda ast, caps: tuple(action_sequence(ast, **caps)), len, needleman_wunsch_batch,
            lambda score, la, lb: score / max(la, lb, 1), -1.0, None),

@@ -18,7 +18,7 @@ from itemsim import (
     split_half_stability,
     tree_edit_distance,
 )
-from itemsim.editdist import needleman_wunsch_batch
+from itemsim.editdist import needleman_wunsch_batch, tree_form, zhang_shasha_batch
 from itemsim.synth import CorpusSpec, PerfSpec, generate_corpus, generate_performance, level_partition
 
 from oracles import (
@@ -48,15 +48,21 @@ def levenshtein_sweep() -> int:
 @lru_cache(maxsize=None)
 def tree_edit_sweep() -> int:
     """Compare against exhaustive edit-mapping search on every pair of
-    ordered trees with <= 4 nodes over 2 labels."""
+    ordered trees with <= 4 nodes over 2 labels, in both orders: each pair
+    alone, and every ordered pair in one zhang_shasha_batch call, the path
+    edit_similarity takes."""
     trees = enumerate_trees(4, ("a", "b"))
     assert len(trees) == 102
+    ordered = [(i, j) for i in range(len(trees)) for j in range(len(trees))]
+    batch, _ = zhang_shasha_batch([tree_form(t) for t in trees], ordered)
+    batched = dict(zip(ordered, batch))
     checked = 0
     for i, t1 in enumerate(trees):
-        for t2 in trees[i:]:
+        for j in range(i, len(trees)):
+            t2 = trees[j]
             want = oracle_tree_edit(t1, t2)
-            assert tree_edit_distance(t1, t2) == want, (t1, t2)
-            assert tree_edit_distance(t2, t1) == want, (t2, t1)
+            assert tree_edit_distance(t1, t2) == batched[i, j] == want, (t1, t2)
+            assert tree_edit_distance(t2, t1) == batched[j, i] == want, (t2, t1)
             checked += 2
     return checked
 

@@ -133,10 +133,13 @@ def reference_needleman_wunsch(a, b, s: NwScoring = NwScoring()) -> float:
 
 
 def reference_tree_edit_distance(t1: AstNode, t2: AstNode) -> int:
-    """The Zhang-Shasha recurrence written plainly: numpy tables, a forest
-    table per keyroot pair, labels and leftmost leaves recomputed per call.
-    The fast kernel, `itemsim.tree_edit_distance`, must equal it on trees of
-    any size."""
+    """The Zhang-Shasha recurrence written plainly, one pair per call:
+    numpy tables, a forest table per keyroot pair, labels and leftmost
+    leaves recomputed per call. The batch kernel,
+    `itemsim.editdist.zhang_shasha_batch`, which computes each keyroot
+    block once per pair of distinct subtrees, and its one-pair forms
+    `zhang_shasha` and `itemsim.tree_edit_distance` must equal it on trees
+    of any size, in any batch."""
 
     def postorder(root: AstNode) -> tuple[list[str], list[int]]:
         labels: list[str] = []

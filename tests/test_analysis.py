@@ -531,6 +531,15 @@ class TestHierarchicalOrder:
         with pytest.raises(ItemsimError, match="missing entries"):
             hierarchical_order(s)
 
+    @pytest.mark.filterwarnings("error")
+    def test_largest_entry_not_finite_rejected(self):
+        # max(S) - S would hold NaN: -inf - -inf everywhere, or inf - inf
+        all_minus_inf = np.full((3, 3), -np.inf)
+        one_plus_inf = np.array([[1.0, 0.2, 0.3], [0.2, np.inf, 0.4], [0.3, 0.4, 1.0]])
+        for values in (all_minus_inf, one_plus_inf):
+            with pytest.raises(ItemsimError, match="largest entry -?inf"):
+                hierarchical_order(sim(values))
+
 
 def _symmetric(raw):
     return np.triu(raw) + np.triu(raw, 1).T

@@ -1,6 +1,8 @@
 """Sequence and tree edit distances against hand values and brute force."""
 
+import logging
 import warnings
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -18,7 +20,7 @@ from itemsim import (
     node,
     tree_edit_distance,
 )
-from itemsim.editdist import needleman_wunsch_batch, tree_form
+from itemsim.editdist import needleman_wunsch_batch, tree_form, zhang_shasha_batch
 
 from conftest import random_sequence, random_tree, top_level_mutant
 from oracles import (
@@ -48,6 +50,13 @@ def program_pairs(seed: int) -> list[tuple]:
     programs = [it.solutions[0].ast for it in corpus.items]
     rng = np.random.default_rng(seed)
     return [*combinations(programs, 2), *((p, top_level_mutant(p, rng)) for p in programs)]
+
+
+@lru_cache(maxsize=None)
+def program_tree_distances(seed: int) -> tuple[int, ...]:
+    """reference_tree_edit_distance of each pair of program_pairs(seed),
+    computed once per session: the plain recurrence takes seconds."""
+    return tuple(reference_tree_edit_distance(a, b) for a, b in program_pairs(seed))
 
 
 class TestLevenshtein:
@@ -153,14 +162,51 @@ class TestTreeEditDistance:
     def test_equals_reference_on_synthetic_programs(self, seed):
         # every pair of a synthetic corpus's programs (about 45 nodes each),
         # plus each program against a top-level mutant of itself
-        corpus = generate_corpus(CorpusSpec(n_items=12, n_levels=9, seed=seed))
-        programs = [it.solutions[0].ast for it in corpus.items]
-        rng = np.random.default_rng(seed)
-        pairs = [*combinations(programs, 2), *((p, top_level_mutant(p, rng)) for p in programs)]
-        for a, b in pairs:
-            want = reference_tree_edit_distance(a, b)
+        for (a, b), want in zip(program_pairs(seed), program_tree_distances(seed)):
             assert tree_edit_distance(a, b) == want
             assert tree_edit_distance(b, a) == want
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_one_batch_equals_reference_in_any_order(self, seed):
+        # the programs and their mutants share most subtrees, so the batch
+        # replays most keyroot blocks; neither the order of the pairs, nor
+        # their direction, nor the other pairs in the batch change a value
+        tree_pairs = program_pairs(seed)
+        trees = list({id(t): t for pair in tree_pairs for t in pair}.values())
+        at = {id(t): k for k, t in enumerate(trees)}
+        pairs = [(at[id(x)], at[id(y)]) for x, y in tree_pairs]
+        forms = [tree_form(t) for t in trees]
+        shuffled = [*pairs, *((b, a) for a, b in pairs)]
+        np.random.default_rng(seed).shuffle(shuffled)
+        got, batches = zhang_shasha_batch(forms, shuffled)
+        assert batches == 1
+        value = dict(zip(shuffled, got))
+        want = list(program_tree_distances(seed))
+        assert [value[a, b] for a, b in pairs] == want
+        assert [value[b, a] for a, b in pairs] == want
+        assert [zhang_shasha_batch(forms, [p])[0][0] for p in pairs] == want
+        assert zhang_shasha_batch(forms, []) == ([], 0)
+
+    def test_batch_logs_one_debug_line(self, caplog):
+        # x = f(a(b), a(b)) has keyroots a(b) and f; z = c(d) has keyroot c
+        x = node("f", node("a", node("b")), node("a", node("b")))
+        forms = [tree_form(x), tree_form(x), tree_form(node("c", node("d")))]
+        with caplog.at_level(logging.DEBUG, logger="itemsim.editdist"):
+            assert zhang_shasha_batch(forms, [(0, 1), (1, 0), (2, 2)]) == ([0, 0, 0], 1)
+        # subtrees b, a(b), x, d, c(d); the first x pair computes and stores
+        # its four blocks, the second replays them; c(d) is a keyroot once,
+        # so its block is not stored
+        assert [r.getMessage() for r in caplog.records] == [
+            "ted batch: 3 pairs, 5 distinct subtrees, 5 blocks computed, 4 replayed, 4 stored"]
+
+    def test_deep_chain_in_a_batch(self):
+        # interning the subtrees of a 5000-deep chain needs no recursion either
+        chain = node("leaf")
+        for _ in range(5000):
+            chain = node("while_x", chain)
+        forms = [tree_form(chain), tree_form(node("leaf")), tree_form(node("while_x", node("leaf")))]
+        got, _ = zhang_shasha_batch(forms, [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2)])
+        assert got == [5000, 5000, 4999, 4999, 1]
 
     def test_equals_reference_on_random_trees(self):
         rng = np.random.default_rng(7)

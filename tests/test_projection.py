@@ -153,3 +153,12 @@ class TestMdsProject:
         s = sim_from_distances([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ItemsimError, match="out of range"):
             mds_project(s, dims=2)
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_entry_not_finite_rejected(self):
+        all_minus_inf = SimilarityMatrix(("a", "b"), np.full((2, 2), -np.inf), "m")
+        one_plus_inf = SimilarityMatrix(
+            ("a", "b", "c"), [[np.inf, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]], "m")
+        for s in (all_minus_inf, one_plus_inf):
+            with pytest.raises(ItemsimError, match="largest entry -?inf"):
+                mds_project(s, dims=1)
