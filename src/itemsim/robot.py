@@ -11,7 +11,7 @@ Grammar (whitespace-insensitive, `#` comments run to end of line):
              | "call" IDENT
     block   := "{" stmt* "}"
     cond    := IDENT (("==" | "!=") IDENT)?
-    IDENT   := [A-Za-z_][A-Za-z0-9_]*
+    IDENT   := [A-Za-z_][A-Za-z0-9_]*    (not a keyword)
     INT     := [1-9][0-9]*
 
 Structured statements fold their parameter into the node label
@@ -22,64 +22,49 @@ treats a changed count or condition as a single relabel.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ItemsimError, ParseError
-from .tree import AstNode
+from .tree import REPEAT_COUNT, AstNode
 
 BASE_COMMANDS = ("move", "left", "right", "shoot")
 
 _KEYWORDS = frozenset(BASE_COMMANDS) | {"repeat", "while", "if", "else", "def", "call"}
 
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+
+# whitespace and comments are unnamed, so their matches have no lastgroup
 _TOKEN_RE = re.compile(
-    r"(?P<ws>[ \t\r\n]+)"
-    r"|(?P<comment>#[^\n]*)"
-    r"|(?P<num>[0-9]+)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>==|!=|\{|\})"
+    rf"[ \t\r\n]+|#[^\n]*|(?P<num>[0-9]+)|(?P<ident>{_IDENT})|(?P<op>==|!=|\{{|\}})|(?P<bad>.)",
+    re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # num | ident | { | } | == | != | eof
     text: str
-    line: int
-    col: int
-
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {source[pos]!r}", line, col)
-        text = m.group(0)
-        kind = m.lastgroup
-        if kind == "num":
-            tokens.append(_Token("num", text, line, col))
-        elif kind == "ident":
-            tokens.append(_Token("ident", text, line, col))
-        elif kind == "op":
-            tokens.append(_Token(text, text, line, col))
-        # advance position counters through the lexeme
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+    offset: int
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = []
+        for m in _TOKEN_RE.finditer(source):
+            kind = m.lastgroup
+            if kind is None:
+                continue
+            if kind == "bad":
+                raise self.error(f"unexpected character {m.group()!r}", m.start())
+            text = m.group()
+            self.tokens.append(_Token(text if kind == "op" else kind, text, m.start()))
+        self.tokens.append(_Token("eof", "", len(source)))
         self.pos = 0
+
+    def error(self, message: str, offset: int) -> ParseError:
+        """The error at a source offset, with its 1-based line and column."""
+        line = self.source.count("\n", 0, offset) + 1
+        return ParseError(message, line, offset - self.source.rfind("\n", 0, offset))
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -94,8 +79,7 @@ class _Parser:
         stmts = []
         while self.peek().kind != "eof":
             if self.peek().kind == "}":
-                tok = self.peek()
-                raise ParseError("unbalanced braces: unexpected '}'", tok.line, tok.col)
+                raise self.error("unbalanced braces: unexpected '}'", self.peek().offset)
             stmts.append(self.stmt())
         return AstNode("program", tuple(stmts))
 
@@ -120,14 +104,14 @@ class _Parser:
             if tok.text == "call":
                 self.advance()
                 return AstNode("call_" + self.ident("function name"))
-            raise ParseError(f"unknown keyword {tok.text!r}", tok.line, tok.col)
-        raise ParseError(f"expected statement, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+            raise self.error(f"unknown keyword {tok.text!r}", tok.offset)
+        raise self.error(f"expected statement, found {tok.text or 'end of input'!r}", tok.offset)
 
     def repeat_stmt(self) -> AstNode:
         self.advance()
         tok = self.peek()
-        if tok.kind != "num" or not re.fullmatch(r"[1-9][0-9]*", tok.text):
-            raise ParseError("repeat count not a positive integer", tok.line, tok.col)
+        if tok.kind != "num" or not REPEAT_COUNT.fullmatch(tok.text):
+            raise self.error("repeat count not a positive integer", tok.offset)
         self.advance()
         return AstNode("repeat_" + tok.text, self.block())
 
@@ -148,13 +132,13 @@ class _Parser:
     def block(self) -> tuple[AstNode, ...]:
         open_tok = self.peek()
         if open_tok.kind != "{":
-            raise ParseError("unbalanced braces: expected '{'", open_tok.line, open_tok.col)
+            raise self.error("unbalanced braces: expected '{'", open_tok.offset)
         self.advance()
         stmts = []
         while self.peek().kind != "}":
             tok = self.peek()
             if tok.kind == "eof":
-                raise ParseError("unbalanced braces: missing '}'", tok.line, tok.col)
+                raise self.error("unbalanced braces: missing '}'", tok.offset)
             stmts.append(self.stmt())
         self.advance()
         return tuple(stmts)
@@ -171,30 +155,34 @@ class _Parser:
     def ident(self, what: str) -> str:
         tok = self.peek()
         if tok.kind != "ident":
-            raise ParseError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+            raise self.error(f"expected {what}, found {tok.text or 'end of input'!r}", tok.offset)
         if tok.text in _KEYWORDS:
-            raise ParseError(f"expected {what}, found keyword {tok.text!r}", tok.line, tok.col)
+            raise self.error(f"expected {what}, found keyword {tok.text!r}", tok.offset)
         self.advance()
         return tok.text
 
 
 def parse_robot_program(source: str) -> AstNode:
     """Parse DSL source into an AST rooted at a "program" node."""
-    return _Parser(_tokenize(source)).program()
+    return _Parser(source).program()
 
 
 # ---------------------------------------------------------------------------
 # Inverse emitter
 # ---------------------------------------------------------------------------
 
-_COND_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*((==|!=)[A-Za-z_][A-Za-z0-9_]*)?$")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+_NAME = re.compile(rf"({_IDENT})")
+_COND = re.compile(rf"({_IDENT})(?:(?:==|!=)({_IDENT}))?")
+
+# the keyword before a label's first "_" -> the pattern its parameter must
+# match; the identifiers a pattern captures must not be keywords
+_PARAMETERS = {"repeat": REPEAT_COUNT, "while": _COND, "if": _COND, "def": _NAME, "call": _NAME}
 
 
 def pretty_print(ast: AstNode) -> str:
     """Emit DSL source for an AST in the DSL fragment; inverse of
     parse_robot_program up to formatting. Raises for trees outside the
-    fragment."""
+    fragment, keyword-named identifiers included."""
     if ast.label != "program":
         raise ItemsimError("pretty_print expects a 'program' root")
     lines: list[str] = []
@@ -205,66 +193,28 @@ def pretty_print(ast: AstNode) -> str:
 
 def _emit(n: AstNode, indent: int, lines: list[str]) -> None:
     pad = "  " * indent
-    label = n.label
+    label, kids = n.label, n.children
+    keyword, _, param = label.partition("_")
     if label in BASE_COMMANDS:
-        if n.children:
+        head, block = label, False
+    else:
+        pattern = _PARAMETERS.get(keyword)
+        m = pattern.fullmatch(param) if pattern else None
+        if m is None or _KEYWORDS.intersection(m.groups()):
+            raise ItemsimError(f"label {label!r} is outside the robot DSL fragment")
+        head, block = f"{keyword} {param}", keyword != "call"
+    if not block:
+        if kids:
             raise ItemsimError(f"command {label!r} cannot have children")
-        lines.append(pad + label)
+        lines.append(pad + head)
         return
-    if label.startswith("repeat_"):
-        count = label[len("repeat_"):]
-        if not re.fullmatch(r"[1-9][0-9]*", count):
-            raise ItemsimError(f"bad repeat label {label!r}")
-        _emit_block(f"repeat {count}", n.children, indent, lines)
-        return
-    if label.startswith("while_"):
-        cond = label[len("while_"):]
-        _check_cond(cond, label)
-        _emit_block(f"while {cond}", n.children, indent, lines)
-        return
-    if label.startswith("if_"):
-        cond = label[len("if_"):]
-        _check_cond(cond, label)
-        kids = n.children
-        if len(kids) == 2 and kids[0].label == "then" and kids[1].label == "else":
-            lines.append(pad + f"if {cond} {{")
-            for c in kids[0].children:
-                _emit(c, indent + 1, lines)
-            lines.append(pad + "} else {")
-            for c in kids[1].children:
-                _emit(c, indent + 1, lines)
-            lines.append(pad + "}")
-        else:
-            _emit_block(f"if {cond}", kids, indent, lines)
-        return
-    if label.startswith("def_"):
-        name = label[len("def_"):]
-        _check_ident(name, label)
-        _emit_block(f"def {name}", n.children, indent, lines)
-        return
-    if label.startswith("call_"):
-        name = label[len("call_"):]
-        _check_ident(name, label)
-        if n.children:
-            raise ItemsimError(f"call node {label!r} cannot have children")
-        lines.append(pad + f"call {name}")
-        return
-    raise ItemsimError(f"label {label!r} is outside the robot DSL fragment")
-
-
-def _emit_block(head: str, body: tuple[AstNode, ...], indent: int, lines: list[str]) -> None:
-    pad = "  " * indent
+    bodies = [kids]
+    if keyword == "if" and len(kids) == 2 and kids[0].label == "then" and kids[1].label == "else":
+        bodies = [kids[0].children, kids[1].children]
     lines.append(pad + head + " {")
-    for c in body:
-        _emit(c, indent + 1, lines)
+    for i, body in enumerate(bodies):
+        if i:
+            lines.append(pad + "} else {")
+        for c in body:
+            _emit(c, indent + 1, lines)
     lines.append(pad + "}")
-
-
-def _check_cond(cond: str, label: str) -> None:
-    if not _COND_RE.fullmatch(cond):
-        raise ItemsimError(f"bad condition in label {label!r}")
-
-
-def _check_ident(name: str, label: str) -> None:
-    if not _IDENT_RE.fullmatch(name):
-        raise ItemsimError(f"bad identifier in label {label!r}")

@@ -12,7 +12,8 @@ from .errors import ItemsimError
 DEFAULT_UNROLL_CAP = 100
 DEFAULT_TOTAL_CAP = 10000
 
-_REPEAT_RE = re.compile(r"^repeat_([1-9][0-9]*)$")
+# the N of a repeat_N label; the robot DSL parses and writes the same count
+REPEAT_COUNT = re.compile(r"[1-9][0-9]*")
 
 
 @dataclass(frozen=True)
@@ -126,9 +127,13 @@ def canonize(ast: AstNode) -> list[str]:
     return out
 
 
-def _repeat_count(label: str) -> int | None:
-    m = _REPEAT_RE.match(label)
-    return int(m.group(1)) if m else None
+def _repeat_count(label: str, cap: int) -> int | None:
+    """min(N, cap) for a repeat_N label, else None. A count longer than
+    cap is larger, so it is never converted: int() refuses over 4300 digits."""
+    count = label[len("repeat_"):]
+    if not (label.startswith("repeat_") and REPEAT_COUNT.fullmatch(count)):
+        return None
+    return cap if len(count) > len(str(cap)) else min(int(count), cap)
 
 
 def action_sequence(
@@ -172,9 +177,9 @@ def action_sequence(
         if len(out) >= total_cap:
             return
         label = n.label
-        count = _repeat_count(label)
+        count = _repeat_count(label, unroll_cap)
         if count is not None:
-            for _ in range(min(count, unroll_cap)):
+            for _ in range(count):
                 if len(out) >= total_cap:
                     return
                 emit_children(n)

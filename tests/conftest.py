@@ -90,6 +90,22 @@ def _random_block(rng: np.random.Generator, depth: int) -> tuple[AstNode, ...]:
     return tuple(_random_stmt(rng, depth) for _ in range(int(rng.integers(0, 4))))
 
 
+def char_mutant(text: str, pieces, rng: np.random.Generator) -> str:
+    """text after 1-3 random edits: insert a piece, delete a character, or
+    write a piece over one character."""
+    for _ in range(int(rng.integers(1, 4))):
+        pos = int(rng.integers(len(text) + 1))
+        piece = pieces[int(rng.integers(len(pieces)))]
+        op = int(rng.integers(3))
+        if op == 0:
+            text = text[:pos] + piece + text[pos:]
+        elif op == 1:
+            text = text[:pos] + text[pos + 1:]
+        else:
+            text = text[:pos] + piece + text[pos + 1:]
+    return text
+
+
 def random_sequence(rng: np.random.Generator, max_len: int = 8,
                     alphabet=("x", "y", "z")) -> tuple[str, ...]:
     n = int(rng.integers(0, max_len + 1))

@@ -11,11 +11,14 @@ fast path, kept to compare against.
 from __future__ import annotations
 
 import math
+import re
+from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
 
 from itemsim import AstNode, ItemsimError, NwScoring, SimilarityMatrix, heatmap
+from itemsim.errors import ParseError
 from itemsim.similarity import pearson
 
 
@@ -430,3 +433,166 @@ def reference_heatmap_svg(ids: tuple[str, ...], values: np.ndarray,
             out.append(f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" fill="{fill}"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The robot DSL parser with a per-lexeme line and column count
+# ---------------------------------------------------------------------------
+
+_REF_COMMANDS = ("move", "left", "right", "shoot")
+_REF_KEYWORDS = frozenset(_REF_COMMANDS) | {"repeat", "while", "if", "else", "def", "call"}
+
+_REF_TOKEN_RE = re.compile(
+    r"(?P<ws>[ \t\r\n]+)"
+    r"|(?P<comment>#[^\n]*)"
+    r"|(?P<num>[0-9]+)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>==|!=|\{|\})"
+)
+
+
+@dataclass(frozen=True)
+class _RefToken:
+    kind: str  # num | ident | { | } | == | != | eof
+    text: str
+    line: int
+    col: int
+
+
+def _reference_tokenize(source: str) -> list[_RefToken]:
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(source):
+        m = _REF_TOKEN_RE.match(source, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {source[pos]!r}", line, col)
+        text = m.group(0)
+        kind = m.lastgroup
+        if kind == "num":
+            tokens.append(_RefToken("num", text, line, col))
+        elif kind == "ident":
+            tokens.append(_RefToken("ident", text, line, col))
+        elif kind == "op":
+            tokens.append(_RefToken(text, text, line, col))
+        # advance position counters through the lexeme
+        newlines = text.count("\n")
+        if newlines:
+            line += newlines
+            col = len(text) - text.rfind("\n")
+        else:
+            col += len(text)
+        pos = m.end()
+    tokens.append(_RefToken("eof", "", line, col))
+    return tokens
+
+
+class _ReferenceParser:
+    def __init__(self, tokens: list[_RefToken]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> _RefToken:
+        return self.tokens[self.pos]
+
+    def advance(self) -> _RefToken:
+        tok = self.tokens[self.pos]
+        if tok.kind != "eof":
+            self.pos += 1
+        return tok
+
+    def program(self) -> AstNode:
+        stmts = []
+        while self.peek().kind != "eof":
+            if self.peek().kind == "}":
+                tok = self.peek()
+                raise ParseError("unbalanced braces: unexpected '}'", tok.line, tok.col)
+            stmts.append(self.stmt())
+        return AstNode("program", tuple(stmts))
+
+    def stmt(self) -> AstNode:
+        tok = self.peek()
+        if tok.kind == "ident":
+            if tok.text in _REF_COMMANDS:
+                self.advance()
+                return AstNode(tok.text)
+            if tok.text == "repeat":
+                return self.repeat_stmt()
+            if tok.text == "while":
+                self.advance()
+                cond = self.cond()
+                return AstNode("while_" + cond, self.block())
+            if tok.text == "if":
+                return self.if_stmt()
+            if tok.text == "def":
+                self.advance()
+                name = self.ident("function name")
+                return AstNode("def_" + name, self.block())
+            if tok.text == "call":
+                self.advance()
+                return AstNode("call_" + self.ident("function name"))
+            raise ParseError(f"unknown keyword {tok.text!r}", tok.line, tok.col)
+        raise ParseError(f"expected statement, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+
+    def repeat_stmt(self) -> AstNode:
+        self.advance()
+        tok = self.peek()
+        if tok.kind != "num" or not re.fullmatch(r"[1-9][0-9]*", tok.text):
+            raise ParseError("repeat count not a positive integer", tok.line, tok.col)
+        self.advance()
+        return AstNode("repeat_" + tok.text, self.block())
+
+    def if_stmt(self) -> AstNode:
+        self.advance()
+        cond = self.cond()
+        then_body = self.block()
+        tok = self.peek()
+        if tok.kind == "ident" and tok.text == "else":
+            self.advance()
+            else_body = self.block()
+            return AstNode(
+                "if_" + cond,
+                (AstNode("then", then_body), AstNode("else", else_body)),
+            )
+        return AstNode("if_" + cond, then_body)
+
+    def block(self) -> tuple[AstNode, ...]:
+        open_tok = self.peek()
+        if open_tok.kind != "{":
+            raise ParseError("unbalanced braces: expected '{'", open_tok.line, open_tok.col)
+        self.advance()
+        stmts = []
+        while self.peek().kind != "}":
+            tok = self.peek()
+            if tok.kind == "eof":
+                raise ParseError("unbalanced braces: missing '}'", tok.line, tok.col)
+            stmts.append(self.stmt())
+        self.advance()
+        return tuple(stmts)
+
+    def cond(self) -> str:
+        lhs = self.ident("condition")
+        tok = self.peek()
+        if tok.kind in ("==", "!="):
+            self.advance()
+            rhs = self.ident("condition operand")
+            return f"{lhs}{tok.kind}{rhs}"
+        return lhs
+
+    def ident(self, what: str) -> str:
+        tok = self.peek()
+        if tok.kind != "ident":
+            raise ParseError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+        if tok.text in _REF_KEYWORDS:
+            raise ParseError(f"expected {what}, found keyword {tok.text!r}", tok.line, tok.col)
+        self.advance()
+        return tok.text
+
+
+def reference_parse_robot_program(source: str) -> AstNode:
+    """The robot DSL parser that tokenizes one `match` at a time and
+    carries a line and column on every token. `itemsim.parse_robot_program`,
+    which scans once with `finditer` and works out line and column from a
+    source offset only for an error, must return an equal AST or raise a
+    ParseError with equal text, line and column."""
+    return _ReferenceParser(_reference_tokenize(source)).program()

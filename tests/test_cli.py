@@ -1,5 +1,6 @@
 """End-to-end runs of every CLI subcommand through main(argv)."""
 
+import hashlib
 import json
 import os
 import re
@@ -86,6 +87,23 @@ class TestSynth:
         original = (corpus_dir / "items.json").read_bytes()
         reseeded = (out / "items.json").read_bytes()
         assert original != reseeded
+
+    def test_output_bytes_pinned(self, tmp_path):
+        """The sha256 of every file synth writes for one fixed spec, .robot
+        sources included, so the emitter and the generators keep their bytes."""
+        cfg = write_config(tmp_path, synth={
+            "n_items": 12, "n_levels": 3, "seed": 5,
+            "performance": {"n_learners": 8, "seed": 6},
+        })
+        out = tmp_path / "corpus"
+        run_ok(["synth", "-c", cfg, "-o", str(out)])
+        files = sorted(p for p in out.rglob("*") if p.is_file())
+        digest = hashlib.sha256()
+        for path in files:
+            digest.update(path.relative_to(out).as_posix().encode() + b"\0")
+            digest.update(hashlib.sha256(path.read_bytes()).digest())
+        assert len(files) == 14
+        assert digest.hexdigest() == "7b3d9bf18d50486e6a88c2e07fb1b1f0589dd5a3e309cce4e12442af94cf2844"
 
     def test_unknown_synth_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, synth={"n_items": 5, "n_levls": 2})
@@ -610,7 +628,14 @@ class TestInputFiles:
 
 class TestInputValues:
     """Badly typed values in items.json and weights.json are rejected where
-    they are read, by the subcommand that used to crash on them."""
+    they are read, by the subcommand that used to crash on them; values
+    too large for a conversion are bounded or rejected."""
+
+    def test_repeat_count_longer_than_int_converts(self, tiny_dir, tmp_path):
+        (tiny_dir / "solutions" / "gamma" / "sample.robot").write_text(
+            "repeat " + "7" * 5000 + " { move }\n", encoding="utf-8")
+        cfg = write_config(tmp_path, corpus=str(tiny_dir), measure="nw")
+        run_ok(["sim", "-c", cfg, "-o", str(tmp_path / "o")])
 
     @pytest.mark.parametrize("sub, settings, fields, fragment", [
         ("sim", {"measure": "ted"}, {"command_limit": "7"},

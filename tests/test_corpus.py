@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from itemsim import (
+    AstNode,
     Corpus,
     Item,
     ItemsimError,
@@ -214,6 +215,17 @@ class TestLoadCorpus:
                 assert a.world.legend == b.world.legend
             # loading orders solutions by filename, so compare as multisets
             assert sorted(map(key, a.solutions)) == sorted(map(key, b.solutions))
+
+    @pytest.mark.parametrize("label", ["call_if", "def_move", "while_repeat", "if_else",
+                                       "while_a==def"])
+    def test_keyword_named_labels_saved_as_documents(self, tmp_path, label):
+        body = () if label.startswith("call_") else (node("move"),)
+        ast = node("program", AstNode(label, body), node("left"))
+        item = Item(id="a", statement_text="x", solutions=(Solution(ast=ast, kind="sample"),))
+        save_corpus(Corpus((item,)), tmp_path / "out")
+        sol_dir = tmp_path / "out" / "solutions" / "a"
+        assert [p.name for p in sol_dir.iterdir()] == ["sample.ast.json"]
+        assert load_corpus(tmp_path / "out").get("a").solutions[0].ast == ast
 
     def test_save_is_byte_deterministic(self, tmp_path):
         corpus = make_tiny_corpus()

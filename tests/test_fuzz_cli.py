@@ -3,21 +3,24 @@
 Each subcommand has one valid config over the tiny fixture corpus. The
 fuzzer mutates it (drop a key, give a value another JSON type, negate a
 number; nested objects and lists included) and runs the result through
-`main`. Every run must either succeed or print exactly one `error:` line
-and exit 1: a traceback fails the test with the config that caused it.
+`main`. The solution files of the corpus are mutated the same way, and by
+character. Every run must either succeed or print exactly one `error:`
+line and exit 1: a traceback fails the test with the input that caused it.
 """
 
 import copy
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from itemsim import PerformanceTable, save_corpus, save_performance
+from itemsim import PerformanceTable, node, save_corpus, save_performance
 from itemsim.cli import main
+from itemsim.tree import ast_to_document
 
-from conftest import make_tiny_corpus
+from conftest import char_mutant, make_tiny_corpus
 
 MUTANTS_PER_CONFIG = 120
 
@@ -125,6 +128,19 @@ def _mutate(cfg: dict, rng) -> dict:
     return cfg
 
 
+def _run(sub: str, config: Path, out: Path, capsys, what: str) -> int:
+    """Exit code of one run, which must succeed or print one error line."""
+    try:
+        code = main([sub, "-c", str(config), "-o", str(out)])
+    except Exception as e:
+        pytest.fail(f"{sub} {what}: {type(e).__name__}: {e}")
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    expected = 1 if code else 0
+    assert code in (0, 1) and len(errors) == expected, (sub, what, code, errors)
+    return code
+
+
 @pytest.mark.parametrize("name", list(_configs(Path("."))))
 def test_mutated_configs(inputs, tmp_path, capsys, name):
     sub, base = _configs(inputs)[name]
@@ -135,13 +151,59 @@ def test_mutated_configs(inputs, tmp_path, capsys, name):
     config = tmp_path / "config.json"
     for i, cfg in enumerate(mutants):
         config.write_text(json.dumps({"schema": 1, **cfg}), encoding="utf-8")
-        try:
-            code = main([sub, "-c", str(config), "-o", str(tmp_path / "out")])
-        except Exception as e:
-            pytest.fail(f"{sub} {json.dumps(cfg)}: {type(e).__name__}: {e}")
-        errors = [line for line in capsys.readouterr().err.splitlines()
-                  if line.startswith("error:")]
+        code = _run(sub, config, tmp_path / "out", capsys, json.dumps(cfg))
         if i == 0:
-            assert code == 0, f"base config of {name} fails: {errors}"
-        expected = 1 if code else 0
-        assert code in (0, 1) and len(errors) == expected, (sub, cfg, code, errors)
+            assert code == 0, f"base config of {name} fails"
+
+
+MUTANTS_PER_FILE = 80
+
+# what a character mutation of a solution file inserts or writes over one
+# character: JSON and DSL syntax, characters the DSL scanner rejects, a
+# control character, and numbers past the float range
+_PIECES = ("{", "}", "[", "]", '"', ":", ",", "\\", "-", "0", "7", "1e999", "9" * 400,
+           "null", "true", '"x"', "[]", "{}", "==", "!=", "#", "\n", "\f", "\r", "\x00",
+           "é", "$", "move", "repeat ", "else", "label", "children", "repeat_3")
+
+
+@pytest.fixture(scope="module")
+def solution_corpus(tmp_path_factory):
+    """The tiny corpus with one solution saved as an AST document, since
+    every tiny-corpus solution is written as .robot source."""
+    root = tmp_path_factory.mktemp("solutions") / "tiny"
+    save_corpus(make_tiny_corpus(), root)
+    ast = node("program", node("for_each", node("move")),
+               node("if_wall", node("then", node("left")), node("else")))
+    (root / "solutions" / "gamma" / "learner.ast.json").write_text(
+        ast_to_document(ast), encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize("relative", [
+    "alpha/learner.robot", "alpha/weights.json", "gamma/learner.ast.json"])
+def test_mutated_solution_files(solution_corpus, tmp_path, capsys, relative):
+    corpus = tmp_path / "tiny"
+    shutil.copytree(solution_corpus, corpus)
+    path = corpus / "solutions" / relative
+    base = path.read_text(encoding="utf-8")
+    rng = np.random.default_rng(sum(map(ord, relative)))
+    mutants = [base]
+    for _ in range(MUTANTS_PER_FILE):
+        if relative.endswith(".json") and rng.random() < 0.5:
+            mutants.append(json.dumps(_mutate(json.loads(base), rng)))
+        else:
+            mutants.append(char_mutant(base, _PIECES, rng))
+    runs = {
+        "sim": {"corpus": str(corpus), "measure": "ted", "selector": "all"},
+        "features": {"corpus": str(corpus), "source": "solution", "selector": "all"},
+    }
+    failed = 0
+    for i, text in enumerate(mutants):
+        path.write_text(text, encoding="utf-8")
+        for sub, cfg in runs.items():
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"schema": 1, **cfg}), encoding="utf-8")
+            code = _run(sub, config, tmp_path / "out", capsys, f"{relative} = {text!r}")
+            assert code == 0 or i > 0, f"{sub} fails on the unmutated corpus"
+            failed += code
+    assert failed > 0

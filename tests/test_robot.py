@@ -3,10 +3,55 @@
 import numpy as np
 import pytest
 
-from itemsim import ItemsimError, node, parse_robot_program, pretty_print
+from itemsim import AstNode, ItemsimError, node, parse_robot_program, pretty_print
 from itemsim.errors import ParseError
+from itemsim.robot import _KEYWORDS
+from itemsim.tree import node_count
 
-from conftest import random_robot_program
+from conftest import char_mutant, random_robot_program
+from oracles import reference_parse_robot_program
+
+# what a character mutation inserts or writes over one character: every
+# token kind, characters the scanner rejects (\f and é among them) and the
+# line breaks that move the line:col of an error
+_PIECES = ("$", "\f", "\r", "\n", "\t", " ", "é", "#", "{", "}", "{}", "==", "!=",
+           "=", "!", "0", "7", "03", "12", "a", "_", "x1", "else", "move", "repeat", "def")
+
+
+def _outcome(parse, source: str):
+    try:
+        return parse(source)
+    except ParseError as e:
+        return str(e), e.line, e.col
+
+
+# parameters a label mutation puts after a prefix: valid ones, malformed
+# ones and keyword-named identifiers, which the parser refuses
+_LABEL_PARAMS = ("3", "12", "03", "0", "", "go", "wall", "a==b", "a!=b", "a==", "=b", "é",
+                 "a b", "x\n", "9x", "a==def", "move!=b") + tuple(sorted(_KEYWORDS))
+_LABEL_PREFIXES = ("repeat_", "while_", "if_", "def_", "call_")
+
+
+def _relabelled(tree: AstNode, target: int, label: str, counter: list[int]) -> AstNode:
+    """tree with its preorder node number `target` (the root is 0) relabelled."""
+    here = counter[0]
+    counter[0] += 1
+    children = tuple(_relabelled(c, target, label, counter) for c in tree.children)
+    return AstNode(label if here == target else tree.label, children)
+
+
+def _label_mutant(program: AstNode, rng: np.random.Generator) -> AstNode:
+    for _ in range(int(rng.integers(1, 3))):
+        size = node_count(program)
+        if size == 1:
+            break
+        if rng.random() < 0.8:
+            prefix = _LABEL_PREFIXES[int(rng.integers(len(_LABEL_PREFIXES)))]
+            label = prefix + _LABEL_PARAMS[int(rng.integers(len(_LABEL_PARAMS)))]
+        else:
+            label = ("then", "else", "move", "repeat", "dance")[int(rng.integers(5))]
+        program = _relabelled(program, int(rng.integers(1, size)), label, [0])
+    return program
 
 
 class TestParse:
@@ -93,6 +138,35 @@ class TestParse:
             parse_robot_program("while { move }")
 
 
+class TestParseMatchesReference:
+    """parse_robot_program against the parser that counts lines and columns
+    per lexeme: equal ASTs, or equal error text, line and column."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_character_mutants(self, seed):
+        rng = np.random.default_rng(seed)
+        parsed = failed = 0
+        for _ in range(1500):
+            source = pretty_print(random_robot_program(rng))
+            mutants = [char_mutant(source, _PIECES, rng) for _ in range(2)]
+            for mutant in [source, *mutants]:
+                expected = _outcome(reference_parse_robot_program, mutant)
+                assert _outcome(parse_robot_program, mutant) == expected, repr(mutant)
+                if isinstance(expected, AstNode):
+                    parsed += 1
+                else:
+                    failed += 1
+        assert parsed > 1000 and failed > 1000
+
+    @pytest.mark.parametrize("source", [
+        "", "\n", "move\n\n  $", "# only a comment", "repeat 2 {\n move", "\r\nmove\r\nfly",
+        "while a == { move }", "if x { left } else", "call\n", "move\f", "é", "repeat 1{}é",
+    ])
+    def test_hand_samples(self, source):
+        assert _outcome(parse_robot_program, source) == _outcome(
+            reference_parse_robot_program, source)
+
+
 class TestPrettyPrint:
     def test_round_trip_hand_samples(self):
         sources = [
@@ -125,6 +199,26 @@ class TestPrettyPrint:
             pretty_print(node("program", node("repeat_x", node("move"))))
         with pytest.raises(ItemsimError):
             pretty_print(node("program", node("while_9bad", node("move"))))
+
+    @pytest.mark.parametrize("label", ["call_if", "def_move", "while_repeat", "if_else",
+                                       "while_a==def", "if_call!=b"])
+    def test_rejects_what_the_parser_refuses(self, label):
+        body = () if label.startswith("call_") else (node("move"),)
+        with pytest.raises(ItemsimError, match="outside the robot DSL"):
+            pretty_print(node("program", AstNode(label, body)))
+
+    def test_label_mutants_round_trip_or_raise(self):
+        rng = np.random.default_rng(12)
+        printed = 0
+        for _ in range(4000):
+            ast = _label_mutant(random_robot_program(rng), rng)
+            try:
+                text = pretty_print(ast)
+            except ItemsimError:
+                continue
+            printed += 1
+            assert parse_robot_program(text) == ast, text
+        assert printed > 1000
 
     def test_rejects_children_on_commands(self):
         with pytest.raises(ItemsimError):

@@ -126,6 +126,18 @@ class TestActionSequence:
         t = node("repeat_5", node("move"))
         assert action_sequence(t, unroll_cap=2) == ["move", "move"]
 
+    def test_count_is_compared_with_the_cap_by_its_digits(self):
+        move = node("move")
+        assert action_sequence(node("repeat_10", move), unroll_cap=9) == ["move"] * 9
+        assert action_sequence(node("repeat_9", move), unroll_cap=10) == ["move"] * 9
+        assert action_sequence(node("repeat_12", move), unroll_cap=15) == ["move"] * 12
+        # int() refuses strings over 4300 digits
+        assert action_sequence(node("repeat_" + "1" * 5000, move), unroll_cap=3) == ["move"] * 3
+
+    def test_only_a_whole_repeat_label_unrolls(self):
+        for label in ("repeat_2\n", "repeat_02", "repeat_2x", "xrepeat_2", "repeat_"):
+            assert action_sequence(node(label, node("move"))) == ["move"]
+
     def test_total_cap_truncates(self):
         t = node("repeat_50", node("move"), node("left"), node("shoot"))
         assert len(action_sequence(t, total_cap=100)) == 100
