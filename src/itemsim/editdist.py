@@ -4,9 +4,9 @@ levenshtein: unit-cost insert/delete/substitute over tokens, bit-parallel
 (a DP column per Python int).
 zhang_shasha_batch: Zhang-Shasha ordered-tree edit distances, unit costs
 (relabel free for equal labels), of many pairs of prepared trees at once,
-computing each keyroot block once per pair of distinct subtrees; tree_form
-prepares a tree once, and zhang_shasha and tree_edit_distance compare one
-pair.
+computing each block of two inner keyroots once per pair of distinct
+subtrees and a leaf keyroot's distances in closed form; tree_form prepares
+a tree once, and zhang_shasha and tree_edit_distance compare one pair.
 needleman_wunsch_batch: global alignment scores, higher is more similar,
 of many sequence pairs at once, as one anti-diagonal wavefront per batch
 of pairs; needleman_wunsch aligns one pair.
@@ -93,6 +93,20 @@ def tree_form(ast: AstNode) -> TreeForm:
     return tuple(labels), tuple(leftmost), tuple(sorted(highest.values()))
 
 
+def _single_node_row(form: TreeForm, label: str) -> list[int]:
+    """Distance of a single node labelled label to each subtree x of form,
+    either way round: |T_x| - 1, plus 1 if no node of T_x carries label.
+    T_x is postorder leftmost[x]..x, so it carries label exactly when the
+    last node up to x that does is at leftmost[x] or later."""
+    labels, leftmost, _ = form
+    row, last = [], -1
+    for x, (l, first) in enumerate(zip(labels, leftmost)):
+        if l == label:
+            last = x
+        row.append(x - first + (last < first))
+    return row
+
+
 def zhang_shasha_batch(
     forms: Sequence[TreeForm], pairs: Sequence[tuple[int, int]]
 ) -> tuple[list[int], int]:
@@ -101,15 +115,22 @@ def zhang_shasha_batch(
     pairs, and the number of batches they ran in: one, or none for no pairs.
 
     Keyroot block (i, j) writes td[x][y], the distance of subtree x to
-    subtree y, for x on i's leftmost path and y on j's, and those values
-    depend on the two subtrees only. So every subtree of every form gets an
-    id by interning (label, child ids), and a block that comes up again for
-    the same two subtrees replays its stored values onto the two paths.
-    A block is stored only if one of its subtrees is a keyroot more than
-    once among the forms: no other block can come up again. The store lives
-    for this call only."""
+    subtree y, for x on i's leftmost path and y on j's. A leaf keyroot needs
+    no block, as a single node's distance to any subtree has a closed form
+    (_single_node_row): a leaf keyroot of a takes its whole td row from one
+    row per (b, label), and a leaf keyroot of b its td column, on the inner
+    keyroots' paths of a, from one row per (a, label). So only inner
+    keyroots pair up in blocks. Block values depend on the two subtrees
+    only: every subtree of every form gets an id by interning (label, child
+    ids), and a block that comes up again for the same two subtrees replays
+    its stored values onto the two paths. A block is stored only if one of
+    its subtrees is an inner keyroot more than once among the forms: no
+    other block can come up again. The rows and blocks are kept for this
+    call only."""
     ids: dict = {}  # (label, child ids, last child first) -> subtree id
-    keyroots = []  # per form, per keyroot: (k, leftmost leaf, subtree id, leftmost path)
+    # per form: per inner keyroot, (k, leftmost leaf, subtree id, leftmost
+    # path); the nodes on those paths; the leaf keyroots
+    keyroots, inner, leaves = [], [], []
     for labels, leftmost, roots in forms:
         own: list[int] = []
         for x, label in enumerate(labels):
@@ -119,14 +140,25 @@ def zhang_shasha_batch(
                 children.append(own[c])
                 c = leftmost[c] - 1
             own.append(ids.setdefault((label, tuple(children)), len(ids)))
-        keyroots.append([(k, leftmost[k], own[k],
-                          [x for x in range(leftmost[k], k + 1) if leftmost[x] == leftmost[k]])
-                         for k in roots])
+        paths = [(k, leftmost[k], own[k],
+                  [x for x in range(leftmost[k], k + 1) if leftmost[x] == leftmost[k]])
+                 for k in roots if leftmost[k] < k]
+        keyroots.append(paths)
+        inner.append([x for _, _, _, path in paths for x in path])
+        leaves.append([k for k in roots if leftmost[k] == k])
     n_ids = len(ids)
-    repeats = [0] * n_ids  # keyroot occurrences of each subtree id
+    repeats = [0] * n_ids  # inner keyroot occurrences of each subtree id
     for form_keyroots in keyroots:
         for _, _, sid, _ in form_keyroots:
             repeats[sid] += 1
+    rows: dict = {}  # (form, label) -> _single_node_row(forms[form], label)
+
+    def node_row(f: int, label: str) -> list[int]:
+        known = rows.get((f, label))
+        if known is None:
+            known = rows[f, label] = _single_node_row(forms[f], label)
+        return known
+
     memo: dict[int, tuple[int, ...]] = {}
     computed = replayed = 0
     values = [0] * len(pairs)
@@ -138,15 +170,19 @@ def zhang_shasha_batch(
         if b != last_b:
             last_b = b
             lb, lmb, _ = forms[b]
-            # per keyroot of b, its columns: (postorder index, label, leftmost offset)
+            # per inner keyroot of b, its columns: (postorder index, label, leftmost offset)
             columns = [(j, lj, sid, path, [(y, lb[y], lmb[y] - lj) for y in range(lj, j + 1)])
                        for j, lj, sid, path in keyroots[b]]
-        td = [[0] * len(lb) for _ in la]
+        td: list = [None] * len(la)
+        for i in leaves[a]:  # shared with the other pairs of b: never written
+            td[i] = node_row(b, la[i])
+        leaf_columns = [(j, node_row(a, lb[j])) for j in leaves[b]]
+        for x in inner[a]:
+            tdx = td[x] = [0] * len(lb)
+            for j, column in leaf_columns:
+                tdx[j] = column[x]
         for i, li, id_i, path_i in keyroots[a]:
             for j, lj, id_j, path_j, cols in columns:
-                if li == i and lj == j:  # two leaves
-                    td[i][j] = 0 if la[i] == lb[j] else 1
-                    continue
                 key = id_i * n_ids + id_j
                 done = memo.get(key)
                 if done is not None:

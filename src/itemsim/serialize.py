@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ def format_value(v: float) -> str:
     return text[1:] if text.startswith("-0") and float(text) == 0 else text
 
 
-def _write_rows(rows: list[list[str]]) -> str:
+def _write_rows(rows: Iterable[list[str]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)
@@ -38,10 +39,21 @@ def _write_rows(rows: list[list[str]]) -> str:
 
 
 def _matrix_csv(corner: str, columns, rows, values) -> str:
-    lines = [[corner, *columns]]
-    for name, row in zip(rows, values):
-        lines.append([name, *(format_value(v) for v in row)])
-    return _write_rows(lines)
+    """The header, then one line per row: its name and format_value of each
+    value, which runs once per distinct value. Equal floats format alike
+    (0.0 and -0.0 both give 0), and a NaN, unequal to any key, is its own.
+    Lines are written as they are made, so one row's fields are alive at a
+    time."""
+    text: dict = {}  # value -> format_value(value)
+
+    def lines():
+        yield [corner, *columns]
+        for name, row in zip(rows, values):
+            cells = row.tolist()
+            text.update((v, format_value(v)) for v in cells if v not in text)
+            yield [name, *map(text.__getitem__, cells)]
+
+    return _write_rows(lines())
 
 
 def feature_csv(m: FeatureMatrix) -> str:

@@ -21,6 +21,7 @@ from itemsim import (
     tree_edit_distance,
 )
 from itemsim.editdist import needleman_wunsch_batch, tree_form, zhang_shasha_batch
+from itemsim.tree import iter_labels, node_count
 
 from conftest import random_sequence, random_tree, top_level_mutant
 from oracles import (
@@ -137,6 +138,10 @@ class TestTreeEditDistance:
     def test_single_nodes(self):
         assert tree_edit_distance(node("a"), node("a")) == 0
         assert tree_edit_distance(node("a"), node("b")) == 1
+        # in one batch, where each form's closed-form rows are shared
+        forms = [tree_form(node("a")), tree_form(node("b")), tree_form(node("a"))]
+        pairs = [(a, b) for a in range(3) for b in range(3)]
+        assert zhang_shasha_batch(forms, pairs) == ([0, 1, 0, 1, 0, 1, 0, 1, 0], 1)
 
     def test_order_sensitivity(self):
         t1 = node("r", node("a"), node("b"))
@@ -198,6 +203,74 @@ class TestTreeEditDistance:
         # so its block is not stored
         assert [r.getMessage() for r in caplog.records] == [
             "ted batch: 3 pairs, 5 distinct subtrees, 5 blocks computed, 4 replayed, 4 stored"]
+
+    def test_batch_logs_no_block_for_leaf_keyroots(self, caplog):
+        # x = f(a(b), c) has keyroots c (a leaf) and f; y = g(d) has keyroot
+        # g; e is one leaf. Only the inner pair (f, g) runs a block: forms 0
+        # and 1 are both x, so it is stored once and replayed once
+        x, y = node("f", node("a", node("b")), node("c")), node("g", node("d"))
+        forms = [tree_form(x), tree_form(x), tree_form(y), tree_form(node("e"))]
+        pairs = [(0, 2), (1, 2), (0, 3), (3, 2)]
+        with caplog.at_level(logging.DEBUG, logger="itemsim.editdist"):
+            assert zhang_shasha_batch(forms, pairs) == ([4, 4, 4, 2], 1)
+        # subtrees b, a(b), c, x, d, y, e
+        assert [r.getMessage() for r in caplog.records] == [
+            "ted batch: 4 pairs, 7 distinct subtrees, 1 blocks computed, 1 replayed, 1 stored"]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_single_node_against_programs_in_closed_form(self, seed):
+        # node(l) is |T| - 1 + [l not in T] from any tree T, either way
+        # round: the values a leaf keyroot takes without a block
+        corpus = generate_corpus(CorpusSpec(n_items=12, n_levels=9, seed=seed))
+        for program in (it.solutions[0].ast for it in corpus.items):
+            labels = set(iter_labels(program))
+            leaf = program.children[-1]
+            while leaf.children:
+                leaf = leaf.children[-1]
+            for label, absent in ((program.label, 0), (leaf.label, 0), ("absent", 1)):
+                want = node_count(program) - 1 + absent
+                assert (label not in labels) == absent
+                single = node(label)
+                assert tree_edit_distance(program, single) == want
+                assert tree_edit_distance(single, program) == want
+                assert reference_tree_edit_distance(program, single) == want
+                assert reference_tree_edit_distance(single, program) == want
+
+    def test_flat_program_of_leaf_keyroots(self):
+        # every keyroot of a flat program but its root is a leaf
+        flat = node("program", *map(node, ("move", "left", "move", "shoot", "right", "move")))
+        _, leftmost, keyroots = tree_form(flat)
+        assert [k for k in keyroots if leftmost[k] < k] == [6]
+        others = [
+            node("program", *map(node, ("left", "move", "right"))),
+            node("program", node("repeat_3", node("move"), node("left")), node("shoot")),
+            node("move"),
+            node("program"),
+        ]
+        for other in others:
+            want = reference_tree_edit_distance(flat, other)
+            assert want == reference_tree_edit_distance(other, flat)
+            assert tree_edit_distance(flat, other) == tree_edit_distance(other, flat) == want
+        assert tree_edit_distance(flat, node("move")) == 6
+        assert tree_edit_distance(flat, node("program")) == 6
+        assert tree_edit_distance(node("jump"), flat) == 7
+
+    def test_one_batch_mixes_leaf_and_inner_keyroots(self):
+        # single nodes, flat programs, synthetic programs and random trees
+        # over few labels, every ordered pair in one batch
+        rng = np.random.default_rng(5)
+        corpus = generate_corpus(CorpusSpec(n_items=3, n_levels=3, seed=3))
+        trees = [
+            node("move"), node("left"), node("program"),
+            node("program", *map(node, ("move", "left", "move"))),
+            node("program", *map(node, ("shoot", "move"))),
+            *(it.solutions[0].ast for it in corpus.items),
+            *(random_tree(rng, max_nodes=8) for _ in range(20)),
+        ]
+        ordered = [(a, b) for a in range(len(trees)) for b in range(len(trees))]
+        got, batches = zhang_shasha_batch([tree_form(t) for t in trees], ordered)
+        assert batches == 1
+        assert got == [reference_tree_edit_distance(trees[a], trees[b]) for a, b in ordered]
 
     def test_deep_chain_in_a_batch(self):
         # interning the subtrees of a 5000-deep chain needs no recursion either

@@ -4,8 +4,9 @@ Each subcommand has one valid config over the tiny fixture corpus. The
 fuzzer mutates it (drop a key, give a value another JSON type, negate a
 number; nested objects and lists included) and runs the result through
 `main`. The solution files of the corpus are mutated the same way, and by
-character. Every run must either succeed or print exactly one `error:`
-line and exit 1: a traceback fails the test with the input that caused it.
+character; performance.csv by field and by byte. Every run must either
+succeed or print exactly one `error:` line and exit 1: a traceback fails
+the test with the input that caused it.
 """
 
 import copy
@@ -205,5 +206,66 @@ def test_mutated_solution_files(solution_corpus, tmp_path, capsys, relative):
             config.write_text(json.dumps({"schema": 1, **cfg}), encoding="utf-8")
             code = _run(sub, config, tmp_path / "out", capsys, f"{relative} = {text!r}")
             assert code == 0 or i > 0, f"{sub} fails on the unmutated corpus"
+            failed += code
+    assert failed > 0
+
+
+MUTANTS_PER_KIND = 4
+
+
+def _performance_mutant(text: str, kind: str, rng) -> bytes:
+    """performance.csv with one mutation of the given kind: a field
+    dropped or added on any line, the header included; a bad time,
+    success or id on a data row; a stray character at any offset; or a
+    byte-order mark at the start of the file or of some line."""
+    lines = text.splitlines()
+    row = int(rng.integers(0 if kind.endswith(" field") else 1, len(lines)))
+    fields = lines[row].split(",")
+    if kind.endswith(" field"):
+        column = int(rng.integers(len(fields)))
+        fields[column:column + 1] = [] if kind == "drop field" else ["x", fields[column]]
+    elif kind.startswith("time "):
+        fields[2] = kind.removeprefix("time ")
+    elif kind == "success 2":
+        fields[3] = "2"
+    elif kind == "empty id":
+        fields[int(rng.integers(2))] = ""
+    elif kind == "unknown item":
+        fields[1] = "zeta"
+    lines[row] = ",".join(fields)
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    piece = {"stray quote": b'"', "NUL": b"\x00", "non-UTF-8 byte": b"\xff"}.get(kind)
+    if piece is not None:
+        offset = int(rng.integers(len(data) + 1))
+        data = data[:offset] + piece + data[offset:]
+    elif kind == "BOM":
+        starts = [0, *(k + 1 for k, byte in enumerate(data[:-1]) if byte == ord("\n"))]
+        offset = 0 if rng.random() < 0.5 else starts[int(rng.integers(len(starts)))]
+        data = data[:offset] + b"\xef\xbb\xbf" + data[offset:]
+    return data
+
+
+@pytest.mark.parametrize("kind", [
+    "drop field", "extra field", "time soon", "time 0", "time inf", "time nan", "success 2",
+    "empty id", "unknown item", "stray quote", "NUL", "non-UTF-8 byte", "BOM"])
+def test_mutated_performance_files(inputs, tmp_path, capsys, kind):
+    corpus = tmp_path / "tiny"
+    shutil.copytree(inputs / "tiny", corpus)
+    path = corpus / "performance.csv"
+    base = path.read_text(encoding="utf-8")
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    runs = {
+        "sim": {"corpus": str(corpus), "measure": "perfcorr", "min_overlap": 3},
+        "stability": {"corpus": str(corpus), "min_overlap": 2, "seed": 3},
+    }
+    config = tmp_path / "config.json"
+    failed = 0
+    for i in range(MUTANTS_PER_KIND + 1):
+        data = base.encode("utf-8") if i == 0 else _performance_mutant(base, kind, rng)
+        path.write_bytes(data)
+        for sub, cfg in runs.items():
+            config.write_text(json.dumps({"schema": 1, **cfg}), encoding="utf-8")
+            code = _run(sub, config, tmp_path / "out", capsys, f"performance.csv = {data!r}")
+            assert code == 0 or i > 0, f"{sub} fails on the unmutated performance.csv"
             failed += code
     assert failed > 0

@@ -52,6 +52,30 @@ class TestMatrixCsv:
         assert lines[2] == "b,0.5,1,-0.25"
         assert text.endswith("\n") and not text.endswith("\n\n")
 
+    def test_each_cell_as_format_value_gives_it(self):
+        # values repeat across and within rows, 0.0 and -0.0 each come
+        # first in some row, and NaN, the infinities and float32 appear
+        def per_cell(ids, columns, values):
+            return "".join([",".join(["item_id", *columns]) + "\n",
+                            *(",".join([i, *map(format_value, row)]) + "\n"
+                              for i, row in zip(ids, values))])
+
+        rng = np.random.default_rng(6)
+        pool = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1e-8, 1 / 3, 2.5e30])
+        v = np.triu(rng.choice(pool, size=(14, 14)), 1)
+        v = v + v.T + np.eye(14)
+        v[0, 1], v[1, 0] = -0.0, 0.0
+        assert np.isnan(v).any() and np.isinf(v).any()
+        ids = tuple(f"i{k}" for k in range(14))
+        assert similarity_csv(SimilarityMatrix(ids, v)) == per_cell(ids, ids, v)
+        finite = rng.choice(pool[np.isfinite(pool)], size=(14, 9))
+        finite[2, :2], finite[3, :2] = [-0.0, 0.0], [0.0, -0.0]
+        columns = tuple(f"f{k}" for k in range(9))
+        for values in (finite, finite.astype(np.float32), rng.random((14, 9))):
+            m = FeatureMatrix(ids, ("solution",) * 9, columns, values)
+            want = per_cell(ids, [f"solution:{c}" for c in columns], values)
+            assert feature_csv(m) == want
+
     def test_feature_csv_uses_group_prefixes(self):
         m = FeatureMatrix(("a",), ("statement", "solution"), ("move", "move"),
                           np.array([[1.5, 0.0]]))
