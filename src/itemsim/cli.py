@@ -3,7 +3,8 @@
 Subcommands: features, sim, agree, meta-agree, cluster, project, stability,
 synth, heatmap. Configuration is a JSON object with "schema": 1; every
 output is a pure function of the corpus bytes and the config bytes, so
-reruns are byte-identical.
+reruns are byte-identical. Each subcommand returns its files and main
+writes them once it has returned, so a failed command writes nothing.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ from .analysis import (
 )
 from .corpus import (
     Corpus,
+    corpus_files,
     is_kind,
     load_corpus,
     load_performance,
+    performance_csv,
     read_json,
     read_text,
-    save_corpus,
-    save_performance,
+    write_files,
 )
 from .editdist import NwScoring
 from .errors import ConfigError, ItemsimError
@@ -48,7 +50,6 @@ from .serialize import (
     read_square_csv,
     scalar_text,
     similarity_csv,
-    write_text,
 )
 from .similarity import restrict
 from .synth import CorpusSpec, PerfSpec, generate_corpus, generate_performance, level_partition
@@ -157,12 +158,6 @@ def _seed(cfg: dict, args) -> int:
     return seed
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _measure_names(cfg: dict, args) -> list[str]:
     if args.measures:
         names = [m for m in args.measures.split(",") if m]
@@ -214,27 +209,27 @@ def _spec(cls, fields: dict, what: str):
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns its output files as {path under -o: text}
 # ---------------------------------------------------------------------------
 
 
-def cmd_features(cfg: dict, args) -> None:
-    write_text(_out_dir(args) / "features.csv", feature_csv(_features(cfg, "features")))
+def cmd_features(cfg: dict, args) -> dict[str, str]:
+    return {"features.csv": feature_csv(_features(cfg, "features"))}
 
 
-def cmd_sim(cfg: dict, args) -> None:
+def cmd_sim(cfg: dict, args) -> dict[str, str]:
     _, (s,) = _measures(cfg, [_require(cfg, "measure", str, "sim")])
-    write_text(_out_dir(args) / "sim.csv", similarity_csv(s))
+    return {"sim.csv": similarity_csv(s)}
 
 
-def cmd_agree(cfg: dict, args) -> None:
+def cmd_agree(cfg: dict, args) -> dict[str, str]:
     names = _measure_names(cfg, args)
     matrices = _computed_measures(cfg, names)
     a = agreement_matrix(matrices, method=_method(cfg, args))
-    write_text(_out_dir(args) / "agreement.csv", agreement_csv(a))
+    return {"agreement.csv": agreement_csv(a)}
 
 
-def cmd_meta_agree(cfg: dict, args) -> None:
+def cmd_meta_agree(cfg: dict, args) -> dict[str, str]:
     names = _measure_names(cfg, args)
     methods = _optional(cfg, "methods", list, ["correlation", "top:5"])
     if len(methods) != 2 or not all(isinstance(m, str) for m in methods):
@@ -242,10 +237,10 @@ def cmd_meta_agree(cfg: dict, args) -> None:
     matrices = _computed_measures(cfg, names)
     a1 = agreement_matrix(matrices, method=_normalize_method(methods[0]))
     a2 = agreement_matrix(matrices, method=_normalize_method(methods[1]))
-    write_text(_out_dir(args) / "meta_agree.txt", scalar_text(meta_agreement(a1, a2)))
+    return {"meta_agree.txt": scalar_text(meta_agreement(a1, a2))}
 
 
-def cmd_cluster(cfg: dict, args) -> None:
+def cmd_cluster(cfg: dict, args) -> dict[str, str]:
     corpus, (s,) = _measures(cfg, [_require(cfg, "measure", str, "cluster")])
     k = _optional(cfg, "k", int, 9)
     runs = _optional(cfg, "runs", int, 10)
@@ -255,12 +250,13 @@ def cmd_cluster(cfg: dict, args) -> None:
     index = dict(zip(manual_full.item_ids, manual_full.labels))
     manual = Partition(item_ids=s.item_ids, labels=tuple(index[i] for i in s.item_ids))
     part = kmeans(s, k, seed=seed, restarts=restarts)
-    out = _out_dir(args)
-    write_text(out / "partition.csv", partition_csv(part))
-    write_text(out / "rand_index.txt", scalar_text(cluster_eval(s, manual, k, runs=runs, seed=seed)))
+    return {
+        "partition.csv": partition_csv(part),
+        "rand_index.txt": scalar_text(cluster_eval(s, manual, k, runs=runs, seed=seed)),
+    }
 
 
-def cmd_project(cfg: dict, args) -> None:
+def cmd_project(cfg: dict, args) -> dict[str, str]:
     kind = _optional(cfg, "projection", str, "pca")
     dims = _optional(cfg, "dims", int, 2)
     if kind == "pca":
@@ -270,10 +266,10 @@ def cmd_project(cfg: dict, args) -> None:
         embedding = mds_project(s, dims)
     else:
         raise ConfigError(f"unknown projection {kind!r}; use pca or mds")
-    write_text(_out_dir(args) / "embedding.csv", embedding_csv(embedding))
+    return {"embedding.csv": embedding_csv(embedding)}
 
 
-def cmd_stability(cfg: dict, args) -> None:
+def cmd_stability(cfg: dict, args) -> dict[str, str]:
     corpus = load_corpus(_require(cfg, "corpus", str, "stability")) if "corpus" in cfg else None
     records = _load_records(cfg, corpus)
     params = _measure_params(cfg)
@@ -283,10 +279,10 @@ def cmd_stability(cfg: dict, args) -> None:
         min_overlap=params.min_overlap,
         seed=_seed(cfg, args),
     )
-    write_text(_out_dir(args) / "stability.txt", scalar_text(value))
+    return {"stability.txt": scalar_text(value)}
 
 
-def cmd_synth(cfg: dict, args) -> None:
+def cmd_synth(cfg: dict, args) -> dict[str, str]:
     synth_cfg = _require(cfg, "synth", dict, "synth")
     _check_keys(synth_cfg, _SYNTH_KEYS, "unknown synth keys")
     perf_cfg = _optional(synth_cfg, "performance", dict, None)
@@ -299,7 +295,7 @@ def cmd_synth(cfg: dict, args) -> None:
         _check_keys(perf_cfg, _PERF_KEYS, "unknown synth performance keys")
         perf_spec = _spec(PerfSpec, perf_cfg, "synth performance")
     corpus = generate_corpus(corpus_spec)
-    records = None
+    files = corpus_files(corpus)
     if perf_spec is not None:
         try:
             records = generate_performance(corpus, perf_spec)
@@ -307,17 +303,15 @@ def cmd_synth(cfg: dict, args) -> None:
             raise ConfigError(
                 f"bad synth performance spec: n_learners={perf_spec.n_learners} too large"
             ) from e
-    out = _out_dir(args)
-    save_corpus(corpus, out)
-    if records is not None:
-        save_performance(records, out / "performance.csv")
+        files["performance.csv"] = performance_csv(records)
+    return files
 
 
-def cmd_heatmap(cfg: dict, args) -> None:
+def cmd_heatmap(cfg: dict, args) -> dict[str, str]:
     matrix_path = _require(cfg, "matrix", str, "heatmap")
     ordering = _optional(cfg, "ordering", str, "none")
     ids, values = read_square_csv(read_text(matrix_path), source=matrix_path)
-    write_text(_out_dir(args) / "heatmap.svg", heatmap_svg(ids, values, ordering=ordering))
+    return {"heatmap.svg": heatmap_svg(ids, values, ordering=ordering)}
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +366,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args.func(load_config(args.config), args)
+        files = args.func(load_config(args.config), args)
+        write_files(args.out, files)
     except (ItemsimError, OSError) as e:
         message = " ".join(str(e).split())
         print(f"error: {message}", file=sys.stderr)

@@ -396,6 +396,8 @@ def read_performance(fh, corpus: Corpus | None = None, source: str = "performanc
             for name, value in (("learner_id", learner_id), ("item_id", item_id)):
                 if not value:
                     raise ItemsimError(f"{source}:{lineno}: empty {name}")
+                if "\ufeff" in value:
+                    raise ItemsimError(f"{source}:{lineno}: byte-order mark in {name}")
             try:
                 time_seconds = float(time_text)
             except ValueError:
@@ -437,17 +439,12 @@ def items_index_json(corpus: Corpus) -> str:
     return json.dumps(out, ensure_ascii=False, indent=2) + "\n"
 
 
-def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write the standard directory layout. Robot-fragment solutions are
-    emitted as .robot source, everything else as .ast.json documents."""
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    (root / "items.json").write_text(items_index_json(corpus), encoding="utf-8")
+def corpus_files(corpus: Corpus) -> dict[str, str]:
+    """The standard directory layout, as {relative path: text}. Robot-fragment
+    solutions are emitted as .robot source, everything else as .ast.json
+    documents."""
+    files = {"items.json": items_index_json(corpus)}
     for it in corpus.items:
-        if not it.solutions:
-            continue
-        sol_dir = root / "solutions" / it.id
-        sol_dir.mkdir(parents=True, exist_ok=True)
         weights = {}
         counters = {"sample": 0, "learner": 0}
         for sol in it.solutions:
@@ -459,14 +456,28 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
             except ItemsimError:
                 text = ast_to_document(sol.ast)
                 name = stem + ".ast.json"
-            (sol_dir / name).write_text(text, encoding="utf-8")
+            files[f"solutions/{it.id}/{name}"] = text
             if sol.weight != 1.0:
                 weights[name] = sol.weight
         if weights:
-            (sol_dir / "weights.json").write_text(
-                json.dumps(weights, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
+            files[f"solutions/{it.id}/weights.json"] = (
+                json.dumps(weights, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
+    return files
+
+
+def write_files(root: str | Path, files: dict[str, str]) -> None:
+    """Write each text to its path under root, as UTF-8 with line endings
+    as given, making root and parent directories as needed. Every file
+    itemsim writes is written here."""
+    for name, text in files.items():
+        path = Path(root) / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8", newline="")
+
+
+def save_corpus(corpus: Corpus, path: str | Path) -> None:
+    """Write the standard directory layout of corpus under path."""
+    write_files(path, corpus_files(corpus))
 
 
 def _csv_field(text: str) -> str:
@@ -490,4 +501,5 @@ def performance_csv(table: PerformanceTable) -> str:
 
 
 def save_performance(table: PerformanceTable, path: str | Path) -> None:
-    Path(path).write_text(performance_csv(table), encoding="utf-8")
+    path = Path(path)
+    write_files(path.parent, {path.name: performance_csv(table)})

@@ -6,7 +6,7 @@ zhang_shasha_batch: Zhang-Shasha ordered-tree edit distances, unit costs
 (relabel free for equal labels), of many pairs of prepared trees at once,
 computing each block of two inner keyroots once per pair of distinct
 subtrees and a leaf keyroot's distances in closed form; tree_form prepares
-a tree once, and zhang_shasha and tree_edit_distance compare one pair.
+a tree once, and tree_edit_distance compares one pair.
 needleman_wunsch_batch: global alignment scores, higher is more similar,
 of many sequence pairs at once, as one anti-diagonal wavefront per batch
 of pairs; needleman_wunsch aligns one pair.
@@ -231,15 +231,11 @@ def zhang_shasha_batch(
     return values, min(len(pairs), 1)
 
 
-def zhang_shasha(form_a: TreeForm, form_b: TreeForm) -> int:
-    """Zhang-Shasha distance between two tree forms: a batch of one pair."""
-    (distance,), _ = zhang_shasha_batch([form_a, form_b], [(0, 1)])
-    return distance
-
-
 def tree_edit_distance(t1: AstNode, t2: AstNode) -> int:
-    """Zhang-Shasha distance between ordered labeled trees with unit costs."""
-    return zhang_shasha(tree_form(t1), tree_form(t2))
+    """Zhang-Shasha distance between ordered labeled trees with unit costs:
+    a batch of one pair."""
+    (distance,), _ = zhang_shasha_batch([tree_form(t1), tree_form(t2)], [(0, 1)])
+    return distance
 
 
 @dataclass(frozen=True)

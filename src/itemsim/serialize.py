@@ -10,7 +10,6 @@ import csv
 import io
 import math
 from collections.abc import Iterable
-from pathlib import Path
 
 import numpy as np
 
@@ -123,7 +122,3 @@ def read_square_csv(text: str, source: str = "matrix") -> tuple[tuple[str, ...],
     if tuple(row_ids) != ids:
         raise ItemsimError(f"{source}: row ids must match column ids in order")
     return ids, values
-
-
-def write_text(path: str | Path, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8", newline="")

@@ -140,9 +140,9 @@ def reference_tree_edit_distance(t1: AstNode, t2: AstNode) -> int:
     numpy tables, a forest table per keyroot pair, labels and leftmost
     leaves recomputed per call. The batch kernel,
     `itemsim.editdist.zhang_shasha_batch`, which computes each keyroot
-    block once per pair of distinct subtrees, and its one-pair forms
-    `zhang_shasha` and `itemsim.tree_edit_distance` must equal it on trees
-    of any size, in any batch."""
+    block once per pair of distinct subtrees, and its one-pair form
+    `itemsim.tree_edit_distance` must equal it on trees of any size, in any
+    batch."""
 
     def postorder(root: AstNode) -> tuple[list[str], list[int]]:
         labels: list[str] = []

@@ -1,5 +1,6 @@
 """End-to-end runs of every CLI subcommand through main(argv)."""
 
+import ast
 import hashlib
 import json
 import os
@@ -444,6 +445,68 @@ class TestHeatmap:
         shown = re.findall(r'<text x="\d+" y="\d+">([^<]+)</text>', svg)
         assert shown == (sorted(ordered) if ordering == "none" else ordered)
         assert svg.count("<rect ") == len(ordered) ** 2
+
+
+class TestFailedRunWritesNothing:
+    def test_cluster_with_no_runs(self, corpus_dir, tmp_path, capsys):
+        # the partition is computed before runs is checked
+        cfg = write_config(tmp_path, corpus=str(corpus_dir), measure="ted", k=2, runs=0)
+        run_error(["cluster", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
+                  "runs must be positive")
+        assert not (tmp_path / "o").exists()
+
+    def test_performance_features_without_performance_csv(self, tiny_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path, corpus=str(tiny_dir), source="performance")
+        run_error(["features", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
+                  'config needs "performance"')
+        assert not (tmp_path / "o").exists()
+
+    def test_only_write_files_writes(self):
+        """Every call in src/itemsim that writes a file or makes a directory
+        sits in corpus.write_files. In the CLI only main calls it, once a
+        command has returned; the library's save functions are its others."""
+        writes = []
+        for path in sorted(Path(itemsim.__file__).parent.glob("*.py")):
+            finder = _FileWrites(path.name)
+            finder.visit(ast.parse(path.read_text(encoding="utf-8")))
+            writes += finder.found
+        assert {where for where, _ in writes} == {
+            "corpus.py:write_files", "cli.py:main", "corpus.py:save_corpus",
+            "corpus.py:save_performance"}, writes
+
+
+class _FileWrites(ast.NodeVisitor):
+    """(file:function, line) of each write_files, write_text, write_bytes,
+    mkdir or touch call, and of each open whose mode is not a read-only
+    literal."""
+
+    def __init__(self, filename: str):
+        self.filename, self.functions, self.found = filename, [], []
+
+    def visit_FunctionDef(self, node):
+        self.functions.append(node.name)
+        self.generic_visit(node)
+        self.functions.pop()
+
+    def visit_Call(self, node):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("write_files", "write_text", "write_bytes", "mkdir", "touch") or (
+                name == "open" and not self._read_only(node, func)):
+            self.found.append((f"{self.filename}:{'.'.join(self.functions)}", node.lineno))
+        self.generic_visit(node)
+
+    @staticmethod
+    def _read_only(node, func) -> bool:
+        # open(file, mode) and path.open(mode)
+        position = 0 if isinstance(func, ast.Attribute) else 1
+        modes = [k.value for k in node.keywords if k.arg == "mode"]
+        modes += node.args[position:position + 1]
+        if not modes:
+            return True
+        mode = modes[0]
+        return (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
 
 
 class TestConfigAndErrors:

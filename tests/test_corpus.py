@@ -21,7 +21,13 @@ from itemsim import (
     save_performance,
     select_solutions,
 )
-from itemsim.corpus import items_index_json, performance_csv, read_performance
+from itemsim.corpus import (
+    corpus_files,
+    items_index_json,
+    performance_csv,
+    read_performance,
+    write_files,
+)
 
 from conftest import make_tiny_corpus
 
@@ -227,6 +233,15 @@ class TestLoadCorpus:
         assert [p.name for p in sol_dir.iterdir()] == ["sample.ast.json"]
         assert load_corpus(tmp_path / "out").get("a").solutions[0].ast == ast
 
+    def test_corpus_files_are_what_save_corpus_writes(self, tmp_path):
+        corpus = make_tiny_corpus()
+        save_corpus(corpus, tmp_path)
+        written = {p.relative_to(tmp_path).as_posix(): p.read_bytes()
+                   for p in tmp_path.rglob("*") if p.is_file()}
+        files = corpus_files(corpus)
+        assert written == {name: text.encode("utf-8") for name, text in files.items()}
+        assert "solutions/alpha/weights.json" in files
+
     def test_save_is_byte_deterministic(self, tmp_path):
         corpus = make_tiny_corpus()
         save_corpus(corpus, tmp_path / "one")
@@ -306,6 +321,15 @@ class TestPerformance:
             with pytest.raises(ItemsimError, match=f"p.csv:3: empty {name}$"):
                 load_performance(path)
 
+    def test_byte_order_mark_in_ids_names_the_line(self, tmp_path):
+        # a BOM inside the file, say from concatenated exports, is no part of an id
+        for row, name in (("\ufeffL1,i,1,1", "learner_id"), ("l,\ufeffi,1,1", "item_id")):
+            path = tmp_path / "p.csv"
+            path.write_text(f"learner_id,item_id,time_seconds,success\nL1,i,1,1\n{row}\n",
+                            encoding="utf-8")
+            with pytest.raises(ItemsimError, match=f"p.csv:3: byte-order mark in {name}$"):
+                load_performance(path)
+
     def test_malformed_csv_names_the_line(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text('learner_id,item_id,time_seconds,success\nl,i,1,1\n"l' + "x" * 200_000
@@ -360,3 +384,18 @@ class TestPerformance:
         for name in ("time_seconds", "success"):
             assert np.array_equal(getattr(again, name), getattr(table, name), equal_nan=True)
         assert performance_csv(again).encode("utf-8") == path.read_bytes()
+
+
+class TestWriteFiles:
+    def test_lf_only_bytes(self, tmp_path):
+        write_files(tmp_path, {"out.csv": "a,b\n1,2\n", "cr.txt": "a\r\nb\r"})
+        assert (tmp_path / "out.csv").read_bytes() == b"a,b\n1,2\n"
+        assert (tmp_path / "cr.txt").read_bytes() == b"a\r\nb\r"
+
+    def test_makes_root_and_parent_directories(self, tmp_path):
+        root = tmp_path / "new" / "out"
+        write_files(root, {"top.txt": "é\n", "a/b/deep.txt": "x"})
+        assert (root / "top.txt").read_bytes() == "é\n".encode("utf-8")
+        assert (root / "a" / "b" / "deep.txt").read_text(encoding="utf-8") == "x"
+        write_files(root, {"top.txt": "again\n"})  # into an existing -o, overwriting
+        assert (root / "top.txt").read_text(encoding="utf-8") == "again\n"

@@ -3,10 +3,11 @@
 Each subcommand has one valid config over the tiny fixture corpus. The
 fuzzer mutates it (drop a key, give a value another JSON type, negate a
 number; nested objects and lists included) and runs the result through
-`main`. The solution files of the corpus are mutated the same way, and by
-character; performance.csv by field and by byte. Every run must either
-succeed or print exactly one `error:` line and exit 1: a traceback fails
-the test with the input that caused it.
+`main`. The items.json and solution files of the corpus are mutated the
+same way, and by character; performance.csv by field and by byte; the
+heatmap's matrix CSV by character. Every run gets a fresh `-o` and must
+either succeed or print exactly one `error:` line, exit 1 and leave no
+`-o`: a traceback fails the test with the input that caused it.
 """
 
 import copy
@@ -129,8 +130,10 @@ def _mutate(cfg: dict, rng) -> dict:
     return cfg
 
 
-def _run(sub: str, config: Path, out: Path, capsys, what: str) -> int:
-    """Exit code of one run, which must succeed or print one error line."""
+def _run(sub: str, config: Path, capsys, what: str) -> int:
+    """Exit code of one run into a fresh -o beside the config, which must
+    succeed, or print one error line and leave no -o."""
+    out = config.with_name("out")
     try:
         code = main([sub, "-c", str(config), "-o", str(out)])
     except Exception as e:
@@ -139,6 +142,10 @@ def _run(sub: str, config: Path, out: Path, capsys, what: str) -> int:
               if line.startswith("error:")]
     expected = 1 if code else 0
     assert code in (0, 1) and len(errors) == expected, (sub, what, code, errors)
+    if code:
+        assert not out.exists(), f"{sub} {what}: a failed run wrote {out}"
+    else:
+        shutil.rmtree(out)
     return code
 
 
@@ -152,7 +159,7 @@ def test_mutated_configs(inputs, tmp_path, capsys, name):
     config = tmp_path / "config.json"
     for i, cfg in enumerate(mutants):
         config.write_text(json.dumps({"schema": 1, **cfg}), encoding="utf-8")
-        code = _run(sub, config, tmp_path / "out", capsys, json.dumps(cfg))
+        code = _run(sub, config, capsys, json.dumps(cfg))
         if i == 0:
             assert code == 0, f"base config of {name} fails"
 
@@ -180,34 +187,67 @@ def solution_corpus(tmp_path_factory):
     return root
 
 
+def _run_file_mutants(path: Path, pieces, runs: dict, tmp_path, capsys, seed: str) -> None:
+    """Run each config of runs over the file at path, as given and then
+    under MUTANTS_PER_FILE mutations: half by JSON value for a .json file,
+    the rest by character. The unmutated file must pass and some mutant
+    must fail."""
+    base = path.read_text(encoding="utf-8")
+    rng = np.random.default_rng(sum(map(ord, seed)))
+    mutants = [base]
+    for _ in range(MUTANTS_PER_FILE):
+        if path.name.endswith(".json") and rng.random() < 0.5:
+            mutants.append(json.dumps(_mutate(json.loads(base), rng)))
+        else:
+            mutants.append(char_mutant(base, pieces, rng))
+    config = tmp_path / "config.json"
+    failed = 0
+    for i, text in enumerate(mutants):
+        path.write_text(text, encoding="utf-8")
+        for name, (sub, cfg) in runs.items():
+            config.write_text(json.dumps({"schema": 1, **cfg}), encoding="utf-8")
+            code = _run(sub, config, capsys, f"{name}, {path.name} = {text!r}")
+            assert code == 0 or i > 0, f"{name} fails on the unmutated {path.name}"
+            failed += code
+    assert failed > 0
+
+
 @pytest.mark.parametrize("relative", [
     "alpha/learner.robot", "alpha/weights.json", "gamma/learner.ast.json"])
 def test_mutated_solution_files(solution_corpus, tmp_path, capsys, relative):
     corpus = tmp_path / "tiny"
     shutil.copytree(solution_corpus, corpus)
-    path = corpus / "solutions" / relative
-    base = path.read_text(encoding="utf-8")
-    rng = np.random.default_rng(sum(map(ord, relative)))
-    mutants = [base]
-    for _ in range(MUTANTS_PER_FILE):
-        if relative.endswith(".json") and rng.random() < 0.5:
-            mutants.append(json.dumps(_mutate(json.loads(base), rng)))
-        else:
-            mutants.append(char_mutant(base, _PIECES, rng))
     runs = {
-        "sim": {"corpus": str(corpus), "measure": "ted", "selector": "all"},
-        "features": {"corpus": str(corpus), "source": "solution", "selector": "all"},
+        "sim": ("sim", {"corpus": str(corpus), "measure": "ted", "selector": "all"}),
+        "features": ("features", {"corpus": str(corpus), "source": "solution",
+                                  "selector": "all"}),
     }
-    failed = 0
-    for i, text in enumerate(mutants):
-        path.write_text(text, encoding="utf-8")
-        for sub, cfg in runs.items():
-            config = tmp_path / "config.json"
-            config.write_text(json.dumps({"schema": 1, **cfg}), encoding="utf-8")
-            code = _run(sub, config, tmp_path / "out", capsys, f"{relative} = {text!r}")
-            assert code == 0 or i > 0, f"{sub} fails on the unmutated corpus"
-            failed += code
-    assert failed > 0
+    _run_file_mutants(corpus / "solutions" / relative, _PIECES, runs, tmp_path, capsys,
+                      relative)
+
+
+def test_mutated_items_json(solution_corpus, tmp_path, capsys):
+    corpus = tmp_path / "tiny"
+    shutil.copytree(solution_corpus, corpus)
+    runs = {
+        "features": ("features", {"corpus": str(corpus), "source": "world"}),
+        "sim": ("sim", {"corpus": str(corpus), "measure": "ted", "selector": "all"}),
+    }
+    _run_file_mutants(corpus / "items.json", _PIECES, runs, tmp_path, capsys, "items.json")
+
+
+# what a character mutation of a matrix CSV inserts or writes over one
+# character: CSV syntax, ids, numbers out of range, and non-finite values
+_CSV_PIECES = (",", "\n", "\r", '"', "-", "0", "7", ".", "e", "1e999", "-1e308", "1e308",
+               "9" * 400, "nan", "inf", "-inf", "a", "b", "x", " ", "\x00", "é")
+
+
+def test_mutated_heatmap_matrix(inputs, tmp_path, capsys):
+    matrix = tmp_path / "sim.csv"
+    shutil.copyfile(inputs / "sim.csv", matrix)
+    runs = {ordering: ("heatmap", {"matrix": str(matrix), "ordering": ordering})
+            for ordering in ("none", "hierarchical")}
+    _run_file_mutants(matrix, _CSV_PIECES, runs, tmp_path, capsys, "sim.csv")
 
 
 MUTANTS_PER_KIND = 4
@@ -265,7 +305,7 @@ def test_mutated_performance_files(inputs, tmp_path, capsys, kind):
         path.write_bytes(data)
         for sub, cfg in runs.items():
             config.write_text(json.dumps({"schema": 1, **cfg}), encoding="utf-8")
-            code = _run(sub, config, tmp_path / "out", capsys, f"performance.csv = {data!r}")
+            code = _run(sub, config, capsys, f"performance.csv = {data!r}")
             assert code == 0 or i > 0, f"{sub} fails on the unmutated performance.csv"
             failed += code
     assert failed > 0

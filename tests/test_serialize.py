@@ -20,7 +20,6 @@ from itemsim.serialize import (
     read_square_csv,
     scalar_text,
     similarity_csv,
-    write_text,
 )
 
 
@@ -146,10 +145,3 @@ class TestReadSquareCsv:
     def test_ragged_row(self):
         with pytest.raises(ItemsimError, match="has 1 values, expected 2"):
             read_square_csv("item_id,a,b\na,1\n")
-
-
-class TestWriteText:
-    def test_lf_only_bytes(self, tmp_path):
-        path = tmp_path / "out.csv"
-        write_text(path, "a,b\n1,2\n")
-        assert path.read_bytes() == b"a,b\n1,2\n"
