@@ -23,10 +23,11 @@ import logging
 import math
 import re
 import sys
+from collections import defaultdict
 from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +184,14 @@ class Corpus:
         raise KeyError(item_id)
 
 
+def _first_seen() -> defaultdict[str, int]:
+    """A dict that numbers each new key by its first-seen order when it is
+    looked up, so map(d.__getitem__, keys) numbers a column of ids in C."""
+    numbering = defaultdict()
+    numbering.default_factory = numbering.__len__
+    return numbering
+
+
 @dataclass(frozen=True, eq=False)
 class PerformanceTable:
     """Learner x item performance over sorted ids: time_seconds and success
@@ -199,7 +208,7 @@ class PerformanceTable:
         if self.log_time is None:
             attempted = ~np.isnan(self.time_seconds)
             log_time = np.full(self.time_seconds.shape, np.nan)
-            log_time[attempted] = [math.log(t) for t in self.time_seconds[attempted].tolist()]
+            log_time[attempted] = list(map(math.log, self.time_seconds[attempted].tolist()))
             object.__setattr__(self, "log_time", log_time)
 
     @classmethod
@@ -207,21 +216,29 @@ class PerformanceTable:
         """The table of (learner_id, item_id, time_seconds, success) rows,
         over the ids they name; a repeated (learner, item) pair keeps its
         first row. Rows are taken as valid: non-empty ids, finite positive
-        times (read_performance checks a file's rows line by line)."""
-        learners: dict[str, int] = {}  # id -> row (column for items), in first-seen order
-        items: dict[str, int] = {}
+        times (read_performance checks a file's rows before they get here)."""
+        learners, items = _first_seen(), _first_seen()
         cells, times, successes = [], [], []
         for learner_id, item_id, time_seconds, success in rows:
-            row = learners.setdefault(learner_id, len(learners))
-            cells.append(row << 32 | items.setdefault(item_id, len(items)))
+            cells.append(learners[learner_id] << 32 | items[item_id])
             times.append(time_seconds)
             successes.append(success)
+        return cls._from_cells(learners, items, np.array(cells, dtype=np.int64),
+                               np.array(times, dtype=np.float64),
+                               np.array(successes, dtype=np.float64))
+
+    @classmethod
+    def _from_cells(cls, learners: dict[str, int], items: dict[str, int], cells: np.ndarray,
+                    times: np.ndarray, successes: np.ndarray) -> PerformanceTable:
+        """The table of rows given as cells, row << 32 | column over the
+        first-seen indices in learners and items, with their times and
+        successes; a repeated cell keeps its first row."""
         # np.unique returns the index of each cell's first row: keep-first
-        cells, first = np.unique(np.array(cells, dtype=np.int64), return_index=True)
+        cells, first = np.unique(cells, return_index=True)
         at = (cells >> 32, cells & 0xFFFFFFFF)
         time_seconds, success = np.full((2, len(learners), len(items)), np.nan)
-        time_seconds[at] = np.array(times, dtype=np.float64)[first]
-        success[at] = np.array(successes, dtype=np.float64)[first]
+        time_seconds[at] = times[first]
+        success[at] = successes[first]
         learner_ids, item_ids = tuple(sorted(learners)), tuple(sorted(items))
         by_id = np.ix_([learners[i] for i in learner_ids], [items[i] for i in item_ids])
         return cls(learner_ids, item_ids, time_seconds[by_id], success[by_id])
@@ -272,7 +289,10 @@ def _world_from_obj(obj, item_id: str) -> WorldSpec:
     legend = obj.get("legend", {})
     if not isinstance(legend, dict):
         raise ItemsimError(f"item {item_id!r}: world legend must be an object")
-    return WorldSpec(grid=tuple(obj["grid"]), legend=dict(legend))
+    try:
+        return WorldSpec(grid=tuple(obj["grid"]), legend=dict(legend))
+    except ItemsimError as e:
+        raise ItemsimError(f"item {item_id!r}: {e}") from None
 
 
 def load_corpus(path: str | Path) -> Corpus:
@@ -376,6 +396,83 @@ def csv_rows(fh, source: str):
 
 
 def read_performance(fh, corpus: Corpus | None = None, source: str = "performance.csv"):
+    """The PerformanceTable of a seekable performance.csv text stream.
+
+    Plain input is read by column, a block of lines at a time. A stream
+    that is quoted, holds a carriage return, fails a check, or is not
+    UTF-8 goes back to where it started and through the line loop, which
+    raises the first error by line with its number."""
+    known = set(corpus.item_ids) if corpus is not None else None
+    start = fh.tell()
+    try:
+        read = _read_columns(fh, known)
+    except UnicodeDecodeError:
+        read = None
+    if read is None:
+        fh.seek(start)
+        read = _read_lines(fh, known, source)
+    table, data_rows = read
+    dropped = data_rows - len(table)
+    if dropped:
+        log.warning("%s: dropped %d duplicate (learner, item) rows, first kept", source, dropped)
+    return table
+
+
+_HEADER_LINE = ",".join(PERFORMANCE_HEADER) + "\n"
+_BLOCK_CHARS = 1 << 16  # readlines stops after the line that passes this many characters
+
+
+def _read_columns(fh, known: set[str] | None) -> tuple[PerformanceTable, int] | None:
+    """The table and the number of data rows of a stream whose every line
+    splits at three commas as the csv module would split it, and whose
+    columns pass the row checks; None as soon as a block is not such."""
+    lines = fh.readlines(_BLOCK_CHARS)
+    if not lines or lines[0] != _HEADER_LINE:
+        return None
+    del lines[0]
+    learners, items = _first_seen(), _first_seen()
+    cells, times, successes = [np.empty(0, np.int64)], [np.empty(0)], [np.empty(0, bool)]
+    limit = csv.field_size_limit()
+    while lines:
+        text = "".join(lines)
+        # the csv module parses quotes and CRs its own way and, before Python
+        # 3.11, rejects a NUL; a BOM is an error. A line within the field size
+        # limit holds no field over it.
+        if (any(map(text.__contains__, '"\r\0\ufeff'))
+                or set(map(str.count, lines, repeat(","))) != {3}
+                or max(map(len, lines)) > limit):
+            return None
+        if not text.endswith("\n"):  # the last line of a file without a final newline
+            text += "\n"
+        columns = text.replace("\n", ",").split(",")
+        del columns[-1]
+        learner_col, item_col, time_col, success_col = (columns[k::4] for k in range(4))
+        if not set(success_col) <= {"0", "1"}:
+            return None
+        try:
+            block_times = np.fromiter(map(float, time_col), np.float64, len(time_col))
+        except ValueError:
+            return None
+        if not (np.isfinite(block_times).all() and (block_times > 0).all()):
+            return None
+        rows = np.fromiter(map(learners.__getitem__, learner_col), np.int64, len(learner_col))
+        cols = np.fromiter(map(items.__getitem__, item_col), np.int64, len(item_col))
+        cells.append(rows << 32 | cols)
+        times.append(block_times)
+        successes.append(np.array(success_col) == "1")
+        lines = fh.readlines(_BLOCK_CHARS)
+    if "" in learners or "" in items or (known is not None and not items.keys() <= known):
+        return None
+    cells = np.concatenate(cells)
+    table = PerformanceTable._from_cells(learners, items, cells, np.concatenate(times),
+                                         np.concatenate(successes))
+    return table, len(cells)
+
+
+def _read_lines(fh, known: set[str] | None, source: str) -> tuple[PerformanceTable, int]:
+    """The table and the number of data rows of any performance.csv
+    stream, read and checked one line at a time: the first bad line is
+    an error naming it."""
     rows = csv_rows(fh, source)
     header = next(rows, None)
     if header is None:
@@ -384,7 +481,6 @@ def read_performance(fh, corpus: Corpus | None = None, source: str = "performanc
         raise ItemsimError(
             f"{source}: expected header {','.join(PERFORMANCE_HEADER)!r}, got {','.join(header)!r}"
         )
-    known = set(corpus.item_ids) if corpus is not None else None
     data_rows = 0
 
     def parsed():
@@ -412,10 +508,7 @@ def read_performance(fh, corpus: Corpus | None = None, source: str = "performanc
             yield learner_id, item_id, time_seconds, success_text == "1"
 
     table = PerformanceTable.from_records(parsed())
-    dropped = data_rows - len(table)
-    if dropped:
-        log.warning("%s: dropped %d duplicate (learner, item) rows, first kept", source, dropped)
-    return table
+    return table, data_rows
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ fast path, kept to compare against.
 
 from __future__ import annotations
 
+import csv
 import math
 import re
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from itemsim import AstNode, ItemsimError, NwScoring, SimilarityMatrix, heatmap
+from itemsim import AstNode, ItemsimError, NwScoring, PerformanceTable, SimilarityMatrix, heatmap
 from itemsim.errors import ParseError
 from itemsim.similarity import pearson
 
@@ -596,3 +597,73 @@ def reference_parse_robot_program(source: str) -> AstNode:
     source offset only for an error, must return an equal AST or raise a
     ParseError with equal text, line and column."""
     return _ReferenceParser(_reference_tokenize(source)).program()
+
+
+def reference_read_performance(fh, corpus=None, source: str = "performance.csv"):
+    """The performance.csv reader that runs `csv.reader` and every row check
+    one line at a time and pivots the rows one at a time, keeping the first
+    row of a repeated (learner, item) pair. Returns the table and the
+    warnings it would log. `itemsim.corpus.read_performance` must return an
+    equal table (ids, and every matrix by its bytes) and log the same
+    warning, or raise an ItemsimError with equal text."""
+    reader = csv.reader(fh)
+
+    def csv_rows():
+        try:
+            yield from reader
+        except csv.Error as e:
+            raise ItemsimError(f"{source}:{reader.line_num}: malformed CSV ({e})") from None
+
+    rows = csv_rows()
+    header = next(rows, None)
+    if header is None:
+        raise ItemsimError(f"{source}: empty file")
+    expected = ("learner_id", "item_id", "time_seconds", "success")
+    if tuple(header) != expected:
+        raise ItemsimError(
+            f"{source}: expected header {','.join(expected)!r}, got {','.join(header)!r}")
+    known = set(corpus.item_ids) if corpus is not None else None
+
+    learners: dict[str, int] = {}
+    items: dict[str, int] = {}
+    cells, times, successes = [], [], []
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != 4:
+            raise ItemsimError(f"{source}:{lineno}: expected 4 columns, got {len(row)}")
+        learner_id, item_id, time_text, success_text = row
+        for name, value in (("learner_id", learner_id), ("item_id", item_id)):
+            if not value:
+                raise ItemsimError(f"{source}:{lineno}: empty {name}")
+            if "\ufeff" in value:
+                raise ItemsimError(f"{source}:{lineno}: byte-order mark in {name}")
+        try:
+            time_seconds = float(time_text)
+        except ValueError:
+            raise ItemsimError(f"{source}:{lineno}: non-numeric time {time_text!r}") from None
+        if not (math.isfinite(time_seconds) and time_seconds > 0):
+            raise ItemsimError(f"{source}:{lineno}: non-positive time {time_text!r}")
+        if success_text not in ("0", "1"):
+            raise ItemsimError(f"{source}:{lineno}: success must be 0 or 1, got {success_text!r}")
+        if known is not None and item_id not in known:
+            raise ItemsimError(f"{source}:{lineno}: unknown item id {item_id!r}")
+        row_index = learners.setdefault(learner_id, len(learners))
+        cells.append(row_index << 32 | items.setdefault(item_id, len(items)))
+        times.append(time_seconds)
+        successes.append(success_text == "1")
+
+    cells, first = np.unique(np.array(cells, dtype=np.int64), return_index=True)
+    at = (cells >> 32, cells & 0xFFFFFFFF)
+    time_seconds, success = np.full((2, len(learners), len(items)), np.nan)
+    time_seconds[at] = np.array(times, dtype=np.float64)[first]
+    success[at] = np.array(successes, dtype=np.float64)[first]
+    learner_ids, item_ids = tuple(sorted(learners)), tuple(sorted(items))
+    by_id = np.ix_([learners[i] for i in learner_ids], [items[i] for i in item_ids])
+    time_seconds, success = time_seconds[by_id], success[by_id]
+    attempted = ~np.isnan(time_seconds)
+    log_time = np.full(time_seconds.shape, np.nan)
+    log_time[attempted] = [math.log(t) for t in time_seconds[attempted].tolist()]
+    table = PerformanceTable(learner_ids, item_ids, time_seconds, success, log_time)
+    dropped = len(times) - len(cells)
+    warnings = ([f"{source}: dropped {dropped} duplicate (learner, item) rows, first kept"]
+                if dropped else [])
+    return table, warnings

@@ -711,16 +711,22 @@ class TestInputValues:
          "statement_text must be a string"),
         ("sim", {"measure": "world/none/cosine"},
          {"world": {"grid": ["D..", 5], "legend": {"D": "diamond"}}},
-         "world grid rows must be strings"),
+         "item 'alpha': world grid rows must be strings"),
         ("sim", {"measure": "world/none/cosine"},
          {"world": {"grid": ["D..", "M.."], "legend": {"D": 1, "M": 2}}},
-         "world legend values must be concept name strings"),
+         "item 'alpha': world legend values must be concept name strings"),
+        ("sim", {"measure": "world/none/cosine"},
+         {"world": {"grid": ["D..", "D."], "legend": {"D": "diamond"}}},
+         "item 'alpha': world grid rows have unequal lengths"),
+        ("features", {"source": "world"},
+         {"world": {"grid": ["DM."], "legend": {"D": "diamond"}}},
+         "item 'alpha': world cell code 'M' missing from legend"),
         ("sim", {"measure": "ted"}, {"id": 5}, "every entry needs a string 'id' field"),
         ("features", {"source": "world"}, {"command_limit": 10**400},
          "command_limit does not fit a float"),
     ], ids=["command_limit_str", "command_limit_bool", "level_str", "level_bool",
-            "statement_int", "grid_row_int", "legend_value_int", "id_int",
-            "command_limit_huge"])
+            "statement_int", "grid_row_int", "legend_value_int", "grid_ragged",
+            "cell_code_missing", "id_int", "command_limit_huge"])
     def test_items_json(self, tiny_dir, tmp_path, capsys, sub, settings, fields, fragment):
         edit_first_item(tiny_dir, **fields)
         cfg = write_config(tmp_path, corpus=str(tiny_dir), **settings)

@@ -1,5 +1,6 @@
 """Corpus data model, directory loading and saving, performance logs."""
 
+import io
 import json
 import logging
 
@@ -21,7 +22,10 @@ from itemsim import (
     save_performance,
     select_solutions,
 )
+from itemsim import corpus as corpus_module
 from itemsim.corpus import (
+    _BLOCK_CHARS,
+    _decoding,
     corpus_files,
     items_index_json,
     performance_csv,
@@ -29,7 +33,8 @@ from itemsim.corpus import (
     write_files,
 )
 
-from conftest import make_tiny_corpus
+from conftest import char_mutant, make_tiny_corpus
+from oracles import reference_read_performance
 
 
 class TestWorldSpec:
@@ -384,6 +389,158 @@ class TestPerformance:
         for name in ("time_seconds", "success"):
             assert np.array_equal(getattr(again, name), getattr(table, name), equal_nan=True)
         assert performance_csv(again).encode("utf-8") == path.read_bytes()
+
+
+HEADER = "learner_id,item_id,time_seconds,success\n"
+SWEEP_CORPUS = Corpus(tuple(Item(id=f"i{k:02d}", statement_text="x") for k in range(30)))
+
+
+def _plain_rows(rng, n_rows):
+    """n_rows shuffled LF data lines over SWEEP_CORPUS's items, about a
+    tenth of them repeating an earlier (learner, item) pair."""
+    lines = []
+    for _ in range(n_rows):
+        if lines and rng.random() < 0.1:
+            learner, item, _, _ = lines[int(rng.integers(len(lines)))].split(",")
+        else:
+            learner, item = f"L{int(rng.integers(n_rows // 8 + 1))}", f"i{int(rng.integers(30)):02d}"
+        time_seconds = float(np.exp(rng.normal(3, 1)))
+        lines.append(f"{learner},{item},{time_seconds:.9g},{int(rng.integers(2))}\n")
+    return lines
+
+
+def _outcome(read):
+    """(ids, matrix bytes, warnings) of read() or the text of its error."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = lambda record: records.append(record.getMessage())
+    logger = logging.getLogger("itemsim.corpus")
+    logger.addHandler(handler)
+    try:
+        got = read()
+    except ItemsimError as e:
+        return str(e)
+    finally:
+        logger.removeHandler(handler)
+    table, warnings = got if isinstance(got, tuple) else (got, records)  # the reference's pair
+    return (table.learner_ids, table.item_ids, table.time_seconds.shape,
+            table.time_seconds.tobytes(), table.success.tobytes(), table.log_time.tobytes(),
+            warnings)
+
+
+def assert_reads_as_reference(path, data: bytes):
+    """load_performance, and read_performance over a StringIO, give the
+    reference's table and warning or raise its error text. Returns the
+    outcome for the file."""
+    path.write_bytes(data)
+
+    def reference():
+        with _decoding(path), open(path, encoding="utf-8", newline="") as fh:
+            return reference_read_performance(fh, SWEEP_CORPUS, str(path))
+
+    expected = _outcome(reference)
+    assert _outcome(lambda: load_performance(path, SWEEP_CORPUS)) == expected
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return expected
+    assert (_outcome(lambda: read_performance(io.StringIO(text), SWEEP_CORPUS))
+            == _outcome(lambda: reference_read_performance(io.StringIO(text), SWEEP_CORPUS)))
+    return expected
+
+
+class TestReadPerformanceMatchesReference:
+    """read_performance reads plain files by column in blocks of
+    _BLOCK_CHARS characters and everything else by line; either way it
+    must equal tests/oracles.reference_read_performance."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_files_straddling_the_block_boundary(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        row_chars = len("".join(_plain_rows(rng, 400))) / 400
+        boundary_rows = int(_BLOCK_CHARS / row_chars)
+        for n_rows in (0, 1, boundary_rows - 3, boundary_rows, boundary_rows + 3,
+                       2 * boundary_rows + 7, 5 * boundary_rows):
+            rows = _plain_rows(rng, n_rows)
+            text = HEADER + "".join(rows)
+            variants = {
+                "lf": text,
+                "no final newline": text.rstrip("\n"),
+                "crlf": text.replace("\n", "\r\n"),
+                "quoted ids": text.replace("L1,", '"L,1",').replace("L2,", '"L""2",'),
+            }
+            if rows:
+                middle = 1 + len(rows) // 2
+                lines = text.splitlines(keepends=True)
+                variants["mid-file bom"] = "".join(lines[:middle] + ["\ufeff" + lines[middle]]
+                                                   + lines[middle + 1:])
+            for name, variant in variants.items():
+                outcome = assert_reads_as_reference(tmp_path / "p.csv", variant.encode("utf-8"))
+                assert isinstance(outcome, str) == (name == "mid-file bom"), (name, outcome)
+                if name == "lf" and len(rows) > len(set(r.rsplit(",", 2)[0] for r in rows)):
+                    assert outcome[-1] and "duplicate" in outcome[-1][0]
+
+    @pytest.mark.parametrize("bad", [
+        "L1,i01,soon,1\n", "L1,i01,-1,1\n", "L1,i01,inf,0\n", "L1,i01,nan,0\n",
+        "L1,i01,2,2\n", "L1,i01,2, 1\n", ",i01,2,1\n", "L1,,2,1\n", "L1,zz,2,1\n",
+        "L1,i01,2\n", "L1,i01,2,1,1\n", "\n", "L1,\ufeffi01,2,1\n",
+        "L" * 200_000 + ",i01,2,1\n", "L\r1,i01,2,1\n",
+    ], ids=["non_numeric_time", "negative_time", "infinite_time", "nan_time",
+            "success_2", "success_space", "empty_learner", "empty_item", "unknown_item",
+            "three_fields", "five_fields", "blank_line", "bom_in_item", "field_over_limit",
+            "carriage_return_in_id"])
+    def test_each_row_error_where_blocks_begin_and_end(self, tmp_path, bad):
+        rows = _plain_rows(np.random.default_rng(3), 4000)
+        text = HEADER + "".join(rows)
+        second_block = len(io.StringIO(text).readlines(_BLOCK_CHARS))
+        assert 2 < second_block < len(rows)
+        for index in (1, second_block, len(rows)):  # line 2, a block's first line, the last
+            lines = text.splitlines(keepends=True)
+            lines[index] = bad
+            outcome = assert_reads_as_reference(tmp_path / "p.csv", "".join(lines).encode())
+            assert outcome.startswith(f"{tmp_path / 'p.csv'}:{index + 1}: "), outcome
+
+    @pytest.mark.parametrize("after, gap, error", [
+        ('"' + "x" * 200_000 + '",i01,1,1\n', 1, ":{line}: non-positive time"),
+        ("L1,i01,1,1\xff\n", 1, "not valid UTF-8"),
+        ("L1,i01,1,1\xff\n", 600, ":{line}: non-positive time"),
+    ], ids=["malformed_csv", "non_utf8_in_the_decoded_chunk", "non_utf8_later"])
+    def test_bad_row_then_worse_input_in_the_same_block(self, tmp_path, after, gap, error):
+        # the first error the line loop meets wins, as it did before the column path
+        rows = [line.encode() for line in _plain_rows(np.random.default_rng(4), 3000)]
+        rows[100] = b"L1,i01,0,1\n"
+        rows[100 + gap] = after.encode("latin-1")
+        outcome = assert_reads_as_reference(tmp_path / "p.csv", HEADER.encode() + b"".join(rows))
+        assert error.format(line=102) in outcome
+
+    def test_character_mutants(self, tmp_path):
+        rng = np.random.default_rng(5)
+        text = HEADER + "".join(_plain_rows(rng, 2400))
+        pieces = [",", '"', "\r", "\n", "\r\n", "\0", "\ufeff", "x", "", "0", "1", "-",
+                  "e9", "é", "nan", "zz"]
+        for _ in range(60):
+            mutant = char_mutant(text, pieces, rng)
+            assert_reads_as_reference(tmp_path / "p.csv", mutant.encode("utf-8"))
+
+    def test_written_files_take_the_column_path(self, tmp_path, monkeypatch):
+        # every file performance_csv writes for synth ids must be read without csv_rows
+        from itemsim.synth import CorpusSpec, PerfSpec, generate_corpus, generate_performance
+        corpus = generate_corpus(CorpusSpec(n_items=40, n_levels=4, seed=1))
+        table = generate_performance(corpus, PerfSpec(n_learners=200, solve_prob=0.7, seed=2))
+        data = performance_csv(table)
+        assert len(data) > 2 * _BLOCK_CHARS
+        calls = []
+        monkeypatch.setattr(corpus_module, "csv_rows",
+                            lambda *args: calls.append(args) or iter(()))
+        loaded = read_performance(io.StringIO(data), corpus)
+        assert calls == []
+        expected, _ = reference_read_performance(io.StringIO(data), corpus)
+        assert (loaded.learner_ids, loaded.item_ids) == (table.learner_ids, table.item_ids)
+        for name in ("time_seconds", "success", "log_time"):
+            assert getattr(loaded, name).tobytes() == getattr(expected, name).tobytes()
+        with pytest.raises(ItemsimError, match="empty file"):  # CRLF takes the line loop
+            read_performance(io.StringIO(data.replace("\n", "\r\n")), corpus)
+        assert len(calls) == 1
 
 
 class TestWriteFiles:
