@@ -54,8 +54,6 @@ from .serialize import (
 from .similarity import restrict
 from .synth import CorpusSpec, PerfSpec, generate_corpus, generate_performance, level_partition
 
-log = logging.getLogger("itemsim.cli")
-
 _CONFIG_KEYS = {
     "schema", "corpus", "performance", "stopwords", "measure", "measures",
     "method", "methods", "selector", "aggregation", "min_overlap",

@@ -17,7 +17,6 @@ to 1. Solutions are ordered by filename within an item.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 import math
@@ -236,12 +235,16 @@ class PerformanceTable:
         # np.unique returns the index of each cell's first row: keep-first
         cells, first = np.unique(cells, return_index=True)
         at = (cells >> 32, cells & 0xFFFFFFFF)
-        time_seconds, success = np.full((2, len(learners), len(items)), np.nan)
-        time_seconds[at] = times[first]
-        success[at] = successes[first]
         learner_ids, item_ids = tuple(sorted(learners)), tuple(sorted(items))
         by_id = np.ix_([learners[i] for i in learner_ids], [items[i] for i in item_ids])
-        return cls(learner_ids, item_ids, time_seconds[by_id], success[by_id])
+        try:
+            time_seconds, success = np.full((2, len(learners), len(items)), np.nan)
+            time_seconds[at] = times[first]
+            success[at] = successes[first]
+            return cls(learner_ids, item_ids, time_seconds[by_id], success[by_id])
+        except MemoryError:
+            raise MemoryError(
+                f"{len(learners)} learners x {len(items)} items do not fit in memory") from None
 
     def __len__(self) -> int:
         """The number of attempts."""
@@ -379,10 +382,13 @@ def _load_solutions(sol_dir: Path) -> tuple[Solution, ...]:
 def load_performance(path: str | Path, corpus: Corpus | None = None) -> PerformanceTable:
     """Load performance.csv. Duplicate (learner, item) rows keep the first
     occurrence; the dropped count is logged. When a corpus is given, item
-    ids are cross-checked against it."""
+    ids are cross-checked against it. Running out of memory is an error."""
     path = Path(path)
     with _decoding(path), path.open(encoding="utf-8", newline="") as fh:
-        return read_performance(fh, corpus=corpus, source=str(path))
+        try:
+            return read_performance(fh, corpus=corpus, source=str(path))
+        except MemoryError as e:
+            raise ItemsimError(f"{path}: {str(e) or 'out of memory'}") from None
 
 
 def csv_rows(fh, source: str):
@@ -573,20 +579,20 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
     write_files(path, corpus_files(corpus))
 
 
-def _csv_field(text: str) -> str:
-    """text as one CSV field: quoted when it holds a comma, a quote, or a
-    line break (\r included, which a writer ending lines in \n leaves bare)."""
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\r\n").writerow([text])
-    return out.getvalue()[:-2]
+def csv_field(text: str) -> str:
+    """text as one field of any CSV file itemsim writes: quoted, quotes doubled, when
+    it holds , " CR or LF (RFC 4180) or is empty (a lone one is not a blank line)."""
+    if not text or any(map(text.__contains__, ',"\r\n')):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def performance_csv(table: PerformanceTable) -> str:
     """One row per attempt, learner-major in sorted id order."""
     rows, cols = np.nonzero(~np.isnan(table.time_seconds))
     times, successes = table.time_seconds[rows, cols].tolist(), table.success[rows, cols].tolist()
-    learners = [_csv_field(x) for x in table.learner_ids]
-    items = [_csv_field(x) for x in table.item_ids]
+    learners = [csv_field(x) for x in table.learner_ids]
+    items = [csv_field(x) for x in table.item_ids]
     lines = [",".join(PERFORMANCE_HEADER)]
     for i, j, t, success in zip(rows.tolist(), cols.tolist(), times, successes):
         lines.append(f"{learners[i]},{items[j]},{t:.9g},{int(success)}")

@@ -1,20 +1,20 @@
 """Deterministic CSV serialization for all matrix and vector artifacts.
 
 All files are UTF-8 with LF line endings and no trailing whitespace. Values
-use 9 significant digits; missing entries serialize as empty fields.
+use 9 significant digits; missing entries serialize as empty fields. Names
+and ids are quoted by corpus.csv_field, the one field rule of every CSV file
+itemsim writes: in quotes, quotes doubled, when it holds , " CR or LF or is empty.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import math
-from collections.abc import Iterable
 
 import numpy as np
 
 from .analysis import AgreementMatrix, Partition
-from .corpus import csv_rows
+from .corpus import csv_field, csv_rows
 from .errors import ItemsimError
 from .features import FeatureMatrix
 from .projection import Embedding
@@ -30,29 +30,22 @@ def format_value(v: float) -> str:
     return text[1:] if text.startswith("-0") and float(text) == 0 else text
 
 
-def _write_rows(rows: Iterable[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _matrix_csv(corner: str, columns, rows, values) -> str:
     """The header, then one line per row: its name and format_value of each
     value, which runs once per distinct value. Equal floats format alike
     (0.0 and -0.0 both give 0), and a NaN, unequal to any key, is its own.
-    Lines are written as they are made, so one row's fields are alive at a
-    time."""
+    Each line is joined as its row is reached, so one row's fields are
+    alive at a time."""
     text: dict = {}  # value -> format_value(value)
 
     def lines():
-        yield [corner, *columns]
+        yield ",".join(map(csv_field, [corner, *columns]))
         for name, row in zip(rows, values):
             cells = row.tolist()
             text.update((v, format_value(v)) for v in cells if v not in text)
-            yield [name, *map(text.__getitem__, cells)]
+            yield ",".join([csv_field(name), *map(text.__getitem__, cells)])
 
-    return _write_rows(lines())
+    return "\n".join(lines()) + "\n"
 
 
 def feature_csv(m: FeatureMatrix) -> str:
@@ -68,10 +61,8 @@ def agreement_csv(a: AgreementMatrix) -> str:
 
 
 def partition_csv(p: Partition) -> str:
-    rows = [["item_id", "label"]]
-    for item_id, label in zip(p.item_ids, p.labels):
-        rows.append([item_id, str(label)])
-    return _write_rows(rows)
+    return "item_id,label\n" + "".join(
+        f"{csv_field(i)},{label}\n" for i, label in zip(p.item_ids, p.labels))
 
 
 def embedding_csv(e: Embedding) -> str:

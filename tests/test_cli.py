@@ -474,6 +474,22 @@ class TestFailedRunWritesNothing:
             "corpus.py:write_files", "cli.py:main", "corpus.py:save_corpus",
             "corpus.py:save_performance"}, writes
 
+    def test_one_csv_quoting_rule(self):
+        """No module in src/itemsim calls csv.writer, and csv_field is
+        defined once, so every CSV file quotes its fields by one rule."""
+        writers, rules = [], []
+        for path in sorted(Path(itemsim.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    if name in ("writer", "DictWriter"):
+                        writers.append((path.name, node.lineno))
+                if isinstance(node, ast.FunctionDef) and node.name == "csv_field":
+                    rules.append(path.name)
+        assert writers == []
+        assert rules == ["corpus.py"]
+
 
 class _FileWrites(ast.NodeVisitor):
     """(file:function, line) of each write_files, write_text, write_bytes,
@@ -681,6 +697,19 @@ class TestInputFiles:
             f"learner_id,item_id,time_seconds,success\nL1,alpha,1,1\n{row}\n", encoding="utf-8")
         cfg = write_config(tmp_path, performance=str(tmp_path / "p.csv"))
         run_error(["stability", "-c", cfg, "-o", str(tmp_path / "o")], capsys, fragment)
+
+    def test_performance_tables_out_of_memory(self, tmp_path, capsys, monkeypatch):
+        # the dense learners x items tables are never allocated: np.full raises
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(np, "full", no_memory)
+        (tmp_path / "p.csv").write_text(
+            "learner_id,item_id,time_seconds,success\nL1,alpha,1,1\nL2,alpha,2,0\n"
+            "L3,beta,1,1\n", encoding="utf-8")
+        cfg = write_config(tmp_path, performance=str(tmp_path / "p.csv"))
+        run_error(["stability", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
+                  "p.csv: 3 learners x 2 items do not fit in memory")
 
     def test_malformed_weights_json(self, tiny_dir, tmp_path, capsys):
         (tiny_dir / "solutions" / "alpha" / "weights.json").write_text("{oops", encoding="utf-8")

@@ -1,5 +1,8 @@
 """Deterministic CSV and text serialization."""
 
+import csv
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,11 @@ from itemsim import (
     ItemsimError,
     Partition,
     SimilarityMatrix,
+    build_features,
+    load_corpus,
 )
+from itemsim.cli import main
+from itemsim.corpus import csv_field
 from itemsim.serialize import (
     agreement_csv,
     embedding_csv,
@@ -38,6 +45,48 @@ class TestFormatValue:
     def test_negative_zero_normalizes(self):
         assert format_value(-0.0) == "0"
         assert format_value(-1e-8) == "-1e-08"
+
+
+class TestCsvField:
+    @pytest.mark.parametrize("text, field", [
+        ("plain id", "plain id"),
+        ("a,b", '"a,b"'),
+        ('say "hi"', '"say ""hi"""'),
+        ("cr\rid", '"cr\rid"'),
+        ("two\nlines", '"two\nlines"'),
+        ("crlf\r\nid", '"crlf\r\nid"'),
+        ("", '""'),
+    ], ids=["plain", "comma", "quote", "cr", "lf", "crlf", "empty"])
+    def test_quoted_exactly_when_needed(self, text, field):
+        assert csv_field(text) == field
+        assert next(csv.reader([field + "\n"])) == [text]
+
+    def test_feature_names_read_back(self, tmp_path, capsys):
+        # a world concept holding a CR and an .ast.json label holding a
+        # comma, quotes and a CR name feature columns of features.csv
+        concept, label = "gem\rstone", 'x,"y"\rz'
+        root = tmp_path / "corpus"
+        items = [{"id": i, "world": {"grid": [grid], "legend": {"G": concept}}}
+                 for i, grid in (("a", "G."), ("b", "GG"))]
+        (root / "solutions" / "a").mkdir(parents=True)
+        (root / "solutions" / "b").mkdir()
+        (root / "items.json").write_text(json.dumps(items), encoding="utf-8")
+        (root / "solutions" / "a" / "sample.ast.json").write_text(
+            json.dumps({"label": label, "children": [{"label": "move"}]}), encoding="utf-8")
+        (root / "solutions" / "b" / "sample.ast.json").write_text(
+            json.dumps({"label": "move"}), encoding="utf-8")
+        for source, name in (("world", "world:" + concept), ("solution", "solution:" + label)):
+            cfg = tmp_path / f"{source}.json"
+            cfg.write_text(json.dumps({"schema": 1, "corpus": str(root), "source": source}),
+                           encoding="utf-8")
+            assert main(["features", "-c", str(cfg), "-o", str(tmp_path / source)]) == 0
+            with open(tmp_path / source / "features.csv", encoding="utf-8", newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert header == ["item_id", *build_features(load_corpus(root), source).full_names]
+            assert name in header
+            assert [row[0] for row in rows] == ["a", "b"]
+            assert {len(row) for row in rows} == {len(header)}
+        assert capsys.readouterr().err == ""
 
 
 class TestMatrixCsv:
@@ -85,9 +134,12 @@ class TestMatrixCsv:
                             "correlation")
         assert agreement_csv(a) == "measure,x,y\nx,1,0.5\ny,0.5,1\n"
 
-    def test_partition_csv(self):
-        p = Partition(("a", "b"), (1, 0))
-        assert partition_csv(p) == "item_id,label\na,1\nb,0\n"
+    @pytest.mark.parametrize("item_ids, text", [
+        (("a", "b"), "item_id,label\na,1\nb,0\n"),
+        (('a,"1"', "b\rc"), 'item_id,label\n"a,""1""",1\n"b\rc",0\n'),
+    ], ids=["plain", "quoted"])
+    def test_partition_csv(self, item_ids, text):
+        assert partition_csv(Partition(item_ids, (1, 0))) == text
 
     def test_embedding_csv_with_variance_header(self):
         e = Embedding(("a", "b"), np.array([[1.0, 2.0], [3.0, 4.0]]),
@@ -105,11 +157,13 @@ class TestMatrixCsv:
 
 
 class TestReadSquareCsv:
-    def test_round_trip_with_missing(self):
+    @pytest.mark.parametrize("item_ids", [("a", "b"), ('a,"1"', "b\rc")],
+                             ids=["plain", "quoted"])
+    def test_round_trip_with_missing(self, item_ids):
         v = np.array([[1.0, np.nan], [np.nan, 1.0]])
-        s = SimilarityMatrix(("a", "b"), v, "m")
+        s = SimilarityMatrix(item_ids, v, "m")
         ids, values = read_square_csv(similarity_csv(s))
-        assert ids == ("a", "b")
+        assert ids == item_ids
         assert values[0, 0] == 1.0
         assert np.isnan(values[0, 1])
 
