@@ -40,7 +40,9 @@ from .editdist import NwScoring
 from .errors import ConfigError, ItemsimError
 from .features import apply_transforms, check_transforms
 from .heatmap import heatmap_svg
-from .measures import RECORD_SOURCES, MeasureParams, build_features, compute_measure, parse_measure
+from .measures import (
+    RECORD_SOURCES, SOLUTION_SOURCES, MeasureParams, build_features, compute_measure, parse_measure,
+)
 from .projection import mds_project, pca_project
 from .serialize import (
     embedding_csv,
@@ -142,8 +144,10 @@ def _measure_params(cfg: dict) -> MeasureParams:
 
 def _inputs(cfg: dict, sources: list[str]):
     """Corpus, measure parameters, and the performance records when one of
-    the sources reads them (None otherwise)."""
-    corpus = load_corpus(_require(cfg, "corpus", str, "this subcommand"))
+    the sources reads them (None otherwise). Solution files are parsed only
+    when one of the sources reads them."""
+    needs_solutions = any(source in SOLUTION_SOURCES for source in sources)
+    corpus = load_corpus(_require(cfg, "corpus", str, "this subcommand"), solutions=needs_solutions)
     params = _measure_params(cfg)
     needs_records = any(source in RECORD_SOURCES for source in sources)
     return corpus, params, _load_records(cfg, corpus) if needs_records else None
@@ -268,7 +272,9 @@ def cmd_project(cfg: dict, args) -> dict[str, str]:
 
 
 def cmd_stability(cfg: dict, args) -> dict[str, str]:
-    corpus = load_corpus(_require(cfg, "corpus", str, "stability")) if "corpus" in cfg else None
+    corpus = None
+    if "corpus" in cfg:
+        corpus = load_corpus(_require(cfg, "corpus", str, "stability"), solutions=False)
     records = _load_records(cfg, corpus)
     params = _measure_params(cfg)
     value = split_half_stability(

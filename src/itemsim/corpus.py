@@ -20,6 +20,7 @@ import csv
 import json
 import logging
 import math
+import os
 import re
 import sys
 from collections import defaultdict
@@ -298,9 +299,14 @@ def _world_from_obj(obj, item_id: str) -> WorldSpec:
         raise ItemsimError(f"item {item_id!r}: {e}") from None
 
 
-def load_corpus(path: str | Path) -> Corpus:
+def load_corpus(path: str | Path, solutions: bool = True) -> Corpus:
     """Load a corpus directory. Items come back sorted by id; solution
-    files are parsed by extension (.robot source, .ast.json document)."""
+    files are parsed by extension (.robot source, .ast.json document).
+
+    With `solutions=False`, the solution files of an item with a statement
+    or a world are not opened, and the item gets no solutions; an item with
+    neither still gets its solutions, because an item needs one of the three.
+    Every check of items.json and of the solutions directories still runs."""
     root = Path(path)
     index_path = root / "items.json"
     if not index_path.is_file():
@@ -320,61 +326,69 @@ def load_corpus(path: str | Path) -> Corpus:
 
     solutions_root = root / "solutions"
     if solutions_root.is_dir():
-        for sol_dir in sorted(solutions_root.iterdir()):
-            if sol_dir.is_dir() and sol_dir.name not in entries:
+        for name in _listing(solutions_root, os.DirEntry.is_dir):
+            if name not in entries:
                 raise ItemsimError(
-                    f"solutions directory {sol_dir.name!r} has no matching item in items.json"
+                    f"solutions directory {name!r} has no matching item in items.json"
                 )
 
     items = []
     for item_id in sorted(entries):
         obj = entries[item_id]
         world = _world_from_obj(obj["world"], item_id) if obj.get("world") is not None else None
-        solutions = _load_solutions(solutions_root / item_id)
+        statement = obj.get("statement_text")
+        needed = solutions or (statement is None and world is None)
         items.append(
             Item(
                 id=item_id,
-                statement_text=obj.get("statement_text"),
+                statement_text=statement,
                 world=world,
                 command_limit=obj.get("command_limit"),
-                solutions=solutions,
+                solutions=_load_solutions(solutions_root / item_id) if needed else (),
                 level=obj.get("level"),
             )
         )
     return Corpus(tuple(items))
 
 
+def _listing(directory: Path, keep) -> list[str]:
+    """The names of the entries of a directory that `keep` accepts, sorted;
+    one listing, with the file type of each entry taken from the listing."""
+    with os.scandir(directory) as it:
+        return sorted(e.name for e in it if keep(e))
+
+
 def _load_solutions(sol_dir: Path) -> tuple[Solution, ...]:
     if not sol_dir.is_dir():
         return ()
+    names = _listing(sol_dir, os.DirEntry.is_file)
     weights = {}
     weights_path = sol_dir / "weights.json"
-    if weights_path.is_file():
+    if "weights.json" in names:
         weights = read_json(weights_path)
         if not isinstance(weights, dict):
             raise ItemsimError(f"{weights_path}: expected an object")
     solutions = []
-    for path in sorted(sol_dir.iterdir()):
-        if not path.is_file():
-            continue
-        if path.name.endswith(".ast.json"):
+    for name in names:
+        if name.endswith(".ast.json"):
             parse = parse_ast_document
-        elif path.suffix == ".robot":
+        elif name.endswith(".robot") and name != ".robot":  # a bare ".robot" has no suffix
             parse = parse_robot_program
         else:
             continue  # weights.json and any other file that is not a solution
+        path = os.path.join(sol_dir, name)
         text = read_text(path)
         try:
             ast = parse(text)
         except ItemsimError as e:
             raise ItemsimError(f"{path}: {e}") from e
-        except RecursionError as e:  # the JSON decoder and the parser recurse per level
+        except RecursionError as e:  # the JSON decoder and its node builder recurse per level
             raise ItemsimError(f"{path}: nesting too deep") from e
-        kind = "sample" if path.name.split(".")[0].startswith("sample") else "learner"
-        weight = weights.get(path.name, 1.0)
+        kind = "sample" if name.split(".")[0].startswith("sample") else "learner"
+        weight = weights.get(name, 1.0)
         # an int past float range would overflow float()
         if not (is_kind(weight, (int, float)) and 0 < weight <= sys.float_info.max):
-            raise ItemsimError(f"{weights_path}: {path.name!r} needs a finite positive weight")
+            raise ItemsimError(f"{weights_path}: {name!r} needs a finite positive weight")
         solutions.append(Solution(ast=ast, weight=float(weight), kind=kind))
     return tuple(solutions)
 

@@ -8,7 +8,8 @@ edit-distance measures, and perfcorr denotes direct performance correlation.
 
 `bag` concatenates statement word counts with solution keyword counts; the
 `weights` transform multiplies the solution feature group by 5.
-A performance table feeds perfcorr and the performance source only.
+A performance table feeds perfcorr and the performance source only;
+solution programs feed the sources in SOLUTION_SOURCES only.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ BARE_MEASURES = ("ted", "levenshtein", "nw", "perfcorr")
 FEATURE_SOURCES = ("bag", "statement", "solution", "structural", "world", "performance")
 
 RECORD_SOURCES = ("perfcorr", "performance")
+
+SOLUTION_SOURCES = ("bag", "solution", "structural", "ted", "levenshtein", "nw")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Recursive-descent parser and emitter for the grid-robot DSL.
+"""Parser and emitter for the grid-robot DSL.
 
 Grammar (whitespace-insensitive, `#` comments run to end of line):
 
@@ -17,12 +17,16 @@ Grammar (whitespace-insensitive, `#` comments run to end of line):
 Structured statements fold their parameter into the node label
 (repeat 3 -> "repeat_3", if wall -> "if_wall") so that tree edit distance
 treats a changed count or condition as a single relabel.
+
+The parser makes one pass over the tokens and keeps the open blocks on its
+own stack, so blocks of any form nest up to one bound, 329, however deep
+the caller's stack is.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from itertools import islice
 
 from .errors import ItemsimError, ParseError
 from .tree import REPEAT_COUNT, AstNode
@@ -33,138 +37,129 @@ _KEYWORDS = frozenset(BASE_COMMANDS) | {"repeat", "while", "if", "else", "def", 
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 
-# whitespace and comments are unnamed, so their matches have no lastgroup
+# whitespace and comments are unnamed, so all four groups of their matches
+# are empty; `bad` is a character no token starts with
 _TOKEN_RE = re.compile(
     rf"[ \t\r\n]+|#[^\n]*|(?P<num>[0-9]+)|(?P<ident>{_IDENT})|(?P<op>==|!=|\{{|\}})|(?P<bad>.)",
     re.DOTALL,
 )
 
 
-class _Token(NamedTuple):
-    kind: str  # num | ident | { | } | == | != | eof
-    text: str
-    offset: int
+# open blocks nest at most this deep, whatever the form; an if/else block
+# is two tree levels, which the recursive tree walks can follow
+_MAX_NESTING = 329
+
+# what the parser expects next
+_STMT, _COUNT, _LHS, _RHS, _FUNC, _OP_OR_OPEN, _OPEN, _ELSE = range(8)
+
+# the keywords that start a statement of more than one token -> what follows
+_STARTS = {"repeat": _COUNT, "while": _LHS, "if": _LHS, "def": _FUNC, "call": _FUNC}
+
+_IDENT_WHAT = {_LHS: "condition", _RHS: "condition operand", _FUNC: "function name"}
+
+# an AstNode is immutable, so each command leaf is one node shared by every tree
+_LEAVES = {command: AstNode(command) for command in BASE_COMMANDS}
 
 
-class _Parser:
-    def __init__(self, source: str):
-        self.source = source
-        self.tokens = []
-        for m in _TOKEN_RE.finditer(source):
-            kind = m.lastgroup
-            if kind is None:
-                continue
-            if kind == "bad":
-                raise self.error(f"unexpected character {m.group()!r}", m.start())
-            text = m.group()
-            self.tokens.append(_Token(text if kind == "op" else kind, text, m.start()))
-        self.tokens.append(_Token("eof", "", len(source)))
-        self.pos = 0
-
-    def error(self, message: str, offset: int) -> ParseError:
-        """The error at a source offset, with its 1-based line and column."""
-        line = self.source.count("\n", 0, offset) + 1
-        return ParseError(message, line, offset - self.source.rfind("\n", 0, offset))
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def program(self) -> AstNode:
-        stmts = []
-        while self.peek().kind != "eof":
-            if self.peek().kind == "}":
-                raise self.error("unbalanced braces: unexpected '}'", self.peek().offset)
-            stmts.append(self.stmt())
-        return AstNode("program", tuple(stmts))
-
-    def stmt(self) -> AstNode:
-        tok = self.peek()
-        if tok.kind == "ident":
-            if tok.text in BASE_COMMANDS:
-                self.advance()
-                return AstNode(tok.text)
-            if tok.text == "repeat":
-                return self.repeat_stmt()
-            if tok.text == "while":
-                self.advance()
-                cond = self.cond()
-                return AstNode("while_" + cond, self.block())
-            if tok.text == "if":
-                return self.if_stmt()
-            if tok.text == "def":
-                self.advance()
-                name = self.ident("function name")
-                return AstNode("def_" + name, self.block())
-            if tok.text == "call":
-                self.advance()
-                return AstNode("call_" + self.ident("function name"))
-            raise self.error(f"unknown keyword {tok.text!r}", tok.offset)
-        raise self.error(f"expected statement, found {tok.text or 'end of input'!r}", tok.offset)
-
-    def repeat_stmt(self) -> AstNode:
-        self.advance()
-        tok = self.peek()
-        if tok.kind != "num" or not REPEAT_COUNT.fullmatch(tok.text):
-            raise self.error("repeat count not a positive integer", tok.offset)
-        self.advance()
-        return AstNode("repeat_" + tok.text, self.block())
-
-    def if_stmt(self) -> AstNode:
-        self.advance()
-        cond = self.cond()
-        then_body = self.block()
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "else":
-            self.advance()
-            else_body = self.block()
-            return AstNode(
-                "if_" + cond,
-                (AstNode("then", then_body), AstNode("else", else_body)),
-            )
-        return AstNode("if_" + cond, then_body)
-
-    def block(self) -> tuple[AstNode, ...]:
-        open_tok = self.peek()
-        if open_tok.kind != "{":
-            raise self.error("unbalanced braces: expected '{'", open_tok.offset)
-        self.advance()
-        stmts = []
-        while self.peek().kind != "}":
-            tok = self.peek()
-            if tok.kind == "eof":
-                raise self.error("unbalanced braces: missing '}'", tok.offset)
-            stmts.append(self.stmt())
-        self.advance()
-        return tuple(stmts)
-
-    def cond(self) -> str:
-        lhs = self.ident("condition")
-        tok = self.peek()
-        if tok.kind in ("==", "!="):
-            self.advance()
-            rhs = self.ident("condition operand")
-            return f"{lhs}{tok.kind}{rhs}"
-        return lhs
-
-    def ident(self, what: str) -> str:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise self.error(f"expected {what}, found {tok.text or 'end of input'!r}", tok.offset)
-        if tok.text in _KEYWORDS:
-            raise self.error(f"expected {what}, found keyword {tok.text!r}", tok.offset)
-        self.advance()
-        return tok.text
+def _error(source: str, tokens: list, index: int | None, message: str) -> ItemsimError:
+    """The error of the token at `index` (len(tokens) at the end of input;
+    None for an error with no position), with its 1-based line and column.
+    A character the scanner rejects is reported first, wherever it is."""
+    for i, (_, _, _, bad) in enumerate(tokens):
+        if bad:
+            index, message = i, f"unexpected character {bad!r}"
+            break
+    if index is None:
+        return ItemsimError(message)
+    if index == len(tokens):
+        offset = len(source)
+    else:
+        offset = next(islice(_TOKEN_RE.finditer(source), index, None)).start()
+    line = source.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - source.rfind("\n", 0, offset))
 
 
 def parse_robot_program(source: str) -> AstNode:
-    """Parse DSL source into an AST rooted at a "program" node."""
-    return _Parser(source).program()
+    """Parse DSL source into an AST rooted at a "program" node. Blocks nest
+    at most _MAX_NESTING deep; a deeper program raises "nesting too deep"."""
+    tokens = _TOKEN_RE.findall(source)
+    stmts: list[AstNode] = []  # the statements of the innermost open block
+    # per open block: its label, the statements it belongs to, its keyword,
+    # and for an else block the body of its then block
+    stack: list[tuple[str, list[AstNode], str, tuple[AstNode, ...]]] = []
+    expect, keyword, label, then_body = _STMT, "", "", ()
+    for i, (num, ident, op, bad) in enumerate(tokens):
+        if not (ident or op or num):
+            if bad:
+                raise _error(source, tokens, i, f"unexpected character {bad!r}")
+            continue  # whitespace or a comment
+        if expect == _ELSE:
+            if ident == "else":
+                expect, keyword = _OPEN, "else"
+                continue
+            stmts.append(AstNode(label, then_body))
+            expect = _STMT
+        if expect == _STMT:
+            if ident in _LEAVES:
+                stmts.append(_LEAVES[ident])
+            elif ident in _STARTS:
+                expect, keyword = _STARTS[ident], ident
+            elif ident:
+                raise _error(source, tokens, i, f"unknown keyword {ident!r}")
+            elif op != "}":
+                raise _error(source, tokens, i, f"expected statement, found {num or op!r}")
+            elif not stack:
+                raise _error(source, tokens, i, "unbalanced braces: unexpected '}'")
+            else:
+                label, parent, keyword, then = stack.pop()
+                body, stmts = tuple(stmts), parent
+                if keyword == "if":
+                    expect, then_body = _ELSE, body
+                elif keyword == "else":
+                    stmts.append(AstNode(label, (AstNode("then", then), AstNode("else", body))))
+                else:
+                    stmts.append(AstNode(label, body))
+        elif expect == _COUNT:
+            if not REPEAT_COUNT.fullmatch(num):
+                raise _error(source, tokens, i, "repeat count not a positive integer")
+            expect, label = _OPEN, "repeat_" + num
+        elif expect in _IDENT_WHAT:
+            what = _IDENT_WHAT[expect]
+            if not ident:
+                raise _error(source, tokens, i, f"expected {what}, found {num or op!r}")
+            if ident in _KEYWORDS:
+                raise _error(source, tokens, i, f"expected {what}, found keyword {ident!r}")
+            if expect == _LHS:
+                expect, label = _OP_OR_OPEN, f"{keyword}_{ident}"
+            elif expect == _RHS:
+                expect, label = _OPEN, label + ident
+            elif keyword == "def":
+                expect, label = _OPEN, "def_" + ident
+            else:
+                expect = _STMT
+                stmts.append(AstNode("call_" + ident))
+        elif expect == _OP_OR_OPEN and op in ("==", "!="):
+            expect, label = _RHS, label + op
+        elif op != "{":
+            raise _error(source, tokens, i, "unbalanced braces: expected '{'")
+        elif len(stack) == _MAX_NESTING:
+            raise _error(source, tokens, None, "nesting too deep")
+        else:
+            stack.append((label, stmts, keyword, then_body))
+            expect, stmts = _STMT, []
+    if expect == _ELSE:
+        stmts.append(AstNode(label, then_body))
+    elif expect != _STMT:
+        if expect == _COUNT:
+            message = "repeat count not a positive integer"
+        elif expect in _IDENT_WHAT:
+            message = f"expected {_IDENT_WHAT[expect]}, found 'end of input'"
+        else:
+            message = "unbalanced braces: expected '{'"
+        raise _error(source, tokens, len(tokens), message)
+    if stack:
+        raise _error(source, tokens, len(tokens), "unbalanced braces: missing '}'")
+    return AstNode("program", tuple(stmts))
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,11 @@ def node(label: str, *children: AstNode) -> AstNode:
     return AstNode(label, tuple(children))
 
 
-# The walks below keep their own stack: a tree as deep as the parsers
-# accept would exhaust the interpreter's recursion limit.
+# node_count, max_depth and iter_labels keep their own stack, so they follow
+# a tree of any depth. canonize and action_sequence recurse, one frame per
+# tree level, and the parsers' limits bound that depth: the robot parser's
+# bound on nested blocks (an if/else block is two tree levels) and the
+# recursion limit that stops the .ast.json decoder.
 
 
 def node_count(ast: AstNode) -> int:
@@ -167,43 +170,33 @@ def action_sequence(
     out: list[str] = []
     active: set[str] = set()
 
-    def emit_children(n: AstNode):
-        for c in n.children:
+    # one frame per tree level
+    def emit(nodes: tuple[AstNode, ...]):
+        for n in nodes:
             if len(out) >= total_cap:
                 return
-            walk(c)
+            label = n.label
+            count = _repeat_count(label, unroll_cap)
+            if count is not None:
+                for _ in range(count):
+                    if len(out) >= total_cap:
+                        return
+                    emit(n.children)
+            elif label in ("program", "then", "else") or label.startswith(("while_", "if_")):
+                emit(n.children)
+            elif label.startswith("def_"):
+                pass  # body contributes at call sites only
+            elif label.startswith("call_"):
+                name = label[5:]
+                body = defs.get(name)
+                if body is not None and name not in active:
+                    active.add(name)
+                    emit(body.children)
+                    active.discard(name)
+            elif n.children:
+                emit(n.children)
+            else:
+                out.append(label)
 
-    def walk(n: AstNode):
-        if len(out) >= total_cap:
-            return
-        label = n.label
-        count = _repeat_count(label, unroll_cap)
-        if count is not None:
-            for _ in range(count):
-                if len(out) >= total_cap:
-                    return
-                emit_children(n)
-            return
-        if label in ("program", "then", "else"):
-            emit_children(n)
-            return
-        if label.startswith(("while_", "if_")):
-            emit_children(n)
-            return
-        if label.startswith("def_"):
-            return  # body contributes at call sites only
-        if label.startswith("call_"):
-            name = label[5:]
-            body = defs.get(name)
-            if body is not None and name not in active:
-                active.add(name)
-                emit_children(body)
-                active.discard(name)
-            return
-        if n.children:
-            emit_children(n)
-            return
-        out.append(label)
-
-    walk(ast)
+    emit((ast,))
     return out

@@ -57,6 +57,25 @@ _CONDS = ("wall", "path", "clear", "edge==near", "tile!=empty")
 _FUNCS = ("go", "spin", "sweep")
 
 
+# the block forms of the robot language, each bounded by the parser's one
+# nesting limit; an if/else block is two tree levels (if, then)
+NESTED_FORMS = ("while", "repeat", "if", "if_else", "def")
+
+_NESTED_BLOCKS = {
+    "while": ("while wall {", "}"),
+    "repeat": ("repeat 2 {", "}"),
+    "if": ("if wall {", "}"),
+    "if_else": ("if wall {", "} else {\nleft\n}"),
+    "def": ("def f {", "}"),
+}
+
+
+def nested_robot_source(form: str, depth: int) -> str:
+    """Robot source of `depth` blocks of one form, each inside the last."""
+    head, tail = _NESTED_BLOCKS[form]
+    return (head + "\n") * depth + "move\n" + (tail + "\n") * depth
+
+
 def random_robot_program(rng: np.random.Generator, max_stmts: int = 4) -> AstNode:
     count = int(rng.integers(0, max_stmts + 1))
     return node("program", *(_random_stmt(rng, 0) for _ in range(count)))

@@ -591,11 +591,12 @@ class _ReferenceParser:
 
 
 def reference_parse_robot_program(source: str) -> AstNode:
-    """The robot DSL parser that tokenizes one `match` at a time and
-    carries a line and column on every token. `itemsim.parse_robot_program`,
-    which scans once with `finditer` and works out line and column from a
-    source offset only for an error, must return an equal AST or raise a
-    ParseError with equal text, line and column."""
+    """The recursive-descent robot DSL parser that tokenizes one `match` at
+    a time and carries a line and column on every token.
+    `itemsim.parse_robot_program`, which makes one pass over the `findall`
+    tokens with its own stack of open blocks and works out line and column
+    only for an error, must return an equal AST or raise a ParseError with
+    equal text, line and column."""
     return _ReferenceParser(_reference_tokenize(source)).program()
 
 

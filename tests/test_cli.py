@@ -15,11 +15,15 @@ import numpy as np
 import pytest
 
 import itemsim
-from itemsim import NwScoring, edit_similarity, load_corpus, save_corpus
+from itemsim import (
+    ItemsimError, NwScoring, compute_measure, edit_similarity, load_corpus, load_performance,
+    parse_measure, save_corpus,
+)
 from itemsim.cli import main
+from itemsim.measures import FEATURE_SOURCES, SOLUTION_SOURCES, MeasureParams
 from itemsim.serialize import read_square_csv
 
-from conftest import make_tiny_corpus
+from conftest import NESTED_FORMS, make_tiny_corpus, nested_robot_source
 
 
 def write_config(directory, name="config.json", **settings):
@@ -803,6 +807,100 @@ class TestDeepNesting:
         ids, values = read_square_csv((tmp_path / "o" / "sim.csv").read_text(encoding="utf-8"))
         assert ids == ("alpha", "beta", "gamma")
         assert np.isfinite(values).all()
+
+
+class TestOneNestingBound:
+    @pytest.mark.parametrize("form", NESTED_FORMS)
+    @pytest.mark.parametrize("measure", ["ted", "levenshtein", "nw"])
+    def test_329_levels_compute(self, tiny_dir, tmp_path, form, measure):
+        (tiny_dir / "solutions" / "gamma" / "sample.robot").write_text(
+            nested_robot_source(form, 329), encoding="utf-8")
+        cfg = write_config(tmp_path, corpus=str(tiny_dir), measure=measure)
+        run_ok(["sim", "-c", cfg, "-o", str(tmp_path / "o")])
+        ids, values = read_square_csv((tmp_path / "o" / "sim.csv").read_text(encoding="utf-8"))
+        assert ids == ("alpha", "beta", "gamma")
+        assert np.isfinite(values).all()
+
+    @pytest.mark.parametrize("form", NESTED_FORMS)
+    def test_330_levels_are_one_error_line(self, tiny_dir, tmp_path, capsys, form):
+        (tiny_dir / "solutions" / "gamma" / "sample.robot").write_text(
+            nested_robot_source(form, 330), encoding="utf-8")
+        cfg = write_config(tmp_path, corpus=str(tiny_dir), measure="ted")
+        run_error(["sim", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
+                  "gamma/sample.robot: nesting too deep")
+
+
+# commands whose sources read no solution file, with their config settings
+_NO_SOLUTION_RUNS = {
+    "sim_perfcorr": ("sim", {"measure": "perfcorr", "min_overlap": 5}),
+    "stability": ("stability", {"min_overlap": 5}),
+    "features_statement": ("features", {"source": "statement"}),
+    "features_world": ("features", {"source": "world"}),
+    "project_pca_statement": ("project", {"projection": "pca", "source": "statement"}),
+}
+
+
+def _output_bytes(command, settings, corpus, tmp_path, name):
+    cfg = write_config(tmp_path, name=f"{name}.json", corpus=str(corpus), **settings)
+    out = tmp_path / name
+    run_ok([command, "-c", cfg, "-o", str(out)])
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def _same_matrix(a, b):
+    return a.item_ids == b.item_ids and np.array_equal(a.values, b.values, equal_nan=True)
+
+
+class TestSolutionsOnlyWhereRead:
+    """A malformed solution file fails only the commands that read solutions."""
+
+    @pytest.fixture
+    def broken(self, corpus_dir, tmp_path):
+        root = tmp_path / "broken"
+        shutil.copytree(corpus_dir, root)
+        path = sorted((root / "solutions").iterdir())[0] / "zz.robot"
+        path.write_text("fly {\n", encoding="utf-8")
+        return root, path
+
+    @pytest.mark.parametrize("run", sorted(_NO_SOLUTION_RUNS))
+    def test_commands_that_read_no_solution_succeed(self, corpus_dir, broken, tmp_path, run):
+        command, settings = _NO_SOLUTION_RUNS[run]
+        clean = _output_bytes(command, settings, corpus_dir, tmp_path, "out_clean")
+        assert clean
+        assert _output_bytes(command, settings, broken[0], tmp_path, "out_broken") == clean
+
+    @pytest.mark.parametrize("command, settings", [
+        ("sim", {"measure": "ted"}),
+        ("features", {"source": "bag"}),
+    ], ids=["sim_ted", "features_bag"])
+    def test_commands_that_read_solutions_fail(self, broken, tmp_path, capsys, command,
+                                               settings):
+        root, path = broken
+        cfg = write_config(tmp_path, corpus=str(root), **settings)
+        assert main([command, "-c", cfg, "-o", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: 1:1: unknown keyword 'fly'\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_every_source_that_reads_solutions_is_listed(self, corpus_dir):
+        full = load_corpus(corpus_dir)
+        bare = load_corpus(corpus_dir, solutions=False)
+        records = load_performance(corpus_dir / "performance.csv", full)
+        params = MeasureParams(min_overlap=5)
+        names = [f"{s}/none/cosine" for s in FEATURE_SOURCES] + ["ted", "levenshtein", "nw",
+                                                                   "perfcorr"]
+        for name in names:
+            expected = compute_measure(full, name, performance=records, params=params)
+            if parse_measure(name).source not in SOLUTION_SOURCES:
+                got = compute_measure(bare, name, performance=records, params=params)
+                assert _same_matrix(got, expected), name
+                continue
+            # the listed sources do see the missing solutions, so the check above
+            # would catch a source that reads them and is left out of the tuple
+            try:
+                got = compute_measure(bare, name, performance=records, params=params)
+            except ItemsimError:
+                continue
+            assert not _same_matrix(got, expected), name
 
 
 def _sim_stderr_and_bytes(cfg, out_root):

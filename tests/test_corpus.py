@@ -3,6 +3,7 @@
 import io
 import json
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -262,6 +263,79 @@ class TestLoadCorpus:
     def test_index_serialization_is_stable(self):
         corpus = make_tiny_corpus()
         assert items_index_json(corpus) == items_index_json(corpus)
+
+
+def _without_solutions(corpus):
+    return Corpus(tuple(replace(it, solutions=()) for it in corpus.items))
+
+
+def _refuse_to_parse(monkeypatch):
+    def refuse(text):
+        raise AssertionError("a solution file was parsed")
+
+    monkeypatch.setattr(corpus_module, "parse_robot_program", refuse)
+    monkeypatch.setattr(corpus_module, "parse_ast_document", refuse)
+
+
+def _load_error(path, solutions):
+    with pytest.raises(ItemsimError) as excinfo:
+        load_corpus(path, solutions=solutions)
+    return str(excinfo.value)
+
+
+class TestLoadWithoutSolutions:
+    def test_equals_the_full_load_with_the_solutions_removed(self, tmp_path):
+        (tmp_path / "layout").mkdir()
+        _write_layout(tmp_path / "layout")
+        save_corpus(make_tiny_corpus(), tmp_path / "tiny")
+        for root in (tmp_path / "layout", tmp_path / "tiny"):
+            full = load_corpus(root)
+            assert any(it.solutions for it in full.items)
+            assert load_corpus(root, solutions=False) == _without_solutions(full)
+
+    def test_parses_no_solution_file(self, tmp_path, monkeypatch):
+        _write_layout(tmp_path)
+        expected = _without_solutions(load_corpus(tmp_path))
+        (tmp_path / "solutions" / "p1" / "broken.robot").write_text("fly {", encoding="utf-8")
+        _refuse_to_parse(monkeypatch)
+        assert load_corpus(tmp_path, solutions=False) == expected
+        with pytest.raises(AssertionError, match="parsed"):
+            load_corpus(tmp_path)
+
+    def test_an_item_with_only_solutions_keeps_them(self, tmp_path):
+        # an Item needs a statement, a world or a solution
+        _write_layout(tmp_path)
+        entries = json.loads((tmp_path / "items.json").read_text(encoding="utf-8"))
+        entries.append({"id": "p3"})
+        (tmp_path / "items.json").write_text(json.dumps(entries), encoding="utf-8")
+        (tmp_path / "solutions" / "p3").mkdir()
+        (tmp_path / "solutions" / "p3" / "sample.robot").write_text("left", encoding="utf-8")
+        full = load_corpus(tmp_path)
+        bare = load_corpus(tmp_path, solutions=False)
+        assert bare.item_ids == ("p1", "p2", "p3")
+        assert bare.get("p1").solutions == ()
+        assert bare.get("p3") == full.get("p3")
+
+    @pytest.mark.parametrize("index", [
+        None, "{oops", '{"id": "a"}', '[{"statement_text": "x"}]',
+        '[{"id": "a", "statement_text": "x"}, {"id": "a", "statement_text": "y"}]',
+        '[{"id": "bad id", "statement_text": "x"}]', '[{"id": "a"}]',
+        '[{"id": "a", "statement_text": "x", "world": {"grid": ["M"]}}]',
+        '[{"id": "a", "statement_text": "x", "level": 1.5}]',
+    ], ids=["missing", "malformed", "not_a_list", "no_id", "duplicate", "bad_id", "empty",
+            "world", "level"])
+    def test_index_errors_keep_their_text(self, tmp_path, index):
+        if index is not None:
+            (tmp_path / "items.json").write_text(index, encoding="utf-8")
+        assert _load_error(tmp_path, False) == _load_error(tmp_path, True)
+
+    def test_orphan_solutions_directory_keeps_its_text(self, tmp_path, monkeypatch):
+        _write_layout(tmp_path)
+        (tmp_path / "solutions" / "zz").mkdir()
+        expected = _load_error(tmp_path, True)
+        assert "solutions directory 'zz' has no matching item" in expected
+        _refuse_to_parse(monkeypatch)
+        assert _load_error(tmp_path, False) == expected
 
 
 PERF_TEXT = """learner_id,item_id,time_seconds,success

@@ -6,9 +6,9 @@ import pytest
 from itemsim import AstNode, ItemsimError, node, parse_robot_program, pretty_print
 from itemsim.errors import ParseError
 from itemsim.robot import _KEYWORDS
-from itemsim.tree import node_count
+from itemsim.tree import iter_labels, max_depth, node_count
 
-from conftest import char_mutant, random_robot_program
+from conftest import NESTED_FORMS, char_mutant, nested_robot_source, random_robot_program
 from oracles import reference_parse_robot_program
 
 # what a character mutation inserts or writes over one character: every
@@ -165,6 +165,40 @@ class TestParseMatchesReference:
     def test_hand_samples(self, source):
         assert _outcome(parse_robot_program, source) == _outcome(
             reference_parse_robot_program, source)
+
+
+class TestNestingBound:
+    """Blocks of every form nest up to 329 levels, however deep the caller's
+    stack; the 330th level is "nesting too deep", with no position."""
+
+    @pytest.mark.parametrize("form", NESTED_FORMS)
+    def test_329_levels_parse(self, form):
+        ast = parse_robot_program(nested_robot_source(form, 329))
+        levels_per_block = 2 if form == "if_else" else 1
+        assert max_depth(ast) == 329 * levels_per_block + 2  # program ... move
+
+    @pytest.mark.parametrize("form", NESTED_FORMS)
+    def test_330_levels_are_too_deep(self, form):
+        with pytest.raises(ItemsimError) as excinfo:
+            parse_robot_program(nested_robot_source(form, 330))
+        assert str(excinfo.value) == "nesting too deep"
+        assert not isinstance(excinfo.value, ParseError)
+
+    @pytest.mark.parametrize("form", NESTED_FORMS)
+    def test_329_levels_under_500_extra_frames(self, form):
+        source = nested_robot_source(form, 329)
+
+        def under(frames):
+            return parse_robot_program(source) if frames == 0 else under(frames - 1)
+
+        # AstNode equality recurses, so compare by the walks that keep their own stack
+        ast = under(500)
+        assert list(iter_labels(ast)) == list(iter_labels(parse_robot_program(source)))
+        assert max_depth(ast) > 329
+
+    def test_a_rejected_character_comes_before_the_bound(self):
+        with pytest.raises(ParseError, match=r"unexpected character '\$'"):
+            parse_robot_program(nested_robot_source("while", 400) + "$")
 
 
 class TestPrettyPrint:
