@@ -3,10 +3,11 @@
 levenshtein: unit-cost insert/delete/substitute over tokens, bit-parallel
 (a DP column per Python int).
 zhang_shasha_batch: Zhang-Shasha ordered-tree edit distances, unit costs
-(relabel free for equal labels), of many pairs of prepared trees at once,
-computing each block of two inner keyroots once per pair of distinct
-subtrees and a leaf keyroot's distances in closed form; tree_form prepares
-a tree once, and tree_edit_distance compares one pair.
+(relabel free for equal labels), of many pairs of prepared trees at once:
+one table of distances between distinct subtrees, a leaf's row in closed
+form, and each distinct block of two inner keyroots computed once, level
+by level, in numpy sweeps of one DP row over a batch of blocks; tree_form
+prepares a tree once, and tree_edit_distance compares one pair.
 needleman_wunsch_batch: global alignment scores, higher is more similar,
 of many sequence pairs at once, as one anti-diagonal wavefront per batch
 of pairs; needleman_wunsch aligns one pair.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from math import isfinite
+from math import isfinite, isqrt
 from typing import Sequence
 
 import numpy as np
@@ -93,18 +94,14 @@ def tree_form(ast: AstNode) -> TreeForm:
     return tuple(labels), tuple(leftmost), tuple(sorted(highest.values()))
 
 
-def _single_node_row(form: TreeForm, label: str) -> list[int]:
-    """Distance of a single node labelled label to each subtree x of form,
-    either way round: |T_x| - 1, plus 1 if no node of T_x carries label.
-    T_x is postorder leftmost[x]..x, so it carries label exactly when the
-    last node up to x that does is at leftmost[x] or later."""
-    labels, leftmost, _ = form
-    row, last = [], -1
-    for x, (l, first) in enumerate(zip(labels, leftmost)):
-        if l == label:
-            last = x
-        row.append(x - first + (last < first))
-    return row
+# a chunk of pairs keeps one dense table of subtree distances, over the
+# distinct subtrees of its trees, of at most this many entries; a single
+# pair is always admitted
+_TD_ENTRIES = 1 << 22
+# a batch of keyroot blocks holds at most this many padded cells, most rows
+# x all columns, which bounds its working set; a single block is always
+# admitted
+_BLOCK_CELLS = 1 << 14
 
 
 def zhang_shasha_batch(
@@ -114,121 +111,232 @@ def zhang_shasha_batch(
     1, delete 1, relabel 1 unless labels are equal) for every (a, b) in
     pairs, and the number of batches they ran in: one, or none for no pairs.
 
-    Keyroot block (i, j) writes td[x][y], the distance of subtree x to
-    subtree y, for x on i's leftmost path and y on j's. A leaf keyroot needs
-    no block, as a single node's distance to any subtree has a closed form
-    (_single_node_row): a leaf keyroot of a takes its whole td row from one
-    row per (b, label), and a leaf keyroot of b its td column, on the inner
-    keyroots' paths of a, from one row per (a, label). So only inner
-    keyroots pair up in blocks. Block values depend on the two subtrees
-    only: every subtree of every form gets an id by interning (label, child
-    ids), and a block that comes up again for the same two subtrees replays
-    its stored values onto the two paths. A block is stored only if one of
-    its subtrees is an inner keyroot more than once among the forms: no
-    other block can come up again. The rows and blocks are kept for this
-    call only."""
+    Every subtree of every form gets an id by interning (label, child ids),
+    and td[s][t] is the distance of subtree s to subtree t: symmetric, as
+    costs are unit, and the value of (a, b) is td[root a][root b]. A leaf's
+    row is |t| - 1 + [its label not in t]. Every other entry is written by a
+    keyroot block (u, v): the forest DP of two inner keyroot subtrees, one
+    from each side of a pair, which writes td for the nodes on the two
+    leftmost paths. Each distinct block is computed once over all pairs,
+    with the smaller subtree on the rows. A block reads td only from blocks
+    of inner keyroots nested in u or v, so blocks run by level H(u) + H(v),
+    H being keyroot nesting height, each level in batches of
+    _BLOCK_CELLS padded cells, one forest-DP row of the whole batch at a
+    time. Pairs run in chunks whose td has at most _TD_ENTRIES entries."""
     ids: dict = {}  # (label, child ids, last child first) -> subtree id
-    # per form: per inner keyroot, (k, leftmost leaf, subtree id, leftmost
-    # path); the nodes on those paths; the leaf keyroots
-    keyroots, inner, leaves = [], [], []
-    for labels, leftmost, roots in forms:
-        own: list[int] = []
+    codes: dict = {}  # label -> code
+    # per node of every form, forms one after the other, each in postorder:
+    # label code, leftmost leaf, subtree id
+    lab, left, sid = [], [], []
+    # per subtree id: nodes, keyroot nesting height, its first node
+    size, height, first = [], [], []
+    roots = []  # per form: root id
+    keyroots_of = {}  # root id -> inner keyroot ids
+    for labels, leftmost, form_keyroots in forms:
+        base = len(sid)
         for x, label in enumerate(labels):
+            lx = base + leftmost[x]
             # the last child of x is x - 1; the one before a child c is leftmost[c] - 1
-            children, c = [], x - 1
-            while c >= leftmost[x]:
-                children.append(own[c])
-                c = leftmost[c] - 1
-            own.append(ids.setdefault((label, tuple(children)), len(ids)))
-        paths = [(k, leftmost[k], own[k],
-                  [x for x in range(leftmost[k], k + 1) if leftmost[x] == leftmost[k]])
-                 for k in roots if leftmost[k] < k]
-        keyroots.append(paths)
-        inner.append([x for _, _, _, path in paths for x in path])
-        leaves.append([k for k in roots if leftmost[k] == k])
-    n_ids = len(ids)
-    repeats = [0] * n_ids  # inner keyroot occurrences of each subtree id
-    for form_keyroots in keyroots:
-        for _, _, sid, _ in form_keyroots:
-            repeats[sid] += 1
-    rows: dict = {}  # (form, label) -> _single_node_row(forms[form], label)
+            children, c = [], base + x - 1
+            while c >= lx:
+                children.append(sid[c])
+                c = left[c] - 1
+            s = ids.setdefault((label, tuple(children)), len(ids))
+            if s == len(size):
+                # a leaf has height 0; a parent its first child's, or one more
+                # than that of a later child that is an inner keyroot
+                h = height[children[-1]] if children else 0
+                for ch in children[:-1]:
+                    if size[ch] > 1 and height[ch] >= h:
+                        h = height[ch] + 1
+                size.append(x - leftmost[x] + 1)
+                height.append(h)
+                first.append(base + x)
+            lab.append(codes.setdefault(label, len(codes)))
+            left.append(lx)
+            sid.append(s)
+        roots.append(sid[-1])
+        keyroots_of[sid[-1]] = np.array(
+            sorted({sid[base + k] for k in form_keyroots if leftmost[k] < k}), dtype=np.intp)
+    lab, left, sid, size, height, first = (
+        np.array(x, dtype=np.intp) for x in (lab, left, sid, size, height, first))
+    start = first - size + 1  # the leftmost leaf of each id's first occurrence
+    # node positions ordered by label code: a subtree start..end carries a
+    # label where this holds a key in label * nodes + [start, end]
+    by_label = np.sort(lab * len(lab) + np.arange(len(lab)))
 
-    def node_row(f: int, label: str) -> list[int]:
-        known = rows.get((f, label))
+    distinct: dict = {}  # (root id, root id), the smaller first -> its index
+    inverse = [distinct.setdefault((min(ra, rb), max(ra, rb)), len(distinct))
+               for ra, rb in ((roots[a], roots[b]) for a, b in pairs)]
+    lo, hi = np.array(list(distinct), dtype=np.intp).reshape(-1, 2).T
+    values = np.zeros(len(distinct), dtype=np.intp)
+    local = np.zeros(len(size), dtype=np.intp)  # id -> its row of the chunk's td
+    counts = dict.fromkeys(("blocks", "levels", "batches", "steps", "chunks", "real", "padded"), 0)
+    for chunk, chunk_roots, chunk_ids in _chunks(lo, hi, sid, start, first):
+        counts["chunks"] += 1
+        local[chunk_ids] = np.arange(len(chunk_ids))
+        td = np.zeros((len(chunk_ids), len(chunk_ids)), dtype=np.int32)
+        leaves = chunk_ids[size[chunk_ids] == 1]
+        key = (lab[first[leaves]] * len(lab))[:, None]
+        absent = (np.searchsorted(by_label, key + first[chunk_ids], "right")
+                  == np.searchsorted(by_label, key + start[chunk_ids], "left"))
+        td[local[leaves]] = size[chunk_ids] - 1 + absent
+        td[:, local[leaves]] = td[local[leaves]].T
+
+        # the distinct blocks: with the chunk's inner keyroot subtrees in
+        # order of size, a block (i, j), i <= j, has the smaller on the rows
+        inner = np.zeros(len(size), dtype=bool)
+        inner[np.concatenate([keyroots_of[r] for r in chunk_roots])] = True
+        inner = np.flatnonzero(inner)
+        inner = inner[np.argsort(size[inner], kind="stable")]
+        pos = np.zeros(len(size), dtype=np.intp)
+        pos[inner] = np.arange(len(inner))
+        mark = np.zeros((len(inner), len(inner)), dtype=bool)
+        for a, b in zip(lo[chunk].tolist(), hi[chunk].tolist()):
+            i, j = pos[keyroots_of[a]][:, None], pos[keyroots_of[b]]
+            mark[np.minimum(i, j), np.maximum(i, j)] = True
+        i, j = np.nonzero(mark)
+        del mark
+        # by level, then by rows: i is ascending, and ids ascend by size
+        level = height[inner][i] + height[inner][j]
+        order = np.argsort(level, kind="stable")
+        i, j, level = i[order], j[order], level[order]
+        del order
+        rows, cols = size[inner][i], size[inner][j]
+        cuts = _cuts(level, rows, cols)
+        counts["blocks"] += len(i)
+        counts["levels"] += int(np.count_nonzero(np.diff(level))) + (len(level) > 0)
+        counts["batches"] += len(cuts) - 1
+        counts["real"] += int(rows @ cols)
+        del level, rows, cols
+        for s, e in zip(cuts, cuts[1:]):
+            steps, padded = _sweep(td, local, lab, left, sid, start, size,
+                                   inner[i[s:e]], inner[j[s:e]])
+            counts["steps"] += steps
+            counts["padded"] += padded
+        values[chunk] = td[local[lo[chunk]], local[hi[chunk]]]
+    log.debug("ted batch: %d pairs, %d distinct subtrees, %d blocks, %d levels, %d batches, "
+              "%d row steps, %d td chunks, %d of %d padded block cells real", len(pairs),
+              len(size), *counts.values())
+    return values[inverse].tolist(), min(len(pairs), 1)
+
+
+def _chunks(lo, hi, sid, start, first):
+    """The distinct root pairs (lo, hi) in chunks whose trees have at most
+    isqrt(_TD_ENTRIES) distinct subtrees, or a single pair: for each chunk,
+    the indices of its pairs, their roots, and the ids of those subtrees,
+    ascending. Pairs go by tiles of roots, of half that many nodes each,
+    then greedily."""
+    side = isqrt(_TD_ENTRIES)
+    subtree_ids: dict = {}  # root -> the ids in its subtree
+
+    def ids_of(r: int) -> set:
+        known = subtree_ids.get(r)
         if known is None:
-            known = rows[f, label] = _single_node_row(forms[f], label)
+            known = subtree_ids[r] = set(sid[start[r]:first[r] + 1].tolist())
         return known
 
-    memo: dict[int, tuple[int, ...]] = {}
-    computed = replayed = 0
-    values = [0] * len(pairs)
-    last_b = None
-    # grouped by b: each form's columns are built once, and one form's at a time are alive
-    for p in sorted(range(len(pairs)), key=lambda p: pairs[p][1]):
-        a, b = pairs[p]
-        la, lma, _ = forms[a]
-        if b != last_b:
-            last_b = b
-            lb, lmb, _ = forms[b]
-            # per inner keyroot of b, its columns: (postorder index, label, leftmost offset)
-            columns = [(j, lj, sid, path, [(y, lb[y], lmb[y] - lj) for y in range(lj, j + 1)])
-                       for j, lj, sid, path in keyroots[b]]
-        td: list = [None] * len(la)
-        for i in leaves[a]:  # shared with the other pairs of b: never written
-            td[i] = node_row(b, la[i])
-        leaf_columns = [(j, node_row(a, lb[j])) for j in leaves[b]]
-        for x in inner[a]:
-            tdx = td[x] = [0] * len(lb)
-            for j, column in leaf_columns:
-                tdx[j] = column[x]
-        for i, li, id_i, path_i in keyroots[a]:
-            for j, lj, id_j, path_j, cols in columns:
-                key = id_i * n_ids + id_j
-                done = memo.get(key)
-                if done is not None:
-                    replayed += 1
-                    width = len(path_j)
-                    for r, x in enumerate(path_i):
-                        tdx = td[x]
-                        for y, v in zip(path_j, done[r * width:(r + 1) * width]):
-                            tdx[y] = v
-                    continue
-                computed += 1
-                # fd[x - li + 1][k]: distance from a's forest li..x to b's first
-                # k columns; rows on i's leftmost path pair whole subtrees
-                fd = [list(range(len(cols) + 1))]
-                for x in range(li, i + 1):
-                    prev, tdx, lx = fd[-1], td[x], lma[x]
-                    left = x - li + 1
-                    row = [left]
-                    if lx == li:  # x is on i's leftmost path
-                        ax = la[x]
-                        for (y, by, off), up, diag in zip(cols, prev[1:], prev):
-                            best = up + 1 if up < left else left + 1
-                            # off is fd[0][off]: deleting the columns before y's subtree
-                            cand = off + tdx[y] if off else (diag if ax == by else diag + 1)
-                            if cand < best:
-                                best = cand
-                            if not off:
-                                tdx[y] = best
-                            row.append(best)
-                            left = best
-                    else:
-                        base = fd[lx - li]
-                        for (y, _, off), up in zip(cols, prev[1:]):
-                            best = up + 1 if up < left else left + 1
-                            cand = base[off] + tdx[y]
-                            if cand < best:
-                                best = cand
-                            row.append(best)
-                            left = best
-                    fd.append(row)
-                if repeats[id_i] > 1 or repeats[id_j] > 1:
-                    memo[key] = tuple(td[x][y] for x in path_i for y in path_j)
-        values[p] = td[-1][-1]
-    log.debug("ted batch: %d pairs, %d distinct subtrees, %d blocks computed, %d replayed, "
-              "%d stored", len(pairs), n_ids, computed, replayed, len(memo))
-    return values, min(len(pairs), 1)
+    root_ids = np.array(sorted({*lo.tolist(), *hi.tolist()}), dtype=np.intp)
+    tile = np.zeros(len(start), dtype=np.intp)
+    tile[root_ids] = np.cumsum(first[root_ids] - start[root_ids] + 1) // (side // 2)
+    chunk: list[int] = []
+    members: set = set()
+    covered: set = set()
+    for p in np.lexsort((hi, lo, tile[hi], tile[lo])).tolist():
+        pair = {int(lo[p]), int(hi[p])}
+        if not pair <= members:
+            grown = covered.union(*map(ids_of, pair - members))
+            if chunk and len(grown) > side:
+                yield chunk, members, np.array(sorted(covered), dtype=np.intp)
+                chunk, members, grown = [], set(), set().union(*map(ids_of, pair))
+            members |= pair
+            covered = grown
+        chunk.append(p)
+    if chunk:
+        yield chunk, members, np.array(sorted(covered), dtype=np.intp)
+
+
+def _cuts(level: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> list[int]:
+    """Batch boundaries of blocks sorted by level, then rows: a batch holds
+    blocks of one level, at most _BLOCK_CELLS padded cells of them (most
+    rows x all columns), or a single block."""
+    cuts = [0]
+    for end in [*(np.flatnonzero(np.diff(level)) + 1).tolist(), len(level)]:
+        s = cuts[-1]
+        while s < end:
+            # no block has fewer columns than rows[s]: a batch holds fewer than w
+            w = min(end, s + 1 + _BLOCK_CELLS // int(rows[s]) ** 2)
+            padded = rows[s:w] * np.cumsum(cols[s:w])
+            s += max(1, int(np.count_nonzero(padded <= _BLOCK_CELLS)))
+            cuts.append(s)
+    return cuts
+
+
+def _sweep(td, local, lab, left, sid, start, size, u, v) -> tuple[int, int]:
+    """Write td for the leftmost paths of every block (u[k], v[k]) of one
+    batch, given by ascending rows, and return its row steps and padded
+    cells. Rows and columns are the postorder nodes of the first occurrence
+    of subtrees u[k] and v[k].
+
+    One table holds row r of every block's forest DP fd, the blocks' columns
+    side by side, each block's led by its column 0, as d = fd - c + off:
+    c the column in the block, off a block offset that falls by more than
+    the spread of a block's values from each block to the next. Values in
+    one row of fd step by at most 1, so a cell of row r + 1 is the running
+    minimum along the whole row of min(d[r][c] + 1, d[src] + add): src is
+    the diagonal and add the relabel cost for two nodes on the leftmost
+    paths, otherwise src is fd[l(x) - 1][l(y) - 1] and add td[x][y], both
+    shifted by c; column 0 takes d[r][0] + 1. The offsets keep each block's
+    minimum to itself. All in integers, so each cell is the recurrence's."""
+    u, v = u[::-1], v[::-1]  # blocks still running at row r are a prefix
+    m, n = size[u], size[v]
+    rows = int(m[0])
+    lead = np.cumsum(n + 1) - n - 1  # the position of each block's column 0
+    width = int(lead[-1] + n[-1] + 1)
+    block = np.repeat(np.arange(len(u)), n + 1)
+    c = np.arange(width) - lead[block]
+    # row r of block k is node x[k, r], column p node y[p]; padding repeats a node
+    x = np.minimum(start[u, None] + np.arange(rows), (start[u] + m - 1)[:, None])
+    y = start[v][block] + np.maximum(c - 1, 0)
+    row_left = left[x] - start[u, None]  # fd row before x's leftmost leaf
+    col_left = left[y] - start[v][block]
+    at = (local[sid[x]] * len(td)).T[:, block]
+    at += local[sid[y]]
+    add = td.take(at)
+    del at
+    add += col_left - c
+    src = (row_left * width).T[:, block]
+    src += lead[block] + col_left
+    r = np.arange(rows)[:, None]
+    src[:, lead] = r * width + lead
+    add[:, lead] = 1
+    # the cells of two nodes on the leftmost paths: each path column p of a
+    # block with each path row i of it
+    row_block, path_row = np.nonzero((row_left == 0) & (r.T < m[:, None]))
+    path_rows = np.bincount(row_block, minlength=len(u))
+    cols = np.flatnonzero((col_left == 0) & (c > 0))
+    count = path_rows[block[cols]]
+    p = np.repeat(cols, count)
+    k = block[p]
+    row_start, run_start = np.cumsum(path_rows) - path_rows, np.cumsum(count) - count
+    i = path_row[np.arange(len(p)) + np.repeat(row_start[block[cols]] - run_start, count)]
+    src[i, p] = i * width + p - 1
+    add[i, p] = (lab[x[k, i]] != lab[y[p]]) - 1
+    off = -(lead + np.arange(len(u)) * (rows + 2))
+    d = np.empty((rows + 1, width), dtype=np.int32)
+    d[0] = off[block]
+    flat = d.reshape(-1)
+    ends = np.append(lead, width)[np.count_nonzero(m > r, axis=1)].tolist()
+    for step, end in enumerate(ends):
+        row = flat[src[step, :end]]
+        row += add[step, :end]
+        np.minimum(row, d[step, :end] + 1, out=row)
+        np.minimum.accumulate(row, out=d[step + 1, :end])
+    value = d[i + 1, p] - off[k] + c[p]
+    a, b = local[sid[x[k, i]]], local[sid[y[p]]]
+    td[a, b] = value
+    td[b, a] = value
+    return rows, rows * int(n.sum())
 
 
 def tree_edit_distance(t1: AstNode, t2: AstNode) -> int:

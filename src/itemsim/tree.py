@@ -16,9 +16,11 @@ DEFAULT_TOTAL_CAP = 10000
 REPEAT_COUNT = re.compile(r"[1-9][0-9]*")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AstNode:
-    """Ordered labeled tree. Immutable, hashable."""
+    """Ordered labeled tree. Immutable, hashable. Equality is structural,
+    and == and hash walk with their own stack, so they follow a tree of any
+    depth."""
 
     label: str
     children: tuple[AstNode, ...] = ()
@@ -26,6 +28,35 @@ class AstNode:
     def __post_init__(self):
         if not self.label:
             raise ItemsimError("empty label in AST node")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AstNode):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.label != b.label or len(a.children) != len(b.children):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self) -> int:
+        # postorder: a node's hash is that of its label and its children's hashes
+        hashes: list[int] = []
+        stack: list = [self]
+        while stack:
+            n = stack.pop()
+            if isinstance(n, AstNode):
+                stack.append((n.label, len(n.children)))
+                stack.extend(reversed(n.children))
+            else:
+                label, k = n
+                done = hashes[len(hashes) - k:]
+                del hashes[len(hashes) - k:]
+                hashes.append(hash((label, *done)))
+        return hashes[0]
 
 
 def node(label: str, *children: AstNode) -> AstNode:

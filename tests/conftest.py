@@ -42,6 +42,12 @@ def random_tree(rng: np.random.Generator, max_nodes: int = 8,
     return _grow(rng, int(rng.integers(1, max_nodes + 1)), labels)
 
 
+def random_tree_of_size(rng: np.random.Generator, size: int,
+                        labels=("a", "b", "c")) -> AstNode:
+    """Random ordered labeled tree of exactly size nodes."""
+    return _grow(rng, size, labels)
+
+
 def _grow(rng: np.random.Generator, size: int, labels) -> AstNode:
     label = labels[int(rng.integers(len(labels)))]
     budget = size - 1

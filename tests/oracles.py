@@ -15,10 +15,12 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import combinations, product
+from typing import Sequence
 
 import numpy as np
 
 from itemsim import AstNode, ItemsimError, NwScoring, PerformanceTable, SimilarityMatrix, heatmap
+from itemsim.editdist import TreeForm
 from itemsim.errors import ParseError
 from itemsim.similarity import pearson
 
@@ -140,10 +142,11 @@ def reference_tree_edit_distance(t1: AstNode, t2: AstNode) -> int:
     """The Zhang-Shasha recurrence written plainly, one pair per call:
     numpy tables, a forest table per keyroot pair, labels and leftmost
     leaves recomputed per call. The batch kernel,
-    `itemsim.editdist.zhang_shasha_batch`, which computes each keyroot
-    block once per pair of distinct subtrees, and its one-pair form
-    `itemsim.tree_edit_distance` must equal it on trees of any size, in any
-    batch."""
+    `itemsim.editdist.zhang_shasha_batch`, which computes each distinct
+    keyroot block once over all its pairs, level by level in numpy row
+    sweeps, and its one-pair form `itemsim.tree_edit_distance` must equal
+    it on trees of any size, in any batch, as must the earlier batch kernel
+    below, `reference_zhang_shasha_batch`."""
 
     def postorder(root: AstNode) -> tuple[list[str], list[int]]:
         labels: list[str] = []
@@ -194,6 +197,141 @@ def reference_tree_edit_distance(t1: AstNode, t2: AstNode) -> int:
                             fd[lma[x] - li, lmb[y] - lj] + td[x, y],
                         )
     return int(td[-1, -1])
+
+
+def _reference_single_node_row(form: TreeForm, label: str) -> list[int]:
+    """Distance of a single node labelled label to each subtree x of form,
+    either way round: |T_x| - 1, plus 1 if no node of T_x carries label.
+    T_x is postorder leftmost[x]..x, so it carries label exactly when the
+    last node up to x that does is at leftmost[x] or later."""
+    labels, leftmost, _ = form
+    row, last = [], -1
+    for x, (l, first) in enumerate(zip(labels, leftmost)):
+        if l == label:
+            last = x
+        row.append(x - first + (last < first))
+    return row
+
+
+def reference_zhang_shasha_batch(
+    forms: Sequence[TreeForm], pairs: Sequence[tuple[int, int]]
+) -> tuple[list[int], int]:
+    """The earlier `itemsim.editdist.zhang_shasha_batch`: a per-cell Python
+    forest DP, run pair by pair, with a memo of keyroot blocks. Zhang-Shasha
+    distance of forms[a] to forms[b] with unit costs (insert 1, delete 1,
+    relabel 1 unless labels are equal) for every (a, b) in pairs, and the
+    number of batches they ran in: one, or none for no pairs.
+
+    Keyroot block (i, j) writes td[x][y], the distance of subtree x to
+    subtree y, for x on i's leftmost path and y on j's. A leaf keyroot needs
+    no block, as a single node's distance to any subtree has a closed form
+    (_reference_single_node_row): a leaf keyroot of a takes its whole td
+    row from one row per (b, label), and a leaf keyroot of b its td column,
+    on the inner keyroots' paths of a, from one row per (a, label). So only
+    inner keyroots pair up in blocks. Block values depend on the two subtrees
+    only: every subtree of every form gets an id by interning (label, child
+    ids), and a block that comes up again for the same two subtrees replays
+    its stored values onto the two paths. A block is stored only if one of
+    its subtrees is an inner keyroot more than once among the forms: no
+    other block can come up again. The rows and blocks are kept for this
+    call only."""
+    ids: dict = {}  # (label, child ids, last child first) -> subtree id
+    # per form: per inner keyroot, (k, leftmost leaf, subtree id, leftmost
+    # path); the nodes on those paths; the leaf keyroots
+    keyroots, inner, leaves = [], [], []
+    for labels, leftmost, roots in forms:
+        own: list[int] = []
+        for x, label in enumerate(labels):
+            # the last child of x is x - 1; the one before a child c is leftmost[c] - 1
+            children, c = [], x - 1
+            while c >= leftmost[x]:
+                children.append(own[c])
+                c = leftmost[c] - 1
+            own.append(ids.setdefault((label, tuple(children)), len(ids)))
+        paths = [(k, leftmost[k], own[k],
+                  [x for x in range(leftmost[k], k + 1) if leftmost[x] == leftmost[k]])
+                 for k in roots if leftmost[k] < k]
+        keyroots.append(paths)
+        inner.append([x for _, _, _, path in paths for x in path])
+        leaves.append([k for k in roots if leftmost[k] == k])
+    n_ids = len(ids)
+    repeats = [0] * n_ids  # inner keyroot occurrences of each subtree id
+    for form_keyroots in keyroots:
+        for _, _, sid, _ in form_keyroots:
+            repeats[sid] += 1
+    rows: dict = {}  # (form, label) -> _reference_single_node_row(forms[form], label)
+
+    def node_row(f: int, label: str) -> list[int]:
+        known = rows.get((f, label))
+        if known is None:
+            known = rows[f, label] = _reference_single_node_row(forms[f], label)
+        return known
+
+    memo: dict[int, tuple[int, ...]] = {}
+    values = [0] * len(pairs)
+    last_b = None
+    # grouped by b: each form's columns are built once, and one form's at a time are alive
+    for p in sorted(range(len(pairs)), key=lambda p: pairs[p][1]):
+        a, b = pairs[p]
+        la, lma, _ = forms[a]
+        if b != last_b:
+            last_b = b
+            lb, lmb, _ = forms[b]
+            # per inner keyroot of b, its columns: (postorder index, label, leftmost offset)
+            columns = [(j, lj, sid, path, [(y, lb[y], lmb[y] - lj) for y in range(lj, j + 1)])
+                       for j, lj, sid, path in keyroots[b]]
+        td: list = [None] * len(la)
+        for i in leaves[a]:  # shared with the other pairs of b: never written
+            td[i] = node_row(b, la[i])
+        leaf_columns = [(j, node_row(a, lb[j])) for j in leaves[b]]
+        for x in inner[a]:
+            tdx = td[x] = [0] * len(lb)
+            for j, column in leaf_columns:
+                tdx[j] = column[x]
+        for i, li, id_i, path_i in keyroots[a]:
+            for j, lj, id_j, path_j, cols in columns:
+                key = id_i * n_ids + id_j
+                done = memo.get(key)
+                if done is not None:
+                    width = len(path_j)
+                    for r, x in enumerate(path_i):
+                        tdx = td[x]
+                        for y, v in zip(path_j, done[r * width:(r + 1) * width]):
+                            tdx[y] = v
+                    continue
+                # fd[x - li + 1][k]: distance from a's forest li..x to b's first
+                # k columns; rows on i's leftmost path pair whole subtrees
+                fd = [list(range(len(cols) + 1))]
+                for x in range(li, i + 1):
+                    prev, tdx, lx = fd[-1], td[x], lma[x]
+                    left = x - li + 1
+                    row = [left]
+                    if lx == li:  # x is on i's leftmost path
+                        ax = la[x]
+                        for (y, by, off), up, diag in zip(cols, prev[1:], prev):
+                            best = up + 1 if up < left else left + 1
+                            # off is fd[0][off]: deleting the columns before y's subtree
+                            cand = off + tdx[y] if off else (diag if ax == by else diag + 1)
+                            if cand < best:
+                                best = cand
+                            if not off:
+                                tdx[y] = best
+                            row.append(best)
+                            left = best
+                    else:
+                        base = fd[lx - li]
+                        for (y, _, off), up in zip(cols, prev[1:]):
+                            best = up + 1 if up < left else left + 1
+                            cand = base[off] + tdx[y]
+                            if cand < best:
+                                best = cand
+                            row.append(best)
+                            left = best
+                    fd.append(row)
+                if repeats[id_i] > 1 or repeats[id_j] > 1:
+                    memo[key] = tuple(td[x][y] for x in path_i for y in path_j)
+        values[p] = td[-1][-1]
+    return values, min(len(pairs), 1)
 
 
 def oracle_alignment(a, b, s: NwScoring = NwScoring()) -> float:

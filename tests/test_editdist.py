@@ -1,9 +1,15 @@
 """Sequence and tree edit distances against hand values and brute force."""
 
+import importlib.util
 import logging
+import re
+import sys
+import time
 import warnings
 from functools import lru_cache
 from itertools import combinations
+from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +26,16 @@ from itemsim import (
     node,
     tree_edit_distance,
 )
-from itemsim.editdist import needleman_wunsch_batch, tree_form, zhang_shasha_batch
+from itemsim.editdist import (
+    _BLOCK_CELLS,
+    _TD_ENTRIES,
+    needleman_wunsch_batch,
+    tree_form,
+    zhang_shasha_batch,
+)
 from itemsim.tree import iter_labels, node_count
 
-from conftest import random_sequence, random_tree, top_level_mutant
+from conftest import random_sequence, random_tree, random_tree_of_size, top_level_mutant
 from oracles import (
     oracle_alignment,
     oracle_levenshtein,
@@ -31,7 +43,10 @@ from oracles import (
     reference_levenshtein,
     reference_needleman_wunsch,
     reference_tree_edit_distance,
+    reference_zhang_shasha_batch,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # integer, fractional, and gaps beating matches (match < 2 * gap)
 SCORINGS = [NwScoring(), NwScoring(1.0, -0.5, -0.7), NwScoring(-1.0, -2.0, -0.3)]
@@ -198,16 +213,18 @@ class TestTreeEditDistance:
         forms = [tree_form(x), tree_form(x), tree_form(node("c", node("d")))]
         with caplog.at_level(logging.DEBUG, logger="itemsim.editdist"):
             assert zhang_shasha_batch(forms, [(0, 1), (1, 0), (2, 2)]) == ([0, 0, 0], 1)
-        # subtrees b, a(b), x, d, c(d); the first x pair computes and stores
-        # its four blocks, the second replays them; c(d) is a keyroot once,
-        # so its block is not stored
+        # subtrees b, a(b), x, d, c(d). Both x pairs give the blocks
+        # (a(b), a(b)), (a(b), x), (x, x), once; z gives (c(d), c(d)). a(b)
+        # and c(d) have no inner keyroot inside, x has a(b): levels 0, 1, 2,
+        # one batch each, of 2 + 2 + 5 row steps and 2x2 + 2x2, 2x5, 5x5 cells
         assert [r.getMessage() for r in caplog.records] == [
-            "ted batch: 3 pairs, 5 distinct subtrees, 5 blocks computed, 4 replayed, 4 stored"]
+            "ted batch: 3 pairs, 5 distinct subtrees, 4 blocks, 3 levels, 3 batches, "
+            "9 row steps, 1 td chunks, 43 of 43 padded block cells real"]
 
     def test_batch_logs_no_block_for_leaf_keyroots(self, caplog):
         # x = f(a(b), c) has keyroots c (a leaf) and f; y = g(d) has keyroot
-        # g; e is one leaf. Only the inner pair (f, g) runs a block: forms 0
-        # and 1 are both x, so it is stored once and replayed once
+        # g; e is one leaf. Only the inner pair (g, f) runs a block, with y
+        # on the rows: forms 0 and 1 are both x, so it runs once
         x, y = node("f", node("a", node("b")), node("c")), node("g", node("d"))
         forms = [tree_form(x), tree_form(x), tree_form(y), tree_form(node("e"))]
         pairs = [(0, 2), (1, 2), (0, 3), (3, 2)]
@@ -215,7 +232,8 @@ class TestTreeEditDistance:
             assert zhang_shasha_batch(forms, pairs) == ([4, 4, 4, 2], 1)
         # subtrees b, a(b), c, x, d, y, e
         assert [r.getMessage() for r in caplog.records] == [
-            "ted batch: 4 pairs, 7 distinct subtrees, 1 blocks computed, 1 replayed, 1 stored"]
+            "ted batch: 4 pairs, 7 distinct subtrees, 1 blocks, 1 levels, 1 batches, "
+            "2 row steps, 1 td chunks, 8 of 8 padded block cells real"]
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_single_node_against_programs_in_closed_form(self, seed):
@@ -287,6 +305,102 @@ class TestTreeEditDistance:
             t1 = random_tree(rng, max_nodes=12)
             t2 = random_tree(rng, max_nodes=12)
             assert tree_edit_distance(t1, t2) == reference_tree_edit_distance(t1, t2)
+
+
+def _workloads():
+    # loaded by path: perfbench is not a package
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _left_comb(prefix: str, depth: int):
+    """p0(p1(...(a, a)..., a), a) with distinct labels: depth + 2 distinct
+    subtrees, and one inner keyroot, the root, whose leftmost path is the
+    whole spine."""
+    t = node("a")
+    for k in range(depth):
+        t = node(f"{prefix}{k}", t, node("a"))
+    return t
+
+
+def _batch_counts(caplog) -> dict[str, int]:
+    (line,) = [r.getMessage() for r in caplog.records]
+    return {name: int(count) for count, name in re.findall(r"(\d+) ([a-z ]+?)(?:,|$)", line)}
+
+
+class TestBatchKernel:
+    """zhang_shasha_batch equals the earlier kernel it replaced,
+    oracles.reference_zhang_shasha_batch, at the benchmark's sizes and at
+    the limits of its own batching, with inputs sized from its module
+    constants."""
+
+    @pytest.mark.parametrize("seed", [1, 11])
+    @pytest.mark.parametrize("workload", ["edit-sample", "edit-multi"])
+    def test_equals_reference_on_benchmark_corpora(self, workload, seed):
+        w = _workloads()
+        corpus = w.build_corpus(w.WORKLOADS[workload], seed, generate_corpus)
+        forms = [tree_form(s.ast) for it in corpus.items for s in it.solutions]
+        pairs = [(a, b) for a in range(len(forms)) for b in range(len(forms))]
+        np.random.default_rng(seed).shuffle(pairs)
+        got, batches = zhang_shasha_batch(forms, pairs)
+        assert (got, batches) == reference_zhang_shasha_batch(forms, pairs)
+        value = dict(zip(pairs, got))
+        assert all(value[a, b] == value[b, a] for a, b in pairs)
+
+    def test_deep_right_comb_of_keyroots(self):
+        # x(a, x(a, ... x(a, a))): every x is the root or a right child, so
+        # a keyroot, 3000 of them nested. From a comb of depth n, a single a
+        # is 2n deletions away, a single z one relabel more, and x(a) 2n - 1
+        # deletions. The earlier kernel took 19.5 s on these pairs (2 cores,
+        # Python 3.11), this one about 1.2 s
+        def comb(depth: int):
+            t = node("a")
+            for _ in range(depth):
+                t = node("x", node("a"), t)
+            return t
+
+        smalls = [node("a"), node("z"), node("x", node("a"))]
+        pairs = [(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)]
+        shallow = [tree_form(comb(40)), *map(tree_form, smalls)]
+        assert reference_zhang_shasha_batch(shallow, pairs)[0] == [80, 81, 79] * 2
+        assert zhang_shasha_batch(shallow, pairs)[0] == [80, 81, 79] * 2
+        forms = [tree_form(comb(3000)), *map(tree_form, smalls)]
+        _, leftmost, keyroots = forms[0]
+        assert sum(leftmost[k] < k for k in keyroots) == 3000
+        started = time.perf_counter()
+        got, _ = zhang_shasha_batch(forms, pairs)
+        assert time.perf_counter() - started < 6.0
+        assert got == [6000, 6001, 5999] * 2
+
+    def test_batches_blocks_and_chunks_past_the_module_limits(self, caplog):
+        rng = np.random.default_rng(8)
+        # two trees whose root block alone has more cells than a batch may
+        big = isqrt(_BLOCK_CELLS) + 1
+        trees = [random_tree_of_size(rng, big), random_tree_of_size(rng, big)]
+        assert all(tree_form(t)[1][-1] < big - 1 for t in trees)  # the roots are inner keyroots
+        # many small trees: their blocks fill each level many times over
+        trees += [random_tree_of_size(rng, int(rng.integers(12, 24))) for _ in range(16)]
+        # combs of distinct labels: any two of the first three have more
+        # distinct subtrees than one td chunk may, and the last alone has
+        side = isqrt(_TD_ENTRIES)
+        combs = [_left_comb(p, side * 3 // 5) for p in "XYZ"] + [_left_comb("W", side)]
+        forms = [tree_form(t) for t in trees + combs]
+        n_trees = len(trees)
+        pairs = [(a, b) for a in range(2, n_trees) for b in range(2, n_trees)]
+        pairs += [(0, 1), (1, 0), (0, 2), (3, 1)]
+        for k in range(len(combs)):
+            pairs += [(n_trees + k, 2 + k), (2 + k, n_trees + k), (n_trees + k, 8 + k)]
+        np.random.default_rng(9).shuffle(pairs)
+        with caplog.at_level(logging.DEBUG, logger="itemsim.editdist"):
+            got, _ = zhang_shasha_batch(forms, pairs)
+        assert got == reference_zhang_shasha_batch(forms, pairs)[0]
+        counts = _batch_counts(caplog)
+        assert counts["batches"] > counts["levels"] + 10
+        assert counts["td chunks"] >= 4
 
 
 class TestTreeForm:

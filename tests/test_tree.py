@@ -14,8 +14,11 @@ from itemsim import (
     node,
     node_count,
     parse_ast_document,
+    parse_robot_program,
 )
 from itemsim.tree import ast_to_document, iter_labels
+
+from conftest import nested_robot_source
 
 
 def test_empty_label_rejected():
@@ -43,6 +46,53 @@ def test_walks_follow_trees_deeper_than_the_recursion_limit():
     assert node_count(t) == 5001
     assert max_depth(t) == 5001
     assert sum(1 for label in iter_labels(t) if label == "while_wall") == 5000
+
+
+def _chain(depth: int, leaf: str = "move") -> AstNode:
+    t = node(leaf)
+    for _ in range(depth):
+        t = node("while_wall", t)
+    return t
+
+
+class TestStructuralEquality:
+    """== and hash compare whole trees with their own stack, at any depth."""
+
+    def test_equal_trees_are_equal_and_hash_alike(self):
+        a = node("r", node("a", node("b")), node("c"))
+        b = node("r", node("a", node("b")), node("c"))
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+
+    def test_any_difference_makes_trees_unequal(self):
+        t = node("r", node("a", node("b")), node("c"))
+        for other in (
+            node("r", node("a", node("x")), node("c")),  # a label below the root
+            node("r", node("a", node("b"))),  # a child fewer
+            node("r", node("a", node("b"), node("c"))),  # the same labels, moved
+            node("r", node("c"), node("a", node("b"))),  # children reordered
+            node("q", node("a", node("b")), node("c")),  # the root label
+        ):
+            assert t != other and other != t
+        assert t != "r" and node("r") != ("r", ())
+
+    def test_chains_deeper_than_the_recursion_limit(self):
+        a, b = _chain(5000), _chain(5000)
+        assert a is not b
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != _chain(5000, leaf="left")
+        assert a != _chain(4999)
+
+    def test_deepest_if_else_nest_the_parser_accepts(self):
+        # 329 if/else blocks are 660 tree levels
+        source = nested_robot_source("if_else", 329)
+        a, b = parse_robot_program(source), parse_robot_program(source)
+        assert max_depth(a) == 660
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != parse_robot_program(source.replace("move", "shoot"))
 
 
 class TestAstDocument:
