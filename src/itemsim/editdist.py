@@ -4,10 +4,11 @@ levenshtein: unit-cost insert/delete/substitute over tokens, bit-parallel
 (a DP column per Python int).
 zhang_shasha_batch: Zhang-Shasha ordered-tree edit distances, unit costs
 (relabel free for equal labels), of many pairs of prepared trees at once:
-one table of distances between distinct subtrees, a leaf's row in closed
-form, and each distinct block of two inner keyroots computed once, level
-by level, in numpy sweeps of one DP row over a batch of blocks; tree_form
-prepares a tree once, and tree_edit_distance compares one pair.
+per chunk of pairs, one table of distances from the distinct subtrees of
+one side to those of the other, a leaf's row in closed form, and each
+distinct block of two inner keyroots computed once, level by level, in
+numpy sweeps of one DP row over a batch of blocks; tree_form prepares a
+tree once, and tree_edit_distance compares one pair.
 needleman_wunsch_batch: global alignment scores, higher is more similar,
 of many sequence pairs at once, as one anti-diagonal wavefront per batch
 of pairs; needleman_wunsch aligns one pair.
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from math import isfinite, isqrt
+from math import isfinite
 from typing import Sequence
 
 import numpy as np
@@ -94,9 +95,9 @@ def tree_form(ast: AstNode) -> TreeForm:
     return tuple(labels), tuple(leftmost), tuple(sorted(highest.values()))
 
 
-# a chunk of pairs keeps one dense table of subtree distances, over the
-# distinct subtrees of its trees, of at most this many entries; a single
-# pair is always admitted
+# a chunk of pairs keeps one dense table of subtree distances, the distinct
+# subtrees of its lo trees by those of its hi trees, of at most this many
+# entries; a single pair is always admitted, with |ids a| x |ids b| entries
 _TD_ENTRIES = 1 << 22
 # a batch of keyroot blocks holds at most this many padded cells, most rows
 # x all columns, which bounds its working set; a single block is always
@@ -111,18 +112,20 @@ def zhang_shasha_batch(
     1, delete 1, relabel 1 unless labels are equal) for every (a, b) in
     pairs, and the number of batches they ran in: one, or none for no pairs.
 
-    Every subtree of every form gets an id by interning (label, child ids),
-    and td[s][t] is the distance of subtree s to subtree t: symmetric, as
-    costs are unit, and the value of (a, b) is td[root a][root b]. A leaf's
-    row is |t| - 1 + [its label not in t]. Every other entry is written by a
-    keyroot block (u, v): the forest DP of two inner keyroot subtrees, one
-    from each side of a pair, which writes td for the nodes on the two
-    leftmost paths. Each distinct block is computed once over all pairs,
+    Every subtree of every form gets an id by interning (label, child ids).
+    The distance is symmetric, as costs are unit, so each pair runs once,
+    as (lo, hi) by root id. Pairs run in chunks: td[s][t] is the distance
+    of subtree s of a lo tree to subtree t of a hi tree, at most
+    _TD_ENTRIES entries, or those of a single pair, and the value of (lo,
+    hi) is td[lo][hi]. A leaf's row or column is |t| - 1 + [its label not
+    in t]. Every other entry is written by a keyroot block (u, v): the
+    forest DP of two inner keyroot subtrees, one from each side of a pair,
+    which writes td for the nodes on the two leftmost paths. Each distinct
+    block is computed once per chunk, a block and its mirror being one,
     with the smaller subtree on the rows. A block reads td only from blocks
     of inner keyroots nested in u or v, so blocks run by level H(u) + H(v),
-    H being keyroot nesting height, each level in batches of
-    _BLOCK_CELLS padded cells, one forest-DP row of the whole batch at a
-    time. Pairs run in chunks whose td has at most _TD_ENTRIES entries."""
+    H being keyroot nesting height, each level in batches of _BLOCK_CELLS
+    padded cells, one forest-DP row of the whole batch at a time."""
     ids: dict = {}  # (label, child ids, last child first) -> subtree id
     codes: dict = {}  # label -> code
     # per node of every form, forms one after the other, each in postorder:
@@ -165,56 +168,83 @@ def zhang_shasha_batch(
     # label where this holds a key in label * nodes + [start, end]
     by_label = np.sort(lab * len(lab) + np.arange(len(lab)))
 
+    def leaf_distances(leaves: np.ndarray, subtrees: np.ndarray) -> np.ndarray:
+        key = (lab[first[leaves]] * len(lab))[:, None]
+        absent = (np.searchsorted(by_label, key + first[subtrees], "right")
+                  == np.searchsorted(by_label, key + start[subtrees], "left"))
+        return size[subtrees] - 1 + absent
+
+    def positions(of: np.ndarray) -> np.ndarray:  # id -> its index in of, or -1
+        at = np.full(len(size), -1, dtype=np.intp)
+        at[of] = np.arange(len(of))
+        return at
+
+    def inner_keyroots(chunk_roots: np.ndarray) -> np.ndarray:
+        inner = np.zeros(len(size), dtype=bool)
+        inner[np.concatenate([keyroots_of[r] for r in chunk_roots.tolist()])] = True
+        return np.flatnonzero(inner)
+
     distinct: dict = {}  # (root id, root id), the smaller first -> its index
     inverse = [distinct.setdefault((min(ra, rb), max(ra, rb)), len(distinct))
                for ra, rb in ((roots[a], roots[b]) for a, b in pairs)]
     lo, hi = np.array(list(distinct), dtype=np.intp).reshape(-1, 2).T
     values = np.zeros(len(distinct), dtype=np.intp)
-    local = np.zeros(len(size), dtype=np.intp)  # id -> its row of the chunk's td
     counts = dict.fromkeys(("blocks", "levels", "batches", "steps", "chunks", "real", "padded"), 0)
-    for chunk, chunk_roots, chunk_ids in _chunks(lo, hi, sid, start, first):
+    for chunk, row_ids, col_ids in _chunks(lo, hi, sid, start, first):
         counts["chunks"] += 1
-        local[chunk_ids] = np.arange(len(chunk_ids))
-        td = np.zeros((len(chunk_ids), len(chunk_ids)), dtype=np.int32)
-        leaves = chunk_ids[size[chunk_ids] == 1]
-        key = (lab[first[leaves]] * len(lab))[:, None]
-        absent = (np.searchsorted(by_label, key + first[chunk_ids], "right")
-                  == np.searchsorted(by_label, key + start[chunk_ids], "left"))
-        td[local[leaves]] = size[chunk_ids] - 1 + absent
-        td[:, local[leaves]] = td[local[leaves]].T
+        row_of, col_of = positions(row_ids), positions(col_ids)
+        # the last row and column, position -1, take the writes of subtrees
+        # not on that side, and are never read
+        td = np.zeros((len(row_ids) + 1, len(col_ids) + 1), dtype=np.int32)
+        leaves = row_ids[size[row_ids] == 1]
+        td[row_of[leaves], :-1] = leaf_distances(leaves, col_ids)
+        leaves = col_ids[size[col_ids] == 1]
+        td[:-1, col_of[leaves]] = leaf_distances(leaves, row_ids).T
 
-        # the distinct blocks: with the chunk's inner keyroot subtrees in
-        # order of size, a block (i, j), i <= j, has the smaller on the rows
-        inner = np.zeros(len(size), dtype=bool)
-        inner[np.concatenate([keyroots_of[r] for r in chunk_roots])] = True
-        inner = np.flatnonzero(inner)
-        inner = inner[np.argsort(size[inner], kind="stable")]
-        pos = np.zeros(len(size), dtype=np.intp)
-        pos[inner] = np.arange(len(inner))
-        mark = np.zeros((len(inner), len(inner)), dtype=bool)
+        # the blocks of every pair: (u, v), u an inner keyroot subtree of the
+        # lo tree and v one of the hi tree, each marked once
+        inner_lo, inner_hi = inner_keyroots(lo[chunk]), inner_keyroots(hi[chunk])
+        at_lo, at_hi = positions(inner_lo), positions(inner_hi)
+        mark = np.zeros((len(inner_lo), len(inner_hi)), dtype=bool)
         for a, b in zip(lo[chunk].tolist(), hi[chunk].tolist()):
-            i, j = pos[keyroots_of[a]][:, None], pos[keyroots_of[b]]
-            mark[np.minimum(i, j), np.maximum(i, j)] = True
-        i, j = np.nonzero(mark)
+            mark[at_lo[keyroots_of[a]][:, None], at_hi[keyroots_of[b]]] = True
+        # as many of these arrays as blocks: each is replaced in turn
+        u, v = np.nonzero(mark)
+        u = inner_lo[u]
+        v = inner_hi[v]
+        # a block has the smaller subtree on its rows, the lower id of two of
+        # one size: flipped where that is v, and dropped where its mirror,
+        # which is not flipped, is marked too
+        flip = (size[u] > size[v]) | ((size[u] == size[v]) & (u > v))
+        mirrored = flip & (at_lo[v] >= 0) & (at_hi[u] >= 0)
+        mirrored[mirrored] = mark[at_lo[v[mirrored]], at_hi[u[mirrored]]]
         del mark
-        # by level, then by rows: i is ascending, and ids ascend by size
-        level = height[inner][i] + height[inner][j]
-        order = np.argsort(level, kind="stable")
-        i, j, level = i[order], j[order], level[order]
+        keep = ~mirrored
+        u = u[keep]
+        v = v[keep]
+        flip = flip[keep]
+        u[flip], v[flip] = v[flip], u[flip]
+        # by level, then by rows
+        level = height[u] + height[v]
+        order = np.lexsort((size[u], level))
+        u = u[order]
+        v = v[order]
+        flip = flip[order]
+        level = level[order]
         del order
-        rows, cols = size[inner][i], size[inner][j]
+        rows, cols = size[u], size[v]
         cuts = _cuts(level, rows, cols)
-        counts["blocks"] += len(i)
+        counts["blocks"] += len(u)
         counts["levels"] += int(np.count_nonzero(np.diff(level))) + (len(level) > 0)
         counts["batches"] += len(cuts) - 1
         counts["real"] += int(rows @ cols)
         del level, rows, cols
-        for s, e in zip(cuts, cuts[1:]):
-            steps, padded = _sweep(td, local, lab, left, sid, start, size,
-                                   inner[i[s:e]], inner[j[s:e]])
+        for a, b in zip(cuts, cuts[1:]):
+            steps, padded = _sweep(td, row_of, col_of, lab, left, sid, start, size,
+                                   u[a:b], v[a:b], flip[a:b])
             counts["steps"] += steps
             counts["padded"] += padded
-        values[chunk] = td[local[lo[chunk]], local[hi[chunk]]]
+        values[chunk] = td[row_of[lo[chunk]], col_of[hi[chunk]]]
     log.debug("ted batch: %d pairs, %d distinct subtrees, %d blocks, %d levels, %d batches, "
               "%d row steps, %d td chunks, %d of %d padded block cells real", len(pairs),
               len(size), *counts.values())
@@ -222,12 +252,11 @@ def zhang_shasha_batch(
 
 
 def _chunks(lo, hi, sid, start, first):
-    """The distinct root pairs (lo, hi) in chunks whose trees have at most
-    isqrt(_TD_ENTRIES) distinct subtrees, or a single pair: for each chunk,
-    the indices of its pairs, their roots, and the ids of those subtrees,
-    ascending. Pairs go by tiles of roots, of half that many nodes each,
-    then greedily."""
-    side = isqrt(_TD_ENTRIES)
+    """The distinct root pairs (lo, hi), in that order, cut greedily into
+    chunks whose td, the distinct subtrees of their lo trees by those of
+    their hi trees, has at most _TD_ENTRIES entries, or into a single pair:
+    for each chunk, the indices of its pairs and the ids of the subtrees of
+    its lo trees and of its hi trees, ascending."""
     subtree_ids: dict = {}  # root -> the ids in its subtree
 
     def ids_of(r: int) -> set:
@@ -236,24 +265,28 @@ def _chunks(lo, hi, sid, start, first):
             known = subtree_ids[r] = set(sid[start[r]:first[r] + 1].tolist())
         return known
 
-    root_ids = np.array(sorted({*lo.tolist(), *hi.tolist()}), dtype=np.intp)
-    tile = np.zeros(len(start), dtype=np.intp)
-    tile[root_ids] = np.cumsum(first[root_ids] - start[root_ids] + 1) // (side // 2)
+    def ascending(ids: set) -> np.ndarray:
+        return np.array(sorted(ids), dtype=np.intp)
+
     chunk: list[int] = []
-    members: set = set()
-    covered: set = set()
-    for p in np.lexsort((hi, lo, tile[hi], tile[lo])).tolist():
-        pair = {int(lo[p]), int(hi[p])}
-        if not pair <= members:
-            grown = covered.union(*map(ids_of, pair - members))
-            if chunk and len(grown) > side:
-                yield chunk, members, np.array(sorted(covered), dtype=np.intp)
-                chunk, members, grown = [], set(), set().union(*map(ids_of, pair))
-            members |= pair
-            covered = grown
+    lo_roots: set = set()
+    hi_roots: set = set()
+    rows: set = set()
+    cols: set = set()
+    for p in np.lexsort((hi, lo)).tolist():
+        a, b = int(lo[p]), int(hi[p])
+        grown_rows = rows if a in lo_roots else rows | ids_of(a)
+        grown_cols = cols if b in hi_roots else cols | ids_of(b)
+        if chunk and len(grown_rows) * len(grown_cols) > _TD_ENTRIES:
+            yield chunk, ascending(rows), ascending(cols)
+            chunk, lo_roots, hi_roots = [], set(), set()
+            grown_rows, grown_cols = ids_of(a), ids_of(b)
+        lo_roots.add(a)
+        hi_roots.add(b)
+        rows, cols = grown_rows, grown_cols
         chunk.append(p)
     if chunk:
-        yield chunk, members, np.array(sorted(covered), dtype=np.intp)
+        yield chunk, ascending(rows), ascending(cols)
 
 
 def _cuts(level: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> list[int]:
@@ -272,11 +305,14 @@ def _cuts(level: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> list[int]:
     return cuts
 
 
-def _sweep(td, local, lab, left, sid, start, size, u, v) -> tuple[int, int]:
+def _sweep(td, row_of, col_of, lab, left, sid, start, size, u, v, flip) -> tuple[int, int]:
     """Write td for the leftmost paths of every block (u[k], v[k]) of one
     batch, given by ascending rows, and return its row steps and padded
     cells. Rows and columns are the postorder nodes of the first occurrence
-    of subtrees u[k] and v[k].
+    of subtrees u[k] and v[k]. td[row_of[s]][col_of[t]] holds the distance
+    of s to t, position -1 being a row or column that takes the writes of
+    subtrees not on that side; u[k] is a subtree of a hi tree and v[k] of a
+    lo tree where flip[k], else the other way round.
 
     One table holds row r of every block's forest DP fd, the blocks' columns
     side by side, each block's led by its column 0, as d = fd - c + off:
@@ -288,7 +324,7 @@ def _sweep(td, local, lab, left, sid, start, size, u, v) -> tuple[int, int]:
     paths, otherwise src is fd[l(x) - 1][l(y) - 1] and add td[x][y], both
     shifted by c; column 0 takes d[r][0] + 1. The offsets keep each block's
     minimum to itself. All in integers, so each cell is the recurrence's."""
-    u, v = u[::-1], v[::-1]  # blocks still running at row r are a prefix
+    u, v, flip = u[::-1], v[::-1], flip[::-1]  # blocks still running at row r are a prefix
     m, n = size[u], size[v]
     rows = int(m[0])
     lead = np.cumsum(n + 1) - n - 1  # the position of each block's column 0
@@ -300,8 +336,9 @@ def _sweep(td, local, lab, left, sid, start, size, u, v) -> tuple[int, int]:
     y = start[v][block] + np.maximum(c - 1, 0)
     row_left = left[x] - start[u, None]  # fd row before x's leftmost leaf
     col_left = left[y] - start[v][block]
-    at = (local[sid[x]] * len(td)).T[:, block]
-    at += local[sid[y]]
+    stride = td.shape[1]
+    at = np.where(flip[:, None], col_of[sid[x]], row_of[sid[x]] * stride).T[:, block]
+    at += np.where(flip[block], row_of[sid[y]] * stride, col_of[sid[y]])
     add = td.take(at)
     del at
     add += col_left - c
@@ -328,14 +365,16 @@ def _sweep(td, local, lab, left, sid, start, size, u, v) -> tuple[int, int]:
     flat = d.reshape(-1)
     ends = np.append(lead, width)[np.count_nonzero(m > r, axis=1)].tolist()
     for step, end in enumerate(ends):
-        row = flat[src[step, :end]]
-        row += add[step, :end]
-        np.minimum(row, d[step, :end] + 1, out=row)
-        np.minimum.accumulate(row, out=d[step + 1, :end])
+        e = flat[src[step, :end]]
+        e += add[step, :end]
+        np.minimum(e, d[step, :end] + 1, out=e)
+        np.minimum.accumulate(e, out=d[step + 1, :end])
     value = d[i + 1, p] - off[k] + c[p]
-    a, b = local[sid[x[k, i]]], local[sid[y[p]]]
-    td[a, b] = value
-    td[b, a] = value
+    # each path cell both ways round: the way td lacks goes to its last row
+    # or column
+    s, t = sid[x[k, i]], sid[y[p]]
+    td[row_of[s], col_of[t]] = value
+    td[row_of[t], col_of[s]] = value
     return rows, rows * int(n.sum())
 
 

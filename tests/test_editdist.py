@@ -4,7 +4,7 @@ import importlib.util
 import logging
 import re
 import sys
-import time
+import tracemalloc
 import warnings
 from functools import lru_cache
 from itertools import combinations
@@ -329,7 +329,9 @@ def _left_comb(prefix: str, depth: int):
 
 def _batch_counts(caplog) -> dict[str, int]:
     (line,) = [r.getMessage() for r in caplog.records]
-    return {name: int(count) for count, name in re.findall(r"(\d+) ([a-z ]+?)(?:,|$)", line)}
+    counts = {name: int(count) for count, name in re.findall(r"(\d+) ([a-z ]+?),", line)}
+    real, padded = re.search(r"(\d+) of (\d+) padded block cells real$", line).groups()
+    return counts | {"real cells": int(real), "padded cells": int(padded)}
 
 
 class TestBatchKernel:
@@ -351,12 +353,11 @@ class TestBatchKernel:
         value = dict(zip(pairs, got))
         assert all(value[a, b] == value[b, a] for a, b in pairs)
 
-    def test_deep_right_comb_of_keyroots(self):
+    def test_deep_right_comb_of_keyroots(self, caplog):
         # x(a, x(a, ... x(a, a))): every x is the root or a right child, so
         # a keyroot, 3000 of them nested. From a comb of depth n, a single a
         # is 2n deletions away, a single z one relabel more, and x(a) 2n - 1
-        # deletions. The earlier kernel took 19.5 s on these pairs (2 cores,
-        # Python 3.11), this one about 1.2 s
+        # deletions
         def comb(depth: int):
             t = node("a")
             for _ in range(depth):
@@ -371,10 +372,33 @@ class TestBatchKernel:
         forms = [tree_form(comb(3000)), *map(tree_form, smalls)]
         _, leftmost, keyroots = forms[0]
         assert sum(leftmost[k] < k for k in keyroots) == 3000
-        started = time.perf_counter()
-        got, _ = zhang_shasha_batch(forms, pairs)
-        assert time.perf_counter() - started < 6.0
+        with caplog.at_level(logging.DEBUG, logger="itemsim.editdist"):
+            got, _ = zhang_shasha_batch(forms, pairs)
         assert got == [6000, 6001, 5999] * 2
+        # only x(a) has an inner keyroot: one block with each keyroot of the
+        # comb, of 3, 5, ... 6001 nodes, x(a) on its 2 rows. With the comb on
+        # the rows, the same blocks would take 3000 x 3002 row steps
+        counts = _batch_counts(caplog)
+        assert counts["blocks"] == 3000
+        assert counts["row steps"] == 2 * 3000
+        assert counts["padded cells"] == counts["real cells"] == 2 * sum(range(3, 6002, 2))
+
+    def test_memory_is_linear_in_a_big_tree_against_a_small_one(self):
+        # a comb of 10000 distinct subtrees against a leaf and against x(a):
+        # a table over the subtrees of both trees would take 4 x 10002^2
+        # bytes, about 400 MB
+        big = _left_comb("W", 10000)
+        for small in (node("a"), node("x", node("a"))):
+            forms = [tree_form(big), tree_form(small)]
+            for pair in [(0, 1), (1, 0)]:
+                tracemalloc.start()
+                try:
+                    (got,), _ = zhang_shasha_batch(forms, [pair])
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert got == 20000
+                assert peak < 1024 * len(forms[0][0])
 
     def test_batches_blocks_and_chunks_past_the_module_limits(self, caplog):
         rng = np.random.default_rng(8)
@@ -384,23 +408,24 @@ class TestBatchKernel:
         assert all(tree_form(t)[1][-1] < big - 1 for t in trees)  # the roots are inner keyroots
         # many small trees: their blocks fill each level many times over
         trees += [random_tree_of_size(rng, int(rng.integers(12, 24))) for _ in range(16)]
-        # combs of distinct labels: any two of the first three have more
-        # distinct subtrees than one td chunk may, and the last alone has
-        side = isqrt(_TD_ENTRIES)
-        combs = [_left_comb(p, side * 3 // 5) for p in "XYZ"] + [_left_comb("W", side)]
-        forms = [tree_form(t) for t in trees + combs]
-        n_trees = len(trees)
-        pairs = [(a, b) for a in range(2, n_trees) for b in range(2, n_trees)]
+        pairs = [(a, b) for a in range(2, len(trees)) for b in range(2, len(trees))]
         pairs += [(0, 1), (1, 0), (0, 2), (3, 1)]
-        for k in range(len(combs)):
-            pairs += [(n_trees + k, 2 + k), (2 + k, n_trees + k), (n_trees + k, 8 + k)]
+        # pairs of trees over labels of their own, so that no two pairs share
+        # a subtree: a tree of 48 nodes over 4 labels has about 26 distinct
+        # subtrees, so the td of k of these pairs has about (26 k)^2 entries,
+        # over _TD_ENTRIES from k of about isqrt(_TD_ENTRIES) / 26 on
+        for k in range(3 * isqrt(_TD_ENTRIES) // 40):
+            labels = (f"{k}a", f"{k}b", f"{k}c", f"{k}d")
+            trees += [random_tree_of_size(rng, 48, labels), random_tree_of_size(rng, 48, labels)]
+            pairs += [(len(trees) - 2, len(trees) - 1), (len(trees) - 1, len(trees) - 2)]
+        forms = [tree_form(t) for t in trees]
         np.random.default_rng(9).shuffle(pairs)
         with caplog.at_level(logging.DEBUG, logger="itemsim.editdist"):
             got, _ = zhang_shasha_batch(forms, pairs)
         assert got == reference_zhang_shasha_batch(forms, pairs)[0]
         counts = _batch_counts(caplog)
         assert counts["batches"] > counts["levels"] + 10
-        assert counts["td chunks"] >= 4
+        assert counts["td chunks"] >= 3
 
 
 class TestTreeForm:
