@@ -10,20 +10,26 @@ distinct block of two inner keyroots computed once, level by level, in
 numpy sweeps of one DP row over a batch of blocks; tree_form prepares a
 tree once, and tree_edit_distance compares one pair.
 needleman_wunsch_batch: global alignment scores, higher is more similar,
-of many sequence pairs at once, as one anti-diagonal wavefront per batch
-of pairs; needleman_wunsch aligns one pair.
+of many sequence pairs at once, per batch of pairs either one integer row
+sweep (a scoring exact in integers) or one float anti-diagonal wavefront
+(any other); needleman_wunsch aligns one pair.
 
 Each kernel returns exactly what the plain DP recurrence returns:
-Levenshtein and TED compute in integers, and each alignment cell adds and
-compares the same float64 operands in the same order as the scalar
-recurrence, so its score is bit-identical under any scoring, signed zeros
-included. tests/oracles.py keeps the scalar recurrences as references."""
+Levenshtein and TED compute in integers. An alignment scoring is exact in
+integers when its three scores are nonzero and, scaled by their common
+power-of-two denominator, keep every partial score under 2**53: then each
+float operation of the recurrence is exact and its only -0.0 is the empty
+pair's 0 * gap, so integer arithmetic gives its values bit for bit. Under
+any other scoring each alignment cell adds and compares the same float64
+operands in the same order as the scalar recurrence. Either way the score
+is bit-identical, signed zeros included. tests/oracles.py keeps the scalar
+recurrences as references."""
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from math import isfinite
+from math import isfinite, ldexp
 from typing import Sequence
 
 import numpy as np
@@ -110,7 +116,8 @@ def zhang_shasha_batch(
 ) -> tuple[list[int], int]:
     """Zhang-Shasha distance of forms[a] to forms[b] with unit costs (insert
     1, delete 1, relabel 1 unless labels are equal) for every (a, b) in
-    pairs, and the number of batches they ran in: one, or none for no pairs.
+    pairs, and the number of block batches the sweep ran, none where no
+    pair has an inner keyroot on both sides.
 
     Every subtree of every form gets an id by interning (label, child ids).
     The distance is symmetric, as costs are unit, so each pair runs once,
@@ -248,7 +255,7 @@ def zhang_shasha_batch(
     log.debug("ted batch: %d pairs, %d distinct subtrees, %d blocks, %d levels, %d batches, "
               "%d row steps, %d td chunks, %d of %d padded block cells real", len(pairs),
               len(size), *counts.values())
-    return values[inverse].tolist(), min(len(pairs), 1)
+    return values[inverse].tolist(), counts["batches"]
 
 
 def _chunks(lo, hi, sid, start, first):
@@ -397,9 +404,12 @@ class NwScoring:
                 raise ItemsimError("alignment scores must be finite")
 
 
-# a batch holds at most this many padded sequence positions, pairs x
-# (longest a + longest b + 2), which bounds its working set
+# a batch of the float wavefront holds at most this many padded sequence
+# positions, pairs x (longest a + longest b + 2), and a batch of the integer
+# row sweep at most _ROW_POSITIONS, pairs x (longest column sequence + 1);
+# either bounds its working set
 _BATCH_POSITIONS = 1 << 14
+_ROW_POSITIONS = 1 << 16
 
 
 def needleman_wunsch_batch(
@@ -408,38 +418,144 @@ def needleman_wunsch_batch(
     """Optimal global alignment score of seqs[a] against seqs[b] under s
     for every (a, b) in pairs, and the number of batches they ran in.
 
-    Pairs sorted by the lengths of a, then b, are cut into batches of at
-    most _BATCH_POSITIONS padded positions. A batch computes the DP
-    matrices of all its pairs together, one anti-diagonal d = i + j at a
-    time (inter-sequence parallelism, as in Wozniak 1997 and Rognes 2011).
-    Scores that overflow float64 come out as +-inf, without a warning."""
+    Scorings exact in integers take the integer row sweep: all three
+    scores are nonzero, and scaled by their common power-of-two
+    denominator (float.as_integer_ratio) to integers, no partial score of
+    the recurrence can reach 2**53 in magnitude. A cell of a pair of
+    lengths m and n is at most (m + n) max|score|, and m + n is at most
+    the longest shorter sequence plus the longest longer one. Then every
+    float operation of the recurrence is exact, so its values depend on
+    neither the order of evaluation nor the orientation of a pair. Signed
+    zeros survive too: a sum x + y is -0.0 only where x and y both are,
+    and the only -0.0 of the recurrence is H[0][0] = 0 * gap (gap < 0),
+    which every other cell adds a nonzero score to; so a zero score is
+    +0.0 except on the empty pair, which keeps 0 * gap. Pairs, the shorter
+    sequence on the rows, sorted by the longer length, then the shorter,
+    are cut into batches of at most _ROW_POSITIONS padded positions, each
+    swept in the narrowest int dtype that holds its values (_row_sweep),
+    and the scores scaled back by math.ldexp.
+
+    Every other scoring takes the float wavefront: pairs sorted by the
+    lengths of a, then b, are cut into batches of at most _BATCH_POSITIONS
+    padded positions. A batch computes the DP matrices of all its pairs
+    together, one anti-diagonal d = i + j at a time (inter-sequence
+    parallelism, as in Wozniak 1997 and Rognes 2011). Scores that overflow
+    float64 come out as +-inf, without a warning.
+
+    Logs one debug line: pairs, path, batches, row or diagonal steps, and
+    real of padded cells."""
     codes: dict = {}
     encoded = [np.array([codes.setdefault(t, len(codes)) for t in x], dtype=np.int64)
                for x in seqs]
     lengths = [(len(seqs[a]), len(seqs[b])) for a, b in pairs]
+    ratios = [float(v).as_integer_ratio() for v in (s.match, s.mismatch, s.gap)]
+    scale = max(q for _, q in ratios)  # a power of two
+    scaled = [p * (scale // q) for p, q in ratios]
+    longest = max(map(min, lengths), default=0) + max(map(max, lengths), default=0)
+    integer = 0 not in scaled and longest * max(map(abs, scaled)) < 1 << 53
     batches = []
-    longest_a = longest_b = 0
-    for k in sorted(range(len(pairs)), key=lengths.__getitem__):
-        la, lb = lengths[k]
-        longest_a, longest_b = max(longest_a, la), max(longest_b, lb)
-        if not batches or (len(batches[-1]) + 1) * (longest_a + longest_b + 2) > _BATCH_POSITIONS:
-            batches.append([])
-            longest_a, longest_b = la, lb
-        batches[-1].append(k)
+    if integer:
+        for k in sorted(range(len(pairs)), key=lambda k: (max(lengths[k]), min(lengths[k]))):
+            if not batches or (len(batches[-1]) + 1) * (max(lengths[k]) + 1) > _ROW_POSITIONS:
+                batches.append([])
+            batches[-1].append(k)
+    else:
+        longest_a = longest_b = 0
+        for k in sorted(range(len(pairs)), key=lengths.__getitem__):
+            la, lb = lengths[k]
+            longest_a, longest_b = max(longest_a, la), max(longest_b, lb)
+            if not batches or (len(batches[-1]) + 1) * (longest_a + longest_b + 2) > _BATCH_POSITIONS:
+                batches.append([])
+                longest_a, longest_b = la, lb
+            batches[-1].append(k)
     values = [0.0] * len(pairs)
+    steps = padded = 0
     with np.errstate(over="ignore"):
         for batch in batches:
-            batch.sort(key=lambda k: -sum(lengths[k]))
-            scores = _wavefront([(encoded[pairs[k][0]], encoded[pairs[k][1]]) for k in batch], s)
+            if integer:
+                batch.sort(key=lambda k: -min(lengths[k]))
+                oriented = [(encoded[a], encoded[b]) if la <= lb else (encoded[b], encoded[a])
+                            for (a, b), (la, lb) in ((pairs[k], lengths[k]) for k in batch)]
+                # the narrowest signed codes that also hold -1, a code no token has
+                scores, batch_steps, batch_padded = _row_sweep(
+                    oriented, scaled, np.min_scalar_type(-1 - len(codes)))
+                # the empty pair alone has the sign of 0 * gap
+                scores = [ldexp(v, 1 - scale.bit_length()) if sum(lengths[k]) else 0.0 * s.gap
+                          for k, v in zip(batch, scores)]
+            else:
+                batch.sort(key=lambda k: -sum(lengths[k]))
+                scores, batch_steps, batch_padded = _wavefront(
+                    [(encoded[pairs[k][0]], encoded[pairs[k][1]]) for k in batch], s)
+            steps += batch_steps
+            padded += batch_padded
             for k, v in zip(batch, scores):
                 values[k] = v
+    log.debug("nw batch: %d pairs, %s, %d batches, %d %s steps, %d of %d padded cells real",
+              len(pairs), "integer sweep" if integer else "float wavefront", len(batches), steps,
+              "row" if integer else "diagonal", sum(a * b for a, b in lengths), padded)
     return values, len(batches)
 
 
-def _wavefront(pairs: list[tuple[np.ndarray, np.ndarray]], s: NwScoring) -> list[float]:
+def _row_sweep(pairs: list[tuple[np.ndarray, np.ndarray]], scores: list[int],
+               code: np.dtype) -> tuple[list[int], int, int]:
+    """Alignment scores of encoded pairs (rows, columns), len(rows) <=
+    len(columns), given by descending len(rows), under integer scores
+    (match, mismatch, gap), with tokens compared as the signed int type
+    code; and the row steps and padded cells of the sweep. The pairs still running at row i are a prefix, and a pair's
+    score is read once row len(rows) is done.
+
+    The sweep keeps D[i][j] = H[i][j] - (i + j) gap, which turns the
+    recurrence into D[i][j] = max(D[i-1][j-1] + sub - 2 gap, D[i-1][j],
+    D[i][j-1]) with D[i][0] = D[0][j] = 0: row i is the elementwise maximum
+    of the first two, then one running maximum along the row (the prefix
+    maximum form of Khajeh-Saeed, Poole and Perot 2010). Row j of the
+    tables holds column j of every pair, one pair per column, padded with a
+    code that matches no token; the padding stays within the bound."""
+    match, mismatch, gap = scores
+    rows = [len(a) for a, _ in pairs]
+    cols = np.array([len(b) for _, b in pairs], dtype=np.intp)
+    width = int(cols.max())
+    # |D[i][j]| <= |H[i][j]| + (i + j) |gap| <= 2 (i + j) max|score|, which
+    # also bounds a cell's candidates; gain and miss need 3 max|score|
+    bound = (2 * (rows[0] + width) + 3) * max(map(abs, scores))
+    dtype = np.int16 if bound < 1 << 15 else np.int32 if bound < 1 << 31 else np.int64
+    a_rows = np.zeros((rows[0], len(pairs)), dtype=code)
+    b_cols = np.full((width, len(pairs)), -1, dtype=code)
+    for p, (a, b) in enumerate(pairs):
+        a_rows[:len(a), p] = a
+        b_cols[:len(b), p] = b
+    gain, miss = dtype(match - mismatch), dtype(mismatch - 2 * gap)
+    d = np.zeros((width + 1, len(pairs)), dtype=dtype)
+    t = np.zeros_like(d)  # row 0 stays D[i][0] = 0
+    same = np.empty((width, len(pairs)), dtype=bool)
+    ends = np.zeros(len(pairs), dtype=np.int64)
+    live = len(pairs)
+    for i in range(rows[0] + 1):
+        done = live
+        while done and rows[done - 1] == i:
+            done -= 1
+        if done < live:
+            ends[done:live] = d[cols[done:live], np.arange(done, live)]
+            live = done
+        if not live:
+            break
+        np.equal(b_cols[:, :live], a_rows[i, :live], out=same[:, :live])
+        cell = t[1:, :live]
+        np.multiply(same[:, :live], gain, out=cell)
+        cell += d[:-1, :live]
+        cell += miss
+        np.maximum(cell, d[1:, :live], out=cell)
+        np.maximum.accumulate(t[:, :live], axis=0, out=d[:, :live])
+    return ([v + (m + n) * gap for v, m, n in zip(ends.tolist(), rows, cols.tolist())],
+            rows[0], width * sum(rows))
+
+
+def _wavefront(pairs: list[tuple[np.ndarray, np.ndarray]], s: NwScoring
+               ) -> tuple[list[float], int, int]:
     """Alignment scores of encoded sequence pairs, given by descending
-    len(a) + len(b): the pairs still running at diagonal d are a prefix,
-    and a pair's score is cell (len(a), len(b)) on diagonal len(a) + len(b).
+    len(a) + len(b), and the diagonal steps and padded cells of the sweep:
+    the pairs still running at diagonal d are a prefix, and a pair's score
+    is cell (len(a), len(b)) on diagonal len(a) + len(b).
 
     Row i of the diagonal buffers holds cell (i, d - i) of every pair, one
     pair per column. Each cell is max(H[i-1][j-1] + sub, H[i-1][j] + gap,
@@ -460,6 +576,7 @@ def _wavefront(pairs: list[tuple[np.ndarray, np.ndarray]], s: NwScoring) -> list
     h2, h1, h = (np.empty((m_max + 1, len(pairs))) for _ in range(3))
     scores = np.empty(len(pairs))
     live = len(pairs)
+    cells = 0
     for d in range(ends[0] + 1):
         if d <= n_max:
             h[0, :live] = d * gap
@@ -467,6 +584,7 @@ def _wavefront(pairs: list[tuple[np.ndarray, np.ndarray]], s: NwScoring) -> list
             h[d, :live] = d * gap
         lo, hi = max(1, d - n_max), min(d - 1, m_max)
         if lo <= hi:
+            cells += (hi - lo + 1) * live
             same = a_rows[lo - 1:hi, :live] == b_rows[n_max - d + lo:n_max - d + hi + 1, :live]
             cell = h[lo:hi + 1, :live]
             np.add(h2[lo - 1:hi, :live], np.where(same, match, mismatch), out=cell)
@@ -483,7 +601,7 @@ def _wavefront(pairs: list[tuple[np.ndarray, np.ndarray]], s: NwScoring) -> list
             scores[cols] = h[ms[done:live], cols]
             live = done
         h2, h1, h = h1, h, h2
-    return scores.tolist()
+    return scores.tolist(), ends[0] + 1, cells
 
 
 def needleman_wunsch(a: Sequence[str], b: Sequence[str], s: NwScoring = NwScoring()) -> float:

@@ -153,7 +153,8 @@ def _each_pair(kernel):
 # kind -> (prepare(ast, caps), size(input), kernel(inputs, pairs, nw_scoring),
 # to_similarity(value, size_a, size_b), sign, self_value). prepare returns a
 # hashable kernel input. kernel returns the value of each (index_a, index_b)
-# pair of inputs and the number of batches it computed them in. The best
+# pair of inputs and the number of batches it swept (for ted, block batches:
+# none where no pair has inner keyroots on both sides). The best
 # pair has the smallest sign * value: distances are minimised, alignment
 # scores maximised. self_value is the kernel's value on two equal inputs
 # where one is known: 0 for the distances, none for nw, whose self score

@@ -11,6 +11,7 @@ from functools import lru_cache
 import numpy as np
 
 from itemsim import (
+    NwScoring,
     agreement_correlation,
     cluster_eval,
     compute_measure,
@@ -72,16 +73,17 @@ def alignment_sweep() -> int:
     """Compare against a brute-force alignment enumerator on every pair of
     sequences over a 2-symbol alphabet with length <= 5, both orders of
     each pair in one needleman_wunsch_batch call, the path edit_similarity
-    takes."""
+    takes, under the default scoring and a non-unit integral one."""
     seqs = enumerate_sequences(5, ("a", "b"))
     pairs = [(i, j) for i in range(len(seqs)) for j in range(i, len(seqs))]
     ordered = [p for i, j in pairs for p in ((i, j), (j, i))]
-    scores, _ = needleman_wunsch_batch(seqs, ordered)
-    for k, (i, j) in enumerate(pairs):
-        want = oracle_alignment(seqs[i], seqs[j])
-        assert scores[2 * k] == want, (seqs[i], seqs[j])
-        assert scores[2 * k + 1] == want, (seqs[j], seqs[i])
-    return len(ordered)
+    for s in (NwScoring(), NwScoring(3.0, -2.0, -5.0)):
+        scores, _ = needleman_wunsch_batch(seqs, ordered, s)
+        for k, (i, j) in enumerate(pairs):
+            want = oracle_alignment(seqs[i], seqs[j], s)
+            assert scores[2 * k] == want, (seqs[i], seqs[j], s)
+            assert scores[2 * k + 1] == want, (seqs[j], seqs[i], s)
+    return 2 * len(ordered)
 
 
 @lru_cache(maxsize=None)

@@ -48,9 +48,17 @@ from oracles import (
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# integer, fractional, and gaps beating matches (match < 2 * gap)
-SCORINGS = [NwScoring(), NwScoring(1.0, -0.5, -0.7), NwScoring(-1.0, -2.0, -0.3)]
-SCORING_IDS = ["integer", "fractional", "gaps-win"]
+# unit, fractional, and gaps beating matches (match < 2 * gap); then
+# scorings exact in integers beyond the unit one: integral, dyadic, two gaps
+# tying a match, and a positive gap, under which the empty pair is +0.0.
+# The fractional and gaps-win ones take the float wavefront, the others the
+# integer row sweep (test_debug_line_names_the_path)
+SCORINGS = [NwScoring(), NwScoring(1.0, -0.5, -0.7), NwScoring(-1.0, -2.0, -0.3),
+            NwScoring(3.0, -2.0, -5.0), NwScoring(0.5, -0.25, -0.75), NwScoring(-1.0, -2.0, -0.5),
+            NwScoring(1.0, -1.0, 0.25)]
+SCORING_IDS = ["integer", "fractional", "gaps-win", "integral", "dyadic", "gaps-tie",
+               "positive-gap"]
+INTEGER_PATH = {"integer", "integral", "dyadic", "gaps-tie", "positive-gap"}  # by id
 
 
 def same_float(x: float, y: float) -> bool:
@@ -153,10 +161,11 @@ class TestTreeEditDistance:
     def test_single_nodes(self):
         assert tree_edit_distance(node("a"), node("a")) == 0
         assert tree_edit_distance(node("a"), node("b")) == 1
-        # in one batch, where each form's closed-form rows are shared
+        # in one call, where each form's closed-form rows are shared: no
+        # inner keyroot, so no block batch
         forms = [tree_form(node("a")), tree_form(node("b")), tree_form(node("a"))]
         pairs = [(a, b) for a in range(3) for b in range(3)]
-        assert zhang_shasha_batch(forms, pairs) == ([0, 1, 0, 1, 0, 1, 0, 1, 0], 1)
+        assert zhang_shasha_batch(forms, pairs) == ([0, 1, 0, 1, 0, 1, 0, 1, 0], 0)
 
     def test_order_sensitivity(self):
         t1 = node("r", node("a"), node("b"))
@@ -187,7 +196,7 @@ class TestTreeEditDistance:
             assert tree_edit_distance(b, a) == want
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_one_batch_equals_reference_in_any_order(self, seed):
+    def test_one_batch_equals_reference_in_any_order(self, seed, caplog):
         # the programs and their mutants share most subtrees, so the batch
         # replays most keyroot blocks; neither the order of the pairs, nor
         # their direction, nor the other pairs in the batch change a value
@@ -198,8 +207,9 @@ class TestTreeEditDistance:
         forms = [tree_form(t) for t in trees]
         shuffled = [*pairs, *((b, a) for a, b in pairs)]
         np.random.default_rng(seed).shuffle(shuffled)
-        got, batches = zhang_shasha_batch(forms, shuffled)
-        assert batches == 1
+        with caplog.at_level(logging.DEBUG, logger="itemsim.editdist"):
+            got, batches = zhang_shasha_batch(forms, shuffled)
+        assert batches == _batch_counts(caplog)["batches"] > 1
         value = dict(zip(shuffled, got))
         want = list(program_tree_distances(seed))
         assert [value[a, b] for a, b in pairs] == want
@@ -212,7 +222,7 @@ class TestTreeEditDistance:
         x = node("f", node("a", node("b")), node("a", node("b")))
         forms = [tree_form(x), tree_form(x), tree_form(node("c", node("d")))]
         with caplog.at_level(logging.DEBUG, logger="itemsim.editdist"):
-            assert zhang_shasha_batch(forms, [(0, 1), (1, 0), (2, 2)]) == ([0, 0, 0], 1)
+            assert zhang_shasha_batch(forms, [(0, 1), (1, 0), (2, 2)]) == ([0, 0, 0], 3)
         # subtrees b, a(b), x, d, c(d). Both x pairs give the blocks
         # (a(b), a(b)), (a(b), x), (x, x), once; z gives (c(d), c(d)). a(b)
         # and c(d) have no inner keyroot inside, x has a(b): levels 0, 1, 2,
@@ -273,7 +283,7 @@ class TestTreeEditDistance:
         assert tree_edit_distance(flat, node("program")) == 6
         assert tree_edit_distance(node("jump"), flat) == 7
 
-    def test_one_batch_mixes_leaf_and_inner_keyroots(self):
+    def test_one_batch_mixes_leaf_and_inner_keyroots(self, caplog):
         # single nodes, flat programs, synthetic programs and random trees
         # over few labels, every ordered pair in one batch
         rng = np.random.default_rng(5)
@@ -286,8 +296,9 @@ class TestTreeEditDistance:
             *(random_tree(rng, max_nodes=8) for _ in range(20)),
         ]
         ordered = [(a, b) for a in range(len(trees)) for b in range(len(trees))]
-        got, batches = zhang_shasha_batch([tree_form(t) for t in trees], ordered)
-        assert batches == 1
+        with caplog.at_level(logging.DEBUG, logger="itemsim.editdist"):
+            got, batches = zhang_shasha_batch([tree_form(t) for t in trees], ordered)
+        assert batches == _batch_counts(caplog)["batches"] > 1
         assert got == [reference_tree_edit_distance(trees[a], trees[b]) for a, b in ordered]
 
     def test_deep_chain_in_a_batch(self):
@@ -342,14 +353,16 @@ class TestBatchKernel:
 
     @pytest.mark.parametrize("seed", [1, 11])
     @pytest.mark.parametrize("workload", ["edit-sample", "edit-multi"])
-    def test_equals_reference_on_benchmark_corpora(self, workload, seed):
+    def test_equals_reference_on_benchmark_corpora(self, workload, seed, caplog):
         w = _workloads()
         corpus = w.build_corpus(w.WORKLOADS[workload], seed, generate_corpus)
         forms = [tree_form(s.ast) for it in corpus.items for s in it.solutions]
         pairs = [(a, b) for a in range(len(forms)) for b in range(len(forms))]
         np.random.default_rng(seed).shuffle(pairs)
-        got, batches = zhang_shasha_batch(forms, pairs)
-        assert (got, batches) == reference_zhang_shasha_batch(forms, pairs)
+        with caplog.at_level(logging.DEBUG, logger="itemsim.editdist"):
+            got, batches = zhang_shasha_batch(forms, pairs)
+        assert got == reference_zhang_shasha_batch(forms, pairs)[0]
+        assert batches == _batch_counts(caplog)["batches"] > 1
         value = dict(zip(pairs, got))
         assert all(value[a, b] == value[b, a] for a, b in pairs)
 
@@ -511,11 +524,12 @@ class TestNeedlemanWunsch:
 
     @pytest.mark.parametrize("scoring", SCORINGS, ids=SCORING_IDS)
     def test_empty_and_single_token_pairs(self, scoring):
-        # len(a) + len(b) <= 1; the empty pair scores 0 * gap, -0.0 here
+        # len(a) + len(b) <= 1; the empty pair scores 0 * gap, -0.0 under a
+        # negative gap and 0.0 under a positive one
         seqs = [(), ("x",), ("y",)]
         pairs = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (0, 2)]
         want = [reference_needleman_wunsch(seqs[a], seqs[b], scoring) for a, b in pairs]
-        assert np.signbit(want[0])
+        assert np.signbit(want[0]) == (scoring.gap < 0)
         got, batches = needleman_wunsch_batch(seqs, pairs, scoring)
         assert batches == 1
         assert all(map(same_float, got, want))
@@ -531,16 +545,93 @@ class TestNeedlemanWunsch:
         assert batches == 1
         assert all(map(same_float, got, want))
 
-    def test_many_pairs_split_into_batches(self):
+    @pytest.mark.parametrize("s", [NwScoring(1.0, -0.5, -0.7), NwScoring(3.0, -2.0, -5.0)],
+                             ids=["float-wavefront", "integer-sweep"])
+    def test_many_pairs_split_into_batches(self, s):
+        # every pair of 24 sequences of 25-40 tokens, and each of them
+        # against 40 of 0-4 tokens both ways: more padded positions than a
+        # batch of either path holds, _BATCH_POSITIONS or _ROW_POSITIONS
         rng = np.random.default_rng(11)
-        seqs = [tuple(rng.choice(list("mlrs"), size=int(rng.integers(25, 41))))
-                for _ in range(24)]
-        pairs = [(a, b) for a in range(len(seqs)) for b in range(len(seqs))]
-        s = NwScoring(1.0, -0.5, -0.7)
+        seqs = [tuple(rng.choice(list("mlrs"), size=int(rng.integers(low, high))))
+                for low, high in [(25, 41)] * 24 + [(0, 5)] * 40]
+        pairs = [(a, b) for a in range(24) for b in range(24)]
+        pairs += [p for a in range(24) for b in range(24, 64) for p in ((a, b), (b, a))]
         got, batches = needleman_wunsch_batch(seqs, pairs, s)
         assert batches > 1
         assert all(same_float(g, reference_needleman_wunsch(seqs[a], seqs[b], s))
                    for g, (a, b) in zip(got, pairs))
+
+    @pytest.mark.parametrize("scoring, path", [
+        *((s, "integer sweep" if i in INTEGER_PATH else "float wavefront")
+          for s, i in zip(SCORINGS, SCORING_IDS)),
+        (NwScoring(0.0, -1.0, -1.0), "float wavefront"),
+        (NwScoring(1.0, -1.0, -0.0), "float wavefront"),
+        (NwScoring(1e308, -1e308, -1e308), "float wavefront"),
+    ], ids=[*SCORING_IDS, "zero-match", "zero-gap", "huge"])
+    def test_debug_line_names_the_path(self, scoring, path, caplog):
+        # exact in integers (nonzero scores, under the bound) or not
+        seqs = [("x", "y", "x"), ("y", "y"), ()]
+        with caplog.at_level(logging.DEBUG, logger="itemsim.editdist"):
+            needleman_wunsch_batch(seqs, [(0, 1), (2, 0), (1, 1)], scoring)
+        (line,) = [r.getMessage() for r in caplog.records]
+        assert line.startswith(f"nw batch: 3 pairs, {path}, 1 batches, ")
+
+    def test_debug_line_counts(self, caplog):
+        # the integer sweep puts (y, y) on the rows against (x, y, x) and
+        # (y, y), and () against (x, y, x): 2 + 0 + 2 rows of the batch's 3
+        # columns, in 2 row steps. The wavefront runs 6 diagonals of the
+        # batch's 3 x 3 rectangle, 3 + 6 + 6 + 2 cells over the pairs still
+        # running
+        seqs = [("x", "y", "x"), ("y", "y"), ()]
+        pairs = [(0, 1), (2, 0), (1, 1)]
+        with caplog.at_level(logging.DEBUG, logger="itemsim.editdist"):
+            needleman_wunsch_batch(seqs, pairs)
+            needleman_wunsch_batch(seqs, pairs, NwScoring(1.0, -0.5, -0.7))
+        assert [r.getMessage() for r in caplog.records] == [
+            "nw batch: 3 pairs, integer sweep, 1 batches, 2 row steps, "
+            "10 of 12 padded cells real",
+            "nw batch: 3 pairs, float wavefront, 1 batches, 6 diagonal steps, "
+            "10 of 17 padded cells real",
+        ]
+
+    @pytest.mark.parametrize("bits", [15, 31], ids=["int16", "int32"])
+    def test_scores_near_each_int_dtype_limit(self, bits):
+        # a batch of sequences of up to 100 tokens runs in int16 while
+        # (2 (100 + 100) + 3) max|score| < 2**15, then in int32. Under
+        # (top, -top, -top) the self pairs of the 100-token ones reach 300
+        # top in the sweep, past the limit from limit // 300 + 1 on
+        rng = np.random.default_rng(13)
+        seqs = [tuple(rng.choice(list("xy"), size=n)) for n in (100, 100, 60, 3)]
+        seqs.append(seqs[0])
+        pairs = [(a, b) for a in range(len(seqs)) for b in range(len(seqs))]
+        limit = 2**bits - 1
+        for top in (limit // 403, limit // 403 + 1, limit // 300 + 1):
+            for s in (NwScoring(float(top), float(-top), float(-top)),
+                      NwScoring(float(-top), float(top // 2), float(top))):
+                got, _ = needleman_wunsch_batch(seqs, pairs, s)
+                want = [reference_needleman_wunsch(seqs[a], seqs[b], s) for a, b in pairs]
+                assert all(map(same_float, got, want))
+
+    @pytest.mark.parametrize("over", [0, 1], ids=["under", "over"])
+    def test_scores_at_the_exactness_bound(self, over, caplog):
+        # the longest shorter sequence (40; the 60-token self pair is left
+        # out) plus the longest longer one (60) times the largest score
+        # magnitude: just under 2**53, the integer
+        # sweep holds every score exactly, in int64, near 2**53; one more,
+        # the float wavefront runs
+        rng = np.random.default_rng(12)
+        seqs = [tuple(rng.choice(list("xy"), size=n)) for n in (60, 40, 20, 7, 1, 0)]
+        pairs = [(a, b) for a in range(len(seqs)) for b in range(len(seqs)) if a or b]
+        top = (2**53 - 1) // 100 + over
+        assert (100 * top < 2**53) != over
+        s = NwScoring(float(top // 3), float(-(top // 2)), float(-top))
+        with caplog.at_level(logging.DEBUG, logger="itemsim.editdist"):
+            got, _ = needleman_wunsch_batch(seqs, pairs, s)
+        path = "float wavefront" if over else "integer sweep"
+        assert [r.getMessage().split(", ")[1] for r in caplog.records] == [path]
+        want = [reference_needleman_wunsch(seqs[a], seqs[b], s) for a, b in pairs]
+        assert all(map(same_float, got, want))
+        assert min(want) < -2**52
 
     def test_overflow_gives_infinities_without_warnings(self):
         seqs = [("x",) * 3, ("y",) * 3]
