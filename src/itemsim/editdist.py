@@ -1,7 +1,9 @@
 """Edit distances over token sequences and ordered trees.
 
-levenshtein: unit-cost insert/delete/substitute over tokens, bit-parallel
-(a DP column per Python int).
+levenshtein_batch: unit-cost insert/delete/substitute distances over
+tokens, of many sequence pairs at once: minus the global alignment score
+under match 0, mismatch -1, gap -1, from needleman_wunsch_batch;
+levenshtein compares one pair.
 zhang_shasha_batch: Zhang-Shasha ordered-tree edit distances, unit costs
 (relabel free for equal labels), of many pairs of prepared trees at once:
 per chunk of pairs, one table of distances from the distinct subtrees of
@@ -16,20 +18,20 @@ sweep (a scoring exact in integers) or one float anti-diagonal wavefront
 
 Each kernel returns exactly what the plain DP recurrence returns:
 Levenshtein and TED compute in integers. An alignment scoring is exact in
-integers when its three scores are nonzero and, scaled by their common
-power-of-two denominator, keep every partial score under 2**53: then each
-float operation of the recurrence is exact and its only -0.0 is the empty
-pair's 0 * gap, so integer arithmetic gives its values bit for bit. Under
-any other scoring each alignment cell adds and compares the same float64
-operands in the same order as the scalar recurrence. Either way the score
-is bit-identical, signed zeros included. tests/oracles.py keeps the scalar
-recurrences as references."""
+integers when none of its three scores is -0.0 and, scaled by their common
+power-of-two denominator, they keep every partial score under 2**53: then
+each float operation of the recurrence is exact and its only -0.0 is the
+empty pair's 0 * gap, so integer arithmetic gives its values bit for bit.
+Under any other scoring each alignment cell adds and compares the same
+float64 operands in the same order as the scalar recurrence. Either way
+the score is bit-identical, signed zeros included. tests/oracles.py keeps
+the scalar recurrences as references."""
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from math import isfinite, ldexp
+from math import copysign, isfinite, ldexp
 from typing import Sequence
 
 import numpy as np
@@ -38,41 +40,6 @@ from .errors import ItemsimError
 from .tree import AstNode
 
 log = logging.getLogger("itemsim.editdist")
-
-
-def levenshtein(a: Sequence[str], b: Sequence[str]) -> int:
-    """Minimal number of token insertions, deletions, and substitutions
-    turning a into b.
-
-    Bit-parallel (Myers 1999, Hyyrö 2003): one Python int per DP column
-    holds, in bit i, whether D[i+1][j] - D[i][j] is +1 (pv) or -1 (mv)
-    down the longer sequence; each token of the shorter one advances the
-    column with a fixed number of word operations, and dist follows the
-    last row."""
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return len(a)
-    match: dict = {}  # token -> bits of the positions in a that hold it
-    for i, x in enumerate(a):
-        match[x] = match.get(x, 0) | 1 << i
-    full = (1 << len(a)) - 1
-    last = 1 << (len(a) - 1)
-    pv, mv, dist = full, 0, len(a)
-    for y in b:
-        eq = match.get(y, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = (mv | ~(xh | pv)) & full
-        mh = pv & xh
-        if ph & last:
-            dist += 1
-        elif mh & last:
-            dist -= 1
-        ph = ph << 1 | 1
-        pv = (mh << 1 | ~(xv | ph)) & full
-        mv = ph & xv
-    return dist
 
 
 TreeForm = tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]
@@ -418,22 +385,22 @@ def needleman_wunsch_batch(
     """Optimal global alignment score of seqs[a] against seqs[b] under s
     for every (a, b) in pairs, and the number of batches they ran in.
 
-    Scorings exact in integers take the integer row sweep: all three
-    scores are nonzero, and scaled by their common power-of-two
-    denominator (float.as_integer_ratio) to integers, no partial score of
-    the recurrence can reach 2**53 in magnitude. A cell of a pair of
-    lengths m and n is at most (m + n) max|score|, and m + n is at most
-    the longest shorter sequence plus the longest longer one. Then every
-    float operation of the recurrence is exact, so its values depend on
-    neither the order of evaluation nor the orientation of a pair. Signed
-    zeros survive too: a sum x + y is -0.0 only where x and y both are,
-    and the only -0.0 of the recurrence is H[0][0] = 0 * gap (gap < 0),
-    which every other cell adds a nonzero score to; so a zero score is
-    +0.0 except on the empty pair, which keeps 0 * gap. Pairs, the shorter
-    sequence on the rows, sorted by the longer length, then the shorter,
-    are cut into batches of at most _ROW_POSITIONS padded positions, each
-    swept in the narrowest int dtype that holds its values (_row_sweep),
-    and the scores scaled back by math.ldexp.
+    Scorings exact in integers take the integer row sweep: no score is
+    -0.0, and scaled by their common power-of-two denominator
+    (float.as_integer_ratio) to integers, no partial score of the
+    recurrence can reach 2**53 in magnitude. A cell of a pair of lengths m
+    and n is at most (m + n) max|score|, and m + n is at most the longest
+    shorter sequence plus the longest longer one. Then every float
+    operation of the recurrence is exact, so its values depend on neither
+    the order of evaluation nor the orientation of a pair. Signed zeros
+    survive too: a float sum x + y is -0.0 only where x and y both are,
+    and every cell but H[0][0] = 0 * gap is k * gap (k > 0) or a score
+    added to a cell, so with no -0.0 score none of them is -0.0: a zero
+    cell is +0.0 except on the empty pair, which keeps 0 * gap. Pairs, the
+    shorter sequence on the rows, sorted by the longer length, then the
+    shorter, are cut into batches of at most _ROW_POSITIONS padded
+    positions, each swept in the narrowest int dtype that holds its values
+    (_row_sweep), and the scores scaled back by math.ldexp.
 
     Every other scoring takes the float wavefront: pairs sorted by the
     lengths of a, then b, are cut into batches of at most _BATCH_POSITIONS
@@ -452,7 +419,8 @@ def needleman_wunsch_batch(
     scale = max(q for _, q in ratios)  # a power of two
     scaled = [p * (scale // q) for p, q in ratios]
     longest = max(map(min, lengths), default=0) + max(map(max, lengths), default=0)
-    integer = 0 not in scaled and longest * max(map(abs, scaled)) < 1 << 53
+    integer = (not any(v == 0 and copysign(1.0, v) < 0 for v in (s.match, s.mismatch, s.gap))
+               and longest * max(map(abs, scaled)) < 1 << 53)
     batches = []
     if integer:
         for k in sorted(range(len(pairs)), key=lambda k: (max(lengths[k]), min(lengths[k]))):
@@ -501,8 +469,9 @@ def _row_sweep(pairs: list[tuple[np.ndarray, np.ndarray]], scores: list[int],
     """Alignment scores of encoded pairs (rows, columns), len(rows) <=
     len(columns), given by descending len(rows), under integer scores
     (match, mismatch, gap), with tokens compared as the signed int type
-    code; and the row steps and padded cells of the sweep. The pairs still running at row i are a prefix, and a pair's
-    score is read once row len(rows) is done.
+    code; and the row steps and padded cells of the sweep. The pairs still
+    running at row i are a prefix, and a pair's score is read once row
+    len(rows) is done.
 
     The sweep keeps D[i][j] = H[i][j] - (i + j) gap, which turns the
     recurrence into D[i][j] = max(D[i-1][j-1] + sub - 2 gap, D[i-1][j],
@@ -609,3 +578,23 @@ def needleman_wunsch(a: Sequence[str], b: Sequence[str], s: NwScoring = NwScorin
     one pair."""
     (score,), _ = needleman_wunsch_batch([a, b], [(0, 1)], s)
     return score
+
+
+def levenshtein_batch(
+    seqs: Sequence[Sequence[str]], pairs: Sequence[tuple[int, int]]
+) -> tuple[list[int], int]:
+    """Minimal number of token insertions, deletions, and substitutions
+    turning seqs[a] into seqs[b] for every (a, b) in pairs, and the number
+    of batches they ran in: minus the alignment score under match 0,
+    mismatch -1, gap -1 (Wagner and Fischer 1974), which takes the integer
+    row sweep. The scores are integers below 2**53, so exact; the empty
+    pair's -0.0 gives 0."""
+    scores, batches = needleman_wunsch_batch(seqs, pairs, NwScoring(0.0, -1.0, -1.0))
+    return [-int(v) for v in scores], batches
+
+
+def levenshtein(a: Sequence[str], b: Sequence[str]) -> int:
+    """Minimal number of token insertions, deletions, and substitutions
+    turning a into b: a batch of one pair."""
+    (distance,), _ = levenshtein_batch([a, b], [(0, 1)])
+    return distance

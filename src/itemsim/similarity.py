@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corpus import Corpus, PerformanceTable, select_solutions
-from .editdist import NwScoring, levenshtein, needleman_wunsch_batch, tree_form, zhang_shasha_batch
+from .editdist import NwScoring, levenshtein_batch, needleman_wunsch_batch, tree_form, zhang_shasha_batch
 from .errors import ItemsimError
 from .features import FeatureMatrix, item_rows
 from .tree import DEFAULT_TOTAL_CAP, DEFAULT_UNROLL_CAP, action_sequence, canonize
@@ -143,13 +143,6 @@ def _distance_similarity(d: float, la: int, lb: int) -> float:
     return 1.0 - d / max(la + lb, 1)
 
 
-def _each_pair(kernel):
-    """A kind's kernel over many pairs that calls kernel once per pair, so
-    each pair is its own batch."""
-    return lambda inputs, pairs, scoring: ([kernel(inputs[a], inputs[b]) for a, b in pairs],
-                                           len(pairs))
-
-
 # kind -> (prepare(ast, caps), size(input), kernel(inputs, pairs, nw_scoring),
 # to_similarity(value, size_a, size_b), sign, self_value). prepare returns a
 # hashable kernel input. kernel returns the value of each (index_a, index_b)
@@ -161,7 +154,8 @@ def _each_pair(kernel):
 # depends on the scoring. The lambdas look canonize and action_sequence up
 # at call time, so rebinding the module attributes reaches them.
 _EDIT_KINDS = {
-    "levenshtein": (lambda ast, caps: tuple(canonize(ast)), len, _each_pair(levenshtein),
+    "levenshtein": (lambda ast, caps: tuple(canonize(ast)), len,
+                    lambda seqs, pairs, scoring: levenshtein_batch(seqs, pairs),
                     _distance_similarity, 1.0, 0),
     "ted": (lambda ast, caps: tree_form(ast), lambda form: len(form[0]),
             lambda forms, pairs, scoring: zhang_shasha_batch(forms, pairs),

@@ -19,7 +19,12 @@ from itemsim import (
     split_half_stability,
     tree_edit_distance,
 )
-from itemsim.editdist import needleman_wunsch_batch, tree_form, zhang_shasha_batch
+from itemsim.editdist import (
+    levenshtein_batch,
+    needleman_wunsch_batch,
+    tree_form,
+    zhang_shasha_batch,
+)
 from itemsim.synth import CorpusSpec, PerfSpec, generate_corpus, generate_performance, level_partition
 
 from oracles import (
@@ -34,14 +39,20 @@ from oracles import (
 @lru_cache(maxsize=None)
 def levenshtein_sweep() -> int:
     """Compare against exhaustive edit-script search on every pair of
-    sequences over a 2-symbol alphabet with length <= 5."""
+    sequences over a 2-symbol alphabet with length <= 5, in both orders:
+    each pair alone, and every ordered pair in one levenshtein_batch call,
+    the path edit_similarity takes."""
     seqs = enumerate_sequences(5, ("a", "b"))
+    ordered = [(i, j) for i in range(len(seqs)) for j in range(len(seqs))]
+    batch, _ = levenshtein_batch(seqs, ordered)
+    batched = dict(zip(ordered, batch))
     checked = 0
     for i, a in enumerate(seqs):
-        for b in seqs[i:]:
+        for j in range(i, len(seqs)):
+            b = seqs[j]
             want = oracle_levenshtein(a, b)
-            assert levenshtein(a, b) == want, (a, b)
-            assert levenshtein(b, a) == want, (b, a)
+            assert levenshtein(a, b) == batched[i, j] == want, (a, b)
+            assert levenshtein(b, a) == batched[j, i] == want, (b, a)
             checked += 2
     return checked
 
@@ -73,11 +84,12 @@ def alignment_sweep() -> int:
     """Compare against a brute-force alignment enumerator on every pair of
     sequences over a 2-symbol alphabet with length <= 5, both orders of
     each pair in one needleman_wunsch_batch call, the path edit_similarity
-    takes, under the default scoring and a non-unit integral one."""
+    takes, under the default scoring, a non-unit integral one, and unit
+    costs, Levenshtein's."""
     seqs = enumerate_sequences(5, ("a", "b"))
     pairs = [(i, j) for i in range(len(seqs)) for j in range(i, len(seqs))]
     ordered = [p for i, j in pairs for p in ((i, j), (j, i))]
-    for s in (NwScoring(), NwScoring(3.0, -2.0, -5.0)):
+    for s in (NwScoring(), NwScoring(3.0, -2.0, -5.0), NwScoring(0.0, -1.0, -1.0)):
         scores, _ = needleman_wunsch_batch(seqs, ordered, s)
         for k, (i, j) in enumerate(pairs):
             want = oracle_alignment(seqs[i], seqs[j], s)

@@ -104,9 +104,9 @@ def oracle_tree_edit(t1: AstNode, t2: AstNode) -> int:
 
 
 def reference_levenshtein(a, b) -> int:
-    """The two-row Levenshtein recurrence over Python lists. The
-    bit-parallel kernel, `itemsim.levenshtein`, must equal it on sequences
-    of any length."""
+    """The two-row Levenshtein recurrence over Python lists.
+    `itemsim.levenshtein` and `levenshtein_batch`, minus an alignment score
+    under unit costs, must equal it on sequences of any length."""
     if len(a) < len(b):
         a, b = b, a
     prev = list(range(len(b) + 1))
@@ -120,9 +120,9 @@ def reference_levenshtein(a, b) -> int:
 
 def reference_needleman_wunsch(a, b, s: NwScoring = NwScoring()) -> float:
     """The scalar two-row Needleman-Wunsch recurrence, one cell at a time
-    with Python's max. The batched wavefront, `itemsim.needleman_wunsch`
-    and `needleman_wunsch_batch`, must equal it bit for bit, signed zeros
-    included."""
+    with Python's max. `itemsim.needleman_wunsch` and
+    `needleman_wunsch_batch`, by integer row sweep or float wavefront,
+    must equal it bit for bit, signed zeros included."""
     prev = [j * s.gap for j in range(len(b) + 1)]
     for i, x in enumerate(a, start=1):
         cur = [i * s.gap]

@@ -29,6 +29,7 @@ from itemsim import (
 from itemsim.editdist import (
     _BLOCK_CELLS,
     _TD_ENTRIES,
+    levenshtein_batch,
     needleman_wunsch_batch,
     tree_form,
     zhang_shasha_batch,
@@ -50,15 +51,19 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # unit, fractional, and gaps beating matches (match < 2 * gap); then
 # scorings exact in integers beyond the unit one: integral, dyadic, two gaps
-# tying a match, and a positive gap, under which the empty pair is +0.0.
-# The fractional and gaps-win ones take the float wavefront, the others the
-# integer row sweep (test_debug_line_names_the_path)
+# tying a match, a positive gap, under which the empty pair is +0.0, and
+# three with a +0.0 score: unit costs (Levenshtein's), zero mismatch and a
+# zero gap, under which the empty pair is +0.0 too. The fractional and
+# gaps-win ones take the float wavefront, the others the integer row sweep
+# (test_debug_line_names_the_path)
 SCORINGS = [NwScoring(), NwScoring(1.0, -0.5, -0.7), NwScoring(-1.0, -2.0, -0.3),
             NwScoring(3.0, -2.0, -5.0), NwScoring(0.5, -0.25, -0.75), NwScoring(-1.0, -2.0, -0.5),
-            NwScoring(1.0, -1.0, 0.25)]
+            NwScoring(1.0, -1.0, 0.25), NwScoring(0.0, -1.0, -1.0), NwScoring(1.0, 0.0, -1.0),
+            NwScoring(1.0, -1.0, 0.0)]
 SCORING_IDS = ["integer", "fractional", "gaps-win", "integral", "dyadic", "gaps-tie",
-               "positive-gap"]
-INTEGER_PATH = {"integer", "integral", "dyadic", "gaps-tie", "positive-gap"}  # by id
+               "positive-gap", "unit-costs", "zero-mismatch", "zero-gap-positive"]
+INTEGER_PATH = {"integer", "integral", "dyadic", "gaps-tie", "positive-gap", "unit-costs",
+                "zero-mismatch", "zero-gap-positive"}  # by id
 
 
 def same_float(x: float, y: float) -> bool:
@@ -113,15 +118,29 @@ class TestLevenshtein:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_equals_reference_on_synthetic_programs(self, seed):
-        # canonical token sequences of about 30-100 tokens, in both orders
-        for x, y in program_pairs(seed):
-            a, b = canonize(x), canonize(y)
-            want = reference_levenshtein(a, b)
-            assert levenshtein(a, b) == want
-            assert levenshtein(b, a) == want
+        # canonical token sequences of about 30-100 tokens, in both orders:
+        # one batched call over all pairs, and one-pair calls
+        seqs = [canonize(p) for pair in program_pairs(seed) for p in pair]
+        pairs = [p for k in range(0, len(seqs), 2) for p in ((k, k + 1), (k + 1, k))]
+        want = [reference_levenshtein(seqs[a], seqs[b]) for a, b in pairs]
+        got, _ = levenshtein_batch(seqs, pairs)
+        assert got == want
+        assert [levenshtein(seqs[a], seqs[b]) for a, b in pairs] == want
+
+    @pytest.mark.parametrize("n", [16381, 16382], ids=["int16", "int32"])
+    def test_one_token_at_the_int16_edge(self, n):
+        # a batch of longest rows m and columns n runs in int16 while
+        # (2 (m + n) + 3) max|score| < 2**15: under unit costs one token
+        # against 16381 is the last such batch, against 16382 the first in
+        # int32
+        seqs = [("x",), ("y",) * (n - 1) + ("x",), ("y",) * n]
+        got, batches = levenshtein_batch(seqs, [(0, 1), (1, 0), (0, 2), (2, 0)])
+        assert batches == 1
+        assert got == [n - 1, n - 1, n, n]
+        assert all(type(d) is int for d in got)
 
     def test_equals_reference_beyond_one_machine_word(self):
-        # the bit vectors are as long as the longer input: 65-300 positions
+        # inputs of 65-300 tokens, against shorter ones down to empty
         rng = np.random.default_rng(8)
         for _ in range(20):
             a = random_sequence(rng, max_len=300, alphabet=tuple("abcdefg"))
@@ -564,12 +583,12 @@ class TestNeedlemanWunsch:
     @pytest.mark.parametrize("scoring, path", [
         *((s, "integer sweep" if i in INTEGER_PATH else "float wavefront")
           for s, i in zip(SCORINGS, SCORING_IDS)),
-        (NwScoring(0.0, -1.0, -1.0), "float wavefront"),
+        (NwScoring(0.0, -1.0, -1.0), "integer sweep"),
         (NwScoring(1.0, -1.0, -0.0), "float wavefront"),
         (NwScoring(1e308, -1e308, -1e308), "float wavefront"),
     ], ids=[*SCORING_IDS, "zero-match", "zero-gap", "huge"])
     def test_debug_line_names_the_path(self, scoring, path, caplog):
-        # exact in integers (nonzero scores, under the bound) or not
+        # exact in integers (no -0.0 score, under the bound) or not
         seqs = [("x", "y", "x"), ("y", "y"), ()]
         with caplog.at_level(logging.DEBUG, logger="itemsim.editdist"):
             needleman_wunsch_batch(seqs, [(0, 1), (2, 0), (1, 1)], scoring)

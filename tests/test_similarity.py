@@ -342,12 +342,16 @@ class TestEditSimilarityPairSharing:
         ))
         with caplog.at_level(logging.INFO, logger="itemsim.similarity"):
             edit_similarity(corpus, kind="ted", selector="all")
+            edit_similarity(corpus, kind="levenshtein", selector="all")
             edit_similarity(corpus, kind="nw", selector="all")
         assert [r.getMessage() for r in caplog.records] == [
             # pairs: a's two self pairs, b's two, 2 x 2 cross pairs; only p-q differs
             # p and q have 3 and 4 nodes: 12 DP cells
             "edit ted: 2 items, 8 solution pairs, 1 kernel calls, 6 known self pairs, "
             "1 pairs from repeated inputs, 1 batches, 12 DP cells",
+            # the same pairs; p and q have 5 and 6 tokens: 30 DP cells
+            "edit levenshtein: 2 items, 8 solution pairs, 1 kernel calls, 6 known self pairs, "
+            "1 pairs from repeated inputs, 1 batches, 30 DP cells",
             # nw knows no self value: p-p, q-q and p-q are computed, all in
             # one batch, over 2 x 2 + 3 x 3 + 2 x 3 actions
             "edit nw: 2 items, 8 solution pairs, 3 kernel calls, 0 known self pairs, "
