@@ -14,7 +14,8 @@ tree once, and tree_edit_distance compares one pair.
 needleman_wunsch_batch: global alignment scores, higher is more similar,
 of many sequence pairs at once, per batch of pairs either one integer row
 sweep (a scoring exact in integers) or one float anti-diagonal wavefront
-(any other); needleman_wunsch aligns one pair.
+(any other), whose cells take np.maximum unless a score is -0.0;
+needleman_wunsch aligns one pair.
 
 Each kernel returns exactly what the plain DP recurrence returns:
 Levenshtein and TED compute in integers. An alignment scoring is exact in
@@ -22,9 +23,12 @@ integers when none of its three scores is -0.0 and, scaled by their common
 power-of-two denominator, they keep every partial score under 2**53: then
 each float operation of the recurrence is exact and its only -0.0 is the
 empty pair's 0 * gap, so integer arithmetic gives its values bit for bit.
-Under any other scoring each alignment cell adds and compares the same
-float64 operands in the same order as the scalar recurrence. Either way
-the score is bit-identical, signed zeros included. tests/oracles.py keeps
+Under any other scoring each alignment cell adds the same float64
+operands as the scalar recurrence and keeps the same maximum: by
+np.maximum where no score is -0.0, as then no cell but the empty pair's
+is -0.0 and no tie of two zeros can occur, and otherwise by comparisons
+in the recurrence's order. Either way the score is bit-identical, signed
+zeros included. tests/oracles.py keeps
 the scalar recurrences as references."""
 
 from __future__ import annotations
@@ -70,8 +74,12 @@ def tree_form(ast: AstNode) -> TreeForm:
 
 # a chunk of pairs keeps one dense table of subtree distances, the distinct
 # subtrees of its lo trees by those of its hi trees, of at most this many
-# entries; a single pair is always admitted, with |ids a| x |ids b| entries
+# entries; a single pair may take more, |ids a| x |ids b| entries, up to
+# _TD_BUDGET, and a pair over that is an error. Filling a table peaks at
+# about 30 bytes an entry (the int32 table and the int64 leaf rows), so
+# the budget holds a pair to about 240 MiB
 _TD_ENTRIES = 1 << 22
+_TD_BUDGET = 1 << 23
 # a batch of keyroot blocks holds at most this many padded cells, most rows
 # x all columns, which bounds its working set; a single block is always
 # admitted
@@ -90,11 +98,12 @@ def zhang_shasha_batch(
     The distance is symmetric, as costs are unit, so each pair runs once,
     as (lo, hi) by root id. Pairs run in chunks: td[s][t] is the distance
     of subtree s of a lo tree to subtree t of a hi tree, at most
-    _TD_ENTRIES entries, or those of a single pair, and the value of (lo,
-    hi) is td[lo][hi]. A leaf's row or column is |t| - 1 + [its label not
-    in t]. Every other entry is written by a keyroot block (u, v): the
-    forest DP of two inner keyroot subtrees, one from each side of a pair,
-    which writes td for the nodes on the two leftmost paths. Each distinct
+    _TD_ENTRIES entries, or those of a single pair, at most _TD_BUDGET
+    (ItemsimError otherwise), and the value of (lo, hi) is td[lo][hi]. A
+    leaf's row or column is |t| - 1 + [its label not in t]. Every other
+    entry is written by a keyroot block (u, v): the forest DP of two inner
+    keyroot subtrees, one from each side of a pair, which writes td for
+    the nodes on the two leftmost paths. Each distinct
     block is computed once per chunk, a block and its mirror being one,
     with the smaller subtree on the rows. A block reads td only from blocks
     of inner keyroots nested in u or v, so blocks run by level H(u) + H(v),
@@ -230,7 +239,9 @@ def _chunks(lo, hi, sid, start, first):
     chunks whose td, the distinct subtrees of their lo trees by those of
     their hi trees, has at most _TD_ENTRIES entries, or into a single pair:
     for each chunk, the indices of its pairs and the ids of the subtrees of
-    its lo trees and of its hi trees, ascending."""
+    its lo trees and of its hi trees, ascending. A pair whose td would hold
+    more than _TD_BUDGET entries raises ItemsimError before its chunk is
+    built."""
     subtree_ids: dict = {}  # root -> the ids in its subtree
 
     def ids_of(r: int) -> set:
@@ -249,6 +260,11 @@ def _chunks(lo, hi, sid, start, first):
     cols: set = set()
     for p in np.lexsort((hi, lo)).tolist():
         a, b = int(lo[p]), int(hi[p])
+        m, n = len(ids_of(a)), len(ids_of(b))
+        if m * n > _TD_BUDGET:
+            raise ItemsimError(
+                f"tree edit distance of trees of {m} and {n} distinct subtrees needs a table of "
+                f"{m * n} entries, over the budget of {_TD_BUDGET}")
         grown_rows = rows if a in lo_roots else rows | ids_of(a)
         grown_cols = cols if b in hi_roots else cols | ids_of(b)
         if chunk and len(grown_rows) * len(grown_cols) > _TD_ENTRIES:
@@ -374,8 +390,11 @@ class NwScoring:
 # a batch of the float wavefront holds at most this many padded sequence
 # positions, pairs x (longest a + longest b + 2), and a batch of the integer
 # row sweep at most _ROW_POSITIONS, pairs x (longest column sequence + 1);
-# either bounds its working set
-_BATCH_POSITIONS = 1 << 14
+# either bounds its working set. The wavefront keeps three float64 rows, a
+# flag row and the token codes of both sequences: 26 bytes a position with
+# int8 codes (6.5 MiB), 27 with int16, and twice that for a moment when its
+# buffers are copied down to the pairs still running
+_BATCH_POSITIONS = 1 << 18
 _ROW_POSITIONS = 1 << 16
 
 
@@ -406,8 +425,9 @@ def needleman_wunsch_batch(
     lengths of a, then b, are cut into batches of at most _BATCH_POSITIONS
     padded positions. A batch computes the DP matrices of all its pairs
     together, one anti-diagonal d = i + j at a time (inter-sequence
-    parallelism, as in Wozniak 1997 and Rognes 2011). Scores that overflow
-    float64 come out as +-inf, without a warning.
+    parallelism, as in Wozniak 1997 and Rognes 2011), each cell's maximum
+    by np.maximum unless a score is -0.0 (_wavefront). Scores that
+    overflow float64 come out as +-inf, without a warning.
 
     Logs one debug line: pairs, path, batches, row or diagonal steps, and
     real of padded cells."""
@@ -419,8 +439,10 @@ def needleman_wunsch_batch(
     scale = max(q for _, q in ratios)  # a power of two
     scaled = [p * (scale // q) for p, q in ratios]
     longest = max(map(min, lengths), default=0) + max(map(max, lengths), default=0)
-    integer = (not any(v == 0 and copysign(1.0, v) < 0 for v in (s.match, s.mismatch, s.gap))
-               and longest * max(map(abs, scaled)) < 1 << 53)
+    negative_zero = any(v == 0 and copysign(1.0, v) < 0 for v in (s.match, s.mismatch, s.gap))
+    integer = not negative_zero and longest * max(map(abs, scaled)) < 1 << 53
+    # the narrowest signed codes that also hold -1 and -2, codes no token has
+    code = np.min_scalar_type(-2 - len(codes))
     batches = []
     if integer:
         for k in sorted(range(len(pairs)), key=lambda k: (max(lengths[k]), min(lengths[k]))):
@@ -444,16 +466,15 @@ def needleman_wunsch_batch(
                 batch.sort(key=lambda k: -min(lengths[k]))
                 oriented = [(encoded[a], encoded[b]) if la <= lb else (encoded[b], encoded[a])
                             for (a, b), (la, lb) in ((pairs[k], lengths[k]) for k in batch)]
-                # the narrowest signed codes that also hold -1, a code no token has
-                scores, batch_steps, batch_padded = _row_sweep(
-                    oriented, scaled, np.min_scalar_type(-1 - len(codes)))
+                scores, batch_steps, batch_padded = _row_sweep(oriented, scaled, code)
                 # the empty pair alone has the sign of 0 * gap
                 scores = [ldexp(v, 1 - scale.bit_length()) if sum(lengths[k]) else 0.0 * s.gap
                           for k, v in zip(batch, scores)]
             else:
                 batch.sort(key=lambda k: -sum(lengths[k]))
                 scores, batch_steps, batch_padded = _wavefront(
-                    [(encoded[pairs[k][0]], encoded[pairs[k][1]]) for k in batch], s)
+                    [(encoded[pairs[k][0]], encoded[pairs[k][1]]) for k in batch], s, code,
+                    negative_zero)
             steps += batch_steps
             padded += batch_padded
             for k, v in zip(batch, scores):
@@ -519,49 +540,68 @@ def _row_sweep(pairs: list[tuple[np.ndarray, np.ndarray]], scores: list[int],
             rows[0], width * sum(rows))
 
 
-def _wavefront(pairs: list[tuple[np.ndarray, np.ndarray]], s: NwScoring
-               ) -> tuple[list[float], int, int]:
+def _wavefront(pairs: list[tuple[np.ndarray, np.ndarray]], s: NwScoring, code: np.dtype,
+               ordered: bool) -> tuple[list[float], int, int]:
     """Alignment scores of encoded sequence pairs, given by descending
-    len(a) + len(b), and the diagonal steps and padded cells of the sweep:
-    the pairs still running at diagonal d are a prefix, and a pair's score
-    is cell (len(a), len(b)) on diagonal len(a) + len(b).
+    len(a) + len(b), with tokens compared as the signed int type code; and
+    the diagonal steps and padded cells of the sweep. A pair's score is
+    cell (len(a), len(b)) on diagonal len(a) + len(b), so the pairs still
+    running at diagonal d are a prefix.
 
     Row i of the diagonal buffers holds cell (i, d - i) of every pair, one
     pair per column. Each cell is max(H[i-1][j-1] + sub, H[i-1][j] + gap,
-    H[i][j-1] + gap), the maximum taken in that order with ties kept first,
-    like Python's max, and H[k][0] = H[0][k] = k * gap. So every value
-    equals the scalar recurrence's bit for bit, signed zeros included."""
+    H[i][j-1] + gap), the maximum taken in that order, and H[k][0] =
+    H[0][k] = k * gap. Where ordered (a score is -0.0), a later candidate
+    wins only when strictly greater, like Python's max: np.maximum may
+    return either zero of a -0.0/0.0 tie. Otherwise np.maximum takes each
+    maximum: a float sum is -0.0 only where both operands are, so no cell
+    but the empty pair's 0 * gap is -0.0, and finite scores make no NaN.
+    So every value equals the scalar recurrence's bit for bit, signed
+    zeros included.
+
+    A step works on whole buffer rows, which numpy sweeps fastest when
+    contiguous: finished pairs' columns keep running until an eighth of
+    the columns has finished, and then the buffers are copied down to the
+    pairs still running."""
     match, mismatch, gap = float(s.match), float(s.mismatch), float(s.gap)
     ms = np.array([len(a) for a, _ in pairs], dtype=np.intp)
     ends = [len(a) + len(b) for a, b in pairs]
     m_max, n_max = int(ms.max()), max(len(b) for _, b in pairs)
     # a[i - 1] in row i - 1; b reversed and right-aligned, so b[d - i - 1]
     # sits in row n_max - d + i; the padding values match no token
-    a_rows = np.full((m_max, len(pairs)), -1, dtype=np.int64)
-    b_rows = np.full((n_max, len(pairs)), -2, dtype=np.int64)
+    a_rows = np.full((m_max, len(pairs)), -1, dtype=code)
+    b_rows = np.full((n_max, len(pairs)), -2, dtype=code)
     for col, (a, b) in enumerate(pairs):
         a_rows[:len(a), col] = a
         b_rows[n_max - len(b):, col] = b[::-1]
     h2, h1, h = (np.empty((m_max + 1, len(pairs))) for _ in range(3))
+    same = np.empty((m_max, len(pairs)), dtype=np.uint8)
+    sub = np.array([mismatch, match])
+    if ordered:
+        def combine(cell, step, out):
+            np.copyto(out, step, where=step > cell)
+    else:
+        combine = np.maximum
     scores = np.empty(len(pairs))
     live = len(pairs)
     cells = 0
     for d in range(ends[0] + 1):
         if d <= n_max:
-            h[0, :live] = d * gap
+            h[0] = d * gap
         if d <= m_max:
-            h[d, :live] = d * gap
+            h[d] = d * gap
         lo, hi = max(1, d - n_max), min(d - 1, m_max)
         if lo <= hi:
-            cells += (hi - lo + 1) * live
-            same = a_rows[lo - 1:hi, :live] == b_rows[n_max - d + lo:n_max - d + hi + 1, :live]
-            cell = h[lo:hi + 1, :live]
-            np.add(h2[lo - 1:hi, :live], np.where(same, match, mismatch), out=cell)
-            steps = h1[lo - 1:hi + 1, :live] + gap
-            # a later candidate wins only when strictly greater, as in max():
-            # np.maximum may return either zero of a -0.0/0.0 tie
-            for step in (steps[:-1], steps[1:]):
-                np.copyto(cell, step, where=step > cell)
+            cells += (hi - lo + 1) * h.shape[1]
+            eq = same[:hi - lo + 1]
+            np.equal(a_rows[lo - 1:hi], b_rows[n_max - d + lo:n_max - d + hi + 1], out=eq)
+            cell = h[lo:hi + 1]
+            sub.take(eq, out=cell, mode="wrap")
+            cell += h2[lo - 1:hi]
+            # h2 is not read again before it holds diagonal d + 1
+            step = np.add(h1[lo - 1:hi + 1], gap, out=h2[lo - 1:hi + 1])
+            combine(cell, step[:-1], out=cell)
+            combine(cell, step[1:], out=cell)
         done = live
         while done and ends[done - 1] == d:
             done -= 1
@@ -569,6 +609,9 @@ def _wavefront(pairs: list[tuple[np.ndarray, np.ndarray]], s: NwScoring
             cols = np.arange(done, live)
             scores[cols] = h[ms[done:live], cols]
             live = done
+            if 8 * live <= 7 * h.shape[1]:
+                a_rows, b_rows, h2, h1, h, same = (
+                    np.ascontiguousarray(x[:, :live]) for x in (a_rows, b_rows, h2, h1, h, same))
         h2, h1, h = h1, h, h2
     return scores.tolist(), ends[0] + 1, cells
 

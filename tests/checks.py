@@ -33,6 +33,7 @@ from oracles import (
     oracle_alignment,
     oracle_levenshtein,
     oracle_tree_edit,
+    reference_needleman_wunsch,
 )
 
 
@@ -84,18 +85,33 @@ def alignment_sweep() -> int:
     """Compare against a brute-force alignment enumerator on every pair of
     sequences over a 2-symbol alphabet with length <= 5, both orders of
     each pair in one needleman_wunsch_batch call, the path edit_similarity
-    takes, under the default scoring, a non-unit integral one, and unit
-    costs, Levenshtein's."""
+    takes. Under the default scoring, a non-unit integral one and unit
+    costs, Levenshtein's, all on the integer row sweep, each score equals
+    the enumerator's. Under two on the float wavefront, edit-multi's
+    fractional one and one with a -0.0 gap, each score equals the scalar
+    recurrence bit for bit, and the enumerator's within 1e-12: it adds the
+    same scores in another order, and sums of at most 10 of them round
+    by far less."""
     seqs = enumerate_sequences(5, ("a", "b"))
     pairs = [(i, j) for i in range(len(seqs)) for j in range(i, len(seqs))]
     ordered = [p for i, j in pairs for p in ((i, j), (j, i))]
+    compared = 0
     for s in (NwScoring(), NwScoring(3.0, -2.0, -5.0), NwScoring(0.0, -1.0, -1.0)):
         scores, _ = needleman_wunsch_batch(seqs, ordered, s)
         for k, (i, j) in enumerate(pairs):
             want = oracle_alignment(seqs[i], seqs[j], s)
             assert scores[2 * k] == want, (seqs[i], seqs[j], s)
             assert scores[2 * k + 1] == want, (seqs[j], seqs[i], s)
-    return 2 * len(ordered)
+        compared += len(ordered)
+    for s in (NwScoring(1.0, -0.5, -0.7), NwScoring(1.0, -0.5, -0.0)):
+        scores, _ = needleman_wunsch_batch(seqs, ordered, s)
+        for (a, b), score in zip(ordered, scores):
+            exact = reference_needleman_wunsch(seqs[a], seqs[b], s)
+            assert score.hex() == exact.hex(), (seqs[a], seqs[b], s)
+            best = oracle_alignment(seqs[a], seqs[b], s)
+            assert abs(score - best) <= 1e-12, (seqs[a], seqs[b], s)
+        compared += 2 * len(ordered)
+    return compared
 
 
 @lru_cache(maxsize=None)

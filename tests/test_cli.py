@@ -16,8 +16,8 @@ import pytest
 
 import itemsim
 from itemsim import (
-    ItemsimError, NwScoring, compute_measure, edit_similarity, load_corpus, load_performance,
-    parse_measure, save_corpus,
+    ItemsimError, NwScoring, compute_measure, edit_similarity, editdist, load_corpus,
+    load_performance, parse_measure, save_corpus,
 )
 from itemsim.cli import main
 from itemsim.measures import FEATURE_SOURCES, SOLUTION_SOURCES, MeasureParams
@@ -773,6 +773,13 @@ class TestInputValues:
         cfg = write_config(tmp_path, corpus=str(tiny_dir), measure="ted")
         run_error(["sim", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
                   "'learner.robot' needs a finite positive weight")
+
+    def test_tree_pair_over_the_table_budget(self, tiny_dir, tmp_path, capsys, monkeypatch):
+        # the budget patched low: the check runs before any table is built
+        monkeypatch.setattr(editdist, "_TD_BUDGET", 1)
+        cfg = write_config(tmp_path, corpus=str(tiny_dir), measure="ted")
+        run_error(["sim", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
+                  "entries, over the budget of 1")
 
 
 def _nested_robot(depth):

@@ -20,6 +20,7 @@ from itemsim import (
     NwScoring,
     action_sequence,
     canonize,
+    editdist,
     generate_corpus,
     levenshtein,
     needleman_wunsch,
@@ -27,7 +28,9 @@ from itemsim import (
     tree_edit_distance,
 )
 from itemsim.editdist import (
+    _BATCH_POSITIONS,
     _BLOCK_CELLS,
+    _ROW_POSITIONS,
     _TD_ENTRIES,
     levenshtein_batch,
     needleman_wunsch_batch,
@@ -53,15 +56,17 @@ ROOT = Path(__file__).resolve().parent.parent
 # scorings exact in integers beyond the unit one: integral, dyadic, two gaps
 # tying a match, a positive gap, under which the empty pair is +0.0, and
 # three with a +0.0 score: unit costs (Levenshtein's), zero mismatch and a
-# zero gap, under which the empty pair is +0.0 too. The fractional and
-# gaps-win ones take the float wavefront, the others the integer row sweep
-# (test_debug_line_names_the_path)
+# zero gap, under which the empty pair is +0.0 too; last two fractional ones
+# with a +0.0 score, a zero match and a zero gap, whose cells tie at +0.0
+# under np.maximum. The fractional, gaps-win and last two take the float
+# wavefront, the others the integer row sweep (test_debug_line_names_the_path)
 SCORINGS = [NwScoring(), NwScoring(1.0, -0.5, -0.7), NwScoring(-1.0, -2.0, -0.3),
             NwScoring(3.0, -2.0, -5.0), NwScoring(0.5, -0.25, -0.75), NwScoring(-1.0, -2.0, -0.5),
             NwScoring(1.0, -1.0, 0.25), NwScoring(0.0, -1.0, -1.0), NwScoring(1.0, 0.0, -1.0),
-            NwScoring(1.0, -1.0, 0.0)]
+            NwScoring(1.0, -1.0, 0.0), NwScoring(0.0, -0.3, -0.7), NwScoring(0.1, -0.1, 0.0)]
 SCORING_IDS = ["integer", "fractional", "gaps-win", "integral", "dyadic", "gaps-tie",
-               "positive-gap", "unit-costs", "zero-mismatch", "zero-gap-positive"]
+               "positive-gap", "unit-costs", "zero-mismatch", "zero-gap-positive",
+               "zero-match-float", "zero-gap-float"]
 INTEGER_PATH = {"integer", "integral", "dyadic", "gaps-tie", "positive-gap", "unit-costs",
                 "zero-mismatch", "zero-gap-positive"}  # by id
 
@@ -432,6 +437,18 @@ class TestBatchKernel:
                 assert got == 20000
                 assert peak < 1024 * len(forms[0][0])
 
+    def test_pair_over_the_table_budget(self, monkeypatch):
+        # r(a, b) has 3 distinct subtrees and s(c, d, e) 4: 12 table entries,
+        # checked before any is allocated
+        forms = [tree_form(node("r", node("a"), node("b"))),
+                 tree_form(node("s", node("c"), node("d"), node("e")))]
+        monkeypatch.setattr(editdist, "_TD_BUDGET", 12)
+        assert zhang_shasha_batch(forms, [(0, 1), (1, 0)])[0] == [4, 4]
+        monkeypatch.setattr(editdist, "_TD_BUDGET", 11)
+        with pytest.raises(ItemsimError, match="trees of 3 and 4 distinct subtrees needs a "
+                                               "table of 12 entries, over the budget of 11"):
+            zhang_shasha_batch(forms, [(0, 1)])
+
     def test_batches_blocks_and_chunks_past_the_module_limits(self, caplog):
         rng = np.random.default_rng(8)
         # two trees whose root block alone has more cells than a batch may
@@ -509,12 +526,14 @@ class TestNeedlemanWunsch:
         with pytest.raises(ItemsimError, match="finite"):
             NwScoring(match=float("nan"))
 
-    @pytest.mark.parametrize("scoring", SCORINGS, ids=SCORING_IDS)
+    @pytest.mark.parametrize("scoring", [*SCORINGS, NwScoring(1.0, -0.5, -0.0)],
+                             ids=[*SCORING_IDS, "negative-zero-gap"])
     @pytest.mark.parametrize("seed", [1, 2])
     def test_equals_reference_on_synthetic_programs(self, seed, scoring):
         # action sequences of about 20-110 actions (loops unrolled at most
         # 3 times keep the scalar reference quick), every pair in both
-        # orders: one batched call over all of them, and one-pair calls
+        # orders: one batched call over all of them, and one-pair calls.
+        # The -0.0 gap runs the wavefront's strictly-greater maximum
         seqs, pairs = [], []
         for x, y in program_pairs(seed):
             seqs += [action_sequence(x, unroll_cap=3), action_sequence(y, unroll_cap=3)]
@@ -564,21 +583,25 @@ class TestNeedlemanWunsch:
         assert batches == 1
         assert all(map(same_float, got, want))
 
-    @pytest.mark.parametrize("s", [NwScoring(1.0, -0.5, -0.7), NwScoring(3.0, -2.0, -5.0)],
+    @pytest.mark.parametrize("s, cap", [(NwScoring(1.0, -0.5, -0.7), _BATCH_POSITIONS),
+                                        (NwScoring(3.0, -2.0, -5.0), _ROW_POSITIONS)],
                              ids=["float-wavefront", "integer-sweep"])
-    def test_many_pairs_split_into_batches(self, s):
+    def test_many_pairs_split_into_batches(self, s, cap):
         # every pair of 24 sequences of 25-40 tokens, and each of them
-        # against 40 of 0-4 tokens both ways: more padded positions than a
-        # batch of either path holds, _BATCH_POSITIONS or _ROW_POSITIONS
+        # against 40 of 0-4 tokens both ways, repeated until they hold more
+        # padded positions than one batch of the path does, cap: a pair
+        # takes at least max(len a, len b) + 1 of the integer sweep's and
+        # len a + len b + 2 of the wavefront's
         rng = np.random.default_rng(11)
         seqs = [tuple(rng.choice(list("mlrs"), size=int(rng.integers(low, high))))
                 for low, high in [(25, 41)] * 24 + [(0, 5)] * 40]
         pairs = [(a, b) for a in range(24) for b in range(24)]
         pairs += [p for a in range(24) for b in range(24, 64) for p in ((a, b), (b, a))]
+        want = {(a, b): reference_needleman_wunsch(seqs[a], seqs[b], s) for a, b in pairs}
+        pairs *= cap // sum(max(len(seqs[a]), len(seqs[b])) + 1 for a, b in pairs) + 1
         got, batches = needleman_wunsch_batch(seqs, pairs, s)
         assert batches > 1
-        assert all(same_float(g, reference_needleman_wunsch(seqs[a], seqs[b], s))
-                   for g, (a, b) in zip(got, pairs))
+        assert all(same_float(g, want[p]) for g, p in zip(got, pairs))
 
     @pytest.mark.parametrize("scoring, path", [
         *((s, "integer sweep" if i in INTEGER_PATH else "float wavefront")
