@@ -14,28 +14,26 @@ tree once, and tree_edit_distance compares one pair.
 needleman_wunsch_batch: global alignment scores, higher is more similar,
 of many sequence pairs at once, per batch of pairs either one integer row
 sweep (a scoring exact in integers) or one float anti-diagonal wavefront
-(any other), whose cells take np.maximum unless a score is -0.0;
-needleman_wunsch aligns one pair.
+(any other); needleman_wunsch aligns one pair.
 
 Each kernel returns exactly what the plain DP recurrence returns:
-Levenshtein and TED compute in integers. An alignment scoring is exact in
-integers when none of its three scores is -0.0 and, scaled by their common
-power-of-two denominator, they keep every partial score under 2**53: then
-each float operation of the recurrence is exact and its only -0.0 is the
-empty pair's 0 * gap, so integer arithmetic gives its values bit for bit.
+Levenshtein and TED compute in integers. NwScoring stores a -0.0 score as
++0.0, so no alignment cell but the empty pair's 0 * gap is -0.0: a float
+sum is -0.0 only where both operands are. An alignment scoring is exact in
+integers when, scaled by its common power-of-two denominator, it keeps
+every partial score under 2**53: then each float operation of the
+recurrence is exact, so integer arithmetic gives its values bit for bit.
 Under any other scoring each alignment cell adds the same float64
-operands as the scalar recurrence and keeps the same maximum: by
-np.maximum where no score is -0.0, as then no cell but the empty pair's
-is -0.0 and no tie of two zeros can occur, and otherwise by comparisons
-in the recurrence's order. Either way the score is bit-identical, signed
-zeros included. tests/oracles.py keeps
-the scalar recurrences as references."""
+operands as the scalar recurrence and takes the same maximum by
+np.maximum, as no tie of two zeros can occur. Either way the score is
+bit-identical, signed zeros included, whichever sequence of a pair is on
+the rows. tests/oracles.py keeps the scalar recurrences as references."""
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from math import copysign, isfinite, ldexp
+from math import isfinite, ldexp
 from typing import Sequence
 
 import numpy as np
@@ -76,8 +74,8 @@ def tree_form(ast: AstNode) -> TreeForm:
 # subtrees of its lo trees by those of its hi trees, of at most this many
 # entries; a single pair may take more, |ids a| x |ids b| entries, up to
 # _TD_BUDGET, and a pair over that is an error. Filling a table peaks at
-# about 30 bytes an entry (the int32 table and the int64 leaf rows), so
-# the budget holds a pair to about 240 MiB
+# about 4.5 bytes an entry (the int32 table, and its leaf rows in slices of
+# _BLOCK_CELLS entries), so the budget holds a filled table to about 38 MiB
 _TD_ENTRIES = 1 << 22
 _TD_BUDGET = 1 << 23
 # a batch of keyroot blocks holds at most this many padded cells, most rows
@@ -151,11 +149,15 @@ def zhang_shasha_batch(
     # label where this holds a key in label * nodes + [start, end]
     by_label = np.sort(lab * len(lab) + np.arange(len(lab)))
 
-    def leaf_distances(leaves: np.ndarray, subtrees: np.ndarray) -> np.ndarray:
-        key = (lab[first[leaves]] * len(lab))[:, None]
-        absent = (np.searchsorted(by_label, key + first[subtrees], "right")
-                  == np.searchsorted(by_label, key + start[subtrees], "left"))
-        return size[subtrees] - 1 + absent
+    def leaf_distances(leaves: np.ndarray, subtrees: np.ndarray):
+        # each slice of leaves with its distances to subtrees, _BLOCK_CELLS at most
+        step = max(1, _BLOCK_CELLS // len(subtrees))
+        for k in range(0, len(leaves), step):
+            part = leaves[k:k + step]
+            key = (lab[first[part]] * len(lab))[:, None]
+            absent = (np.searchsorted(by_label, key + first[subtrees], "right")
+                      == np.searchsorted(by_label, key + start[subtrees], "left"))
+            yield part, size[subtrees] - 1 + absent
 
     def positions(of: np.ndarray) -> np.ndarray:  # id -> its index in of, or -1
         at = np.full(len(size), -1, dtype=np.intp)
@@ -179,10 +181,10 @@ def zhang_shasha_batch(
         # the last row and column, position -1, take the writes of subtrees
         # not on that side, and are never read
         td = np.zeros((len(row_ids) + 1, len(col_ids) + 1), dtype=np.int32)
-        leaves = row_ids[size[row_ids] == 1]
-        td[row_of[leaves], :-1] = leaf_distances(leaves, col_ids)
-        leaves = col_ids[size[col_ids] == 1]
-        td[:-1, col_of[leaves]] = leaf_distances(leaves, row_ids).T
+        for leaves, d in leaf_distances(row_ids[size[row_ids] == 1], col_ids):
+            td[row_of[leaves], :-1] = d
+        for leaves, d in leaf_distances(col_ids[size[col_ids] == 1], row_ids):
+            td[:-1, col_of[leaves]] = d.T
 
         # the blocks of every pair: (u, v), u an inner keyroot subtree of the
         # lo tree and v one of the hi tree, each marked once
@@ -382,17 +384,20 @@ class NwScoring:
     gap: float = -1.0
 
     def __post_init__(self):
-        for v in (self.match, self.mismatch, self.gap):
-            if not isfinite(v):
+        for name in ("match", "mismatch", "gap"):
+            if not isfinite(getattr(self, name)):
                 raise ItemsimError("alignment scores must be finite")
+            # x + 0 is x, an int staying one, except that -0.0 + 0 is +0.0
+            object.__setattr__(self, name, getattr(self, name) + 0)
 
 
 # a batch of the float wavefront holds at most this many padded sequence
 # positions, pairs x (longest a + longest b + 2), and a batch of the integer
 # row sweep at most _ROW_POSITIONS, pairs x (longest column sequence + 1);
-# either bounds its working set. The wavefront keeps three float64 rows, a
-# flag row and the token codes of both sequences: 26 bytes a position with
-# int8 codes (6.5 MiB), 27 with int16, and twice that for a moment when its
+# either bounds its working set. The wavefront keeps three float64 rows and
+# a flag row of the shorter sequences, at most half the positions, and the
+# token codes of both sequences: at most 13.5 bytes a position with int8
+# codes (3.4 MiB), 14.5 with int16, and twice that for a moment when its
 # buffers are copied down to the pairs still running
 _BATCH_POSITIONS = 1 << 18
 _ROW_POSITIONS = 1 << 16
@@ -402,51 +407,52 @@ def needleman_wunsch_batch(
     seqs: Sequence[Sequence[str]], pairs: Sequence[tuple[int, int]], s: NwScoring = NwScoring()
 ) -> tuple[list[float], int]:
     """Optimal global alignment score of seqs[a] against seqs[b] under s
-    for every (a, b) in pairs, and the number of batches they ran in.
+    for every (a, b) in pairs, and the number of batches they ran in. Each
+    pair runs with its shorter sequence on the rows.
 
-    Scorings exact in integers take the integer row sweep: no score is
-    -0.0, and scaled by their common power-of-two denominator
-    (float.as_integer_ratio) to integers, no partial score of the
-    recurrence can reach 2**53 in magnitude. A cell of a pair of lengths m
-    and n is at most (m + n) max|score|, and m + n is at most the longest
-    shorter sequence plus the longest longer one. Then every float
-    operation of the recurrence is exact, so its values depend on neither
-    the order of evaluation nor the orientation of a pair. Signed zeros
-    survive too: a float sum x + y is -0.0 only where x and y both are,
-    and every cell but H[0][0] = 0 * gap is k * gap (k > 0) or a score
-    added to a cell, so with no -0.0 score none of them is -0.0: a zero
-    cell is +0.0 except on the empty pair, which keeps 0 * gap. Pairs, the
-    shorter sequence on the rows, sorted by the longer length, then the
-    shorter, are cut into batches of at most _ROW_POSITIONS padded
-    positions, each swept in the narrowest int dtype that holds its values
-    (_row_sweep), and the scores scaled back by math.ldexp.
+    Scorings exact in integers take the integer row sweep: scaled by their
+    common power-of-two denominator (float.as_integer_ratio) to integers,
+    no partial score of the recurrence can reach 2**53 in magnitude. A cell
+    of a pair of lengths m and n is at most (m + n) max|score|, and m + n
+    is at most the longest shorter sequence plus the longest longer one.
+    Then every float operation of the recurrence is exact, so its values
+    depend on neither the order of evaluation nor the orientation of a
+    pair. Signed zeros survive too: a float sum x + y is -0.0 only where x
+    and y both are, and every cell but H[0][0] = 0 * gap is k * gap (k > 0)
+    or a score added to a cell, so as no score is -0.0 none of them is
+    -0.0: a zero cell is +0.0 except on the empty pair, which keeps 0 *
+    gap. Pairs sorted by the longer length, then the shorter, are cut into
+    batches of at most _ROW_POSITIONS padded positions, each swept in the
+    narrowest int dtype that holds its values (_row_sweep), and the scores
+    scaled back by math.ldexp.
 
     Every other scoring takes the float wavefront: pairs sorted by the
-    lengths of a, then b, are cut into batches of at most _BATCH_POSITIONS
-    padded positions. A batch computes the DP matrices of all its pairs
-    together, one anti-diagonal d = i + j at a time (inter-sequence
-    parallelism, as in Wozniak 1997 and Rognes 2011), each cell's maximum
-    by np.maximum unless a score is -0.0 (_wavefront). Scores that
-    overflow float64 come out as +-inf, without a warning.
+    shorter length, then the longer, are cut into batches of at most
+    _BATCH_POSITIONS padded positions. A batch computes the DP matrices of
+    all its pairs together, one anti-diagonal d = i + j at a time
+    (inter-sequence parallelism, as in Wozniak 1997 and Rognes 2011), each
+    cell's maximum by np.maximum (_wavefront). Scores that overflow float64
+    come out as +-inf, without a warning.
 
     Logs one debug line: pairs, path, batches, row or diagonal steps, and
     real of padded cells."""
     codes: dict = {}
     encoded = [np.array([codes.setdefault(t, len(codes)) for t in x], dtype=np.int64)
                for x in seqs]
-    lengths = [(len(seqs[a]), len(seqs[b])) for a, b in pairs]
+    oriented = [(encoded[a], encoded[b]) if len(seqs[a]) <= len(seqs[b])
+                else (encoded[b], encoded[a]) for a, b in pairs]
+    lengths = [(len(a), len(b)) for a, b in oriented]
     ratios = [float(v).as_integer_ratio() for v in (s.match, s.mismatch, s.gap)]
     scale = max(q for _, q in ratios)  # a power of two
     scaled = [p * (scale // q) for p, q in ratios]
     longest = max(map(min, lengths), default=0) + max(map(max, lengths), default=0)
-    negative_zero = any(v == 0 and copysign(1.0, v) < 0 for v in (s.match, s.mismatch, s.gap))
-    integer = not negative_zero and longest * max(map(abs, scaled)) < 1 << 53
+    integer = longest * max(map(abs, scaled)) < 1 << 53
     # the narrowest signed codes that also hold -1 and -2, codes no token has
     code = np.min_scalar_type(-2 - len(codes))
     batches = []
     if integer:
-        for k in sorted(range(len(pairs)), key=lambda k: (max(lengths[k]), min(lengths[k]))):
-            if not batches or (len(batches[-1]) + 1) * (max(lengths[k]) + 1) > _ROW_POSITIONS:
+        for k in sorted(range(len(pairs)), key=lambda k: lengths[k][::-1]):
+            if not batches or (len(batches[-1]) + 1) * (lengths[k][1] + 1) > _ROW_POSITIONS:
                 batches.append([])
             batches[-1].append(k)
     else:
@@ -463,18 +469,16 @@ def needleman_wunsch_batch(
     with np.errstate(over="ignore"):
         for batch in batches:
             if integer:
-                batch.sort(key=lambda k: -min(lengths[k]))
-                oriented = [(encoded[a], encoded[b]) if la <= lb else (encoded[b], encoded[a])
-                            for (a, b), (la, lb) in ((pairs[k], lengths[k]) for k in batch)]
-                scores, batch_steps, batch_padded = _row_sweep(oriented, scaled, code)
+                batch.sort(key=lambda k: -lengths[k][0])
+                scores, batch_steps, batch_padded = _row_sweep(
+                    [oriented[k] for k in batch], scaled, code)
                 # the empty pair alone has the sign of 0 * gap
                 scores = [ldexp(v, 1 - scale.bit_length()) if sum(lengths[k]) else 0.0 * s.gap
                           for k, v in zip(batch, scores)]
             else:
                 batch.sort(key=lambda k: -sum(lengths[k]))
                 scores, batch_steps, batch_padded = _wavefront(
-                    [(encoded[pairs[k][0]], encoded[pairs[k][1]]) for k in batch], s, code,
-                    negative_zero)
+                    [oriented[k] for k in batch], s, code)
             steps += batch_steps
             padded += batch_padded
             for k, v in zip(batch, scores):
@@ -540,8 +544,8 @@ def _row_sweep(pairs: list[tuple[np.ndarray, np.ndarray]], scores: list[int],
             rows[0], width * sum(rows))
 
 
-def _wavefront(pairs: list[tuple[np.ndarray, np.ndarray]], s: NwScoring, code: np.dtype,
-               ordered: bool) -> tuple[list[float], int, int]:
+def _wavefront(pairs: list[tuple[np.ndarray, np.ndarray]], s: NwScoring,
+               code: np.dtype) -> tuple[list[float], int, int]:
     """Alignment scores of encoded sequence pairs, given by descending
     len(a) + len(b), with tokens compared as the signed int type code; and
     the diagonal steps and padded cells of the sweep. A pair's score is
@@ -549,15 +553,11 @@ def _wavefront(pairs: list[tuple[np.ndarray, np.ndarray]], s: NwScoring, code: n
     running at diagonal d are a prefix.
 
     Row i of the diagonal buffers holds cell (i, d - i) of every pair, one
-    pair per column. Each cell is max(H[i-1][j-1] + sub, H[i-1][j] + gap,
-    H[i][j-1] + gap), the maximum taken in that order, and H[k][0] =
-    H[0][k] = k * gap. Where ordered (a score is -0.0), a later candidate
-    wins only when strictly greater, like Python's max: np.maximum may
-    return either zero of a -0.0/0.0 tie. Otherwise np.maximum takes each
-    maximum: a float sum is -0.0 only where both operands are, so no cell
-    but the empty pair's 0 * gap is -0.0, and finite scores make no NaN.
-    So every value equals the scalar recurrence's bit for bit, signed
-    zeros included.
+    pair per column. Each cell is the np.maximum of H[i-1][j-1] + sub,
+    H[i-1][j] + gap and H[i][j-1] + gap, and H[k][0] = H[0][k] = k * gap.
+    No score is -0.0, so no cell but the empty pair's 0 * gap is -0.0, and
+    finite scores make no NaN: every maximum is exact, and every value
+    equals the scalar recurrence's bit for bit, signed zeros included.
 
     A step works on whole buffer rows, which numpy sweeps fastest when
     contiguous: finished pairs' columns keep running until an eighth of
@@ -577,11 +577,6 @@ def _wavefront(pairs: list[tuple[np.ndarray, np.ndarray]], s: NwScoring, code: n
     h2, h1, h = (np.empty((m_max + 1, len(pairs))) for _ in range(3))
     same = np.empty((m_max, len(pairs)), dtype=np.uint8)
     sub = np.array([mismatch, match])
-    if ordered:
-        def combine(cell, step, out):
-            np.copyto(out, step, where=step > cell)
-    else:
-        combine = np.maximum
     scores = np.empty(len(pairs))
     live = len(pairs)
     cells = 0
@@ -600,8 +595,8 @@ def _wavefront(pairs: list[tuple[np.ndarray, np.ndarray]], s: NwScoring, code: n
             cell += h2[lo - 1:hi]
             # h2 is not read again before it holds diagonal d + 1
             step = np.add(h1[lo - 1:hi + 1], gap, out=h2[lo - 1:hi + 1])
-            combine(cell, step[:-1], out=cell)
-            combine(cell, step[1:], out=cell)
+            np.maximum(cell, step[:-1], out=cell)
+            np.maximum(cell, step[1:], out=cell)
         done = live
         while done and ends[done - 1] == d:
             done -= 1

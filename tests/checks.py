@@ -87,11 +87,13 @@ def alignment_sweep() -> int:
     each pair in one needleman_wunsch_batch call, the path edit_similarity
     takes. Under the default scoring, a non-unit integral one and unit
     costs, Levenshtein's, all on the integer row sweep, each score equals
-    the enumerator's. Under two on the float wavefront, edit-multi's
-    fractional one and one with a -0.0 gap, each score equals the scalar
+    the enumerator's. Under three more each score equals the scalar
     recurrence bit for bit, and the enumerator's within 1e-12: it adds the
-    same scores in another order, and sums of at most 10 of them round
-    by far less."""
+    same scores in another order, and sums of at most 10 of them round by
+    far less. Edit-multi's fractional scoring and one with a zero match,
+    whose cells tie at +0.0, take the float wavefront; one with a -0.0
+    gap, which NwScoring stores as +0.0, is dyadic and takes the integer
+    sweep."""
     seqs = enumerate_sequences(5, ("a", "b"))
     pairs = [(i, j) for i in range(len(seqs)) for j in range(i, len(seqs))]
     ordered = [p for i, j in pairs for p in ((i, j), (j, i))]
@@ -103,7 +105,8 @@ def alignment_sweep() -> int:
             assert scores[2 * k] == want, (seqs[i], seqs[j], s)
             assert scores[2 * k + 1] == want, (seqs[j], seqs[i], s)
         compared += len(ordered)
-    for s in (NwScoring(1.0, -0.5, -0.7), NwScoring(1.0, -0.5, -0.0)):
+    for s in (NwScoring(1.0, -0.5, -0.7), NwScoring(0.0, -0.3, -0.7),
+              NwScoring(1.0, -0.5, -0.0)):
         scores, _ = needleman_wunsch_batch(seqs, ordered, s)
         for (a, b), score in zip(ordered, scores):
             exact = reference_needleman_wunsch(seqs[a], seqs[b], s)

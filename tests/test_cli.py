@@ -580,6 +580,18 @@ class TestConfigAndErrors:
                       f"match={scores[0]!r}, mismatch={scores[1]!r}, gap={scores[2]!r}\n")
         assert not list(tmp_path.glob("o/*"))
 
+    @pytest.mark.parametrize("sub, settings", [
+        ("sim", {"measure": "nw"}),
+        ("meta-agree", {"measures": ["nw", "ted", "levenshtein"],
+                        "methods": ["correlation", "top:2"]}),
+    ], ids=["sim", "meta-agree"])
+    def test_negative_zero_nw_gap_writes_the_zero_gap_bytes(self, corpus_dir, tmp_path, sub,
+                                                             settings):
+        # a -0.0 score is taken as +0.0
+        got = _output_bytes(sub, {**settings, "nw": {"gap": -0.0}}, corpus_dir, tmp_path, "neg")
+        want = _output_bytes(sub, {**settings, "nw": {"gap": 0.0}}, corpus_dir, tmp_path, "pos")
+        assert got and got == want
+
     def test_huge_nw_scores_correlate(self, corpus_dir, tmp_path, capsys):
         # finite nw similarities whose centred sums of squares overflow
         nw = {"match": 1e300, "mismatch": -1, "gap": -1}

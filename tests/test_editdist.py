@@ -59,7 +59,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # zero gap, under which the empty pair is +0.0 too; last two fractional ones
 # with a +0.0 score, a zero match and a zero gap, whose cells tie at +0.0
 # under np.maximum. The fractional, gaps-win and last two take the float
-# wavefront, the others the integer row sweep (test_debug_line_names_the_path)
+# wavefront, the others the integer row sweep (test_debug_line_names_the_path).
+# NwScoring stores a -0.0 score as +0.0, so the -0.0 cases below run as
+# their +0.0 twins, and against the reference under the scoring as stored
 SCORINGS = [NwScoring(), NwScoring(1.0, -0.5, -0.7), NwScoring(-1.0, -2.0, -0.3),
             NwScoring(3.0, -2.0, -5.0), NwScoring(0.5, -0.25, -0.75), NwScoring(-1.0, -2.0, -0.5),
             NwScoring(1.0, -1.0, 0.25), NwScoring(0.0, -1.0, -1.0), NwScoring(1.0, 0.0, -1.0),
@@ -437,6 +439,30 @@ class TestBatchKernel:
                 assert got == 20000
                 assert peak < 1024 * len(forms[0][0])
 
+    def test_leaf_rows_fill_in_slices(self, monkeypatch):
+        # two flat trees of 1000 distinct leaves: a td of 1001 x 1001 int32
+        # entries, about 4 MiB, all of it leaf rows and columns. Filled
+        # through int64 arrays of all leaves x subtrees at once, it would
+        # peak at about 27 MiB. The peak is read as the root block's sweep
+        # starts, which holds more than the fill
+        forms = [tree_form(node("r", *(node(f"a{k}") for k in range(1000)))),
+                 tree_form(node("s", *(node(f"b{k}") for k in range(1000))))]
+        peaks = []
+        sweep = editdist._sweep
+
+        def measured(*args):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return sweep(*args)
+
+        monkeypatch.setattr(editdist, "_sweep", measured)
+        tracemalloc.start()
+        try:
+            (got,), _ = zhang_shasha_batch(forms, [(0, 1)])
+        finally:
+            tracemalloc.stop()
+        assert got == 1001
+        assert peaks[0] < 8 * 2**20
+
     def test_pair_over_the_table_budget(self, monkeypatch):
         # r(a, b) has 3 distinct subtrees and s(c, d, e) 4: 12 table entries,
         # checked before any is allocated
@@ -520,6 +546,11 @@ class TestNeedlemanWunsch:
         # align B with B (2) and gap out A (-3)
         assert needleman_wunsch(["A", "B"], ["B"], s) == -1.0
 
+    def test_negative_zero_scores_are_stored_as_zero(self):
+        s = NwScoring(-0.0, -0.0, -0.0)
+        assert not any(np.signbit([s.match, s.mismatch, s.gap]))
+        assert s == NwScoring(0.0, 0.0, 0.0)
+
     def test_scores_must_be_finite(self):
         with pytest.raises(ItemsimError, match="finite"):
             NwScoring(gap=float("-inf"))
@@ -533,7 +564,7 @@ class TestNeedlemanWunsch:
         # action sequences of about 20-110 actions (loops unrolled at most
         # 3 times keep the scalar reference quick), every pair in both
         # orders: one batched call over all of them, and one-pair calls.
-        # The -0.0 gap runs the wavefront's strictly-greater maximum
+        # The -0.0 gap is stored as +0.0, so that scoring is dyadic
         seqs, pairs = [], []
         for x, y in program_pairs(seed):
             seqs += [action_sequence(x, unroll_cap=3), action_sequence(y, unroll_cap=3)]
@@ -546,8 +577,8 @@ class TestNeedlemanWunsch:
 
     @pytest.mark.parametrize("scoring", [
         *SCORINGS,
-        # every score a zero of either sign: cells tie between -0.0 and 0.0,
-        # and the first candidate in max() order must win
+        # every score a zero of either sign, each stored as +0.0, so that
+        # every cell is +0.0, the empty pair's too
         NwScoring(0.0, -0.0, -0.0), NwScoring(-0.0, 0.0, -0.0), NwScoring(-0.0, -0.0, 0.0),
     ], ids=[*SCORING_IDS, "zeros-1", "zeros-2", "zeros-3"])
     def test_equals_reference_on_random_sequences(self, scoring):
@@ -607,11 +638,11 @@ class TestNeedlemanWunsch:
         *((s, "integer sweep" if i in INTEGER_PATH else "float wavefront")
           for s, i in zip(SCORINGS, SCORING_IDS)),
         (NwScoring(0.0, -1.0, -1.0), "integer sweep"),
-        (NwScoring(1.0, -1.0, -0.0), "float wavefront"),
+        (NwScoring(1.0, -1.0, -0.0), "integer sweep"),
         (NwScoring(1e308, -1e308, -1e308), "float wavefront"),
     ], ids=[*SCORING_IDS, "zero-match", "zero-gap", "huge"])
     def test_debug_line_names_the_path(self, scoring, path, caplog):
-        # exact in integers (no -0.0 score, under the bound) or not
+        # exact in integers (under the bound, a -0.0 score taken as +0.0) or not
         seqs = [("x", "y", "x"), ("y", "y"), ()]
         with caplog.at_level(logging.DEBUG, logger="itemsim.editdist"):
             needleman_wunsch_batch(seqs, [(0, 1), (2, 0), (1, 1)], scoring)
@@ -619,11 +650,11 @@ class TestNeedlemanWunsch:
         assert line.startswith(f"nw batch: 3 pairs, {path}, 1 batches, ")
 
     def test_debug_line_counts(self, caplog):
-        # the integer sweep puts (y, y) on the rows against (x, y, x) and
-        # (y, y), and () against (x, y, x): 2 + 0 + 2 rows of the batch's 3
-        # columns, in 2 row steps. The wavefront runs 6 diagonals of the
-        # batch's 3 x 3 rectangle, 3 + 6 + 6 + 2 cells over the pairs still
-        # running
+        # both paths put (y, y) on the rows against (x, y, x) and (y, y),
+        # and () against (x, y, x). The integer sweep runs 2 + 0 + 2 rows
+        # of the batch's 3 columns, in 2 row steps. The wavefront runs 6
+        # diagonals of the batch's 2 x 3 rectangle, 3 + 6 + 4 + 1 cells
+        # over the pairs still running
         seqs = [("x", "y", "x"), ("y", "y"), ()]
         pairs = [(0, 1), (2, 0), (1, 1)]
         with caplog.at_level(logging.DEBUG, logger="itemsim.editdist"):
@@ -633,7 +664,7 @@ class TestNeedlemanWunsch:
             "nw batch: 3 pairs, integer sweep, 1 batches, 2 row steps, "
             "10 of 12 padded cells real",
             "nw batch: 3 pairs, float wavefront, 1 batches, 6 diagonal steps, "
-            "10 of 17 padded cells real",
+            "10 of 14 padded cells real",
         ]
 
     @pytest.mark.parametrize("bits", [15, 31], ids=["int16", "int32"])
