@@ -192,6 +192,13 @@ def _first_seen() -> defaultdict[str, int]:
     return numbering
 
 
+# a log may name at most this many learners x items cells. Building the
+# dense tables peaks at about 41.4 bytes a cell (time and success filled in
+# first-seen order, both copied into id order, then log_time), so the
+# budget holds a load to about 660 MiB
+_TABLE_CELLS = 1 << 24
+
+
 @dataclass(frozen=True, eq=False)
 class PerformanceTable:
     """Learner x item performance over sorted ids: time_seconds and success
@@ -232,7 +239,12 @@ class PerformanceTable:
                     times: np.ndarray, successes: np.ndarray) -> PerformanceTable:
         """The table of rows given as cells, row << 32 | column over the
         first-seen indices in learners and items, with their times and
-        successes; a repeated cell keeps its first row."""
+        successes; a repeated cell keeps its first row. Over _TABLE_CELLS
+        learners x items is a MemoryError, raised before any table is
+        allocated."""
+        if len(learners) * len(items) > _TABLE_CELLS:
+            raise MemoryError(f"{len(learners)} learners x {len(items)} items are over the "
+                              f"budget of {_TABLE_CELLS} cells")
         # np.unique returns the index of each cell's first row: keep-first
         cells, first = np.unique(cells, return_index=True)
         at = (cells >> 32, cells & 0xFFFFFFFF)

@@ -12,9 +12,9 @@ distinct block of two inner keyroots computed once, level by level, in
 numpy sweeps of one DP row over a batch of blocks; tree_form prepares a
 tree once, and tree_edit_distance compares one pair.
 needleman_wunsch_batch: global alignment scores, higher is more similar,
-of many sequence pairs at once, per batch of pairs either one integer row
-sweep (a scoring exact in integers) or one float anti-diagonal wavefront
-(any other); needleman_wunsch aligns one pair.
+of many sequence pairs at once, per batch of pairs one anti-diagonal
+wavefront, in integers (a scoring exact in integers) or in float64 (any
+other); needleman_wunsch aligns one pair.
 
 Each kernel returns exactly what the plain DP recurrence returns:
 Levenshtein and TED compute in integers. NwScoring stores a -0.0 score as
@@ -391,28 +391,32 @@ class NwScoring:
             object.__setattr__(self, name, getattr(self, name) + 0)
 
 
-# a batch of the float wavefront holds at most this many padded sequence
-# positions, pairs x (longest a + longest b + 2), and a batch of the integer
-# row sweep at most _ROW_POSITIONS, pairs x (longest column sequence + 1);
-# either bounds its working set. The wavefront keeps three float64 rows and
-# a flag row of the shorter sequences, at most half the positions, and the
-# token codes of both sequences: at most 13.5 bytes a position with int8
-# codes (3.4 MiB), 14.5 with int16, and twice that for a moment when its
-# buffers are copied down to the pairs still running
+# a batch holds at most this many padded sequence positions, pairs x
+# (longest a + longest b + 2), which bounds its working set: three DP rows
+# of the shorter sequences, at most half the positions, in float64 a flag
+# row too, and the token codes of both sequences. With int8 codes that is
+# at most 4 bytes a position in int16 (1 MiB a batch), 7 in int32 and 13.5
+# in float64 (3.4 MiB), and twice that for a moment when the buffers are
+# copied down to the pairs still running
 _BATCH_POSITIONS = 1 << 18
-_ROW_POSITIONS = 1 << 16
 
 
 def needleman_wunsch_batch(
     seqs: Sequence[Sequence[str]], pairs: Sequence[tuple[int, int]], s: NwScoring = NwScoring()
 ) -> tuple[list[float], int]:
     """Optimal global alignment score of seqs[a] against seqs[b] under s
-    for every (a, b) in pairs, and the number of batches they ran in. Each
-    pair runs with its shorter sequence on the rows.
+    for every (a, b) in pairs, and the number of batches they ran in.
 
-    Scorings exact in integers take the integer row sweep: scaled by their
-    common power-of-two denominator (float.as_integer_ratio) to integers,
-    no partial score of the recurrence can reach 2**53 in magnitude. A cell
+    Each pair runs with its shorter sequence on the rows. Pairs sorted by
+    the shorter length, then the longer, are cut into batches of at most
+    _BATCH_POSITIONS padded positions. A batch computes the DP matrices of
+    all its pairs together, one anti-diagonal d = i + j at a time
+    (inter-sequence parallelism, as in Wozniak 1997 and Rognes 2011), each
+    cell's maximum by np.maximum (_wavefront).
+
+    A scoring exact in integers runs in integers: scaled by its common
+    power-of-two denominator (float.as_integer_ratio) to integers, no
+    partial score of the recurrence can reach 2**53 in magnitude. A cell
     of a pair of lengths m and n is at most (m + n) max|score|, and m + n
     is at most the longest shorter sequence plus the longest longer one.
     Then every float operation of the recurrence is exact, so its values
@@ -421,21 +425,16 @@ def needleman_wunsch_batch(
     and y both are, and every cell but H[0][0] = 0 * gap is k * gap (k > 0)
     or a score added to a cell, so as no score is -0.0 none of them is
     -0.0: a zero cell is +0.0 except on the empty pair, which keeps 0 *
-    gap. Pairs sorted by the longer length, then the shorter, are cut into
-    batches of at most _ROW_POSITIONS padded positions, each swept in the
-    narrowest int dtype that holds its values (_row_sweep), and the scores
-    scaled back by math.ldexp.
+    gap. A batch runs in the narrowest int dtype that holds its cells and
+    their candidates, below (longest a + longest b + 3) max|score|, and
+    its scores are scaled back by math.ldexp.
 
-    Every other scoring takes the float wavefront: pairs sorted by the
-    shorter length, then the longer, are cut into batches of at most
-    _BATCH_POSITIONS padded positions. A batch computes the DP matrices of
-    all its pairs together, one anti-diagonal d = i + j at a time
-    (inter-sequence parallelism, as in Wozniak 1997 and Rognes 2011), each
-    cell's maximum by np.maximum (_wavefront). Scores that overflow float64
-    come out as +-inf, without a warning.
+    Every other scoring runs in float64, each cell adding the same
+    operands as the scalar recurrence. Scores that overflow come out as
+    +-inf, without a warning.
 
-    Logs one debug line: pairs, path, batches, row or diagonal steps, and
-    real of padded cells."""
+    Logs one debug line: pairs, path, batches, diagonal steps, and real of
+    padded cells."""
     codes: dict = {}
     encoded = [np.array([codes.setdefault(t, len(codes)) for t in x], dtype=np.int64)
                for x in seqs]
@@ -445,116 +444,64 @@ def needleman_wunsch_batch(
     ratios = [float(v).as_integer_ratio() for v in (s.match, s.mismatch, s.gap)]
     scale = max(q for _, q in ratios)  # a power of two
     scaled = [p * (scale // q) for p, q in ratios]
+    top = max(map(abs, scaled))
     longest = max(map(min, lengths), default=0) + max(map(max, lengths), default=0)
-    integer = longest * max(map(abs, scaled)) < 1 << 53
+    integer = longest * top < 1 << 53
     # the narrowest signed codes that also hold -1 and -2, codes no token has
     code = np.min_scalar_type(-2 - len(codes))
     batches = []
-    if integer:
-        for k in sorted(range(len(pairs)), key=lambda k: lengths[k][::-1]):
-            if not batches or (len(batches[-1]) + 1) * (lengths[k][1] + 1) > _ROW_POSITIONS:
-                batches.append([])
-            batches[-1].append(k)
-    else:
-        longest_a = longest_b = 0
-        for k in sorted(range(len(pairs)), key=lengths.__getitem__):
-            la, lb = lengths[k]
-            longest_a, longest_b = max(longest_a, la), max(longest_b, lb)
-            if not batches or (len(batches[-1]) + 1) * (longest_a + longest_b + 2) > _BATCH_POSITIONS:
-                batches.append([])
-                longest_a, longest_b = la, lb
-            batches[-1].append(k)
+    longest_a = longest_b = 0
+    for k in sorted(range(len(pairs)), key=lengths.__getitem__):
+        la, lb = lengths[k]
+        longest_a, longest_b = max(longest_a, la), max(longest_b, lb)
+        if not batches or (len(batches[-1]) + 1) * (longest_a + longest_b + 2) > _BATCH_POSITIONS:
+            batches.append([])
+            longest_a, longest_b = la, lb
+        batches[-1].append(k)
     values = [0.0] * len(pairs)
     steps = padded = 0
     with np.errstate(over="ignore"):
         for batch in batches:
+            batch.sort(key=lambda k: -sum(lengths[k]))
             if integer:
-                batch.sort(key=lambda k: -lengths[k][0])
-                scores, batch_steps, batch_padded = _row_sweep(
-                    [oriented[k] for k in batch], scaled, code)
+                bound = (max(lengths[k][0] for k in batch) + max(lengths[k][1] for k in batch)
+                         + 3) * top
+                dtype = np.int16 if bound < 1 << 15 else np.int32 if bound < 1 << 31 else np.int64
+                scores, batch_steps, batch_padded = _wavefront(
+                    [oriented[k] for k in batch], scaled, dtype, code)
                 # the empty pair alone has the sign of 0 * gap
                 scores = [ldexp(v, 1 - scale.bit_length()) if sum(lengths[k]) else 0.0 * s.gap
                           for k, v in zip(batch, scores)]
             else:
-                batch.sort(key=lambda k: -sum(lengths[k]))
                 scores, batch_steps, batch_padded = _wavefront(
-                    [oriented[k] for k in batch], s, code)
+                    [oriented[k] for k in batch], (s.match, s.mismatch, s.gap), np.float64, code)
             steps += batch_steps
             padded += batch_padded
             for k, v in zip(batch, scores):
                 values[k] = v
-    log.debug("nw batch: %d pairs, %s, %d batches, %d %s steps, %d of %d padded cells real",
-              len(pairs), "integer sweep" if integer else "float wavefront", len(batches), steps,
-              "row" if integer else "diagonal", sum(a * b for a, b in lengths), padded)
+    log.debug("nw batch: %d pairs, %s wavefront, %d batches, %d diagonal steps, "
+              "%d of %d padded cells real", len(pairs), "integer" if integer else "float",
+              len(batches), steps, sum(a * b for a, b in lengths), padded)
     return values, len(batches)
 
 
-def _row_sweep(pairs: list[tuple[np.ndarray, np.ndarray]], scores: list[int],
-               code: np.dtype) -> tuple[list[int], int, int]:
-    """Alignment scores of encoded pairs (rows, columns), len(rows) <=
-    len(columns), given by descending len(rows), under integer scores
-    (match, mismatch, gap), with tokens compared as the signed int type
-    code; and the row steps and padded cells of the sweep. The pairs still
-    running at row i are a prefix, and a pair's score is read once row
-    len(rows) is done.
-
-    The sweep keeps D[i][j] = H[i][j] - (i + j) gap, which turns the
-    recurrence into D[i][j] = max(D[i-1][j-1] + sub - 2 gap, D[i-1][j],
-    D[i][j-1]) with D[i][0] = D[0][j] = 0: row i is the elementwise maximum
-    of the first two, then one running maximum along the row (the prefix
-    maximum form of Khajeh-Saeed, Poole and Perot 2010). Row j of the
-    tables holds column j of every pair, one pair per column, padded with a
-    code that matches no token; the padding stays within the bound."""
-    match, mismatch, gap = scores
-    rows = [len(a) for a, _ in pairs]
-    cols = np.array([len(b) for _, b in pairs], dtype=np.intp)
-    width = int(cols.max())
-    # |D[i][j]| <= |H[i][j]| + (i + j) |gap| <= 2 (i + j) max|score|, which
-    # also bounds a cell's candidates; gain and miss need 3 max|score|
-    bound = (2 * (rows[0] + width) + 3) * max(map(abs, scores))
-    dtype = np.int16 if bound < 1 << 15 else np.int32 if bound < 1 << 31 else np.int64
-    a_rows = np.zeros((rows[0], len(pairs)), dtype=code)
-    b_cols = np.full((width, len(pairs)), -1, dtype=code)
-    for p, (a, b) in enumerate(pairs):
-        a_rows[:len(a), p] = a
-        b_cols[:len(b), p] = b
-    gain, miss = dtype(match - mismatch), dtype(mismatch - 2 * gap)
-    d = np.zeros((width + 1, len(pairs)), dtype=dtype)
-    t = np.zeros_like(d)  # row 0 stays D[i][0] = 0
-    same = np.empty((width, len(pairs)), dtype=bool)
-    ends = np.zeros(len(pairs), dtype=np.int64)
-    live = len(pairs)
-    for i in range(rows[0] + 1):
-        done = live
-        while done and rows[done - 1] == i:
-            done -= 1
-        if done < live:
-            ends[done:live] = d[cols[done:live], np.arange(done, live)]
-            live = done
-        if not live:
-            break
-        np.equal(b_cols[:, :live], a_rows[i, :live], out=same[:, :live])
-        cell = t[1:, :live]
-        np.multiply(same[:, :live], gain, out=cell)
-        cell += d[:-1, :live]
-        cell += miss
-        np.maximum(cell, d[1:, :live], out=cell)
-        np.maximum.accumulate(t[:, :live], axis=0, out=d[:, :live])
-    return ([v + (m + n) * gap for v, m, n in zip(ends.tolist(), rows, cols.tolist())],
-            rows[0], width * sum(rows))
-
-
-def _wavefront(pairs: list[tuple[np.ndarray, np.ndarray]], s: NwScoring,
-               code: np.dtype) -> tuple[list[float], int, int]:
+def _wavefront(pairs: list[tuple[np.ndarray, np.ndarray]], scores: Sequence, dtype: type,
+               code: np.dtype) -> tuple[list, int, int]:
     """Alignment scores of encoded sequence pairs, given by descending
-    len(a) + len(b), with tokens compared as the signed int type code; and
-    the diagonal steps and padded cells of the sweep. A pair's score is
-    cell (len(a), len(b)) on diagonal len(a) + len(b), so the pairs still
-    running at diagonal d are a prefix.
+    len(a) + len(b), under scores (match, mismatch, gap) computed in dtype,
+    with tokens compared as the signed int type code; and the diagonal
+    steps and padded cells of the sweep. A pair's score is cell (len(a),
+    len(b)) on diagonal len(a) + len(b), so the pairs still running at
+    diagonal d are a prefix.
 
     Row i of the diagonal buffers holds cell (i, d - i) of every pair, one
     pair per column. Each cell is the np.maximum of H[i-1][j-1] + sub,
     H[i-1][j] + gap and H[i][j-1] + gap, and H[k][0] = H[0][k] = k * gap.
+    Padding matches no token, so a column holds the DP of its pair padded
+    to the longest a and b: its cells stay within the batch's bound. In an
+    int dtype, sub is eq * (match - mismatch) + mismatch, exact, computed
+    in the cells themselves; in float64 that sum could round, so sub is
+    taken from (mismatch, match) by a row of match flags.
     No score is -0.0, so no cell but the empty pair's 0 * gap is -0.0, and
     finite scores make no NaN: every maximum is exact, and every value
     equals the scalar recurrence's bit for bit, signed zeros included.
@@ -563,7 +510,7 @@ def _wavefront(pairs: list[tuple[np.ndarray, np.ndarray]], s: NwScoring,
     contiguous: finished pairs' columns keep running until an eighth of
     the columns has finished, and then the buffers are copied down to the
     pairs still running."""
-    match, mismatch, gap = float(s.match), float(s.mismatch), float(s.gap)
+    match, mismatch, gap = (dtype(v) for v in scores)
     ms = np.array([len(a) for a, _ in pairs], dtype=np.intp)
     ends = [len(a) + len(b) for a, b in pairs]
     m_max, n_max = int(ms.max()), max(len(b) for _, b in pairs)
@@ -574,10 +521,12 @@ def _wavefront(pairs: list[tuple[np.ndarray, np.ndarray]], s: NwScoring,
     for col, (a, b) in enumerate(pairs):
         a_rows[:len(a), col] = a
         b_rows[n_max - len(b):, col] = b[::-1]
-    h2, h1, h = (np.empty((m_max + 1, len(pairs))) for _ in range(3))
-    same = np.empty((m_max, len(pairs)), dtype=np.uint8)
-    sub = np.array([mismatch, match])
-    scores = np.empty(len(pairs))
+    h2, h1, h = (np.empty((m_max + 1, len(pairs)), dtype) for _ in range(3))
+    integer = dtype is not np.float64
+    # a diagonal's match flags, which an int dtype takes into its cells
+    same = np.empty((0 if integer else m_max, len(pairs)), dtype=np.uint8)
+    gain, sub = match - mismatch, np.array([mismatch, match], dtype)
+    out = np.empty(len(pairs), dtype)
     live = len(pairs)
     cells = 0
     for d in range(ends[0] + 1):
@@ -588,10 +537,14 @@ def _wavefront(pairs: list[tuple[np.ndarray, np.ndarray]], s: NwScoring,
         lo, hi = max(1, d - n_max), min(d - 1, m_max)
         if lo <= hi:
             cells += (hi - lo + 1) * h.shape[1]
-            eq = same[:hi - lo + 1]
-            np.equal(a_rows[lo - 1:hi], b_rows[n_max - d + lo:n_max - d + hi + 1], out=eq)
             cell = h[lo:hi + 1]
-            sub.take(eq, out=cell, mode="wrap")
+            a_seg, b_seg = a_rows[lo - 1:hi], b_rows[n_max - d + lo:n_max - d + hi + 1]
+            if integer:
+                np.equal(a_seg, b_seg, out=cell, casting="unsafe")
+                cell *= gain
+                cell += mismatch
+            else:
+                sub.take(np.equal(a_seg, b_seg, out=same[:hi - lo + 1]), out=cell, mode="wrap")
             cell += h2[lo - 1:hi]
             # h2 is not read again before it holds diagonal d + 1
             step = np.add(h1[lo - 1:hi + 1], gap, out=h2[lo - 1:hi + 1])
@@ -602,13 +555,13 @@ def _wavefront(pairs: list[tuple[np.ndarray, np.ndarray]], s: NwScoring,
             done -= 1
         if done < live:
             cols = np.arange(done, live)
-            scores[cols] = h[ms[done:live], cols]
+            out[cols] = h[ms[done:live], cols]
             live = done
             if 8 * live <= 7 * h.shape[1]:
                 a_rows, b_rows, h2, h1, h, same = (
                     np.ascontiguousarray(x[:, :live]) for x in (a_rows, b_rows, h2, h1, h, same))
         h2, h1, h = h1, h, h2
-    return scores.tolist(), ends[0] + 1, cells
+    return out.tolist(), ends[0] + 1, cells
 
 
 def needleman_wunsch(a: Sequence[str], b: Sequence[str], s: NwScoring = NwScoring()) -> float:
@@ -624,9 +577,9 @@ def levenshtein_batch(
     """Minimal number of token insertions, deletions, and substitutions
     turning seqs[a] into seqs[b] for every (a, b) in pairs, and the number
     of batches they ran in: minus the alignment score under match 0,
-    mismatch -1, gap -1 (Wagner and Fischer 1974), which takes the integer
-    row sweep. The scores are integers below 2**53, so exact; the empty
-    pair's -0.0 gives 0."""
+    mismatch -1, gap -1 (Wagner and Fischer 1974), a scoring whose
+    wavefront runs in integers. The scores are integers below 2**53, so
+    exact; the empty pair's -0.0 gives 0."""
     scores, batches = needleman_wunsch_batch(seqs, pairs, NwScoring(0.0, -1.0, -1.0))
     return [-int(v) for v in scores], batches
 

@@ -85,20 +85,22 @@ def alignment_sweep() -> int:
     """Compare against a brute-force alignment enumerator on every pair of
     sequences over a 2-symbol alphabet with length <= 5, both orders of
     each pair in one needleman_wunsch_batch call, the path edit_similarity
-    takes. Under the default scoring, a non-unit integral one and unit
-    costs, Levenshtein's, all on the integer row sweep, each score equals
-    the enumerator's. Under three more each score equals the scalar
-    recurrence bit for bit, and the enumerator's within 1e-12: it adds the
-    same scores in another order, and sums of at most 10 of them round by
-    far less. Edit-multi's fractional scoring and one with a zero match,
-    whose cells tie at +0.0, take the float wavefront; one with a -0.0
-    gap, which NwScoring stores as +0.0, is dyadic and takes the integer
-    sweep."""
+    takes. Five scorings run the wavefront in integers, and each score
+    equals the enumerator's: the default, a non-unit integral one and unit
+    costs, Levenshtein's, all in int16; 3000, -2000, -5000 in int32, and
+    2**40, -2**39, -2**41 in int64. Under three more each score equals the
+    scalar recurrence bit for bit, and the enumerator's within 1e-12: it
+    adds the same scores in another order, and sums of at most 10 of them
+    round by far less. Edit-multi's fractional scoring and one with a zero
+    match, whose cells tie at +0.0, run the wavefront in floats; one with a
+    -0.0 gap, which NwScoring stores as +0.0, is dyadic and runs it in
+    integers."""
     seqs = enumerate_sequences(5, ("a", "b"))
     pairs = [(i, j) for i in range(len(seqs)) for j in range(i, len(seqs))]
     ordered = [p for i, j in pairs for p in ((i, j), (j, i))]
     compared = 0
-    for s in (NwScoring(), NwScoring(3.0, -2.0, -5.0), NwScoring(0.0, -1.0, -1.0)):
+    for s in (NwScoring(), NwScoring(3.0, -2.0, -5.0), NwScoring(0.0, -1.0, -1.0),
+              NwScoring(3000.0, -2000.0, -5000.0), NwScoring(2.0**40, -2.0**39, -2.0**41)):
         scores, _ = needleman_wunsch_batch(seqs, ordered, s)
         for k, (i, j) in enumerate(pairs):
             want = oracle_alignment(seqs[i], seqs[j], s)

@@ -121,8 +121,9 @@ def reference_levenshtein(a, b) -> int:
 def reference_needleman_wunsch(a, b, s: NwScoring = NwScoring()) -> float:
     """The scalar two-row Needleman-Wunsch recurrence, one cell at a time
     with Python's max. `itemsim.needleman_wunsch` and
-    `needleman_wunsch_batch`, by integer row sweep or float wavefront,
-    must equal it bit for bit, signed zeros included."""
+    `needleman_wunsch_batch`, whose anti-diagonal wavefront runs in
+    integers or in floats, must equal it bit for bit, signed zeros
+    included."""
     prev = [j * s.gap for j in range(len(b) + 1)]
     for i, x in enumerate(a, start=1):
         cur = [i * s.gap]

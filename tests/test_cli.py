@@ -19,6 +19,7 @@ from itemsim import (
     ItemsimError, NwScoring, compute_measure, edit_similarity, editdist, load_corpus,
     load_performance, parse_measure, save_corpus,
 )
+from itemsim import corpus as corpus_module
 from itemsim.cli import main
 from itemsim.measures import FEATURE_SOURCES, SOLUTION_SOURCES, MeasureParams
 from itemsim.serialize import read_square_csv
@@ -726,6 +727,24 @@ class TestInputFiles:
         cfg = write_config(tmp_path, performance=str(tmp_path / "p.csv"))
         run_error(["stability", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
                   "p.csv: 3 learners x 2 items do not fit in memory")
+
+    def test_performance_tables_over_the_budget(self, tmp_path, capsys, monkeypatch):
+        # the budget refuses 10**6 learners x 10**3 items and leaves the
+        # 720-item scale pass, 1000 learners, far under it; here 3 x 2
+        # against a budget of 5 cells is refused before np.full is called
+        assert 20 * 1000 * 720 < corpus_module._TABLE_CELLS < 10**6 * 10**3
+
+        def allocated(*args, **kwargs):
+            raise AssertionError("the tables were allocated")
+
+        monkeypatch.setattr(np, "full", allocated)
+        monkeypatch.setattr(corpus_module, "_TABLE_CELLS", 5)
+        (tmp_path / "p.csv").write_text(
+            "learner_id,item_id,time_seconds,success\nL1,alpha,1,1\nL2,alpha,2,0\n"
+            "L3,beta,1,1\n", encoding="utf-8")
+        cfg = write_config(tmp_path, performance=str(tmp_path / "p.csv"))
+        run_error(["stability", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
+                  f"{tmp_path / 'p.csv'}: 3 learners x 2 items are over the budget of 5 cells")
 
     def test_malformed_weights_json(self, tiny_dir, tmp_path, capsys):
         (tiny_dir / "solutions" / "alpha" / "weights.json").write_text("{oops", encoding="utf-8")

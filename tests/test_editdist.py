@@ -30,7 +30,6 @@ from itemsim import (
 from itemsim.editdist import (
     _BATCH_POSITIONS,
     _BLOCK_CELLS,
-    _ROW_POSITIONS,
     _TD_ENTRIES,
     levenshtein_batch,
     needleman_wunsch_batch,
@@ -58,8 +57,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # three with a +0.0 score: unit costs (Levenshtein's), zero mismatch and a
 # zero gap, under which the empty pair is +0.0 too; last two fractional ones
 # with a +0.0 score, a zero match and a zero gap, whose cells tie at +0.0
-# under np.maximum. The fractional, gaps-win and last two take the float
-# wavefront, the others the integer row sweep (test_debug_line_names_the_path).
+# under np.maximum. The fractional, gaps-win and last two run the wavefront
+# in floats, the others in integers (test_debug_line_names_the_path).
 # NwScoring stores a -0.0 score as +0.0, so the -0.0 cases below run as
 # their +0.0 twins, and against the reference under the scoring as stored
 SCORINGS = [NwScoring(), NwScoring(1.0, -0.5, -0.7), NwScoring(-1.0, -2.0, -0.3),
@@ -134,12 +133,11 @@ class TestLevenshtein:
         assert got == want
         assert [levenshtein(seqs[a], seqs[b]) for a, b in pairs] == want
 
-    @pytest.mark.parametrize("n", [16381, 16382], ids=["int16", "int32"])
+    @pytest.mark.parametrize("n", [32763, 32764], ids=["int16", "int32"])
     def test_one_token_at_the_int16_edge(self, n):
         # a batch of longest rows m and columns n runs in int16 while
-        # (2 (m + n) + 3) max|score| < 2**15: under unit costs one token
-        # against 16381 is the last such batch, against 16382 the first in
-        # int32
+        # (m + n + 3) max|score| < 2**15: under unit costs one token against
+        # 32763 is the last such batch, against 32764 the first in int32
         seqs = [("x",), ("y",) * (n - 1) + ("x",), ("y",) * n]
         got, batches = levenshtein_batch(seqs, [(0, 1), (1, 0), (0, 2), (2, 0)])
         assert batches == 1
@@ -614,31 +612,29 @@ class TestNeedlemanWunsch:
         assert batches == 1
         assert all(map(same_float, got, want))
 
-    @pytest.mark.parametrize("s, cap", [(NwScoring(1.0, -0.5, -0.7), _BATCH_POSITIONS),
-                                        (NwScoring(3.0, -2.0, -5.0), _ROW_POSITIONS)],
-                             ids=["float-wavefront", "integer-sweep"])
-    def test_many_pairs_split_into_batches(self, s, cap):
+    @pytest.mark.parametrize("s", [NwScoring(1.0, -0.5, -0.7), NwScoring(3.0, -2.0, -5.0)],
+                             ids=["float-wavefront", "integer-wavefront"])
+    def test_many_pairs_split_into_batches(self, s):
         # every pair of 24 sequences of 25-40 tokens, and each of them
         # against 40 of 0-4 tokens both ways, repeated until they hold more
-        # padded positions than one batch of the path does, cap: a pair
-        # takes at least max(len a, len b) + 1 of the integer sweep's and
-        # len a + len b + 2 of the wavefront's
+        # padded positions than one batch does: a pair takes at least
+        # len a + len b + 2
         rng = np.random.default_rng(11)
         seqs = [tuple(rng.choice(list("mlrs"), size=int(rng.integers(low, high))))
                 for low, high in [(25, 41)] * 24 + [(0, 5)] * 40]
         pairs = [(a, b) for a in range(24) for b in range(24)]
         pairs += [p for a in range(24) for b in range(24, 64) for p in ((a, b), (b, a))]
         want = {(a, b): reference_needleman_wunsch(seqs[a], seqs[b], s) for a, b in pairs}
-        pairs *= cap // sum(max(len(seqs[a]), len(seqs[b])) + 1 for a, b in pairs) + 1
+        pairs *= _BATCH_POSITIONS // sum(len(seqs[a]) + len(seqs[b]) + 2 for a, b in pairs) + 1
         got, batches = needleman_wunsch_batch(seqs, pairs, s)
         assert batches > 1
         assert all(same_float(g, want[p]) for g, p in zip(got, pairs))
 
     @pytest.mark.parametrize("scoring, path", [
-        *((s, "integer sweep" if i in INTEGER_PATH else "float wavefront")
+        *((s, "integer wavefront" if i in INTEGER_PATH else "float wavefront")
           for s, i in zip(SCORINGS, SCORING_IDS)),
-        (NwScoring(0.0, -1.0, -1.0), "integer sweep"),
-        (NwScoring(1.0, -1.0, -0.0), "integer sweep"),
+        (NwScoring(0.0, -1.0, -1.0), "integer wavefront"),
+        (NwScoring(1.0, -1.0, -0.0), "integer wavefront"),
         (NwScoring(1e308, -1e308, -1e308), "float wavefront"),
     ], ids=[*SCORING_IDS, "zero-match", "zero-gap", "huge"])
     def test_debug_line_names_the_path(self, scoring, path, caplog):
@@ -650,9 +646,8 @@ class TestNeedlemanWunsch:
         assert line.startswith(f"nw batch: 3 pairs, {path}, 1 batches, ")
 
     def test_debug_line_counts(self, caplog):
-        # both paths put (y, y) on the rows against (x, y, x) and (y, y),
-        # and () against (x, y, x). The integer sweep runs 2 + 0 + 2 rows
-        # of the batch's 3 columns, in 2 row steps. The wavefront runs 6
+        # (y, y) goes on the rows against (x, y, x) and (y, y), and ()
+        # against (x, y, x). In integers and in floats the wavefront runs 6
         # diagonals of the batch's 2 x 3 rectangle, 3 + 6 + 4 + 1 cells
         # over the pairs still running
         seqs = [("x", "y", "x"), ("y", "y"), ()]
@@ -661,8 +656,8 @@ class TestNeedlemanWunsch:
             needleman_wunsch_batch(seqs, pairs)
             needleman_wunsch_batch(seqs, pairs, NwScoring(1.0, -0.5, -0.7))
         assert [r.getMessage() for r in caplog.records] == [
-            "nw batch: 3 pairs, integer sweep, 1 batches, 2 row steps, "
-            "10 of 12 padded cells real",
+            "nw batch: 3 pairs, integer wavefront, 1 batches, 6 diagonal steps, "
+            "10 of 14 padded cells real",
             "nw batch: 3 pairs, float wavefront, 1 batches, 6 diagonal steps, "
             "10 of 14 padded cells real",
         ]
@@ -670,28 +665,34 @@ class TestNeedlemanWunsch:
     @pytest.mark.parametrize("bits", [15, 31], ids=["int16", "int32"])
     def test_scores_near_each_int_dtype_limit(self, bits):
         # a batch of sequences of up to 100 tokens runs in int16 while
-        # (2 (100 + 100) + 3) max|score| < 2**15, then in int32. Under
-        # (top, -top, -top) the self pairs of the 100-token ones reach 300
-        # top in the sweep, past the limit from limit // 300 + 1 on
+        # (100 + 100 + 3) max|score| < 2**15, then in int32: limit // 203
+        # is the last top of the narrower batch, limit // 203 + 1 the first
+        # of the wider one. Under (-top, top // 2, top) all gaps win, and
+        # the 100 x 100 cells reach 200 top, past the limit from
+        # limit // 200 + 1 on. The second batch holds (3, 3) beside eight
+        # 100 x 100 pairs: it finishes after 6 diagonals, but fewer than an
+        # eighth of the columns then have, so its column runs on to the end
+        # of the padded 100 x 100 rectangle, to the same extremes
         rng = np.random.default_rng(13)
         seqs = [tuple(rng.choice(list("xy"), size=n)) for n in (100, 100, 60, 3)]
         seqs.append(seqs[0])
-        pairs = [(a, b) for a in range(len(seqs)) for b in range(len(seqs))]
+        every = [(a, b) for a in range(len(seqs)) for b in range(len(seqs))]
         limit = 2**bits - 1
-        for top in (limit // 403, limit // 403 + 1, limit // 300 + 1):
+        for top in (limit // 203, limit // 203 + 1, limit // 200 + 1):
             for s in (NwScoring(float(top), float(-top), float(-top)),
                       NwScoring(float(-top), float(top // 2), float(top))):
-                got, _ = needleman_wunsch_batch(seqs, pairs, s)
-                want = [reference_needleman_wunsch(seqs[a], seqs[b], s) for a, b in pairs]
-                assert all(map(same_float, got, want))
+                for pairs in (every, [(0, 1), (1, 0), (0, 4), (4, 1)] * 2 + [(3, 3)]):
+                    got, batches = needleman_wunsch_batch(seqs, pairs, s)
+                    assert batches == 1
+                    want = [reference_needleman_wunsch(seqs[a], seqs[b], s) for a, b in pairs]
+                    assert all(map(same_float, got, want))
 
     @pytest.mark.parametrize("over", [0, 1], ids=["under", "over"])
     def test_scores_at_the_exactness_bound(self, over, caplog):
         # the longest shorter sequence (40; the 60-token self pair is left
         # out) plus the longest longer one (60) times the largest score
-        # magnitude: just under 2**53, the integer
-        # sweep holds every score exactly, in int64, near 2**53; one more,
-        # the float wavefront runs
+        # magnitude: just under 2**53, the integer wavefront holds every
+        # score exactly, in int64, near 2**53; one more, the float one runs
         rng = np.random.default_rng(12)
         seqs = [tuple(rng.choice(list("xy"), size=n)) for n in (60, 40, 20, 7, 1, 0)]
         pairs = [(a, b) for a in range(len(seqs)) for b in range(len(seqs)) if a or b]
@@ -700,7 +701,7 @@ class TestNeedlemanWunsch:
         s = NwScoring(float(top // 3), float(-(top // 2)), float(-top))
         with caplog.at_level(logging.DEBUG, logger="itemsim.editdist"):
             got, _ = needleman_wunsch_batch(seqs, pairs, s)
-        path = "float wavefront" if over else "integer sweep"
+        path = "float wavefront" if over else "integer wavefront"
         assert [r.getMessage().split(", ")[1] for r in caplog.records] == [path]
         want = [reference_needleman_wunsch(seqs[a], seqs[b], s) for a, b in pairs]
         assert all(map(same_float, got, want))
