@@ -192,11 +192,19 @@ def _first_seen() -> defaultdict[str, int]:
     return numbering
 
 
-# a log may name at most this many learners x items cells. Building the
-# dense tables peaks at about 41.4 bytes a cell (time and success filled in
-# first-seen order, both copied into id order, then log_time), so the
-# budget holds a load to about 660 MiB
+# a log may name at most this many learners x items cells. A load peaks at
+# about 34-39 bytes a cell on logs a fifth to a third attempted, and 75 on
+# a log with every cell attempted (the three float tables, 24 bytes a cell,
+# beside each row's cell, time and success), so the budget holds a load to
+# about 0.6-1.2 GiB
 _TABLE_CELLS = 1 << 24
+
+
+def check_table_budget(n_learners: int, n_items: int, error: type[Exception]) -> None:
+    """Raise error if a table of n_learners x n_items is over _TABLE_CELLS."""
+    if n_learners * n_items > _TABLE_CELLS:
+        raise error(f"{n_learners} learners x {n_items} items are over the budget of "
+                    f"{_TABLE_CELLS} cells")
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,7 +223,9 @@ class PerformanceTable:
         if self.log_time is None:
             attempted = ~np.isnan(self.time_seconds)
             log_time = np.full(self.time_seconds.shape, np.nan)
-            log_time[attempted] = list(map(math.log, self.time_seconds[attempted].tolist()))
+            times = self.time_seconds[attempted]
+            log_time[attempted] = np.fromiter(map(math.log, memoryview(times)), np.float64,
+                                              len(times))
             object.__setattr__(self, "log_time", log_time)
 
     @classmethod
@@ -242,19 +252,22 @@ class PerformanceTable:
         successes; a repeated cell keeps its first row. Over _TABLE_CELLS
         learners x items is a MemoryError, raised before any table is
         allocated."""
-        if len(learners) * len(items) > _TABLE_CELLS:
-            raise MemoryError(f"{len(learners)} learners x {len(items)} items are over the "
-                              f"budget of {_TABLE_CELLS} cells")
+        check_table_budget(len(learners), len(items), MemoryError)
         # np.unique returns the index of each cell's first row: keep-first
         cells, first = np.unique(cells, return_index=True)
-        at = (cells >> 32, cells & 0xFFFFFFFF)
         learner_ids, item_ids = tuple(sorted(learners)), tuple(sorted(items))
-        by_id = np.ix_([learners[i] for i in learner_ids], [items[i] for i in item_ids])
+        # rows and columns by sorted id: argsort inverts the permutation that
+        # takes each id, in sorted order, to its first-seen index
+        at = (np.argsort([learners[i] for i in learner_ids])[cells >> 32],
+              np.argsort([items[i] for i in item_ids])[cells & 0xFFFFFFFF])
+        del cells
         try:
-            time_seconds, success = np.full((2, len(learners), len(items)), np.nan)
+            time_seconds = np.full((len(learners), len(items)), np.nan)
             time_seconds[at] = times[first]
+            success = np.full(time_seconds.shape, np.nan)
             success[at] = successes[first]
-            return cls(learner_ids, item_ids, time_seconds[by_id], success[by_id])
+            del at, first  # 24 bytes a row, not held while log_time is built
+            return cls(learner_ids, item_ids, time_seconds, success)
         except MemoryError:
             raise MemoryError(
                 f"{len(learners)} learners x {len(items)} items do not fit in memory") from None

@@ -5,12 +5,12 @@ tokens, of many sequence pairs at once: minus the global alignment score
 under match 0, mismatch -1, gap -1, from needleman_wunsch_batch;
 levenshtein compares one pair.
 zhang_shasha_batch: Zhang-Shasha ordered-tree edit distances, unit costs
-(relabel free for equal labels), of many pairs of prepared trees at once:
-per chunk of pairs, one table of distances from the distinct subtrees of
-one side to those of the other, a leaf's row in closed form, and each
-distinct block of two inner keyroots computed once, level by level, in
-numpy sweeps of one DP row over a batch of blocks; tree_form prepares a
-tree once, and tree_edit_distance compares one pair.
+(relabel free for equal labels), of many pairs of trees at once, each tree
+walked once: per chunk of pairs, one table of distances from the distinct
+subtrees of one side to those of the other, a leaf's row in closed form,
+and each distinct block of two inner keyroots computed once, level by
+level, in numpy sweeps of one DP row over a batch of blocks;
+tree_edit_distance compares one pair.
 needleman_wunsch_batch: global alignment scores, higher is more similar,
 of many sequence pairs at once, per batch of pairs one anti-diagonal
 wavefront, in integers (a scoring exact in integers) or in float64 (any
@@ -44,32 +44,6 @@ from .tree import AstNode
 log = logging.getLogger("itemsim.editdist")
 
 
-TreeForm = tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]
-
-
-def tree_form(ast: AstNode) -> TreeForm:
-    """The Zhang-Shasha view of a tree: postorder labels, the postorder
-    index of each node's leftmost leaf, and the keyroots (the highest node
-    per leftmost leaf), ascending. Walks without recursion, so any depth
-    that parsed is accepted."""
-    labels: list[str] = []
-    leftmost: list[int] = []
-    # (node, postorder index of its leftmost leaf, children not yet walked):
-    # the first node a subtree emits in postorder is its leftmost leaf
-    stack = [(ast, 0, iter(ast.children))]
-    while stack:
-        n, first, rest = stack[-1]
-        child = next(rest, None)
-        if child is None:
-            stack.pop()
-            labels.append(n.label)
-            leftmost.append(first)
-        else:
-            stack.append((child, len(labels), iter(child.children)))
-    highest = {l: i for i, l in enumerate(leftmost)}
-    return tuple(labels), tuple(leftmost), tuple(sorted(highest.values()))
-
-
 # a chunk of pairs keeps one dense table of subtree distances, the distinct
 # subtrees of its lo trees by those of its hi trees, of at most this many
 # entries; a single pair may take more, |ids a| x |ids b| entries, up to
@@ -85,63 +59,77 @@ _BLOCK_CELLS = 1 << 14
 
 
 def zhang_shasha_batch(
-    forms: Sequence[TreeForm], pairs: Sequence[tuple[int, int]]
+    trees: Sequence[AstNode], pairs: Sequence[tuple[int, int]]
 ) -> tuple[list[int], int]:
-    """Zhang-Shasha distance of forms[a] to forms[b] with unit costs (insert
+    """Zhang-Shasha distance of trees[a] to trees[b] with unit costs (insert
     1, delete 1, relabel 1 unless labels are equal) for every (a, b) in
     pairs, and the number of block batches the sweep ran, none where no
     pair has an inner keyroot on both sides.
 
-    Every subtree of every form gets an id by interning (label, child ids).
-    The distance is symmetric, as costs are unit, so each pair runs once,
-    as (lo, hi) by root id. Pairs run in chunks: td[s][t] is the distance
-    of subtree s of a lo tree to subtree t of a hi tree, at most
+    One postorder walk per tree, with its own stack, so any depth that
+    parsed is accepted, gives every subtree an id by interning (label,
+    child ids). The distance is symmetric, as costs are unit, so each pair
+    runs once, as (lo, hi) by root id. Pairs run in chunks: td[s][t] is the
+    distance of subtree s of a lo tree to subtree t of a hi tree, at most
     _TD_ENTRIES entries, or those of a single pair, at most _TD_BUDGET
     (ItemsimError otherwise), and the value of (lo, hi) is td[lo][hi]. A
     leaf's row or column is |t| - 1 + [its label not in t]. Every other
     entry is written by a keyroot block (u, v): the forest DP of two inner
     keyroot subtrees, one from each side of a pair, which writes td for
-    the nodes on the two leftmost paths. Each distinct
-    block is computed once per chunk, a block and its mirror being one,
-    with the smaller subtree on the rows. A block reads td only from blocks
-    of inner keyroots nested in u or v, so blocks run by level H(u) + H(v),
-    H being keyroot nesting height, each level in batches of _BLOCK_CELLS
-    padded cells, one forest-DP row of the whole batch at a time."""
-    ids: dict = {}  # (label, child ids, last child first) -> subtree id
+    the nodes on the two leftmost paths. A keyroot is the root or a child
+    that is not its parent's first child; an inner one is not a leaf. Each
+    distinct block is computed once per chunk, a block and its mirror being
+    one, with the smaller subtree on the rows. A block reads td only from
+    blocks of inner keyroots nested in u or v, so blocks run by level H(u)
+    + H(v), H being keyroot nesting height, each level in batches of
+    _BLOCK_CELLS padded cells, one forest-DP row of the whole batch at a
+    time."""
+    ids: dict = {}  # (label, *child ids) -> subtree id
     codes: dict = {}  # label -> code
-    # per node of every form, forms one after the other, each in postorder:
+    # per node of every tree, trees one after the other, each in postorder:
     # label code, leftmost leaf, subtree id
     lab, left, sid = [], [], []
     # per subtree id: nodes, keyroot nesting height, its first node
     size, height, first = [], [], []
-    roots = []  # per form: root id
+    roots = []  # per tree: root id
     keyroots_of = {}  # root id -> inner keyroot ids
-    for labels, leftmost, form_keyroots in forms:
+    subtrees_of = {}  # root id -> the ids in its subtree
+    for tree in trees:
         base = len(sid)
-        for x, label in enumerate(labels):
-            lx = base + leftmost[x]
-            # the last child of x is x - 1; the one before a child c is leftmost[c] - 1
-            children, c = [], base + x - 1
-            while c >= lx:
-                children.append(sid[c])
-                c = left[c] - 1
-            s = ids.setdefault((label, tuple(children)), len(ids))
+        inner = set()  # inner keyroot ids
+        # (node, its leftmost leaf, the ids of its children walked, the
+        # children not yet walked): a subtree's first node in postorder is
+        # its leftmost leaf
+        stack = [(tree, base, [], iter(tree.children))]
+        while stack:
+            n, lx, children, rest = stack[-1]
+            child = next(rest, None)
+            if child is not None:
+                stack.append((child, len(sid), [], iter(child.children)))
+                continue
+            stack.pop()
+            s = ids.setdefault((n.label, *children), len(ids))
             if s == len(size):
                 # a leaf has height 0; a parent its first child's, or one more
                 # than that of a later child that is an inner keyroot
-                h = height[children[-1]] if children else 0
-                for ch in children[:-1]:
-                    if size[ch] > 1 and height[ch] >= h:
-                        h = height[ch] + 1
-                size.append(x - leftmost[x] + 1)
+                h = height[children[0]] if children else 0
+                for c in children[1:]:
+                    if size[c] > 1:
+                        h = max(h, height[c] + 1)
+                size.append(len(sid) - lx + 1)
                 height.append(h)
-                first.append(base + x)
-            lab.append(codes.setdefault(label, len(codes)))
+                first.append(len(sid))
+            if children and (not stack or stack[-1][2]):
+                inner.add(s)  # the root, or a child after the first
+            if stack:
+                stack[-1][2].append(s)
+            lab.append(codes.setdefault(n.label, len(codes)))
             left.append(lx)
             sid.append(s)
         roots.append(sid[-1])
-        keyroots_of[sid[-1]] = np.array(
-            sorted({sid[base + k] for k in form_keyroots if leftmost[k] < k}), dtype=np.intp)
+        if sid[-1] not in subtrees_of:
+            keyroots_of[sid[-1]] = np.array(sorted(inner), dtype=np.intp)
+            subtrees_of[sid[-1]] = set(sid[base:])
     lab, left, sid, size, height, first = (
         np.array(x, dtype=np.intp) for x in (lab, left, sid, size, height, first))
     start = first - size + 1  # the leftmost leaf of each id's first occurrence
@@ -175,7 +163,7 @@ def zhang_shasha_batch(
     lo, hi = np.array(list(distinct), dtype=np.intp).reshape(-1, 2).T
     values = np.zeros(len(distinct), dtype=np.intp)
     counts = dict.fromkeys(("blocks", "levels", "batches", "steps", "chunks", "real", "padded"), 0)
-    for chunk, row_ids, col_ids in _chunks(lo, hi, sid, start, first):
+    for chunk, row_ids, col_ids in _chunks(lo, hi, subtrees_of):
         counts["chunks"] += 1
         row_of, col_of = positions(row_ids), positions(col_ids)
         # the last row and column, position -1, take the writes of subtrees
@@ -236,21 +224,14 @@ def zhang_shasha_batch(
     return values[inverse].tolist(), counts["batches"]
 
 
-def _chunks(lo, hi, sid, start, first):
+def _chunks(lo, hi, subtrees_of):
     """The distinct root pairs (lo, hi), in that order, cut greedily into
     chunks whose td, the distinct subtrees of their lo trees by those of
     their hi trees, has at most _TD_ENTRIES entries, or into a single pair:
     for each chunk, the indices of its pairs and the ids of the subtrees of
-    its lo trees and of its hi trees, ascending. A pair whose td would hold
-    more than _TD_BUDGET entries raises ItemsimError before its chunk is
-    built."""
-    subtree_ids: dict = {}  # root -> the ids in its subtree
-
-    def ids_of(r: int) -> set:
-        known = subtree_ids.get(r)
-        if known is None:
-            known = subtree_ids[r] = set(sid[start[r]:first[r] + 1].tolist())
-        return known
+    its lo trees and of its hi trees, ascending. subtrees_of gives the ids
+    in each root's subtree. A pair whose td would hold more than _TD_BUDGET
+    entries raises ItemsimError before its chunk is built."""
 
     def ascending(ids: set) -> np.ndarray:
         return np.array(sorted(ids), dtype=np.intp)
@@ -262,17 +243,17 @@ def _chunks(lo, hi, sid, start, first):
     cols: set = set()
     for p in np.lexsort((hi, lo)).tolist():
         a, b = int(lo[p]), int(hi[p])
-        m, n = len(ids_of(a)), len(ids_of(b))
+        m, n = len(subtrees_of[a]), len(subtrees_of[b])
         if m * n > _TD_BUDGET:
             raise ItemsimError(
                 f"tree edit distance of trees of {m} and {n} distinct subtrees needs a table of "
                 f"{m * n} entries, over the budget of {_TD_BUDGET}")
-        grown_rows = rows if a in lo_roots else rows | ids_of(a)
-        grown_cols = cols if b in hi_roots else cols | ids_of(b)
+        grown_rows = rows if a in lo_roots else rows | subtrees_of[a]
+        grown_cols = cols if b in hi_roots else cols | subtrees_of[b]
         if chunk and len(grown_rows) * len(grown_cols) > _TD_ENTRIES:
             yield chunk, ascending(rows), ascending(cols)
             chunk, lo_roots, hi_roots = [], set(), set()
-            grown_rows, grown_cols = ids_of(a), ids_of(b)
+            grown_rows, grown_cols = subtrees_of[a], subtrees_of[b]
         lo_roots.add(a)
         hi_roots.add(b)
         rows, cols = grown_rows, grown_cols
@@ -373,7 +354,7 @@ def _sweep(td, row_of, col_of, lab, left, sid, start, size, u, v, flip) -> tuple
 def tree_edit_distance(t1: AstNode, t2: AstNode) -> int:
     """Zhang-Shasha distance between ordered labeled trees with unit costs:
     a batch of one pair."""
-    (distance,), _ = zhang_shasha_batch([tree_form(t1), tree_form(t2)], [(0, 1)])
+    (distance,), _ = zhang_shasha_batch([t1, t2], [(0, 1)])
     return distance
 
 

@@ -15,10 +15,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corpus import Corpus, PerformanceTable, select_solutions
-from .editdist import NwScoring, levenshtein_batch, needleman_wunsch_batch, tree_form, zhang_shasha_batch
+from .editdist import NwScoring, levenshtein_batch, needleman_wunsch_batch, zhang_shasha_batch
 from .errors import ItemsimError
 from .features import FeatureMatrix, item_rows
-from .tree import DEFAULT_TOTAL_CAP, DEFAULT_UNROLL_CAP, action_sequence, canonize
+from .tree import DEFAULT_TOTAL_CAP, DEFAULT_UNROLL_CAP, action_sequence, canonize, node_count
 
 log = logging.getLogger("itemsim.similarity")
 
@@ -157,8 +157,8 @@ _EDIT_KINDS = {
     "levenshtein": (lambda ast, caps: tuple(canonize(ast)), len,
                     lambda seqs, pairs, scoring: levenshtein_batch(seqs, pairs),
                     _distance_similarity, 1.0, 0),
-    "ted": (lambda ast, caps: tree_form(ast), lambda form: len(form[0]),
-            lambda forms, pairs, scoring: zhang_shasha_batch(forms, pairs),
+    "ted": (lambda ast, caps: ast, node_count,
+            lambda trees, pairs, scoring: zhang_shasha_batch(trees, pairs),
             _distance_similarity, 1.0, 0),
     "nw": (lambda ast, caps: tuple(action_sequence(ast, **caps)), len, needleman_wunsch_batch,
            lambda score, la, lb: score / max(la, lb, 1), -1.0, None),

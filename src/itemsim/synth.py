@@ -17,7 +17,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .corpus import Corpus, Item, PerformanceTable, Solution, WorldSpec, is_kind
+from .corpus import Corpus, Item, PerformanceTable, Solution, WorldSpec, check_table_budget, is_kind
 from .errors import ItemsimError
 from .robot import BASE_COMMANDS
 from .tree import AstNode, node
@@ -202,7 +202,9 @@ def generate_performance(corpus: Corpus, spec: PerfSpec) -> PerformanceTable:
     true item-item correlation matrix is block structured: items of one level
     correlate through the shared skill component, items of different levels
     do not. A single global skill would make every pairwise correlation
-    identical and leave nothing for stability analysis to detect."""
+    identical and leave nothing for stability analysis to detect. A table
+    that load_performance would refuse as over its budget is an error,
+    raised before the times are drawn."""
     levels = level_partition(corpus).labels
     groups = sorted(set(levels))
     group_index = {g: gi for gi, g in enumerate(groups)}
@@ -211,12 +213,14 @@ def generate_performance(corpus: Corpus, spec: PerfSpec) -> PerformanceTable:
     skills = rng.normal(0.0, spec.skill_sd, size=(spec.n_learners, len(groups)))
     difficulty = np.array(levels, dtype=np.float64) + rng.normal(0.0, spec.difficulty_sd, n_items)
     solved = rng.random((spec.n_learners, n_items)) < spec.solve_prob
+    # learners and items without an attempt have no row or column in the
+    # table, which must stay within the budget load_performance keeps
+    rows, cols = solved.any(axis=1), solved.any(axis=0)
+    check_table_budget(int(rows.sum()), int(cols.sum()), ItemsimError)
     noise = rng.normal(0.0, spec.noise_sd, size=(spec.n_learners, n_items))
     log_time = difficulty - skills[:, [group_index[l] for l in levels]] + noise
     time_seconds = np.full(solved.shape, np.nan)
     time_seconds[solved] = np.exp(log_time[solved])
-    # learners and items without an attempt have no row in the table
-    rows, cols = solved.any(axis=1), solved.any(axis=0)
     lwidth = max(4, len(str(spec.n_learners - 1)))
     learner_ids = [f"learner_{l:0{lwidth}d}" for l in np.flatnonzero(rows).tolist()]
     return PerformanceTable(

@@ -43,20 +43,15 @@ class AstNode:
         return True
 
     def __hash__(self) -> int:
-        # postorder: a node's hash is that of its label and its children's hashes
-        hashes: list[int] = []
-        stack: list = [self]
+        # each node's label and number of children, a node before its
+        # subtrees: equal trees give equal sequences
+        flat: list = []
+        stack = [self]
         while stack:
             n = stack.pop()
-            if isinstance(n, AstNode):
-                stack.append((n.label, len(n.children)))
-                stack.extend(reversed(n.children))
-            else:
-                label, k = n
-                done = hashes[len(hashes) - k:]
-                del hashes[len(hashes) - k:]
-                hashes.append(hash((label, *done)))
-        return hashes[0]
+            flat += (n.label, len(n.children))
+            stack += n.children
+        return hash(tuple(flat))
 
 
 def node(label: str, *children: AstNode) -> AstNode:
@@ -72,7 +67,11 @@ def node(label: str, *children: AstNode) -> AstNode:
 
 
 def node_count(ast: AstNode) -> int:
-    return sum(1 for _ in iter_labels(ast))
+    count, stack = 0, [ast]
+    while stack:
+        count += 1
+        stack += stack.pop().children
+    return count
 
 
 def max_depth(ast: AstNode) -> int:

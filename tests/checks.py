@@ -22,7 +22,6 @@ from itemsim import (
 from itemsim.editdist import (
     levenshtein_batch,
     needleman_wunsch_batch,
-    tree_form,
     zhang_shasha_batch,
 )
 from itemsim.synth import CorpusSpec, PerfSpec, generate_corpus, generate_performance, level_partition
@@ -67,7 +66,7 @@ def tree_edit_sweep() -> int:
     trees = enumerate_trees(4, ("a", "b"))
     assert len(trees) == 102
     ordered = [(i, j) for i in range(len(trees)) for j in range(len(trees))]
-    batch, _ = zhang_shasha_batch([tree_form(t) for t in trees], ordered)
+    batch, _ = zhang_shasha_batch(trees, ordered)
     batched = dict(zip(ordered, batch))
     checked = 0
     for i, t1 in enumerate(trees):

@@ -20,7 +20,6 @@ from typing import Sequence
 import numpy as np
 
 from itemsim import AstNode, ItemsimError, NwScoring, PerformanceTable, SimilarityMatrix, heatmap
-from itemsim.editdist import TreeForm
 from itemsim.errors import ParseError
 from itemsim.similarity import pearson
 
@@ -200,6 +199,33 @@ def reference_tree_edit_distance(t1: AstNode, t2: AstNode) -> int:
     return int(td[-1, -1])
 
 
+TreeForm = tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]
+
+
+def tree_form(ast: AstNode) -> TreeForm:
+    """The Zhang-Shasha view of a tree, the input of
+    reference_zhang_shasha_batch: postorder labels, the postorder index of
+    each node's leftmost leaf, and the keyroots (the highest node per
+    leftmost leaf), ascending. Walks without recursion, so any depth that
+    parsed is accepted."""
+    labels: list[str] = []
+    leftmost: list[int] = []
+    # (node, postorder index of its leftmost leaf, children not yet walked):
+    # the first node a subtree emits in postorder is its leftmost leaf
+    stack = [(ast, 0, iter(ast.children))]
+    while stack:
+        n, first, rest = stack[-1]
+        child = next(rest, None)
+        if child is None:
+            stack.pop()
+            labels.append(n.label)
+            leftmost.append(first)
+        else:
+            stack.append((child, len(labels), iter(child.children)))
+    highest = {l: i for i, l in enumerate(leftmost)}
+    return tuple(labels), tuple(leftmost), tuple(sorted(highest.values()))
+
+
 def _reference_single_node_row(form: TreeForm, label: str) -> list[int]:
     """Distance of a single node labelled label to each subtree x of form,
     either way round: |T_x| - 1, plus 1 if no node of T_x carries label.
@@ -215,13 +241,14 @@ def _reference_single_node_row(form: TreeForm, label: str) -> list[int]:
 
 
 def reference_zhang_shasha_batch(
-    forms: Sequence[TreeForm], pairs: Sequence[tuple[int, int]]
+    trees: Sequence[AstNode], pairs: Sequence[tuple[int, int]]
 ) -> tuple[list[int], int]:
     """The earlier `itemsim.editdist.zhang_shasha_batch`: a per-cell Python
     forest DP, run pair by pair, with a memo of keyroot blocks. Zhang-Shasha
-    distance of forms[a] to forms[b] with unit costs (insert 1, delete 1,
+    distance of trees[a] to trees[b] with unit costs (insert 1, delete 1,
     relabel 1 unless labels are equal) for every (a, b) in pairs, and the
-    number of batches they ran in: one, or none for no pairs.
+    number of batches they ran in: one, or none for no pairs. Each tree is
+    read through its tree_form.
 
     Keyroot block (i, j) writes td[x][y], the distance of subtree x to
     subtree y, for x on i's leftmost path and y on j's. A leaf keyroot needs
@@ -236,6 +263,7 @@ def reference_zhang_shasha_batch(
     its subtrees is an inner keyroot more than once among the forms: no
     other block can come up again. The rows and blocks are kept for this
     call only."""
+    forms = [tree_form(t) for t in trees]
     ids: dict = {}  # (label, child ids, last child first) -> subtree id
     # per form: per inner keyroot, (k, leftmost leaf, subtree id, leftmost
     # path); the nodes on those paths; the leaf keyroots

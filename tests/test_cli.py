@@ -154,6 +154,20 @@ class TestSynth:
                   "bad synth performance spec: n_learners=10000000000000 too large")
         assert not (tmp_path / "o" / "items.json").exists()
 
+    def test_performance_over_the_load_budget_writes_nothing(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # 3 learners x 5 items, every cell attempted: a log of 15 cells,
+        # which the loader refuses under a budget of 14
+        cfg = write_config(tmp_path, synth={"n_items": 5, "n_levels": 2,
+                                            "performance": {"n_learners": 3}})
+        monkeypatch.setattr(corpus_module, "_TABLE_CELLS", 14)
+        run_error(["synth", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
+                  "3 learners x 5 items are over the budget of 14 cells")
+        assert not (tmp_path / "o").exists()
+        monkeypatch.setattr(corpus_module, "_TABLE_CELLS", 15)
+        run_ok(["synth", "-c", cfg, "-o", str(tmp_path / "o")])
+        assert len(load_performance(tmp_path / "o" / "performance.csv")) == 15
+
 
 class TestSim:
     @pytest.mark.parametrize("measure", ["bag/none/correlation", "solution/log/cosine", "ted"])

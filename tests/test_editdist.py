@@ -33,7 +33,6 @@ from itemsim.editdist import (
     _TD_ENTRIES,
     levenshtein_batch,
     needleman_wunsch_batch,
-    tree_form,
     zhang_shasha_batch,
 )
 from itemsim.tree import iter_labels, node_count
@@ -47,6 +46,7 @@ from oracles import (
     reference_needleman_wunsch,
     reference_tree_edit_distance,
     reference_zhang_shasha_batch,
+    tree_form,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -185,11 +185,11 @@ class TestTreeEditDistance:
     def test_single_nodes(self):
         assert tree_edit_distance(node("a"), node("a")) == 0
         assert tree_edit_distance(node("a"), node("b")) == 1
-        # in one call, where each form's closed-form rows are shared: no
+        # in one call, where each tree's closed-form rows are shared: no
         # inner keyroot, so no block batch
-        forms = [tree_form(node("a")), tree_form(node("b")), tree_form(node("a"))]
+        trees = [node("a"), node("b"), node("a")]
         pairs = [(a, b) for a in range(3) for b in range(3)]
-        assert zhang_shasha_batch(forms, pairs) == ([0, 1, 0, 1, 0, 1, 0, 1, 0], 0)
+        assert zhang_shasha_batch(trees, pairs) == ([0, 1, 0, 1, 0, 1, 0, 1, 0], 0)
 
     def test_order_sensitivity(self):
         t1 = node("r", node("a"), node("b"))
@@ -228,25 +228,24 @@ class TestTreeEditDistance:
         trees = list({id(t): t for pair in tree_pairs for t in pair}.values())
         at = {id(t): k for k, t in enumerate(trees)}
         pairs = [(at[id(x)], at[id(y)]) for x, y in tree_pairs]
-        forms = [tree_form(t) for t in trees]
         shuffled = [*pairs, *((b, a) for a, b in pairs)]
         np.random.default_rng(seed).shuffle(shuffled)
         with caplog.at_level(logging.DEBUG, logger="itemsim.editdist"):
-            got, batches = zhang_shasha_batch(forms, shuffled)
+            got, batches = zhang_shasha_batch(trees, shuffled)
         assert batches == _batch_counts(caplog)["batches"] > 1
         value = dict(zip(shuffled, got))
         want = list(program_tree_distances(seed))
         assert [value[a, b] for a, b in pairs] == want
         assert [value[b, a] for a, b in pairs] == want
-        assert [zhang_shasha_batch(forms, [p])[0][0] for p in pairs] == want
-        assert zhang_shasha_batch(forms, []) == ([], 0)
+        assert [zhang_shasha_batch(trees, [p])[0][0] for p in pairs] == want
+        assert zhang_shasha_batch(trees, []) == ([], 0)
 
     def test_batch_logs_one_debug_line(self, caplog):
         # x = f(a(b), a(b)) has keyroots a(b) and f; z = c(d) has keyroot c
         x = node("f", node("a", node("b")), node("a", node("b")))
-        forms = [tree_form(x), tree_form(x), tree_form(node("c", node("d")))]
+        trees = [x, x, node("c", node("d"))]
         with caplog.at_level(logging.DEBUG, logger="itemsim.editdist"):
-            assert zhang_shasha_batch(forms, [(0, 1), (1, 0), (2, 2)]) == ([0, 0, 0], 3)
+            assert zhang_shasha_batch(trees, [(0, 1), (1, 0), (2, 2)]) == ([0, 0, 0], 3)
         # subtrees b, a(b), x, d, c(d). Both x pairs give the blocks
         # (a(b), a(b)), (a(b), x), (x, x), once; z gives (c(d), c(d)). a(b)
         # and c(d) have no inner keyroot inside, x has a(b): levels 0, 1, 2,
@@ -258,12 +257,12 @@ class TestTreeEditDistance:
     def test_batch_logs_no_block_for_leaf_keyroots(self, caplog):
         # x = f(a(b), c) has keyroots c (a leaf) and f; y = g(d) has keyroot
         # g; e is one leaf. Only the inner pair (g, f) runs a block, with y
-        # on the rows: forms 0 and 1 are both x, so it runs once
+        # on the rows: trees 0 and 1 are both x, so it runs once
         x, y = node("f", node("a", node("b")), node("c")), node("g", node("d"))
-        forms = [tree_form(x), tree_form(x), tree_form(y), tree_form(node("e"))]
+        trees = [x, x, y, node("e")]
         pairs = [(0, 2), (1, 2), (0, 3), (3, 2)]
         with caplog.at_level(logging.DEBUG, logger="itemsim.editdist"):
-            assert zhang_shasha_batch(forms, pairs) == ([4, 4, 4, 2], 1)
+            assert zhang_shasha_batch(trees, pairs) == ([4, 4, 4, 2], 1)
         # subtrees b, a(b), c, x, d, y, e
         assert [r.getMessage() for r in caplog.records] == [
             "ted batch: 4 pairs, 7 distinct subtrees, 1 blocks, 1 levels, 1 batches, "
@@ -321,17 +320,33 @@ class TestTreeEditDistance:
         ]
         ordered = [(a, b) for a in range(len(trees)) for b in range(len(trees))]
         with caplog.at_level(logging.DEBUG, logger="itemsim.editdist"):
-            got, batches = zhang_shasha_batch([tree_form(t) for t in trees], ordered)
+            got, batches = zhang_shasha_batch(trees, ordered)
         assert batches == _batch_counts(caplog)["batches"] > 1
         assert got == [reference_tree_edit_distance(trees[a], trees[b]) for a, b in ordered]
+
+    def test_keyroots_are_the_root_and_later_children(self, caplog):
+        # t = a(b(c, d), e), postorder c d b e a: its keyroots are d, e and
+        # a. b is a's first child, so not a keyroot though inner; d and e
+        # are leaves. u = f(g, h(i)) has inner keyroots f and h(i). So t
+        # against u runs the blocks (a, f) and (a, h(i)), either way round,
+        # and t against itself the block (a, a)
+        t = node("a", node("b", node("c"), node("d")), node("e"))
+        u = node("f", node("g"), node("h", node("i")))
+        assert tree_form(t)[2] == (1, 3, 4)
+        for pairs, blocks in (([(0, 1)], 2), ([(1, 0)], 2), ([(0, 0)], 1)):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="itemsim.editdist"):
+                got, _ = zhang_shasha_batch([t, u], pairs)
+            assert got == reference_zhang_shasha_batch([t, u], pairs)[0]
+            assert _batch_counts(caplog)["blocks"] == blocks
 
     def test_deep_chain_in_a_batch(self):
         # interning the subtrees of a 5000-deep chain needs no recursion either
         chain = node("leaf")
         for _ in range(5000):
             chain = node("while_x", chain)
-        forms = [tree_form(chain), tree_form(node("leaf")), tree_form(node("while_x", node("leaf")))]
-        got, _ = zhang_shasha_batch(forms, [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2)])
+        trees = [chain, node("leaf"), node("while_x", node("leaf"))]
+        got, _ = zhang_shasha_batch(trees, [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2)])
         assert got == [5000, 5000, 4999, 4999, 1]
 
     def test_equals_reference_on_random_trees(self):
@@ -380,15 +395,21 @@ class TestBatchKernel:
     def test_equals_reference_on_benchmark_corpora(self, workload, seed, caplog):
         w = _workloads()
         corpus = w.build_corpus(w.WORKLOADS[workload], seed, generate_corpus)
-        forms = [tree_form(s.ast) for it in corpus.items for s in it.solutions]
-        pairs = [(a, b) for a in range(len(forms)) for b in range(len(forms))]
+        trees = [s.ast for it in corpus.items for s in it.solutions]
+        pairs = [(a, b) for a in range(len(trees)) for b in range(len(trees))]
         np.random.default_rng(seed).shuffle(pairs)
         with caplog.at_level(logging.DEBUG, logger="itemsim.editdist"):
-            got, batches = zhang_shasha_batch(forms, pairs)
-        assert got == reference_zhang_shasha_batch(forms, pairs)[0]
+            got, batches = zhang_shasha_batch(trees, pairs)
+        assert got == reference_zhang_shasha_batch(trees, pairs)[0]
         assert batches == _batch_counts(caplog)["batches"] > 1
         value = dict(zip(pairs, got))
         assert all(value[a, b] == value[b, a] for a, b in pairs)
+        if (workload, seed) == ("edit-sample", 1):
+            # the kernel's whole work, which a wall time cannot resolve
+            assert [r.getMessage() for r in caplog.records] == [
+                "ted batch: 576 pairs, 199 distinct subtrees, 16471 blocks, 3 levels, "
+                "105 batches, 1869 row steps, 1 td chunks, 1615035 of 1638411 padded block "
+                "cells real"]
 
     def test_deep_right_comb_of_keyroots(self, caplog):
         # x(a, x(a, ... x(a, a))): every x is the root or a right child, so
@@ -403,14 +424,14 @@ class TestBatchKernel:
 
         smalls = [node("a"), node("z"), node("x", node("a"))]
         pairs = [(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)]
-        shallow = [tree_form(comb(40)), *map(tree_form, smalls)]
+        shallow = [comb(40), *smalls]
         assert reference_zhang_shasha_batch(shallow, pairs)[0] == [80, 81, 79] * 2
         assert zhang_shasha_batch(shallow, pairs)[0] == [80, 81, 79] * 2
-        forms = [tree_form(comb(3000)), *map(tree_form, smalls)]
-        _, leftmost, keyroots = forms[0]
+        trees = [comb(3000), *smalls]
+        _, leftmost, keyroots = tree_form(trees[0])
         assert sum(leftmost[k] < k for k in keyroots) == 3000
         with caplog.at_level(logging.DEBUG, logger="itemsim.editdist"):
-            got, _ = zhang_shasha_batch(forms, pairs)
+            got, _ = zhang_shasha_batch(trees, pairs)
         assert got == [6000, 6001, 5999] * 2
         # only x(a) has an inner keyroot: one block with each keyroot of the
         # comb, of 3, 5, ... 6001 nodes, x(a) on its 2 rows. With the comb on
@@ -426,16 +447,15 @@ class TestBatchKernel:
         # bytes, about 400 MB
         big = _left_comb("W", 10000)
         for small in (node("a"), node("x", node("a"))):
-            forms = [tree_form(big), tree_form(small)]
             for pair in [(0, 1), (1, 0)]:
                 tracemalloc.start()
                 try:
-                    (got,), _ = zhang_shasha_batch(forms, [pair])
+                    (got,), _ = zhang_shasha_batch([big, small], [pair])
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
                 assert got == 20000
-                assert peak < 1024 * len(forms[0][0])
+                assert peak < 1024 * node_count(big)
 
     def test_leaf_rows_fill_in_slices(self, monkeypatch):
         # two flat trees of 1000 distinct leaves: a td of 1001 x 1001 int32
@@ -443,8 +463,8 @@ class TestBatchKernel:
         # through int64 arrays of all leaves x subtrees at once, it would
         # peak at about 27 MiB. The peak is read as the root block's sweep
         # starts, which holds more than the fill
-        forms = [tree_form(node("r", *(node(f"a{k}") for k in range(1000)))),
-                 tree_form(node("s", *(node(f"b{k}") for k in range(1000))))]
+        trees = [node("r", *(node(f"a{k}") for k in range(1000))),
+                 node("s", *(node(f"b{k}") for k in range(1000)))]
         peaks = []
         sweep = editdist._sweep
 
@@ -455,7 +475,7 @@ class TestBatchKernel:
         monkeypatch.setattr(editdist, "_sweep", measured)
         tracemalloc.start()
         try:
-            (got,), _ = zhang_shasha_batch(forms, [(0, 1)])
+            (got,), _ = zhang_shasha_batch(trees, [(0, 1)])
         finally:
             tracemalloc.stop()
         assert got == 1001
@@ -464,21 +484,20 @@ class TestBatchKernel:
     def test_pair_over_the_table_budget(self, monkeypatch):
         # r(a, b) has 3 distinct subtrees and s(c, d, e) 4: 12 table entries,
         # checked before any is allocated
-        forms = [tree_form(node("r", node("a"), node("b"))),
-                 tree_form(node("s", node("c"), node("d"), node("e")))]
+        trees = [node("r", node("a"), node("b")), node("s", node("c"), node("d"), node("e"))]
         monkeypatch.setattr(editdist, "_TD_BUDGET", 12)
-        assert zhang_shasha_batch(forms, [(0, 1), (1, 0)])[0] == [4, 4]
+        assert zhang_shasha_batch(trees, [(0, 1), (1, 0)])[0] == [4, 4]
         monkeypatch.setattr(editdist, "_TD_BUDGET", 11)
         with pytest.raises(ItemsimError, match="trees of 3 and 4 distinct subtrees needs a "
                                                "table of 12 entries, over the budget of 11"):
-            zhang_shasha_batch(forms, [(0, 1)])
+            zhang_shasha_batch(trees, [(0, 1)])
 
     def test_batches_blocks_and_chunks_past_the_module_limits(self, caplog):
         rng = np.random.default_rng(8)
         # two trees whose root block alone has more cells than a batch may
         big = isqrt(_BLOCK_CELLS) + 1
         trees = [random_tree_of_size(rng, big), random_tree_of_size(rng, big)]
-        assert all(tree_form(t)[1][-1] < big - 1 for t in trees)  # the roots are inner keyroots
+        assert all(t.children for t in trees)  # the roots are inner keyroots
         # many small trees: their blocks fill each level many times over
         trees += [random_tree_of_size(rng, int(rng.integers(12, 24))) for _ in range(16)]
         pairs = [(a, b) for a in range(2, len(trees)) for b in range(2, len(trees))]
@@ -491,33 +510,14 @@ class TestBatchKernel:
             labels = (f"{k}a", f"{k}b", f"{k}c", f"{k}d")
             trees += [random_tree_of_size(rng, 48, labels), random_tree_of_size(rng, 48, labels)]
             pairs += [(len(trees) - 2, len(trees) - 1), (len(trees) - 1, len(trees) - 2)]
-        forms = [tree_form(t) for t in trees]
         np.random.default_rng(9).shuffle(pairs)
         with caplog.at_level(logging.DEBUG, logger="itemsim.editdist"):
-            got, _ = zhang_shasha_batch(forms, pairs)
-        assert got == reference_zhang_shasha_batch(forms, pairs)[0]
+            got, _ = zhang_shasha_batch(trees, pairs)
+        assert got == reference_zhang_shasha_batch(trees, pairs)[0]
         counts = _batch_counts(caplog)
         assert counts["batches"] > counts["levels"] + 10
         assert counts["td chunks"] >= 3
 
-
-class TestTreeForm:
-    def test_postorder_leftmost_leaves_and_keyroots(self):
-        # a(b(c, d), e): postorder c d b e a
-        t = node("a", node("b", node("c"), node("d")), node("e"))
-        labels, leftmost, keyroots = tree_form(t)
-        assert labels == ("c", "d", "b", "e", "a")
-        assert leftmost == (0, 1, 0, 3, 0)
-        assert keyroots == (1, 3, 4)
-
-    def test_deep_chain_needs_no_recursion(self):
-        t = node("leaf")
-        for _ in range(5000):
-            t = node("while_x", t)
-        labels, leftmost, keyroots = tree_form(t)
-        assert len(labels) == 5001
-        assert set(leftmost) == {0}
-        assert keyroots == (5000,)
 
 class TestNeedlemanWunsch:
     def test_identical_pair(self):
