@@ -285,26 +285,26 @@ def hierarchical_order(s: SimilarityMatrix) -> list[int]:
     """Leaf order of an agglomerative average-linkage dendrogram over the
     dissimilarity max(S) - S. Merge ties pick the smallest index pair: a cluster
     keeps the index of its first member, and each merge takes the row-major
-    first minimum of the strict upper triangle between active clusters."""
+    first minimum of the dissimilarities between active clusters. The matrix
+    is symmetric, so that minimum lies in the strict upper triangle."""
     n = s.n_items
     with np.errstate(over="ignore"):
         dist = s.dissimilarity()
+    # the diagonal and the rows and columns of clusters merged away hold
+    # +inf; `active` tells them from real ones
+    np.fill_diagonal(dist, np.inf)
     active = np.ones(n, dtype=bool)
-    # cells off the active strict upper triangle hold +inf; `active` tells them from real ones
-    upper = np.where(np.tri(n, dtype=bool), np.inf, dist)
     sizes = np.ones(n)
     leaves = [[i] for i in range(n)]
     for _ in range(n - 1):
-        i, j = divmod(int(np.argmin(upper)), n)
-        if upper[i, j] == np.inf:  # every active pair is infinitely far apart
+        i, j = divmod(int(np.argmin(dist)), n)
+        if dist[i, j] == np.inf:  # every active pair is infinitely far apart
             i, j = np.flatnonzero(active)[:2]
         with np.errstate(over="ignore"):
             merged = (sizes[i] * dist[i] + sizes[j] * dist[j]) / (sizes[i] + sizes[j])
-        dist[i] = dist[:, i] = merged  # the diagonal is never read
+        dist[i] = dist[:, i] = merged  # merged[i] is +inf, as dist[i, i] was
+        dist[j] = dist[:, j] = np.inf
         sizes[i] += sizes[j]
         leaves[i] += leaves[j]
         active[j] = False
-        upper[j] = upper[:, j] = np.inf
-        upper[i, i + 1:] = np.where(active[i + 1:], merged[i + 1:], np.inf)
-        upper[:i, i] = np.where(active[:i], merged[:i], np.inf)
     return leaves[0] if leaves else []

@@ -508,10 +508,10 @@ def _read_columns(fh, known: set[str] | None) -> tuple[PerformanceTable, int] | 
         lines = fh.readlines(_BLOCK_CHARS)
     if "" in learners or "" in items or (known is not None and not items.keys() <= known):
         return None
-    cells = np.concatenate(cells)
-    table = PerformanceTable._from_cells(learners, items, cells, np.concatenate(times),
-                                         np.concatenate(successes))
-    return table, len(cells)
+    # into the same names, so that the block lists are freed before the
+    # tables are built
+    cells, times, successes = map(np.concatenate, (cells, times, successes))
+    return PerformanceTable._from_cells(learners, items, cells, times, successes), len(cells)
 
 
 def _read_lines(fh, known: set[str] | None, source: str) -> tuple[PerformanceTable, int]:

@@ -78,9 +78,9 @@ def zhang_shasha_batch(
     keyroot subtrees, one from each side of a pair, which writes td for
     the nodes on the two leftmost paths. A keyroot is the root or a child
     that is not its parent's first child; an inner one is not a leaf. Each
-    distinct block is computed once per chunk, a block and its mirror being
-    one, with the smaller subtree on the rows. A block reads td only from
-    blocks of inner keyroots nested in u or v, so blocks run by level H(u)
+    distinct block is computed once per chunk, with the smaller subtree on
+    the rows. A block reads td only from blocks of inner keyroots nested in
+    u and v, which write it the same way round, so blocks run by level H(u)
     + H(v), H being keyroot nesting height, each level in batches of
     _BLOCK_CELLS padded cells, one forest-DP row of the whole batch at a
     time."""
@@ -166,13 +166,11 @@ def zhang_shasha_batch(
     for chunk, row_ids, col_ids in _chunks(lo, hi, subtrees_of):
         counts["chunks"] += 1
         row_of, col_of = positions(row_ids), positions(col_ids)
-        # the last row and column, position -1, take the writes of subtrees
-        # not on that side, and are never read
-        td = np.zeros((len(row_ids) + 1, len(col_ids) + 1), dtype=np.int32)
+        td = np.zeros((len(row_ids), len(col_ids)), dtype=np.int32)
         for leaves, d in leaf_distances(row_ids[size[row_ids] == 1], col_ids):
-            td[row_of[leaves], :-1] = d
+            td[row_of[leaves]] = d
         for leaves, d in leaf_distances(col_ids[size[col_ids] == 1], row_ids):
-            td[:-1, col_of[leaves]] = d.T
+            td[:, col_of[leaves]] = d.T
 
         # the blocks of every pair: (u, v), u an inner keyroot subtree of the
         # lo tree and v one of the hi tree, each marked once
@@ -183,19 +181,11 @@ def zhang_shasha_batch(
             mark[at_lo[keyroots_of[a]][:, None], at_hi[keyroots_of[b]]] = True
         # as many of these arrays as blocks: each is replaced in turn
         u, v = np.nonzero(mark)
+        del mark
         u = inner_lo[u]
         v = inner_hi[v]
-        # a block has the smaller subtree on its rows, the lower id of two of
-        # one size: flipped where that is v, and dropped where its mirror,
-        # which is not flipped, is marked too
-        flip = (size[u] > size[v]) | ((size[u] == size[v]) & (u > v))
-        mirrored = flip & (at_lo[v] >= 0) & (at_hi[u] >= 0)
-        mirrored[mirrored] = mark[at_lo[v[mirrored]], at_hi[u[mirrored]]]
-        del mark
-        keep = ~mirrored
-        u = u[keep]
-        v = v[keep]
-        flip = flip[keep]
+        # a block has the smaller subtree on its rows: flipped where that is v
+        flip = size[u] > size[v]
         u[flip], v[flip] = v[flip], u[flip]
         # by level, then by rows
         level = height[u] + height[v]
@@ -283,9 +273,8 @@ def _sweep(td, row_of, col_of, lab, left, sid, start, size, u, v, flip) -> tuple
     batch, given by ascending rows, and return its row steps and padded
     cells. Rows and columns are the postorder nodes of the first occurrence
     of subtrees u[k] and v[k]. td[row_of[s]][col_of[t]] holds the distance
-    of s to t, position -1 being a row or column that takes the writes of
-    subtrees not on that side; u[k] is a subtree of a hi tree and v[k] of a
-    lo tree where flip[k], else the other way round.
+    of s to t; u[k] is a subtree of a hi tree and v[k] of a lo tree where
+    flip[k], else the other way round.
 
     One table holds row r of every block's forest DP fd, the blocks' columns
     side by side, each block's led by its column 0, as d = fd - c + off:
@@ -309,17 +298,7 @@ def _sweep(td, row_of, col_of, lab, left, sid, start, size, u, v, flip) -> tuple
     y = start[v][block] + np.maximum(c - 1, 0)
     row_left = left[x] - start[u, None]  # fd row before x's leftmost leaf
     col_left = left[y] - start[v][block]
-    stride = td.shape[1]
-    at = np.where(flip[:, None], col_of[sid[x]], row_of[sid[x]] * stride).T[:, block]
-    at += np.where(flip[block], row_of[sid[y]] * stride, col_of[sid[y]])
-    add = td.take(at)
-    del at
-    add += col_left - c
-    src = (row_left * width).T[:, block]
-    src += lead[block] + col_left
     r = np.arange(rows)[:, None]
-    src[:, lead] = r * width + lead
-    add[:, lead] = 1
     # the cells of two nodes on the leftmost paths: each path column p of a
     # block with each path row i of it
     row_block, path_row = np.nonzero((row_left == 0) & (r.T < m[:, None]))
@@ -330,6 +309,17 @@ def _sweep(td, row_of, col_of, lab, left, sid, start, size, u, v, flip) -> tuple
     k = block[p]
     row_start, run_start = np.cumsum(path_rows) - path_rows, np.cumsum(count) - count
     i = path_row[np.arange(len(p)) + np.repeat(row_start[block[cols]] - run_start, count)]
+    stride = td.shape[1]
+    at = np.where(flip[:, None], col_of[sid[x]], row_of[sid[x]] * stride).T[:, block]
+    at += np.where(flip[block], row_of[sid[y]] * stride, col_of[sid[y]])
+    add = td.take(at)
+    path = at[i, p]  # the td entry of each path cell, read and written there
+    del at
+    add += col_left - c
+    src = (row_left * width).T[:, block]
+    src += lead[block] + col_left
+    src[:, lead] = r * width + lead
+    add[:, lead] = 1
     src[i, p] = i * width + p - 1
     add[i, p] = (lab[x[k, i]] != lab[y[p]]) - 1
     off = -(lead + np.arange(len(u)) * (rows + 2))
@@ -342,12 +332,7 @@ def _sweep(td, row_of, col_of, lab, left, sid, start, size, u, v, flip) -> tuple
         e += add[step, :end]
         np.minimum(e, d[step, :end] + 1, out=e)
         np.minimum.accumulate(e, out=d[step + 1, :end])
-    value = d[i + 1, p] - off[k] + c[p]
-    # each path cell both ways round: the way td lacks goes to its last row
-    # or column
-    s, t = sid[x[k, i]], sid[y[p]]
-    td[row_of[s], col_of[t]] = value
-    td[row_of[t], col_of[s]] = value
+    td.put(path, d[i + 1, p] - off[k] + c[p])
     return rows, rows * int(n.sum())
 
 

@@ -247,12 +247,13 @@ class TestTreeEditDistance:
         with caplog.at_level(logging.DEBUG, logger="itemsim.editdist"):
             assert zhang_shasha_batch(trees, [(0, 1), (1, 0), (2, 2)]) == ([0, 0, 0], 3)
         # subtrees b, a(b), x, d, c(d). Both x pairs give the blocks
-        # (a(b), a(b)), (a(b), x), (x, x), once; z gives (c(d), c(d)). a(b)
-        # and c(d) have no inner keyroot inside, x has a(b): levels 0, 1, 2,
-        # one batch each, of 2 + 2 + 5 row steps and 2x2 + 2x2, 2x5, 5x5 cells
+        # (a(b), a(b)), (x, x), and (a(b), x) in each orientation, a(b) on
+        # the rows of both, once; z gives (c(d), c(d)). a(b) and c(d) have no
+        # inner keyroot inside, x has a(b): levels 0, 1, 2, one batch each, of
+        # 2 + 2 + 5 row steps and 2x2 + 2x2, 2x5 + 2x5, 5x5 cells
         assert [r.getMessage() for r in caplog.records] == [
-            "ted batch: 3 pairs, 5 distinct subtrees, 4 blocks, 3 levels, 3 batches, "
-            "9 row steps, 1 td chunks, 43 of 43 padded block cells real"]
+            "ted batch: 3 pairs, 5 distinct subtrees, 5 blocks, 3 levels, 3 batches, "
+            "9 row steps, 1 td chunks, 53 of 53 padded block cells real"]
 
     def test_batch_logs_no_block_for_leaf_keyroots(self, caplog):
         # x = f(a(b), c) has keyroots c (a leaf) and f; y = g(d) has keyroot
@@ -407,8 +408,8 @@ class TestBatchKernel:
         if (workload, seed) == ("edit-sample", 1):
             # the kernel's whole work, which a wall time cannot resolve
             assert [r.getMessage() for r in caplog.records] == [
-                "ted batch: 576 pairs, 199 distinct subtrees, 16471 blocks, 3 levels, "
-                "105 batches, 1869 row steps, 1 td chunks, 1615035 of 1638411 padded block "
+                "ted batch: 576 pairs, 199 distinct subtrees, 17136 blocks, 3 levels, "
+                "107 batches, 1882 row steps, 1 td chunks, 1664599 of 1695142 padded block "
                 "cells real"]
 
     def test_deep_right_comb_of_keyroots(self, caplog):
