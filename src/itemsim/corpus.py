@@ -193,10 +193,10 @@ def _first_seen() -> defaultdict[str, int]:
 
 
 # a log may name at most this many learners x items cells. A load peaks at
-# about 34-39 bytes a cell on logs a fifth to a third attempted, and 75 on
-# a log with every cell attempted (the three float tables, 24 bytes a cell,
-# beside each row's cell, time and success), so the budget holds a load to
-# about 0.6-1.2 GiB
+# about 25-31 bytes a cell on logs a fifth to a third attempted (the two
+# float tables, 16 bytes a cell, beside each row's cell, time and success),
+# and 63-68 on a log with every cell attempted, whose peak comes while the
+# file is read, so the budget holds a load to about 0.4-1.1 GiB
 _TABLE_CELLS = 1 << 24
 
 
@@ -210,23 +210,17 @@ def check_table_budget(n_learners: int, n_items: int, error: type[Exception]) ->
 @dataclass(frozen=True, eq=False)
 class PerformanceTable:
     """Learner x item performance over sorted ids: time_seconds and success
-    (0 or 1) are NaN where the learner did not attempt the item. log_time is
-    math.log of each attempted time, taken once when the table is built."""
+    (0 or 1) are NaN where the learner did not attempt the item."""
 
     learner_ids: tuple[str, ...]
     item_ids: tuple[str, ...]
     time_seconds: np.ndarray
     success: np.ndarray
-    log_time: np.ndarray | None = None
 
-    def __post_init__(self):
-        if self.log_time is None:
-            attempted = ~np.isnan(self.time_seconds)
-            log_time = np.full(self.time_seconds.shape, np.nan)
-            times = self.time_seconds[attempted]
-            log_time[attempted] = np.fromiter(map(math.log, memoryview(times)), np.float64,
-                                              len(times))
-            object.__setattr__(self, "log_time", log_time)
+    @property
+    def log_time(self) -> np.ndarray:
+        """The natural log of each time, NaN where there was no attempt."""
+        return np.log(self.time_seconds)
 
     @classmethod
     def from_records(cls, rows: Iterable[tuple[str, str, float, bool]]) -> PerformanceTable:
@@ -266,7 +260,6 @@ class PerformanceTable:
             time_seconds[at] = times[first]
             success = np.full(time_seconds.shape, np.nan)
             success[at] = successes[first]
-            del at, first  # 24 bytes a row, not held while log_time is built
             return cls(learner_ids, item_ids, time_seconds, success)
         except MemoryError:
             raise MemoryError(
@@ -279,8 +272,7 @@ class PerformanceTable:
     def learner_rows(self, mask: np.ndarray) -> PerformanceTable:
         """The learners where mask is true, in table order, over every item."""
         ids = tuple(compress(self.learner_ids, mask))
-        return PerformanceTable(ids, self.item_ids, self.time_seconds[mask],
-                                self.success[mask], self.log_time[mask])
+        return PerformanceTable(ids, self.item_ids, self.time_seconds[mask], self.success[mask])
 
 
 # ---------------------------------------------------------------------------

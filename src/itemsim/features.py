@@ -176,11 +176,9 @@ def performance_features(
     item_ids = table.item_ids if item_ids is None else item_ids
     item_ids, columns = _accepted([(item_id, column.get(item_id)) for item_id in item_ids],
                                   "performance features", "records", "no performance records")
-    stats = []
-    for j in columns:
-        attempted = ~np.isnan(table.time_seconds[:, j])
-        logs = table.log_time[attempted, j]
-        stats.append([logs.mean(), logs.var(), table.success[attempted, j].sum() / len(logs)])
+    logs, success = table.log_time[:, columns], table.success[:, columns]
+    stats = np.column_stack((np.nanmean(logs, axis=0), np.nanvar(logs, axis=0),
+                             np.nanmean(success, axis=0)))
     return _matrix("performance", item_ids, (),
                    ("mean_log_time", "var_log_time", "success_rate"), stats)
 

@@ -73,9 +73,10 @@ def mds_project(s: SimilarityMatrix, dims: int) -> Embedding:
     n = s.n_items
     if not 1 <= dims <= n - 1:
         raise ItemsimError(f"dims={dims} out of range 1..{n - 1}")
-    centering = np.eye(n) - np.full((n, n), 1.0 / n)
-    b = -0.5 * centering @ d2 @ centering
-    b = (b + b.T) / 2.0
+    # double centring by the column means m of the symmetric d2: the sum
+    # m_i + m_j is the same float both ways round, so b is exactly symmetric
+    m = d2.mean(axis=0)
+    b = -0.5 * (d2 - (m[:, None] + m) + m.mean())
     eigvals, eigvecs = np.linalg.eigh(b)
     order = np.argsort(eigvals)[::-1][:dims]
     top = eigvals[order]

@@ -204,7 +204,8 @@ def generate_performance(corpus: Corpus, spec: PerfSpec) -> PerformanceTable:
     do not. A single global skill would make every pairwise correlation
     identical and leave nothing for stability analysis to detect. A table
     that load_performance would refuse as over its budget is an error,
-    raised before the times are drawn."""
+    raised before the times are drawn, and so is a drawn time that is not
+    finite and positive."""
     levels = level_partition(corpus).labels
     groups = sorted(set(levels))
     group_index = {g: gi for gi, g in enumerate(groups)}
@@ -218,9 +219,15 @@ def generate_performance(corpus: Corpus, spec: PerfSpec) -> PerformanceTable:
     rows, cols = solved.any(axis=1), solved.any(axis=0)
     check_table_budget(int(rows.sum()), int(cols.sum()), ItemsimError)
     noise = rng.normal(0.0, spec.noise_sd, size=(spec.n_learners, n_items))
-    log_time = difficulty - skills[:, [group_index[l] for l in levels]] + noise
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        log_time = difficulty - skills[:, [group_index[l] for l in levels]] + noise
+        times = np.exp(log_time[solved])
+    bad = times[~(np.isfinite(times) & (times > 0))]
+    if len(bad):
+        raise ItemsimError(f"a drawn time of {bad[0]} s is not finite and positive: "
+                           "skill_sd, difficulty_sd or noise_sd is too large")
     time_seconds = np.full(solved.shape, np.nan)
-    time_seconds[solved] = np.exp(log_time[solved])
+    time_seconds[solved] = times
     lwidth = max(4, len(str(spec.n_learners - 1)))
     learner_ids = [f"learner_{l:0{lwidth}d}" for l in np.flatnonzero(rows).tolist()]
     return PerformanceTable(

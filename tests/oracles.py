@@ -21,6 +21,7 @@ import numpy as np
 
 from itemsim import AstNode, ItemsimError, NwScoring, PerformanceTable, SimilarityMatrix, heatmap
 from itemsim.errors import ParseError
+from itemsim.projection import _pivot_signs
 from itemsim.similarity import pearson
 
 
@@ -479,6 +480,34 @@ def reference_split_halves(rows, measure: str = "log_time", min_overlap: int = 1
             reference_performance_similarity(half_b, measure, min_overlap, item_ids))
 
 
+def reference_performance_features(table: PerformanceTable) -> np.ndarray:
+    """mean_log_time, var_log_time and success_rate per item column, one
+    column at a time over its attempted rows."""
+    stats = []
+    for j in range(len(table.item_ids)):
+        attempted = ~np.isnan(table.time_seconds[:, j])
+        logs = table.log_time[attempted, j]
+        stats.append([logs.mean(), logs.var(), table.success[attempted, j].sum() / len(logs)])
+    return np.array(stats)
+
+
+def reference_mds_gram(s: SimilarityMatrix) -> np.ndarray:
+    """-J d^2 J / 2 for the dissimilarity d of s and the centring matrix
+    J = I - 1/n, symmetrised: classical MDS's double-centred Gram matrix."""
+    n = s.n_items
+    centering = np.eye(n) - np.full((n, n), 1.0 / n)
+    b = -0.5 * centering @ np.square(s.dissimilarity()) @ centering
+    return (b + b.T) / 2.0
+
+
+def reference_mds_project(s: SimilarityMatrix, dims: int) -> np.ndarray:
+    """Classical MDS coordinates of s from reference_mds_gram."""
+    eigvals, eigvecs = np.linalg.eigh(reference_mds_gram(s))
+    order = np.argsort(eigvals)[::-1][:dims]
+    coords = eigvecs[:, order] * np.sqrt(np.maximum(eigvals[order], 0.0))
+    return coords * _pivot_signs(coords.T)
+
+
 def reference_agreement_topn(s1: SimilarityMatrix, s2: SimilarityMatrix, n: int) -> float:
     """The per-item top-n loop: each item's defined other items sorted as
     (-value, id) tuples, the first n taken as a set, and the mean of the
@@ -826,11 +855,7 @@ def reference_read_performance(fh, corpus=None, source: str = "performance.csv")
     success[at] = np.array(successes, dtype=np.float64)[first]
     learner_ids, item_ids = tuple(sorted(learners)), tuple(sorted(items))
     by_id = np.ix_([learners[i] for i in learner_ids], [items[i] for i in item_ids])
-    time_seconds, success = time_seconds[by_id], success[by_id]
-    attempted = ~np.isnan(time_seconds)
-    log_time = np.full(time_seconds.shape, np.nan)
-    log_time[attempted] = [math.log(t) for t in time_seconds[attempted].tolist()]
-    table = PerformanceTable(learner_ids, item_ids, time_seconds, success, log_time)
+    table = PerformanceTable(learner_ids, item_ids, time_seconds[by_id], success[by_id])
     dropped = len(times) - len(cells)
     warnings = ([f"{source}: dropped {dropped} duplicate (learner, item) rows, first kept"]
                 if dropped else [])

@@ -145,6 +145,17 @@ class TestSynth:
                   "n_learners must be positive")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("performance", [{"skill_sd": 1000}, {"noise_sd": 1e308}],
+                             ids=["skill_sd", "noise_sd"])
+    def test_times_out_of_range_write_nothing(self, tmp_path, capsys, performance):
+        # np.exp of a drawn log time underflows to 0 or overflows to inf,
+        # and load_performance would refuse either
+        cfg = write_config(tmp_path, synth={"n_items": 9,
+                                            "performance": {"n_learners": 20, **performance}})
+        run_error(["synth", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
+                  "is not finite and positive: skill_sd, difficulty_sd or noise_sd is too large")
+        assert not (tmp_path / "o").exists()
+
     def test_performance_too_large_to_allocate_writes_nothing(self, tmp_path, capsys):
         # the first array of this many learners cannot be allocated, so the
         # request fails at once without touching memory

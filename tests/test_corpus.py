@@ -4,7 +4,7 @@ import io
 import json
 import logging
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -347,6 +347,14 @@ l2,alpha,7.25,1
 
 
 class TestPerformance:
+    def test_table_keeps_what_the_log_says(self):
+        table = PerformanceTable.from_records([
+            ("l1", "a", 12.5, True), ("l2", "b", 0.1, False), ("l1", "b", 3.0, True)])
+        assert [f.name for f in fields(PerformanceTable)] == [
+            "learner_ids", "item_ids", "time_seconds", "success"]
+        assert table.log_time.tobytes() == np.log(table.time_seconds).tobytes()
+        assert np.isnan(table.log_time[1, 0]) and np.isnan(table.time_seconds[1, 0])
+
     def test_reads_rows_in_order(self, tmp_path):
         path = tmp_path / "performance.csv"
         path.write_text(PERF_TEXT, encoding="utf-8")
@@ -445,10 +453,10 @@ class TestPerformance:
             tracemalloc.stop()
 
     def test_dense_load_memory_per_cell(self, tmp_path):
-        # 200 learners x 300 items. The table keeps 24 bytes a cell (time,
-        # success, log time); copying the tables from first-seen into id
-        # order, and holding every log time as a Python float, made a load
-        # peak at about 170
+        # 200 learners x 300 items. The table keeps 16 bytes a cell (time,
+        # success); copying the tables from first-seen into id order, and
+        # holding every log time as a Python float, made a load peak at
+        # about 170
         table, peak = self._dense_load(tmp_path, 200, 300)
         assert table.time_seconds.shape == (200, 300) and len(table) == 200 * 300
         assert table.learner_ids[:3] == ("L0", "L1", "L10")

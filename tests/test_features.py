@@ -26,8 +26,10 @@ from itemsim import (
     world_features,
 )
 from itemsim.features import tokenize_statement
+from itemsim.synth import CorpusSpec, PerfSpec, generate_corpus, generate_performance
 
 from conftest import make_tiny_corpus
+from oracles import reference_performance_features
 
 
 def fm(values, names=None, group="statement"):
@@ -168,6 +170,16 @@ class TestSourceExtractors:
         assert m.values[0, 0] == pytest.approx(1.0)   # mean log time
         assert m.values[0, 1] == pytest.approx(0.0)   # population variance
         assert m.values[1, 2] == pytest.approx(0.75)  # success rate
+
+    def test_performance_matches_the_per_column_reference(self):
+        # an analysis-sized log: column reductions sum in another order than
+        # the loop over each column's attempts, so the last bits may differ
+        corpus = generate_corpus(CorpusSpec(n_items=240, n_levels=9, seed=1))
+        table = generate_performance(corpus, PerfSpec(n_learners=400, solve_prob=0.7, seed=2))
+        m = performance_features(table)
+        want = reference_performance_features(table)
+        assert m.item_ids == table.item_ids and m.values.shape == want.shape == (240, 3)
+        assert np.abs(m.values - want).max() <= 1e-12
 
     def test_performance_respects_item_order(self):
         table = PerformanceTable.from_records([("l", i, 2.0, True) for i in ("b", "a")])

@@ -15,6 +15,8 @@ from itemsim import (
     similarity_from_features,
 )
 
+from oracles import reference_mds_gram, reference_mds_project
+
 
 def fm(values, group="statement"):
     values = np.asarray(values, dtype=np.float64)
@@ -142,6 +144,28 @@ class TestMdsProject:
         a = mds_project(s, dims=3)
         b = mds_project(s, dims=3)
         assert np.array_equal(a.coordinates, b.coordinates)
+
+    def test_agrees_with_centring_matrix_reference(self):
+        # random symmetric similarities, most of them not Euclidean, on the
+        # axes whose eigenvalue is clearly positive: an eigenvalue at
+        # rounding level, or a near-tie of a column's two largest entries,
+        # leaves an axis or its sign to the last bits
+        rng = np.random.default_rng(12)
+        checked = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 40))
+            v = rng.random((n, n)) * 10.0 ** int(rng.integers(-3, 4))
+            s = SimilarityMatrix(tuple(f"i{i}" for i in range(n)), np.triu(v) + np.triu(v, 1).T)
+            eigvals = np.linalg.eigvalsh(reference_mds_gram(s))
+            dims = min(5, int((eigvals > 1e-6 * np.abs(eigvals).max()).sum()))
+            if not dims:
+                continue
+            got = mds_project(s, dims).coordinates
+            want = reference_mds_project(s, dims)
+            got *= np.where((got * want).sum(axis=0) < 0, -1.0, 1.0)
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+            checked += 1
+        assert checked > 250
 
     def test_missing_entries_rejected(self):
         v = np.array([[1.0, np.nan], [np.nan, 1.0]])

@@ -412,8 +412,10 @@ def _one_ulp_table():
     """Item a's log times 1 ulp apart, against item b."""
     one_up = np.nextafter(1.0, 2.0)
     log_time = np.array([[1.0, 1.0], [one_up, 2.0], [1.0, 1.0], [one_up, 2.0], [1.0, 3.0]])
-    return PerformanceTable(tuple(f"l{i}" for i in range(5)), ("a", "b"), np.exp(log_time),
-                            np.ones_like(log_time), log_time)
+    table = PerformanceTable(tuple(f"l{i}" for i in range(5)), ("a", "b"), np.exp(log_time),
+                             np.ones_like(log_time))
+    assert table.log_time[:, 0].tolist() == [1.0, one_up, 1.0, one_up, 1.0]
+    return table
 
 
 class TestPerformanceSimilarity:
