@@ -115,10 +115,15 @@ def agreement_topn(s1: SimilarityMatrix, s2: SimilarityMatrix, n: int) -> float:
     defined neighbors in either matrix are skipped."""
     if n < 1:
         raise ItemsimError("n must be positive")
+    return _topn_overlap(s1, s2, _top_neighbors(s1, n), _top_neighbors(s2, n), n)
+
+
+def _topn_overlap(s1: SimilarityMatrix, s2: SimilarityMatrix, neighbors1: tuple,
+                  neighbors2: tuple, n: int) -> float:
+    """agreement_topn of s1 and s2, given the _top_neighbors of each."""
     if s1.item_ids != s2.item_ids:
         raise ItemsimError("similarity matrices cover different item sets")
-    top1, enough1 = _top_neighbors(s1, n)
-    top2, enough2 = _top_neighbors(s2, n)
+    (top1, enough1), (top2, enough2) = neighbors1, neighbors2
     kept = enough1 & enough2
     skipped = [item_id for item_id, k in zip(s1.item_ids, kept) if not k]
     if skipped:
@@ -141,12 +146,14 @@ def agreement_matrix(measures: list[SimilarityMatrix], method: str = "correlatio
         raise ItemsimError("duplicate measure names")
     k = len(measures)
     values = np.eye(k)
+    # each measure's neighbor sets, once for all of its pairs
+    neighbors = [_top_neighbors(m, n) for m in measures] if kind == "top" else None
     for a in range(k):
         for b in range(a + 1, k):
             if kind == "correlation":
                 v = agreement_correlation(measures[a], measures[b])
             else:
-                v = agreement_topn(measures[a], measures[b], n)
+                v = _topn_overlap(measures[a], measures[b], neighbors[a], neighbors[b], n)
             values[a, b] = values[b, a] = v
     return AgreementMatrix(measure_names=names, values=values, method=method)
 
@@ -183,9 +190,31 @@ def _wcss(x: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> float:
     return float(((x - centers[labels]) ** 2).sum())
 
 
+# the Gram form and the broadcast sum of (x - c)^2 each lie within
+# (d + 2) 2**-53 (|x| + |c|)^2 of the exact squared distance over d
+# coordinates (Higham's bounds), so the two agree on a row's nearest centre
+# where its two smallest Gram values differ by more than
+# _GRAM_TOL (d + 2) (|x| + max |c|)^2, twice the sum of both bounds
+_GRAM_TOL = 2.0 ** -50
+
+
 def _nearest(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)
+    """The index of each row's nearest centre by |x|^2 - 2 x.c + |c|^2. A
+    row whose two smallest are within _GRAM_TOL's bound (every row, for one
+    centre), or not finite, is recomputed by the broadcast sums, whose first
+    minimum wins a tie."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        xx = np.einsum("ij,ij->i", x, x)
+        cc = np.einsum("ij,ij->i", centers, centers)
+        d2 = xx[:, None] - 2.0 * (x @ centers.T) + cc
+        smallest = np.sort(d2, axis=1)[:, :2]
+        bound = _GRAM_TOL * (x.shape[1] + 2) * (np.sqrt(xx) + np.sqrt(cc.max())) ** 2
+        close = ~(smallest[:, -1] - smallest[:, 0] > bound) | ~np.isfinite(d2).all(axis=1)
+    labels = d2.argmin(axis=1)
+    rows = np.flatnonzero(close)
+    if len(rows):
+        labels[rows] = ((x[rows, None, :] - centers) ** 2).sum(axis=2).argmin(axis=1)
+    return labels
 
 
 def _kmeans_once(x: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:

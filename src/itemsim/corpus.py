@@ -27,7 +27,7 @@ from collections import defaultdict
 from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import chain, compress
 from pathlib import Path
 
 import numpy as np
@@ -456,34 +456,54 @@ def read_performance(fh, corpus: Corpus | None = None, source: str = "performanc
 
 
 _HEADER_LINE = ",".join(PERFORMANCE_HEADER) + "\n"
-_BLOCK_CHARS = 1 << 16  # readlines stops after the line that passes this many characters
+# a block of CSV input ends with the line that reaches this many characters,
+# as readlines(_BLOCK_CHARS) would end it
+_BLOCK_CHARS = 1 << 16
+
+
+def text_blocks(text: str, start: int = 0):
+    """The blocks of text from `start` on."""
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def block_fields(text: str, width: int) -> list[str] | None:
+    """The fields of a block of lines that the csv module would split into
+    `width` fields a line, each line's followed by a "\n" field and the
+    last by ""; None for any other block."""
+    if not text.endswith("\n"):  # the last line of a file without a final newline
+        text += "\n"
+    fields = text.replace("\n", ",\n,").split(",")
+    lines = text.count("\n")  # each "\n" field must end a line of `width` fields
+    limit = csv.field_size_limit()
+    # the csv module parses quotes and CRs its own way and, before Python
+    # 3.11, rejects a NUL; a BOM is an error. A line within the field size
+    # limit holds no field over it.
+    if (any(map(text.__contains__, '"\r\0\ufeff'))
+            or len(fields) != (width + 1) * lines + 1
+            or fields[width::width + 1].count("\n") != lines
+            or len(text) > limit and max(map(len, text.split("\n"))) >= limit):
+        return None
+    return fields
 
 
 def _read_columns(fh, known: set[str] | None) -> tuple[PerformanceTable, int] | None:
     """The table and the number of data rows of a stream whose every line
     splits at three commas as the csv module would split it, and whose
     columns pass the row checks; None as soon as a block is not such."""
-    lines = fh.readlines(_BLOCK_CHARS)
-    if not lines or lines[0] != _HEADER_LINE:
+    blocks = iter(lambda: fh.read(_BLOCK_CHARS - 1) + fh.readline(), "")
+    head = next(blocks, "")
+    if not head.startswith(_HEADER_LINE):
         return None
-    del lines[0]
     learners, items = _first_seen(), _first_seen()
     cells, times, successes = [np.empty(0, np.int64)], [np.empty(0)], [np.empty(0, bool)]
-    limit = csv.field_size_limit()
-    while lines:
-        text = "".join(lines)
-        # the csv module parses quotes and CRs its own way and, before Python
-        # 3.11, rejects a NUL; a BOM is an error. A line within the field size
-        # limit holds no field over it.
-        if (any(map(text.__contains__, '"\r\0\ufeff'))
-                or set(map(str.count, lines, repeat(","))) != {3}
-                or max(map(len, lines)) > limit):
+    for text in filter(None, chain([head[len(_HEADER_LINE):]], blocks)):
+        fields = block_fields(text, 4)
+        if fields is None:
             return None
-        if not text.endswith("\n"):  # the last line of a file without a final newline
-            text += "\n"
-        columns = text.replace("\n", ",").split(",")
-        del columns[-1]
-        learner_col, item_col, time_col, success_col = (columns[k::4] for k in range(4))
+        learner_col, item_col, time_col, success_col = (fields[k:-1:5] for k in range(4))
         if not set(success_col) <= {"0", "1"}:
             return None
         try:
@@ -496,8 +516,8 @@ def _read_columns(fh, known: set[str] | None) -> tuple[PerformanceTable, int] | 
         cols = np.fromiter(map(items.__getitem__, item_col), np.int64, len(item_col))
         cells.append(rows << 32 | cols)
         times.append(block_times)
-        successes.append(np.array(success_col) == "1")
-        lines = fh.readlines(_BLOCK_CHARS)
+        # one character a row, "0" or "1"
+        successes.append(np.frombuffer("".join(success_col).encode(), np.uint8) == ord("1"))
     if "" in learners or "" in items or (known is not None and not items.keys() <= known):
         return None
     # into the same names, so that the block lists are freed before the

@@ -39,16 +39,20 @@ class Embedding:
 
 
 def _pivot_signs(rows: np.ndarray) -> np.ndarray:
-    """+1 or -1 per row: the factor that makes the row's largest-magnitude
-    entry (the first, on ties) positive."""
-    pivots = rows[np.arange(len(rows)), np.abs(rows).argmax(axis=1)]
+    """+1 or -1 per row: the factor that makes positive the row's first
+    entry whose magnitude is within a relative 1e-9 of its largest, so that
+    rounding does not choose between near-ties (a 2-item MDS axis is +x and
+    -x up to rounding)."""
+    magnitudes = np.abs(rows)
+    tied = magnitudes >= magnitudes.max(axis=1, keepdims=True) * (1 - 1e-9)
+    pivots = rows[np.arange(len(rows)), tied.argmax(axis=1)]
     return np.where(pivots < 0, -1.0, 1.0)
 
 
 def pca_project(m: FeatureMatrix, dims: int) -> Embedding:
     """Project items onto the top principal directions of the column-centered
     feature matrix. Sign convention: each direction's largest-magnitude
-    loading is positive."""
+    loading (the first within a relative 1e-9 of it) is positive."""
     limit = min(m.n_items, m.n_features)
     if not 1 <= dims <= limit:
         raise ItemsimError(f"dims={dims} out of range 1..{limit}")

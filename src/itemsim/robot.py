@@ -26,6 +26,7 @@ the caller's stack is.
 from __future__ import annotations
 
 import re
+import string
 from itertools import islice
 
 from .errors import ItemsimError, ParseError
@@ -37,12 +38,16 @@ _KEYWORDS = frozenset(BASE_COMMANDS) | {"repeat", "while", "if", "else", "def", 
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 
-# whitespace and comments are unnamed, so all four groups of their matches
-# are empty; `bad` is a character no token starts with
+# one match per token, its text the one group: whitespace and comments
+# before it are skipped, any character no token starts with is a token of
+# its own, and the end of the source is an empty token. The first
+# alternative that matches is the token, so no match backtracks.
 _TOKEN_RE = re.compile(
-    rf"[ \t\r\n]+|#[^\n]*|(?P<num>[0-9]+)|(?P<ident>{_IDENT})|(?P<op>==|!=|\{{|\}})|(?P<bad>.)",
-    re.DOTALL,
-)
+    rf"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*([0-9]+|{_IDENT}|==|!=|[{{}}]|.|\Z)", re.DOTALL)
+
+# the characters a token of one character may be without being rejected
+_ONE_CHAR_TOKENS = frozenset("0123456789{}_" + string.ascii_letters)
+_IDENT_FIRST = frozenset("_" + string.ascii_letters)
 
 
 # open blocks nest at most this deep, whatever the form; an if/else block
@@ -61,20 +66,17 @@ _IDENT_WHAT = {_LHS: "condition", _RHS: "condition operand", _FUNC: "function na
 _LEAVES = {command: AstNode(command) for command in BASE_COMMANDS}
 
 
-def _error(source: str, tokens: list, index: int | None, message: str) -> ItemsimError:
-    """The error of the token at `index` (len(tokens) at the end of input;
-    None for an error with no position), with its 1-based line and column.
-    A character the scanner rejects is reported first, wherever it is."""
-    for i, (_, _, _, bad) in enumerate(tokens):
-        if bad:
-            index, message = i, f"unexpected character {bad!r}"
+def _error(source: str, tokens: list[str], index: int | None, message: str) -> ItemsimError:
+    """The error of the token at `index` (None for an error with no
+    position), with its 1-based line and column. A character the scanner
+    rejects is reported first, wherever it is."""
+    for i, token in enumerate(tokens):
+        if len(token) == 1 and token not in _ONE_CHAR_TOKENS:
+            index, message = i, f"unexpected character {token!r}"
             break
     if index is None:
         return ItemsimError(message)
-    if index == len(tokens):
-        offset = len(source)
-    else:
-        offset = next(islice(_TOKEN_RE.finditer(source), index, None)).start()
+    offset = next(islice(_TOKEN_RE.finditer(source), index, None)).start(1)
     line = source.count("\n", 0, offset) + 1
     return ParseError(message, line, offset - source.rfind("\n", 0, offset))
 
@@ -82,35 +84,27 @@ def _error(source: str, tokens: list, index: int | None, message: str) -> Itemsi
 def parse_robot_program(source: str) -> AstNode:
     """Parse DSL source into an AST rooted at a "program" node. Blocks nest
     at most _MAX_NESTING deep; a deeper program raises "nesting too deep"."""
-    tokens = _TOKEN_RE.findall(source)
+    tokens = _TOKEN_RE.findall(source)  # the last is "", the end of input
     stmts: list[AstNode] = []  # the statements of the innermost open block
     # per open block: its label, the statements it belongs to, its keyword,
     # and for an else block the body of its then block
     stack: list[tuple[str, list[AstNode], str, tuple[AstNode, ...]]] = []
     expect, keyword, label, then_body = _STMT, "", "", ()
-    for i, (num, ident, op, bad) in enumerate(tokens):
-        if not (ident or op or num):
-            if bad:
-                raise _error(source, tokens, i, f"unexpected character {bad!r}")
-            continue  # whitespace or a comment
+    for i, token in enumerate(tokens):
         if expect == _ELSE:
-            if ident == "else":
+            if token == "else":
                 expect, keyword = _OPEN, "else"
                 continue
             stmts.append(AstNode(label, then_body))
             expect = _STMT
         if expect == _STMT:
-            if ident in _LEAVES:
-                stmts.append(_LEAVES[ident])
-            elif ident in _STARTS:
-                expect, keyword = _STARTS[ident], ident
-            elif ident:
-                raise _error(source, tokens, i, f"unknown keyword {ident!r}")
-            elif op != "}":
-                raise _error(source, tokens, i, f"expected statement, found {num or op!r}")
-            elif not stack:
-                raise _error(source, tokens, i, "unbalanced braces: unexpected '}'")
-            else:
+            if token in _LEAVES:
+                stmts.append(_LEAVES[token])
+            elif token in _STARTS:
+                expect, keyword = _STARTS[token], token
+            elif token[:1] in _IDENT_FIRST:
+                raise _error(source, tokens, i, f"unknown keyword {token!r}")
+            elif token == "}" and stack:
                 label, parent, keyword, then = stack.pop()
                 body, stmts = tuple(stmts), parent
                 if keyword == "if":
@@ -119,46 +113,41 @@ def parse_robot_program(source: str) -> AstNode:
                     stmts.append(AstNode(label, (AstNode("then", then), AstNode("else", body))))
                 else:
                     stmts.append(AstNode(label, body))
+            elif token == "}":
+                raise _error(source, tokens, i, "unbalanced braces: unexpected '}'")
+            elif token:
+                raise _error(source, tokens, i, f"expected statement, found {token!r}")
+            elif stack:
+                raise _error(source, tokens, i, "unbalanced braces: missing '}'")
         elif expect == _COUNT:
-            if not REPEAT_COUNT.fullmatch(num):
+            if not REPEAT_COUNT.fullmatch(token):
                 raise _error(source, tokens, i, "repeat count not a positive integer")
-            expect, label = _OPEN, "repeat_" + num
+            expect, label = _OPEN, "repeat_" + token
         elif expect in _IDENT_WHAT:
             what = _IDENT_WHAT[expect]
-            if not ident:
-                raise _error(source, tokens, i, f"expected {what}, found {num or op!r}")
-            if ident in _KEYWORDS:
-                raise _error(source, tokens, i, f"expected {what}, found keyword {ident!r}")
+            if token[:1] not in _IDENT_FIRST:
+                raise _error(source, tokens, i,
+                             f"expected {what}, found {token or 'end of input'!r}")
+            if token in _KEYWORDS:
+                raise _error(source, tokens, i, f"expected {what}, found keyword {token!r}")
             if expect == _LHS:
-                expect, label = _OP_OR_OPEN, f"{keyword}_{ident}"
+                expect, label = _OP_OR_OPEN, f"{keyword}_{token}"
             elif expect == _RHS:
-                expect, label = _OPEN, label + ident
+                expect, label = _OPEN, label + token
             elif keyword == "def":
-                expect, label = _OPEN, "def_" + ident
+                expect, label = _OPEN, "def_" + token
             else:
                 expect = _STMT
-                stmts.append(AstNode("call_" + ident))
-        elif expect == _OP_OR_OPEN and op in ("==", "!="):
-            expect, label = _RHS, label + op
-        elif op != "{":
+                stmts.append(AstNode("call_" + token))
+        elif expect == _OP_OR_OPEN and token in ("==", "!="):
+            expect, label = _RHS, label + token
+        elif token != "{":
             raise _error(source, tokens, i, "unbalanced braces: expected '{'")
         elif len(stack) == _MAX_NESTING:
             raise _error(source, tokens, None, "nesting too deep")
         else:
             stack.append((label, stmts, keyword, then_body))
             expect, stmts = _STMT, []
-    if expect == _ELSE:
-        stmts.append(AstNode(label, then_body))
-    elif expect != _STMT:
-        if expect == _COUNT:
-            message = "repeat count not a positive integer"
-        elif expect in _IDENT_WHAT:
-            message = f"expected {_IDENT_WHAT[expect]}, found 'end of input'"
-        else:
-            message = "unbalanced braces: expected '{'"
-        raise _error(source, tokens, len(tokens), message)
-    if stack:
-        raise _error(source, tokens, len(tokens), "unbalanced braces: missing '}'")
     return AstNode("program", tuple(stmts))
 
 

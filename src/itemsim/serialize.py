@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .analysis import AgreementMatrix, Partition
-from .corpus import csv_field, csv_rows
+from .corpus import block_fields, csv_field, csv_rows, text_blocks
 from .errors import ItemsimError
 from .features import FeatureMatrix
 from .projection import Embedding
@@ -82,7 +82,43 @@ def scalar_text(v: float) -> str:
 def read_square_csv(text: str, source: str = "matrix") -> tuple[tuple[str, ...], np.ndarray]:
     """Parse a square matrix CSV (similarity or agreement shaped): header
     holds the ids, each row starts with its id, empty fields are missing
-    and all others must be finite numbers."""
+    and all others must be finite numbers. Plain text is read by block; any
+    other text goes through the line loop, which raises the first error."""
+    read = _read_blocks(text)
+    return read if read is not None else _read_lines(text, source)
+
+
+def _read_blocks(text: str) -> tuple[tuple[str, ...], np.ndarray] | None:
+    """The ids and values of a matrix whose every line splits into the
+    header's number of fields as the csv module would split it, and whose
+    rows pass the checks; None as soon as a block is not such."""
+    head = text.find("\n") + 1
+    header = block_fields(text[:head], text.count(",", 0, head) + 1)
+    if header is None or len(header) < 4:  # the id column, one id, "\n" and ""
+        return None
+    ids = tuple(header[1:-2])
+    n = len(ids)
+    values = np.full((n, n), np.nan)
+    rows = 0
+    for block in text_blocks(text, head):
+        fields = block_fields(block, n + 1)
+        if fields is None:
+            return None
+        for start in range(0, len(fields) - 1, n + 2):
+            cells = fields[start + 1:start + n + 1]
+            try:
+                row = np.fromiter(map(float, filter(None, cells)), np.float64)
+            except ValueError:
+                return None
+            if rows == n or fields[start] != ids[rows] or not np.isfinite(row).all():
+                return None
+            values[rows, np.fromiter(map(bool, cells), bool, n)] = row
+            rows += 1
+    return (ids, values) if rows == n else None
+
+
+def _read_lines(text: str, source: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """The ids and values of any matrix text, read line by line."""
     reader = csv_rows(io.StringIO(text), source)
     header = next(reader, None)
     if header is None:

@@ -11,6 +11,7 @@ fast path, kept to compare against.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
 from dataclasses import dataclass
@@ -860,3 +861,57 @@ def reference_read_performance(fh, corpus=None, source: str = "performance.csv")
     warnings = ([f"{source}: dropped {dropped} duplicate (learner, item) rows, first kept"]
                 if dropped else [])
     return table, warnings
+
+
+def reference_read_square_csv(text: str, source: str = "matrix") -> tuple[tuple[str, ...], np.ndarray]:
+    """The square-matrix reader that runs `csv.reader` over every line and
+    converts each non-empty cell by `float` one at a time.
+    `itemsim.serialize.read_square_csv` must return equal ids and a matrix
+    equal by its bytes, or raise an ItemsimError with equal text."""
+    reader = csv.reader(io.StringIO(text))
+
+    def csv_rows():
+        try:
+            yield from reader
+        except csv.Error as e:
+            raise ItemsimError(f"{source}:{reader.line_num}: malformed CSV ({e})") from None
+
+    rows = csv_rows()
+    header = next(rows, None)
+    if header is None:
+        raise ItemsimError(f"{source}: empty file")
+    if len(header) < 2:
+        raise ItemsimError(f"{source}: expected an id column plus one column per entry")
+    ids = tuple(header[1:])
+    n = len(ids)
+    values = np.full((n, n), np.nan)
+    row_ids = []
+    for row in rows:
+        if not row:
+            continue
+        if len(row) != n + 1:
+            raise ItemsimError(f"{source}: row {row[0]!r} has {len(row) - 1} values, expected {n}")
+        row_ids.append(row[0])
+        if len(row_ids) > n:
+            raise ItemsimError(f"{source}: more rows than columns; matrix must be square")
+        for j, cell in enumerate(row[1:]):
+            if cell != "":
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ItemsimError(f"{source}: non-numeric cell {cell!r}") from None
+                if not math.isfinite(value):
+                    raise ItemsimError(f"{source}: non-finite cell {cell!r}")
+                values[len(row_ids) - 1, j] = value
+    if tuple(row_ids) != ids:
+        raise ItemsimError(f"{source}: row ids must match column ids in order")
+    return ids, values
+
+
+def reference_nearest(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """k-means assignment by the broadcast (n, k, d) sums of (x - c)^2,
+    the first centre on ties. `itemsim.analysis._nearest`, which takes the
+    Gram form and recomputes rows within its rounding bound this way, must
+    return equal labels."""
+    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    return d2.argmin(axis=1)

@@ -30,6 +30,7 @@ from oracles import (
     oracle_best_two_partition,
     reference_agreement_topn,
     reference_hierarchical_order,
+    reference_nearest,
     reference_split_halves,
 )
 
@@ -238,6 +239,24 @@ class TestAgreementMatrix:
     def test_unknown_method(self):
         with pytest.raises(ItemsimError, match="unknown agreement method"):
             agreement_matrix(self.make_measures(), method="spearman")
+
+    def test_topn_warns_and_scores_as_pair_by_pair_calls(self, caplog):
+        # in measure k, item k's one defined neighbor is item 6, so each pair
+        # skips its own two items; the matrix takes each measure's neighbor
+        # sets once, and must log and score as agreement_topn pair by pair
+        measures = self.make_measures(k=3, n=7, seed=8)
+        for k, m in enumerate(measures):
+            others = [j for j in range(6) if j != k]
+            m.values[k, others] = m.values[others, k] = np.nan
+        caplog.set_level("WARNING", logger="itemsim.analysis")
+        a = agreement_matrix(measures, method="top:2")
+        from_matrix = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        pairs = {(x, y): agreement_topn(measures[x], measures[y], 2)
+                 for x, y in itertools.combinations(range(3), 2)}
+        assert from_matrix == [r.getMessage() for r in caplog.records]
+        assert [m.split(": ")[-1] for m in from_matrix] == ["i00, i01", "i00, i02", "i01, i02"]
+        assert all(a.values[x, y] == a.values[y, x] == v for (x, y), v in pairs.items())
         with pytest.raises(ItemsimError, match="unknown agreement method"):
             agreement_matrix(self.make_measures(), method="top:0")
 
@@ -443,6 +462,44 @@ class TestKmeans:
         rng = np.random.default_rng(7)
         s = random_similarity(rng, n=12)
         assert kmeans(s, k=3, seed=9).labels == kmeans(s, k=3, seed=9).labels
+
+
+def _nearest_sweep() -> tuple[int, int]:
+    """(rows, rows whose label differs) of _nearest against the broadcast
+    reference: random points and centres at scales 1e-3 to 1e3, duplicate
+    centres, midpoints of two centres and integer grids."""
+    rng = np.random.default_rng(21)
+    rows = differ = 0
+    for trial in range(400):
+        scale = 10.0 ** rng.uniform(-3, 3)
+        n, d, k = int(rng.integers(1, 50)), int(rng.integers(1, 30)), int(rng.integers(1, 10))
+        if trial % 4 == 3:  # an integer grid: many exactly equal distances
+            x = rng.integers(-3, 4, size=(n, d)).astype(float)
+            centers = rng.integers(-3, 4, size=(k, d)).astype(float)
+        else:
+            x = rng.standard_normal((n, d)) * scale
+            centers = np.concatenate([x[rng.integers(n, size=k)],
+                                      rng.standard_normal((k, d)) * scale])
+        centers[rng.integers(len(centers))] = centers[0]  # a duplicate centre
+        a, b = rng.integers(len(centers), size=(2, n))
+        x = np.concatenate([x, (centers[a] + centers[b]) / 2])  # equidistant points
+        got, want = analysis._nearest(x, centers), reference_nearest(x, centers)
+        rows += len(x)
+        differ += int((got != want).sum())
+    return rows, differ
+
+
+class TestNearestMatchesReference:
+    """k-means assignment by Gram products, its close rows re-checked,
+    against the broadcast sums: equal labels."""
+
+    def test_equal_labels_at_every_scale_and_on_ties(self):
+        rows, differ = _nearest_sweep()
+        assert rows > 15_000 and differ == 0
+
+    def test_the_recheck_is_needed(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_GRAM_TOL", 0.0)
+        assert _nearest_sweep()[1] > 0
 
 
 class TestRandIndex:

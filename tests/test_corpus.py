@@ -619,6 +619,27 @@ class TestReadPerformanceMatchesReference:
             outcome = assert_reads_as_reference(tmp_path / "p.csv", "".join(lines).encode())
             assert outcome.startswith(f"{tmp_path / 'p.csv'}:{index + 1}: "), outcome
 
+    def test_three_fields_then_five_where_blocks_begin_and_end(self, tmp_path):
+        # split at every comma and newline alike, the pair shifts into four
+        # plain columns, so each line's own field count must be checked
+        pair = ["L1,i01,2.5\n", "1,L2,i02,3.0,1\n"]
+        lines = [HEADER, *_plain_rows(np.random.default_rng(6), 4000)]
+
+        def first_block(lines):
+            return len(io.StringIO("".join(lines)).readlines(_BLOCK_CHARS))
+
+        def placed(index):
+            return lines[:index] + pair + lines[index + 2:]
+
+        second_block = first_block(lines)
+        # the pair's first line ends the first block: its end moves with the pair
+        across = [i for i in range(second_block - 3, second_block + 2)
+                  if first_block(placed(i)) == i + 1]
+        assert across
+        for index in (1, second_block, across[0]):  # line 2, a block's first line, across
+            outcome = assert_reads_as_reference(tmp_path / "p.csv", "".join(placed(index)).encode())
+            assert outcome == f"{tmp_path / 'p.csv'}:{index + 1}: expected 4 columns, got 3"
+
     @pytest.mark.parametrize("after, gap, error", [
         ('"' + "x" * 200_000 + '",i01,1,1\n', 1, ":{line}: non-positive time"),
         ("L1,i01,1,1\xff\n", 1, "not valid UTF-8"),

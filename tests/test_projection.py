@@ -18,6 +18,13 @@ from itemsim import (
 from oracles import reference_mds_gram, reference_mds_project
 
 
+def _ulps(x: float, k: int) -> float:
+    """x moved k floats up (k < 0: down)."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.inf if k > 0 else -np.inf)
+    return float(x)
+
+
 def fm(values, group="statement"):
     values = np.asarray(values, dtype=np.float64)
     return FeatureMatrix(
@@ -106,6 +113,25 @@ class TestMdsProject:
         s = sim_from_distances([[0.0, 3.5], [3.5, 0.0]])
         e = mds_project(s, dims=1)
         assert abs(e.coordinates[0, 0] - e.coordinates[1, 0]) == pytest.approx(3.5, abs=1e-9)
+
+    def test_two_items_put_the_first_on_the_positive_side(self):
+        # the axis is +x and -x up to rounding, so its sign goes by position:
+        # for random matrices and their variants a few ulps off, item 0 is
+        # positive (the largest-magnitude rule alone gave 117 of 2000
+        # random matrices a negative item 0)
+        rng = np.random.default_rng(13)
+        firsts = []
+        for _ in range(60):
+            base = rng.random((2, 2)) * 10.0 ** int(rng.integers(-3, 4))
+            for d0, d1, off in np.ndindex(3, 3, 3):
+                v = np.array([[_ulps(base[0, 0], d0 - 1), _ulps(base[0, 1], off - 1)],
+                              [_ulps(base[0, 1], off - 1), _ulps(base[1, 1], d1 - 1)]])
+                s = SimilarityMatrix(("a", "b"), v, "m")
+                eigvals = np.linalg.eigvalsh(reference_mds_gram(s))
+                if eigvals.max() > 1e-6 * np.abs(eigvals).max():  # a real axis
+                    x = mds_project(s, dims=1).coordinates[:, 0]
+                    firsts.append(x[0] > 0 > x[1])
+        assert all(firsts) and len(firsts) > 800
 
     def test_euclidean_input_recovered_exactly(self):
         rng = np.random.default_rng(6)

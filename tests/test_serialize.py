@@ -6,6 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from conftest import char_mutant
+from oracles import reference_read_square_csv
+
 from itemsim import (
     AgreementMatrix,
     Embedding,
@@ -16,8 +19,9 @@ from itemsim import (
     build_features,
     load_corpus,
 )
+from itemsim import serialize
 from itemsim.cli import main
-from itemsim.corpus import csv_field
+from itemsim.corpus import _BLOCK_CHARS, csv_field
 from itemsim.serialize import (
     agreement_csv,
     embedding_csv,
@@ -199,3 +203,56 @@ class TestReadSquareCsv:
     def test_ragged_row(self):
         with pytest.raises(ItemsimError, match="has 1 values, expected 2"):
             read_square_csv("item_id,a,b\na,1\n")
+
+
+def _read_outcome(read, text):
+    """(ids, the matrix's bytes) of read(text), or the text of its error."""
+    try:
+        ids, values = read(text, "m.csv")
+    except ItemsimError as e:
+        return str(e)
+    return ids, values.tobytes()
+
+
+class TestReadSquareCsvMatchesReference:
+    """read_square_csv reads plain text by block and everything else by
+    line; either way it must equal tests/oracles.reference_read_square_csv."""
+
+    @staticmethod
+    def written(rng, n):
+        """similarity_csv of a random n x n matrix with missing cells and
+        signed zeros, tiny and huge values among its entries."""
+        v = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-5, 6, size=(n, n))
+        special = rng.choice(np.array([np.nan, -0.0, 0.0, 1e-300, 1e308, -1e308]), size=(n, n))
+        v = np.where(rng.random((n, n)) < 0.2, special, v)
+        v = np.triu(v) + np.triu(v, 1).T
+        np.fill_diagonal(v, 1.0)
+        return similarity_csv(SimilarityMatrix(tuple(f"i{k:03d}" for k in range(n)), v, "m"))
+
+    def test_written_matrices_and_their_character_mutants(self):
+        rng = np.random.default_rng(17)
+        pieces = ['"', "\r", "\0", "\ufeff", ",", "", "nan", "inf", "1e999", "\n", "-0", "x"]
+        read = 0
+        for n in (1, 2, 5, 40, 90):
+            text = self.written(rng, n)
+            assert (n < 90) == (len(text) < _BLOCK_CHARS)  # 90 items make two blocks
+            assert serialize._read_blocks(text) is not None  # written text takes the blocks
+            for variant in [text, text.rstrip("\n"), *(char_mutant(text, pieces, rng)
+                                                        for _ in range(40))]:
+                outcome = _read_outcome(read_square_csv, variant)
+                assert outcome == _read_outcome(reference_read_square_csv, variant), variant[:80]
+                read += isinstance(outcome, tuple)
+        assert read > 40
+
+    @pytest.mark.parametrize("where", ["header", "first row", "last row"])
+    def test_blank_lines_and_a_field_over_the_csv_limit(self, where):
+        lines = self.written(np.random.default_rng(18), 6).splitlines(keepends=True)
+        at = {"header": 0, "first row": 1, "last row": 6}[where]
+        variants = [lines[:at] + ["\n"] + lines[at:], lines[:at + 1] + ["\n"] + lines[at + 1:]]
+        long_field = lines.copy()
+        long_field[at] = long_field[at].replace(",", "," + "7" * (csv.field_size_limit() + 1), 1)
+        for variant in (*variants, long_field):
+            text = "".join(variant)
+            assert (_read_outcome(read_square_csv, text)
+                    == _read_outcome(reference_read_square_csv, text))
+
