@@ -7,7 +7,8 @@ levenshtein compares one pair.
 zhang_shasha_batch: Zhang-Shasha ordered-tree edit distances, unit costs
 (relabel free for equal labels), of many pairs of trees at once, each tree
 walked once: per chunk of pairs, one table of distances from the distinct
-subtrees of one side to those of the other, a leaf's row in closed form,
+subtrees of one side to those of the other (less the two subtrees' sizes),
+a leaf's row in closed form,
 and each distinct block of two inner keyroots computed once, level by
 level, in numpy sweeps of one DP row over a batch of blocks;
 tree_edit_distance compares one pair.
@@ -53,9 +54,11 @@ log = logging.getLogger("itemsim.editdist")
 _TD_ENTRIES = 1 << 22
 _TD_BUDGET = 1 << 23
 # a batch of keyroot blocks holds at most this many padded cells, most rows
-# x all columns, which bounds its working set; a single block is always
-# admitted
-_BLOCK_CELLS = 1 << 14
+# x all columns, which bounds its working set: about 20 bytes a cell, up to
+# about 40 in a batch of 2-row blocks, whose per-block and per-column arrays
+# weigh most. A single block is always admitted: one of two chains, every
+# cell a path cell, peaks at about 41 bytes a cell, td included
+_BLOCK_CELLS = 1 << 16
 
 
 def zhang_shasha_batch(
@@ -70,10 +73,11 @@ def zhang_shasha_batch(
     parsed is accepted, gives every subtree an id by interning (label,
     child ids). The distance is symmetric, as costs are unit, so each pair
     runs once, as (lo, hi) by root id. Pairs run in chunks: td[s][t] is the
-    distance of subtree s of a lo tree to subtree t of a hi tree, at most
-    _TD_ENTRIES entries, or those of a single pair, at most _TD_BUDGET
-    (ItemsimError otherwise), and the value of (lo, hi) is td[lo][hi]. A
-    leaf's row or column is |t| - 1 + [its label not in t]. Every other
+    distance of subtree s of a lo tree to subtree t of a hi tree less |s| +
+    |t|, at most _TD_ENTRIES entries, or those of a single pair, at most
+    _TD_BUDGET (ItemsimError otherwise), and the value of (lo, hi) is
+    td[lo][hi] + |lo| + |hi|. A leaf's row or column is [its label not in
+    t] - 2. Every other
     entry is written by a keyroot block (u, v): the forest DP of two inner
     keyroot subtrees, one from each side of a pair, which writes td for
     the nodes on the two leftmost paths. A keyroot is the root or a child
@@ -136,16 +140,25 @@ def zhang_shasha_batch(
     # node positions ordered by label code: a subtree start..end carries a
     # label where this holds a key in label * nodes + [start, end]
     by_label = np.sort(lab * len(lab) + np.arange(len(lab)))
+    # the nodes ordered by leftmost leaf, then position: the leftmost path of
+    # an id's first occurrence, from its leftmost leaf up to its root, is a
+    # run of them, and path_row and path_lab give each one's row in the id's
+    # block and its label
+    chain = np.argsort(left, kind="stable")
+    place = np.argsort(chain)  # each node's position in chain
+    path_row, path_lab = chain - left[chain], lab[chain]
+    # per id: its first node, its nodes, and the start and length of its run
+    of_id = np.stack([start, size, place[start], place[first] - place[start] + 1])
 
     def leaf_distances(leaves: np.ndarray, subtrees: np.ndarray):
-        # each slice of leaves with its distances to subtrees, _BLOCK_CELLS at most
+        # each slice of leaves with its td entries to subtrees, _BLOCK_CELLS at most
         step = max(1, _BLOCK_CELLS // len(subtrees))
         for k in range(0, len(leaves), step):
             part = leaves[k:k + step]
             key = (lab[first[part]] * len(lab))[:, None]
             absent = (np.searchsorted(by_label, key + first[subtrees], "right")
                       == np.searchsorted(by_label, key + start[subtrees], "left"))
-            yield part, size[subtrees] - 1 + absent
+            yield part, absent - 2
 
     def positions(of: np.ndarray) -> np.ndarray:  # id -> its index in of, or -1
         at = np.full(len(size), -1, dtype=np.intp)
@@ -166,12 +179,14 @@ def zhang_shasha_batch(
     for chunk, row_ids, col_ids in _chunks(lo, hi, subtrees_of):
         counts["chunks"] += 1
         row_of, col_of = positions(row_ids), positions(col_ids)
+        # td[s][t] is the distance of s to t less |s| + |t|
         td = np.zeros((len(row_ids), len(col_ids)), dtype=np.int32)
         for leaves, d in leaf_distances(row_ids[size[row_ids] == 1], col_ids):
             td[row_of[leaves]] = d
         for leaves, d in leaf_distances(col_ids[size[col_ids] == 1], row_ids):
             td[:, col_of[leaves]] = d.T
-
+        # per id, its part of a flat td index as a row, then as a column
+        at_of = np.concatenate([row_of * len(col_ids), col_of])
         # the blocks of every pair: (u, v), u an inner keyroot subtree of the
         # lo tree and v one of the hi tree, each marked once
         inner_lo, inner_hi = inner_keyroots(lo[chunk]), inner_keyroots(hi[chunk])
@@ -203,11 +218,12 @@ def zhang_shasha_batch(
         counts["real"] += int(rows @ cols)
         del level, rows, cols
         for a, b in zip(cuts, cuts[1:]):
-            steps, padded = _sweep(td, row_of, col_of, lab, left, sid, start, size,
+            steps, padded = _sweep(td, at_of, sid, of_id, path_row, path_lab,
                                    u[a:b], v[a:b], flip[a:b])
             counts["steps"] += steps
             counts["padded"] += padded
-        values[chunk] = td[row_of[lo[chunk]], col_of[hi[chunk]]]
+        values[chunk] = (td[row_of[lo[chunk]], col_of[hi[chunk]]]
+                         + size[lo[chunk]] + size[hi[chunk]])
     log.debug("ted batch: %d pairs, %d distinct subtrees, %d blocks, %d levels, %d batches, "
               "%d row steps, %d td chunks, %d of %d padded block cells real", len(pairs),
               len(size), *counts.values())
@@ -268,72 +284,91 @@ def _cuts(level: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> list[int]:
     return cuts
 
 
-def _sweep(td, row_of, col_of, lab, left, sid, start, size, u, v, flip) -> tuple[int, int]:
+def _sweep(td, at_of, sid, of_id, path_row, path_lab, u, v, flip) -> tuple[int, int]:
     """Write td for the leftmost paths of every block (u[k], v[k]) of one
     batch, given by ascending rows, and return its row steps and padded
     cells. Rows and columns are the postorder nodes of the first occurrence
-    of subtrees u[k] and v[k]. td[row_of[s]][col_of[t]] holds the distance
-    of s to t; u[k] is a subtree of a hi tree and v[k] of a lo tree where
-    flip[k], else the other way round.
+    of subtrees u[k] and v[k]. sid gives each node's id; of_id each id's
+    first node, nodes, and the run of path_row and path_lab that its
+    leftmost path takes, the rows of those nodes in its block and their
+    labels. td holds the distance of s to t less |s| + |t|, at the flat
+    index at_of[s] + at_of[S + t] (S ids) where s is of a lo tree and t of
+    a hi tree; u[k] is of a hi tree and v[k] of a lo tree where flip[k],
+    else the other way round.
 
     One table holds row r of every block's forest DP fd, the blocks' columns
-    side by side, each block's led by its column 0, as d = fd - c + off:
-    c the column in the block, off a block offset that falls by more than
-    the spread of a block's values from each block to the next. Values in
-    one row of fd step by at most 1, so a cell of row r + 1 is the running
-    minimum along the whole row of min(d[r][c] + 1, d[src] + add): src is
-    the diagonal and add the relabel cost for two nodes on the leftmost
-    paths, otherwise src is fd[l(x) - 1][l(y) - 1] and add td[x][y], both
-    shifted by c; column 0 takes d[r][0] + 1. The offsets keep each block's
-    minimum to itself. All in integers, so each cell is the recurrence's."""
+    side by side, each block's led by its column 0, as d = fd - r - c + off:
+    c the column in the block, off a block offset that falls by 2 rows from
+    each block to the next, as fd - r - c >= -2 min(r, c), so each block's
+    running minimum stays its own. Deleting a row node and inserting a
+    column node cost 0 in d, so row r + 1 of d is the running minimum along
+    the whole row of min(d[r], d[src] + add): src is the diagonal and add
+    the relabel cost - 2 for two nodes on the leftmost paths, otherwise src
+    is fd[l(x) - 1][l(y) - 1] and add the td entry of x and y, shifted as d
+    is. Column 0 is off on every row: it takes a column 0 above it, add 0.
+    Each index table is a row-by-block table repeated over each block's
+    columns plus a vector over the columns, in intp, by which numpy gathers
+    without a cast. All in integers, so each cell is the recurrence's."""
     u, v, flip = u[::-1], v[::-1], flip[::-1]  # blocks still running at row r are a prefix
-    m, n = size[u], size[v]
-    rows = int(m[0])
-    lead = np.cumsum(n + 1) - n - 1  # the position of each block's column 0
-    width = int(lead[-1] + n[-1] + 1)
-    block = np.repeat(np.arange(len(u)), n + 1)
-    c = np.arange(width) - lead[block]
-    # row r of block k is node x[k, r], column p node y[p]; padding repeats a node
-    x = np.minimum(start[u, None] + np.arange(rows), (start[u] + m - 1)[:, None])
-    y = start[v][block] + np.maximum(c - 1, 0)
-    row_left = left[x] - start[u, None]  # fd row before x's leftmost leaf
-    col_left = left[y] - start[v][block]
-    r = np.arange(rows)[:, None]
-    # the cells of two nodes on the leftmost paths: each path column p of a
-    # block with each path row i of it
-    row_block, path_row = np.nonzero((row_left == 0) & (r.T < m[:, None]))
-    path_rows = np.bincount(row_block, minlength=len(u))
-    cols = np.flatnonzero((col_left == 0) & (c > 0))
-    count = path_rows[block[cols]]
-    p = np.repeat(cols, count)
-    k = block[p]
-    row_start, run_start = np.cumsum(path_rows) - path_rows, np.cumsum(count) - count
-    i = path_row[np.arange(len(p)) + np.repeat(row_start[block[cols]] - run_start, count)]
-    stride = td.shape[1]
-    at = np.where(flip[:, None], col_of[sid[x]], row_of[sid[x]] * stride).T[:, block]
-    at += np.where(flip[block], row_of[sid[y]] * stride, col_of[sid[y]])
+    (x0, m, path_u, a), (y0, n, path_v, b) = of_id[:, u], of_id[:, v]
+    size, ids = of_id[1], of_id.shape[1]
+    rows, n1 = int(m[0]), n + 1
+    lead = np.cumsum(n1) - n1  # the position of each block's column 0
+    width = int(lead[-1] + n1[-1])
+    # the cells of two nodes on the leftmost paths, each path column of a
+    # block with each path row of it: q their flat index
+    col_at = _runs(path_v, b)
+    per_col = np.repeat(a, b)
+    row_at = _runs(np.repeat(path_u, b), per_col)
+    q = path_row[row_at] * width
+    q += np.repeat(path_row[col_at] + np.repeat(lead + 1, b), per_col)
+    relabel = path_lab[row_at] != np.repeat(path_lab[col_at], per_col)
+    del col_at, per_col, row_at
+    # row r of block k is subtree x[r, k], padding repeating its root; column
+    # p is subtree y[p], a block's column 0 any
+    x = sid[np.minimum(x0 + np.arange(rows)[:, None], x0 + m - 1)]
+    y = sid[np.repeat(y0 - 1 - lead, n1) + np.arange(width)]
+    sy = size[y]
+    sy[lead] = 0
+    at = np.repeat(at_of[x + flip * ids], n1, axis=1)
+    y += np.repeat(~flip * ids, n1)
+    at += at_of[y]
+    del y
     add = td.take(at)
-    path = at[i, p]  # the td entry of each path cell, read and written there
+    path = at.take(q)  # the td entry of each path cell, read and written there
     del at
-    add += col_left - c
-    src = (row_left * width).T[:, block]
-    src += lead[block] + col_left
-    src[:, lead] = r * width + lead
-    add[:, lead] = 1
-    src[i, p] = i * width + p - 1
-    add[i, p] = (lab[x[k, i]] != lab[y[p]]) - 1
-    off = -(lead + np.arange(len(u)) * (rows + 2))
+    add.put(q, np.subtract(relabel, 2, dtype=add.dtype))
+    add[:, lead] = 0
+    del relabel
+    src = np.repeat((np.arange(1, rows + 1)[:, None] - size[x]) * width, n1, axis=1)
+    sy -= np.arange(width)
+    src -= sy
+    del sy
+    src.put(q, q - 1)
     d = np.empty((rows + 1, width), dtype=np.int32)
-    d[0] = off[block]
+    d[0] = np.repeat(np.arange(len(u), dtype=d.dtype) * (-2 * rows), n1)
     flat = d.reshape(-1)
-    ends = np.append(lead, width)[np.count_nonzero(m > r, axis=1)].tolist()
+    ends = np.append(lead, width)[np.searchsorted(-m, np.arange(0, -rows, -1))].tolist()
     for step, end in enumerate(ends):
         e = flat[src[step, :end]]
         e += add[step, :end]
-        np.minimum(e, d[step, :end] + 1, out=e)
+        np.minimum(e, d[step, :end], out=e)
         np.minimum.accumulate(e, out=d[step + 1, :end])
-    td.put(path, d[i + 1, p] - off[k] + c[p])
+    del src, add
+    td.put(path, flat[q + width] - flat[q % width])  # d less off, which d[0] holds
     return rows, rows * int(n.sum())
+
+
+def _runs(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """first[k], first[k] + 1, ... first[k] + counts[k] - 1 for each k in turn,
+    of at least one k."""
+    ends = np.cumsum(counts)
+    return np.repeat(first + counts - ends, counts) + np.arange(ends[-1])
+
+
+def _int_type(bound: int) -> type:
+    """The narrowest of int16, int32 and int64 that holds -bound and bound."""
+    return np.int16 if bound < 1 << 15 else np.int32 if bound < 1 << 31 else np.int64
 
 
 def tree_edit_distance(t1: AstNode, t2: AstNode) -> int:
@@ -432,9 +467,8 @@ def needleman_wunsch_batch(
             if integer:
                 bound = (max(lengths[k][0] for k in batch) + max(lengths[k][1] for k in batch)
                          + 3) * top
-                dtype = np.int16 if bound < 1 << 15 else np.int32 if bound < 1 << 31 else np.int64
                 scores, batch_steps, batch_padded = _wavefront(
-                    [oriented[k] for k in batch], scaled, dtype, code)
+                    [oriented[k] for k in batch], scaled, _int_type(bound), code)
                 # the empty pair alone has the sign of 0 * gap
                 scores = [ldexp(v, 1 - scale.bit_length()) if sum(lengths[k]) else 0.0 * s.gap
                           for k, v in zip(batch, scores)]

@@ -59,11 +59,12 @@ def node(label: str, *children: AstNode) -> AstNode:
     return AstNode(label, tuple(children))
 
 
-# node_count, max_depth and iter_labels keep their own stack, so they follow
-# a tree of any depth. canonize and action_sequence recurse, one frame per
-# tree level, and the parsers' limits bound that depth: the robot parser's
-# bound on nested blocks (an if/else block is two tree levels) and the
-# recursion limit that stops the .ast.json decoder.
+# node_count, max_depth and iter_labels keep their own stack (max_depth one
+# level of nodes at a time), so they follow a tree of any depth. canonize
+# and action_sequence recurse, one frame per tree level, and the parsers'
+# limits bound that depth: the robot parser's bound on nested blocks (an
+# if/else block is two tree levels) and the recursion limit that stops the
+# .ast.json decoder.
 
 
 def node_count(ast: AstNode) -> int:
@@ -75,13 +76,12 @@ def node_count(ast: AstNode) -> int:
 
 
 def max_depth(ast: AstNode) -> int:
-    """Depth of the deepest node, root counting as 1."""
-    deepest, stack = 0, [(ast, 1)]
-    while stack:
-        n, depth = stack.pop()
-        deepest = max(deepest, depth)
-        stack.extend((c, depth + 1) for c in n.children)
-    return deepest
+    """Depth of the deepest node, root counting as 1: the number of levels."""
+    depth, level = 0, [ast]
+    while level:
+        depth += 1
+        level = [c for n in level for c in n.children]
+    return depth
 
 
 def iter_labels(ast: AstNode):

@@ -409,7 +409,7 @@ class TestBatchKernel:
             # the kernel's whole work, which a wall time cannot resolve
             assert [r.getMessage() for r in caplog.records] == [
                 "ted batch: 576 pairs, 199 distinct subtrees, 17136 blocks, 3 levels, "
-                "107 batches, 1882 row steps, 1 td chunks, 1664599 of 1695142 padded block "
+                "29 batches, 547 row steps, 1 td chunks, 1664599 of 1761839 padded block "
                 "cells real"]
 
     def test_deep_right_comb_of_keyroots(self, caplog):
@@ -457,6 +457,26 @@ class TestBatchKernel:
                     tracemalloc.stop()
                 assert got == 20000
                 assert peak < 1024 * node_count(big)
+
+    def test_memory_of_a_lone_big_block(self):
+        # two chains of 1000 distinct labels: one root block of 1000 x 1001
+        # padded cells, over _BLOCK_CELLS and so admitted alone, every cell a
+        # path cell. It peaks at about 41 bytes a cell, td's 4 included
+        def chain(prefix: str):
+            t = node(f"{prefix}0")
+            for k in range(1, 1000):
+                t = node(f"{prefix}{k}", t)
+            return t
+
+        trees = [chain("a"), chain("b")]
+        tracemalloc.start()
+        try:
+            (got,), batches = zhang_shasha_batch(trees, [(0, 1)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (got, batches) == (1000, 1)
+        assert peak < 48 * 1000 * 1001
 
     def test_leaf_rows_fill_in_slices(self, monkeypatch):
         # two flat trees of 1000 distinct leaves: a td of 1001 x 1001 int32
@@ -518,6 +538,15 @@ class TestBatchKernel:
         counts = _batch_counts(caplog)
         assert counts["batches"] > counts["levels"] + 10
         assert counts["td chunks"] >= 3
+
+
+@pytest.mark.parametrize("bound, dtype", [((1 << 15) - 1, np.int16), (1 << 15, np.int32),
+                                          ((1 << 31) - 1, np.int32), (1 << 31, np.int64)])
+def test_int_type_holds_its_bound(bound, dtype):
+    # one rule for nw's cells and TED's td index: the narrowest of int16,
+    # int32 and int64 that holds -bound and bound
+    assert editdist._int_type(bound) is dtype
+    assert np.iinfo(dtype).min <= -bound and bound <= np.iinfo(dtype).max
 
 
 class TestNeedlemanWunsch:

@@ -34,6 +34,13 @@ def test_node_count_and_depth():
     assert max_depth(t) == 4
 
 
+def test_depth_follows_the_deepest_branch_wherever_it_is():
+    deep, shallow = node("b", node("c", node("d"))), node("e")
+    for children in [(deep, shallow, shallow), (shallow, deep, shallow), (shallow, shallow, deep)]:
+        assert max_depth(node("a", *children)) == 4
+    assert max_depth(node("a", shallow, node("f", shallow, deep))) == 5
+
+
 def test_iter_labels_preorder():
     t = node("a", node("b", node("c")), node("d"))
     assert list(iter_labels(t)) == ["a", "b", "c", "d"]
