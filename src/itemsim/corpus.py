@@ -17,6 +17,7 @@ to 1. Solutions are ordered by filename within an item.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import math
@@ -27,7 +28,7 @@ from collections import defaultdict
 from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from pathlib import Path
 
 import numpy as np
@@ -456,17 +457,31 @@ def read_performance(fh, corpus: Corpus | None = None, source: str = "performanc
 
 
 _HEADER_LINE = ",".join(PERFORMANCE_HEADER) + "\n"
-# a block of CSV input ends with the line that reaches this many characters,
-# as readlines(_BLOCK_CHARS) would end it
 _BLOCK_CHARS = 1 << 16
 
 
-def text_blocks(text: str, start: int = 0):
-    """The blocks of text from `start` on."""
-    while start < len(text):
-        end = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or len(text)
-        yield text[start:end]
-        start = end
+def _blocks(fh):
+    """The blocks of a text stream, each ending with the line that reaches
+    _BLOCK_CHARS characters, as readlines(_BLOCK_CHARS) would end it."""
+    return iter(lambda: fh.read(_BLOCK_CHARS - 1) + fh.readline(), "")
+
+
+def text_rows(text: str, source: str):
+    """The rows of CSV text, as csv_rows yields them. Each block that
+    block_fields admits at the first line's width is split at its commas.
+    From the first it refuses, the csv module reads the whole text and skips
+    the rows already yielded, so that an error names its line in the text."""
+    width = text.count(",", 0, text.find("\n") + 1 or len(text)) + 1
+    fh = io.StringIO(text)
+    for block in _blocks(fh):
+        fields = block_fields(block, width)
+        if fields is None:  # each line before this block was one plain row
+            done = text.count("\n", 0, fh.tell() - len(block))
+            fh.seek(0)
+            yield from islice(csv_rows(fh, source), done, None)
+            return
+        for start in range(0, len(fields) - 1, width + 1):
+            yield fields[start:start + width]
 
 
 def block_fields(text: str, width: int) -> list[str] | None:
@@ -481,7 +496,8 @@ def block_fields(text: str, width: int) -> list[str] | None:
     # the csv module parses quotes and CRs its own way and, before Python
     # 3.11, rejects a NUL; a BOM is an error. A line within the field size
     # limit holds no field over it.
-    if (any(map(text.__contains__, '"\r\0\ufeff'))
+    if (width < 2  # the csv module splits a blank line into no field, not one
+            or any(map(text.__contains__, '"\r\0\ufeff'))
             or len(fields) != (width + 1) * lines + 1
             or fields[width::width + 1].count("\n") != lines
             or len(text) > limit and max(map(len, text.split("\n"))) >= limit):
@@ -493,7 +509,7 @@ def _read_columns(fh, known: set[str] | None) -> tuple[PerformanceTable, int] | 
     """The table and the number of data rows of a stream whose every line
     splits at three commas as the csv module would split it, and whose
     columns pass the row checks; None as soon as a block is not such."""
-    blocks = iter(lambda: fh.read(_BLOCK_CHARS - 1) + fh.readline(), "")
+    blocks = _blocks(fh)
     head = next(blocks, "")
     if not head.startswith(_HEADER_LINE):
         return None

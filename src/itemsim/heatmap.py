@@ -7,6 +7,7 @@ grey cells for missing entries, optional hierarchical row/column ordering.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -21,16 +22,22 @@ PAD = 4
 _LOW = (247, 251, 255)
 _HIGH = (8, 48, 107)
 _MISSING = "#bdbdbd"
+# the characters outside XML 1.0's Char production; a negated class of the
+# allowed ranges takes 12 ms to compile, this one under 1 ms
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def heatmap_svg(ids: tuple[str, ...], values: np.ndarray, ordering: str = "none") -> str:
     """Render a square matrix as SVG. ordering=hierarchical reorders rows and
     columns identically by average-linkage leaf order. Cells spanning beyond
-    float64 are an error."""
+    float64 are an error, and so is an id holding a character XML forbids."""
     values = np.asarray(values, dtype=np.float64)
     n = len(ids)
     if values.shape != (n, n):
         raise ItemsimError(f"heatmap needs a square matrix, got shape {values.shape} for {n} ids")
+    for item_id in ids:
+        if _NOT_XML.search(item_id):
+            raise ItemsimError(f"heatmap id {item_id!r} holds a character XML 1.0 forbids")
     defined = values[~np.isnan(values)]
     lo = float(defined.min()) if defined.size else 0.0
     hi = float(defined.max()) if defined.size else 0.0

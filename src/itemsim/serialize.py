@@ -8,13 +8,12 @@ itemsim writes: in quotes, quotes doubled, when it holds , " CR or LF or is empt
 
 from __future__ import annotations
 
-import io
 import math
 
 import numpy as np
 
 from .analysis import AgreementMatrix, Partition
-from .corpus import block_fields, csv_field, csv_rows, text_blocks
+from .corpus import csv_field, text_rows
 from .errors import ItemsimError
 from .features import FeatureMatrix
 from .projection import Embedding
@@ -82,44 +81,11 @@ def scalar_text(v: float) -> str:
 def read_square_csv(text: str, source: str = "matrix") -> tuple[tuple[str, ...], np.ndarray]:
     """Parse a square matrix CSV (similarity or agreement shaped): header
     holds the ids, each row starts with its id, empty fields are missing
-    and all others must be finite numbers. Plain text is read by block; any
-    other text goes through the line loop, which raises the first error."""
-    read = _read_blocks(text)
-    return read if read is not None else _read_lines(text, source)
-
-
-def _read_blocks(text: str) -> tuple[tuple[str, ...], np.ndarray] | None:
-    """The ids and values of a matrix whose every line splits into the
-    header's number of fields as the csv module would split it, and whose
-    rows pass the checks; None as soon as a block is not such."""
-    head = text.find("\n") + 1
-    header = block_fields(text[:head], text.count(",", 0, head) + 1)
-    if header is None or len(header) < 4:  # the id column, one id, "\n" and ""
-        return None
-    ids = tuple(header[1:-2])
-    n = len(ids)
-    values = np.full((n, n), np.nan)
-    rows = 0
-    for block in text_blocks(text, head):
-        fields = block_fields(block, n + 1)
-        if fields is None:
-            return None
-        for start in range(0, len(fields) - 1, n + 2):
-            cells = fields[start + 1:start + n + 1]
-            try:
-                row = np.fromiter(map(float, filter(None, cells)), np.float64)
-            except ValueError:
-                return None
-            if rows == n or fields[start] != ids[rows] or not np.isfinite(row).all():
-                return None
-            values[rows, np.fromiter(map(bool, cells), bool, n)] = row
-            rows += 1
-    return (ids, values) if rows == n else None
-
-
-def _read_lines(text: str, source: str) -> tuple[tuple[str, ...], np.ndarray]:
-    """The ids and values of any matrix text, read line by line."""
-    reader = csv_rows(io.StringIO(text), source)
+    and all others must be finite numbers. Each row of corpus.text_rows is
+    checked in turn and the first error raised; a row whose cells do not all
+    convert goes cell by cell, to name its first bad cell. The matrix is
+    built once its rows are read, so its memory follows the file."""
+    reader = text_rows(text, source)
     header = next(reader, None)
     if header is None:
         raise ItemsimError(f"{source}: empty file")
@@ -127,8 +93,7 @@ def _read_lines(text: str, source: str) -> tuple[tuple[str, ...], np.ndarray]:
         raise ItemsimError(f"{source}: expected an id column plus one column per entry")
     ids = tuple(header[1:])
     n = len(ids)
-    values = np.full((n, n), np.nan)
-    row_ids = []
+    row_ids, rows = [], []
     for row in reader:
         if not row:
             continue
@@ -137,15 +102,21 @@ def _read_lines(text: str, source: str) -> tuple[tuple[str, ...], np.ndarray]:
         row_ids.append(row[0])
         if len(row_ids) > n:
             raise ItemsimError(f"{source}: more rows than columns; matrix must be square")
-        for j, cell in enumerate(row[1:]):
-            if cell != "":
+        cells = row[1:]
+        try:
+            found = np.fromiter(map(float, filter(None, cells)), np.float64)
+        except ValueError:
+            found = None
+        if found is None or not np.isfinite(found).all():
+            for cell in filter(None, cells):
                 try:
-                    value = float(cell)
+                    if not math.isfinite(float(cell)):
+                        raise ItemsimError(f"{source}: non-finite cell {cell!r}")
                 except ValueError:
                     raise ItemsimError(f"{source}: non-numeric cell {cell!r}") from None
-                if not math.isfinite(value):
-                    raise ItemsimError(f"{source}: non-finite cell {cell!r}")
-                values[len(row_ids) - 1, j] = value
+        if len(found) < n:  # the empty cells are NaN
+            found = np.array([float(cell) if cell else np.nan for cell in cells])
+        rows.append(found)
     if tuple(row_ids) != ids:
         raise ItemsimError(f"{source}: row ids must match column ids in order")
-    return ids, values
+    return ids, np.array(rows)

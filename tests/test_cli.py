@@ -456,6 +456,16 @@ class TestHeatmap:
                       "heatmap cells from -1e+308 to 1.5e+308 span beyond the float64 range")
         assert not list(tmp_path.glob("o/*"))
 
+    @pytest.mark.parametrize("char", ["\x01", "\x00", "\ufffe"])
+    def test_an_id_xml_forbids(self, tmp_path, capsys, char):
+        # the SVG would not parse as XML
+        (tmp_path / "m.csv").write_text(f"item_id,a,b{char}\na,1,0\nb{char},0,1\n",
+                                        encoding="utf-8")
+        cfg = write_config(tmp_path, matrix=str(tmp_path / "m.csv"))
+        run_error(["heatmap", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
+                  f"heatmap id {'b' + char!r} holds a character XML 1.0 forbids")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("rows, ordered", [
         (["item_id,a,b", "a,1e308,1e308", "b,1e308,1e308"], ["a", "b"]),
         (["item_id,a,b,c", "a,1e308,0,1.7e308", "b,0,1e308,1e308", "c,1.7e308,1e308,1e308"],

@@ -1,5 +1,6 @@
 """Corpus data model, directory loading and saving, performance logs."""
 
+import csv
 import io
 import json
 import logging
@@ -32,6 +33,7 @@ from itemsim.corpus import (
     items_index_json,
     performance_csv,
     read_performance,
+    text_rows,
     write_files,
 )
 
@@ -681,6 +683,15 @@ class TestReadPerformanceMatchesReference:
         with pytest.raises(ItemsimError, match="empty file"):  # CRLF takes the line loop
             read_performance(io.StringIO(data.replace("\n", "\r\n")), corpus)
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("text", [
+    "", "a\n", "a\n\nb\n", "a,b\n\n1,2\n", "a,b\n1,2", "a,b,\n1,2,3\n", '"a",b\n1,2\n',
+    "a,b\r\n1,2\r\n", "a,b\n" + "1,2\n" * 20_000 + "\n3,4\n" + "5,6\n" * 20_000,
+], ids=["empty", "one field", "one field and a blank line", "blank line", "no final newline",
+        "ragged", "quoted", "crlf", "blank line in the second block"])
+def test_text_rows_are_the_csv_modules_rows(text):
+    assert list(text_rows(text, "t.csv")) == list(csv.reader(io.StringIO(text)))
 
 
 class TestWriteFiles:

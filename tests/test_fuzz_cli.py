@@ -6,14 +6,16 @@ number; nested objects and lists included) and runs the result through
 `main`. The items.json and solution files of the corpus are mutated the
 same way, and by character; performance.csv by field and by byte; the
 heatmap's matrix CSV by character. Every run gets a fresh `-o` and must
-either succeed or print exactly one `error:` line, exit 1 and leave no
-`-o`: a traceback fails the test with the input that caused it.
+either succeed, writing well-formed XML for any SVG, or print exactly
+one `error:` line, exit 1 and leave no `-o`: a traceback fails the test
+with the input that caused it.
 """
 
 import copy
 import json
 import shutil
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -132,7 +134,8 @@ def _mutate(cfg: dict, rng) -> dict:
 
 def _run(sub: str, config: Path, capsys, what: str) -> int:
     """Exit code of one run into a fresh -o beside the config, which must
-    succeed, or print one error line and leave no -o."""
+    succeed, writing any SVG as well-formed XML, or print one error line
+    and leave no -o."""
     out = config.with_name("out")
     try:
         code = main([sub, "-c", str(config), "-o", str(out)])
@@ -145,6 +148,11 @@ def _run(sub: str, config: Path, capsys, what: str) -> int:
     if code:
         assert not out.exists(), f"{sub} {what}: a failed run wrote {out}"
     else:
+        for svg in out.glob("*.svg"):
+            try:
+                ElementTree.parse(svg)
+            except ElementTree.ParseError as e:
+                pytest.fail(f"{sub} {what}: {svg.name} is not well-formed XML: {e}")
         shutil.rmtree(out)
     return code
 

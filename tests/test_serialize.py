@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from itemsim import (
     build_features,
     load_corpus,
 )
-from itemsim import serialize
+from itemsim import corpus as corpus_module
 from itemsim.cli import main
 from itemsim.corpus import _BLOCK_CHARS, csv_field
 from itemsim.serialize import (
@@ -204,6 +205,18 @@ class TestReadSquareCsv:
         with pytest.raises(ItemsimError, match="has 1 values, expected 2"):
             read_square_csv("item_id,a,b\na,1\n")
 
+    def test_memory_follows_the_rows_not_the_header(self):
+        # 3,000 ids and no row: a 3,000 x 3,000 float64 matrix would be 69 MiB
+        text = "item_id," + ",".join(f"i{k:04d}" for k in range(3000)) + "\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ItemsimError, match="row ids must match column ids"):
+                read_square_csv(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 def _read_outcome(read, text):
     """(ids, the matrix's bytes) of read(text), or the text of its error."""
@@ -215,8 +228,9 @@ def _read_outcome(read, text):
 
 
 class TestReadSquareCsvMatchesReference:
-    """read_square_csv reads plain text by block and everything else by
-    line; either way it must equal tests/oracles.reference_read_square_csv."""
+    """read_square_csv splits plain blocks at their commas and lets the csv
+    module read from the first other block on; either way it must equal
+    tests/oracles.reference_read_square_csv."""
 
     @staticmethod
     def written(rng, n):
@@ -229,20 +243,53 @@ class TestReadSquareCsvMatchesReference:
         np.fill_diagonal(v, 1.0)
         return similarity_csv(SimilarityMatrix(tuple(f"i{k:03d}" for k in range(n)), v, "m"))
 
-    def test_written_matrices_and_their_character_mutants(self):
+    def test_written_matrices_and_their_character_mutants(self, monkeypatch):
         rng = np.random.default_rng(17)
         pieces = ['"', "\r", "\0", "\ufeff", ",", "", "nan", "inf", "1e999", "\n", "-0", "x"]
         read = 0
         for n in (1, 2, 5, 40, 90):
             text = self.written(rng, n)
             assert (n < 90) == (len(text) < _BLOCK_CHARS)  # 90 items make two blocks
-            assert serialize._read_blocks(text) is not None  # written text takes the blocks
+            calls = []  # written text is split at its commas, never by the csv module
+            with monkeypatch.context() as patch:
+                patch.setattr(corpus_module, "csv_rows",
+                              lambda *args: calls.append(args) or iter(()))
+                read_square_csv(text)
+                assert calls == []
+                with pytest.raises(ItemsimError, match="empty file"):  # CRLF takes the csv module
+                    read_square_csv(text.replace("\n", "\r\n"))
+                assert len(calls) == 1
             for variant in [text, text.rstrip("\n"), *(char_mutant(text, pieces, rng)
                                                         for _ in range(40))]:
                 outcome = _read_outcome(read_square_csv, variant)
                 assert outcome == _read_outcome(reference_read_square_csv, variant), variant[:80]
                 read += isinstance(outcome, tuple)
         assert read > 40
+
+    @pytest.mark.parametrize("bad_cell", [None, "first block", "before", "after"])
+    @pytest.mark.parametrize("line", ["quoted id", "CRLF", "blank line", "CR in a row"])
+    def test_the_csv_module_takes_over_mid_matrix(self, line, bad_cell):
+        # the second block's third line is not plain; the rows before it
+        # were split at commas and must not be read twice or skipped
+        text = self.written(np.random.default_rng(19), 90)
+        lines = text.splitlines(keepends=True)
+        second = text.count("\n", 0, text.find("\n", _BLOCK_CHARS - 1) + 1)
+        assert 10 < second < len(lines) - 5
+        at = second + 2
+        if bad_cell is not None:
+            row = {"first block": 5, "before": second, "after": at + 1}[bad_cell]
+            cells = lines[row].split(",")
+            cells[3] = f"x{row}"
+            lines[row] = ",".join(cells)
+        item_id, rest = lines[at].split(",", 1)
+        lines[at] = {"quoted id": f'"{item_id}",{rest}',
+                     "CRLF": lines[at].replace("\n", "\r\n"),
+                     "blank line": "\n" + lines[at],
+                     "CR in a row": f"{item_id},\r{rest}"}[line]
+        text = "".join(lines)
+        outcome = _read_outcome(read_square_csv, text)
+        assert outcome == _read_outcome(reference_read_square_csv, text)
+        assert isinstance(outcome, tuple) == (bad_cell is None and line != "CR in a row")
 
     @pytest.mark.parametrize("where", ["header", "first row", "last row"])
     def test_blank_lines_and_a_field_over_the_csv_limit(self, where):
