@@ -1,0 +1,30 @@
+"""Alternating parent/change runs of perfbench/run.py at each workload's default seed.
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR OUT_DIR TAG WORKLOAD:PAIRS ...
+
+PARENT_DIR and CHANGE_DIR are checkouts; pair k runs the parent first when k
+is even. Writes OUT_DIR/BENCH_<TAG>-parent.json and OUT_DIR/BENCH_<TAG>.json:
+per workload, each run's env line and final JSON line, and their medians."""
+import json, statistics, subprocess, sys
+
+parent, change, out, tag, *plan = sys.argv[1:]
+trees, runs = {"parent": parent, "change": change}, {"parent": {}, "change": {}}
+for spec in plan:
+    w, pairs = spec.split(":")
+    for k in range(int(pairs)):
+        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            lines = subprocess.run([sys.executable, "perfbench/run.py", "--workload", w], cwd=trees[side],
+                                   capture_output=True, text=True, check=True).stdout.splitlines()
+            env = next(line for line in lines if line.startswith("env:"))
+            run = {"pair": k, "first": side == ("parent", "change")[k % 2], "env": env,
+                   "final": json.loads(lines[-1])}
+            runs[side].setdefault(w, []).append(run)
+            print(side, w, k, {m: v["value"] for m, v in run["final"]["metrics"].items()}, flush=True)
+for side, name in (("parent", f"BENCH_{tag}-parent.json"), ("change", f"BENCH_{tag}.json")):
+    doc = {"tree": side, "command": "python3 perfbench/run.py --workload <w>", "workloads": {}}
+    for w, rs in runs[side].items():
+        medians = {m: statistics.median(r["final"]["metrics"][m]["value"] for r in rs)
+                   for m in rs[0]["final"]["metrics"]}
+        doc["workloads"][w] = {"runs": rs, "medians": medians}
+    with open(f"{out}/{name}", "w") as fh:
+        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")

@@ -654,15 +654,24 @@ def csv_field(text: str) -> str:
     return text
 
 
+def csv_numbers(values) -> str:
+    """Each value as one more field of a CSV line, comma first, by the one
+    number rule of every file itemsim writes: 9 significant digits, NaN as
+    the empty field and -0 as 0."""
+    values = np.asarray(values, dtype=np.float64) + 0.0  # -0.0 + 0.0 is +0.0
+    return ((",%.9g" * len(values)) % tuple(values.tolist())).replace(",nan", ",")
+
+
 def performance_csv(table: PerformanceTable) -> str:
-    """One row per attempt, learner-major in sorted id order."""
-    rows, cols = np.nonzero(~np.isnan(table.time_seconds))
-    times, successes = table.time_seconds[rows, cols].tolist(), table.success[rows, cols].tolist()
-    learners = [csv_field(x) for x in table.learner_ids]
-    items = [csv_field(x) for x in table.item_ids]
+    """One row per attempt, learner-major in sorted id order. Each learner's
+    times are formatted by one csv_numbers call."""
+    learners, items = map(csv_field, table.learner_ids), list(map(csv_field, table.item_ids))
     lines = [",".join(PERFORMANCE_HEADER)]
-    for i, j, t, success in zip(rows.tolist(), cols.tolist(), times, successes):
-        lines.append(f"{learners[i]},{items[j]},{t:.9g},{int(success)}")
+    for learner, times, successes in zip(learners, table.time_seconds, table.success):
+        cols = np.flatnonzero(~np.isnan(times))
+        texts = csv_numbers(times[cols])[1:].split(",")
+        for j, t, success in zip(cols.tolist(), texts, successes[cols].tolist()):
+            lines.append(f"{learner},{items[j]},{t},{int(success)}")
     return "\n".join(lines) + "\n"
 
 

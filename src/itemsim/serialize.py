@@ -1,9 +1,9 @@
 """Deterministic CSV serialization for all matrix and vector artifacts.
 
 All files are UTF-8 with LF line endings and no trailing whitespace. Values
-use 9 significant digits; missing entries serialize as empty fields. Names
-and ids are quoted by corpus.csv_field, the one field rule of every CSV file
-itemsim writes: in quotes, quotes doubled, when it holds , " CR or LF or is empty.
+follow corpus.csv_numbers (9 significant digits, NaN empty, -0 as 0), names
+and ids corpus.csv_field (quoted, quotes doubled, when holding , " CR or LF or
+empty): the one number rule and the one field rule of every file itemsim writes.
 """
 
 from __future__ import annotations
@@ -13,38 +13,19 @@ import math
 import numpy as np
 
 from .analysis import AgreementMatrix, Partition
-from .corpus import csv_field, text_rows
+from .corpus import csv_field, csv_numbers, text_rows
 from .errors import ItemsimError
 from .features import FeatureMatrix
 from .projection import Embedding
 from .similarity import SimilarityMatrix
 
 
-def format_value(v: float) -> str:
-    """9-significant-digit decimal; NaN becomes the empty field; negative
-    zero normalizes to 0."""
-    if math.isnan(v):
-        return ""
-    text = f"{v:.9g}"
-    return text[1:] if text.startswith("-0") and float(text) == 0 else text
-
-
 def _matrix_csv(corner: str, columns, rows, values) -> str:
-    """The header, then one line per row: its name and format_value of each
-    value, which runs once per distinct value. Equal floats format alike
-    (0.0 and -0.0 both give 0), and a NaN, unequal to any key, is its own.
-    Each line is joined as its row is reached, so one row's fields are
-    alive at a time."""
-    text: dict = {}  # value -> format_value(value)
-
-    def lines():
-        yield ",".join(map(csv_field, [corner, *columns]))
-        for name, row in zip(rows, values):
-            cells = row.tolist()
-            text.update((v, format_value(v)) for v in cells if v not in text)
-            yield ",".join([csv_field(name), *map(text.__getitem__, cells)])
-
-    return "\n".join(lines()) + "\n"
+    """The header, then one line per row: its name and its values by
+    corpus.csv_numbers."""
+    lines = [",".join(map(csv_field, [corner, *columns]))]
+    lines += [csv_field(name) + csv_numbers(row) for name, row in zip(rows, values)]
+    return "\n".join(lines) + "\n"
 
 
 def feature_csv(m: FeatureMatrix) -> str:
@@ -67,15 +48,13 @@ def partition_csv(p: Partition) -> str:
 def embedding_csv(e: Embedding) -> str:
     head = ""
     if e.explained_variance is not None:
-        head = "# explained_variance: " + ",".join(
-            map(format_value, e.explained_variance)
-        ) + "\n"
+        head = "# explained_variance: " + csv_numbers(e.explained_variance)[1:] + "\n"
     columns = [f"x{d + 1}" for d in range(e.dims)]
     return head + _matrix_csv("item_id", columns, e.item_ids, e.coordinates)
 
 
 def scalar_text(v: float) -> str:
-    return format_value(v) + "\n"
+    return csv_numbers([v])[1:] + "\n"
 
 
 def read_square_csv(text: str, source: str = "matrix") -> tuple[tuple[str, ...], np.ndarray]:

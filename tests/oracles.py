@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from itemsim import AstNode, ItemsimError, NwScoring, PerformanceTable, SimilarityMatrix, heatmap
+from itemsim.corpus import csv_field
 from itemsim.errors import ParseError
 from itemsim.projection import _pivot_signs
 from itemsim.similarity import pearson
@@ -906,6 +907,33 @@ def reference_read_square_csv(text: str, source: str = "matrix") -> tuple[tuple[
     if tuple(row_ids) != ids:
         raise ItemsimError(f"{source}: row ids must match column ids in order")
     return ids, values
+
+
+def reference_format_value(v: float) -> str:
+    """9-significant-digit decimal; NaN becomes the empty field; negative
+    zero normalizes to 0. The writers' per-value number rule, before
+    `itemsim.corpus.csv_numbers` formatted each row by one `%`."""
+    if math.isnan(v):
+        return ""
+    text = f"{v:.9g}"
+    return text[1:] if text.startswith("-0") and float(text) == 0 else text
+
+
+def reference_matrix_csv(corner: str, columns, rows, values) -> str:
+    """The header, then one line per row: its name and reference_format_value
+    of each value, which runs once per distinct value. Equal floats format
+    alike (0.0 and -0.0 both give 0), and a NaN, unequal to any key, is its
+    own. `itemsim.serialize`'s matrix writers must give equal text."""
+    text: dict = {}  # value -> reference_format_value(value)
+
+    def lines():
+        yield ",".join(map(csv_field, [corner, *columns]))
+        for name, row in zip(rows, values):
+            cells = row.tolist()
+            text.update((v, reference_format_value(v)) for v in cells if v not in text)
+            yield ",".join([csv_field(name), *map(text.__getitem__, cells)])
+
+    return "\n".join(lines()) + "\n"
 
 
 def reference_nearest(x: np.ndarray, centers: np.ndarray) -> np.ndarray:

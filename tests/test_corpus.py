@@ -493,6 +493,29 @@ class TestPerformance:
             assert np.array_equal(getattr(loaded, name), getattr(table, name), equal_nan=True)
         assert performance_csv(table).endswith("l2,beta,0.125,0\n")
 
+    def test_edge_times_write_as_nine_digits_and_read_by_column(self, monkeypatch):
+        # the lines an f"{t:.9g}" loop gives: a third, the smallest subnormal,
+        # the largest float and a value past 9 digits
+        table = PerformanceTable.from_records([
+            ("l1", "a", 1 / 3, True), ("l1", "b", 5e-324, False),
+            ("l2", "a", 1.7976931348623157e308, True), ("l2", "b", 123456789012.0, False),
+        ])
+        data = performance_csv(table)
+        assert data == ("learner_id,item_id,time_seconds,success\n"
+                        "l1,a,0.333333333,1\n"
+                        "l1,b,4.94065646e-324,0\n"
+                        "l2,a,1.79769313e+308,1\n"
+                        "l2,b,1.23456789e+11,0\n")
+        calls = []
+        monkeypatch.setattr(corpus_module, "csv_rows",
+                            lambda *args: calls.append(args) or iter(()))
+        loaded = read_performance(io.StringIO(data))
+        assert calls == []
+        assert (loaded.learner_ids, loaded.item_ids) == (table.learner_ids, table.item_ids)
+        assert loaded.time_seconds.tolist() == [[0.333333333, 4.94065646e-324],
+                                                [1.79769313e+308, 1.23456789e+11]]
+        assert loaded.success.tobytes() == table.success.tobytes()
+
     def test_ids_needing_quotes_round_trip(self, tmp_path):
         # read -> write -> read: ids holding a comma, a quote and line breaks
         text = ('learner_id,item_id,time_seconds,success\n'

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import char_mutant
-from oracles import reference_read_square_csv
+from oracles import reference_format_value, reference_matrix_csv, reference_read_square_csv
 
 from itemsim import (
     AgreementMatrix,
@@ -22,12 +22,11 @@ from itemsim import (
 )
 from itemsim import corpus as corpus_module
 from itemsim.cli import main
-from itemsim.corpus import _BLOCK_CHARS, csv_field
+from itemsim.corpus import _BLOCK_CHARS, csv_field, csv_numbers
 from itemsim.serialize import (
     agreement_csv,
     embedding_csv,
     feature_csv,
-    format_value,
     partition_csv,
     read_square_csv,
     scalar_text,
@@ -35,21 +34,29 @@ from itemsim.serialize import (
 )
 
 
+def assert_number_rule(value: float, text: str):
+    """value writes as text in a row of csv_numbers and as scalar_text."""
+    assert csv_numbers([value]) == "," + text
+    assert scalar_text(value) == text + "\n"
+
+
 class TestFormatValue:
+    """format_value's cases, now the number rule of csv_numbers and scalar_text."""
+
     def test_nine_significant_digits(self):
-        assert format_value(1 / 3) == "0.333333333"
-        assert format_value(123456789012.0) == "1.23456789e+11"
+        assert_number_rule(1 / 3, "0.333333333")
+        assert_number_rule(123456789012.0, "1.23456789e+11")
 
     def test_integers_stay_short(self):
-        assert format_value(2.0) == "2"
-        assert format_value(-5.0) == "-5"
+        assert_number_rule(2.0, "2")
+        assert_number_rule(-5.0, "-5")
 
     def test_nan_is_empty(self):
-        assert format_value(float("nan")) == ""
+        assert_number_rule(float("nan"), "")
 
     def test_negative_zero_normalizes(self):
-        assert format_value(-0.0) == "0"
-        assert format_value(-1e-8) == "-1e-08"
+        assert_number_rule(-0.0, "0")
+        assert_number_rule(-1e-8, "-1e-08")
 
 
 class TestCsvField:
@@ -110,7 +117,7 @@ class TestMatrixCsv:
         # first in some row, and NaN, the infinities and float32 appear
         def per_cell(ids, columns, values):
             return "".join([",".join(["item_id", *columns]) + "\n",
-                            *(",".join([i, *map(format_value, row)]) + "\n"
+                            *(",".join([i, *map(reference_format_value, row)]) + "\n"
                               for i, row in zip(ids, values))])
 
         rng = np.random.default_rng(6)
@@ -128,6 +135,43 @@ class TestMatrixCsv:
             m = FeatureMatrix(ids, ("solution",) * 9, columns, values)
             want = per_cell(ids, [f"solution:{c}" for c in columns], values)
             assert feature_csv(m) == want
+
+    def test_random_matrices_as_the_reference_writes_them(self):
+        # 3,000 matrices of 0-11 x 0-11 cells: NaN of either sign, signed
+        # zeros and infinities, subnormals, and magnitudes 1e-320 to 1e300
+        rng = np.random.default_rng(31)
+        special = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                            2.2250738585072014e-308, 1.0, -1.0, 1 / 3, 123456789012.0])
+
+        def draw(shape, finite=False):
+            magnitude = 10.0 ** rng.uniform(-320, 300, shape) * rng.choice([-1.0, 1.0], shape)
+            values = np.where(rng.random(shape) < 0.4, rng.choice(special, shape), magnitude)
+            return np.where(np.isfinite(values), values, -0.0) if finite else values
+
+        for _ in range(3000):
+            n_rows, n_cols = rng.integers(12, size=2)
+            ids = tuple(f"i{k}" for k in range(n_rows))
+            values = draw((n_rows, n_cols), finite=True)  # FeatureMatrix holds finite values
+            names = tuple(f"f{k}" for k in range(n_cols))
+            assert feature_csv(FeatureMatrix(ids, ("solution",) * n_cols, names, values)) == \
+                reference_matrix_csv("item_id", [f"solution:{c}" for c in names], ids, values)
+            square = np.triu(draw((n_rows, n_rows)))
+            square = square + np.triu(square, 1).T
+            np.fill_diagonal(square, np.where(np.isnan(square.diagonal()), 1.0, square.diagonal()))
+            assert similarity_csv(SimilarityMatrix(ids, square)) == \
+                reference_matrix_csv("item_id", ids, ids, square)
+            square[np.isnan(square)] = 0.5  # AgreementMatrix holds no NaN
+            np.fill_diagonal(square, 1.0)
+            assert agreement_csv(AgreementMatrix(ids, square, "correlation")) == \
+                reference_matrix_csv("measure", ids, ids, square)
+            dims = max(n_cols, 1)
+            coordinates = draw((n_rows, dims), finite=True)
+            variance = tuple(draw(dims).tolist()) if rng.random() < 0.8 else None
+            head = "" if variance is None else (
+                "# explained_variance: " + ",".join(map(reference_format_value, variance)) + "\n")
+            columns = [f"x{d + 1}" for d in range(dims)]
+            assert embedding_csv(Embedding(ids, coordinates, variance)) == \
+                head + reference_matrix_csv("item_id", columns, ids, coordinates)
 
     def test_feature_csv_uses_group_prefixes(self):
         m = FeatureMatrix(("a",), ("statement", "solution"), ("move", "move"),
