@@ -4,7 +4,8 @@
 
 PARENT_DIR and CHANGE_DIR are checkouts; pair k runs the parent first when k
 is even. Writes OUT_DIR/BENCH_<TAG>-parent.json and OUT_DIR/BENCH_<TAG>.json:
-per workload, each run's env line and final JSON line, and their medians."""
+per workload, each run's env line and final JSON line, their medians and their
+first and third quartiles, which need two runs or more of each workload."""
 import json, statistics, subprocess, sys
 
 parent, change, out, tag, *plan = sys.argv[1:]
@@ -23,8 +24,10 @@ for spec in plan:
 for side, name in (("parent", f"BENCH_{tag}-parent.json"), ("change", f"BENCH_{tag}.json")):
     doc = {"tree": side, "command": "python3 perfbench/run.py --workload <w>", "workloads": {}}
     for w, rs in runs[side].items():
-        medians = {m: statistics.median(r["final"]["metrics"][m]["value"] for r in rs)
-                   for m in rs[0]["final"]["metrics"]}
-        doc["workloads"][w] = {"runs": rs, "medians": medians}
+        values = {m: [r["final"]["metrics"][m]["value"] for r in rs] for m in rs[0]["final"]["metrics"]}
+        doc["workloads"][w] = {"runs": rs, "medians": {m: statistics.median(v) for m, v in values.items()},
+                               # first and third quartiles, inclusive of the extremes (numpy's linear rule)
+                               "quartiles": {m: statistics.quantiles(v, n=4, method="inclusive")[::2]
+                                             for m, v in values.items()}}
     with open(f"{out}/{name}", "w") as fh:
         fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")

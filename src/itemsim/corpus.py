@@ -17,7 +17,6 @@ to 1. Solutions are ordered by filename within an item.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 import math
@@ -28,7 +27,7 @@ from collections import defaultdict
 from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, compress, islice
+from itertools import chain, compress
 from pathlib import Path
 
 import numpy as np
@@ -433,6 +432,16 @@ def csv_rows(fh, source: str):
         raise ItemsimError(f"{source}:{reader.line_num}: malformed CSV ({e})") from None
 
 
+_LINE = re.compile(".*\n|.+")  # a line up to and with its "\n", or the text's last
+
+
+def text_rows(text: str, source: str):
+    """The rows of CSV text, as csv_rows yields them from a text stream that
+    ends lines at "\n" only. The csv module reads the text's own lines one at
+    a time, so the text is not copied whole and an error names its line in it."""
+    return csv_rows(map(re.Match.group, _LINE.finditer(text)), source)
+
+
 def read_performance(fh, corpus: Corpus | None = None, source: str = "performance.csv"):
     """The PerformanceTable of a seekable performance.csv text stream.
 
@@ -459,47 +468,21 @@ def read_performance(fh, corpus: Corpus | None = None, source: str = "performanc
 _HEADER_LINE = ",".join(PERFORMANCE_HEADER) + "\n"
 _BLOCK_CHARS = 1 << 16
 
-
-def _blocks(fh):
-    """The blocks of a text stream, each ending with the line that reaches
-    _BLOCK_CHARS characters, as readlines(_BLOCK_CHARS) would end it."""
-    return iter(lambda: fh.read(_BLOCK_CHARS - 1) + fh.readline(), "")
-
-
-def text_rows(text: str, source: str):
-    """The rows of CSV text, as csv_rows yields them. Each block that
-    block_fields admits at the first line's width is split at its commas.
-    From the first it refuses, the csv module reads the whole text and skips
-    the rows already yielded, so that an error names its line in the text."""
-    width = text.count(",", 0, text.find("\n") + 1 or len(text)) + 1
-    fh = io.StringIO(text)
-    for block in _blocks(fh):
-        fields = block_fields(block, width)
-        if fields is None:  # each line before this block was one plain row
-            done = text.count("\n", 0, fh.tell() - len(block))
-            fh.seek(0)
-            yield from islice(csv_rows(fh, source), done, None)
-            return
-        for start in range(0, len(fields) - 1, width + 1):
-            yield fields[start:start + width]
-
-
-def block_fields(text: str, width: int) -> list[str] | None:
-    """The fields of a block of lines that the csv module would split into
-    `width` fields a line, each line's followed by a "\n" field and the
-    last by ""; None for any other block."""
+def block_fields(text: str) -> list[str] | None:
+    """The fields of a block of performance.csv lines that the csv module
+    would split into four fields a line, each line's followed by a "\n"
+    field and the last by ""; None for any other block."""
     if not text.endswith("\n"):  # the last line of a file without a final newline
         text += "\n"
     fields = text.replace("\n", ",\n,").split(",")
-    lines = text.count("\n")  # each "\n" field must end a line of `width` fields
+    lines = text.count("\n")  # each "\n" field must end a line of four fields
     limit = csv.field_size_limit()
     # the csv module parses quotes and CRs its own way and, before Python
     # 3.11, rejects a NUL; a BOM is an error. A line within the field size
     # limit holds no field over it.
-    if (width < 2  # the csv module splits a blank line into no field, not one
-            or any(map(text.__contains__, '"\r\0\ufeff'))
-            or len(fields) != (width + 1) * lines + 1
-            or fields[width::width + 1].count("\n") != lines
+    if (any(map(text.__contains__, '"\r\0\ufeff'))
+            or len(fields) != 5 * lines + 1
+            or fields[4::5].count("\n") != lines
             or len(text) > limit and max(map(len, text.split("\n"))) >= limit):
         return None
     return fields
@@ -508,15 +491,18 @@ def block_fields(text: str, width: int) -> list[str] | None:
 def _read_columns(fh, known: set[str] | None) -> tuple[PerformanceTable, int] | None:
     """The table and the number of data rows of a stream whose every line
     splits at three commas as the csv module would split it, and whose
-    columns pass the row checks; None as soon as a block is not such."""
-    blocks = _blocks(fh)
+    columns pass the row checks; None as soon as a block is not such. Each
+    block of lines is split at its commas by block_fields, and checked and
+    converted by column."""
+    # each block ends with the line that reaches _BLOCK_CHARS characters
+    blocks = iter(lambda: fh.read(_BLOCK_CHARS - 1) + fh.readline(), "")
     head = next(blocks, "")
     if not head.startswith(_HEADER_LINE):
         return None
     learners, items = _first_seen(), _first_seen()
     cells, times, successes = [np.empty(0, np.int64)], [np.empty(0)], [np.empty(0, bool)]
     for text in filter(None, chain([head[len(_HEADER_LINE):]], blocks)):
-        fields = block_fields(text, 4)
+        fields = block_fields(text)
         if fields is None:
             return None
         learner_col, item_col, time_col, success_col = (fields[k:-1:5] for k in range(4))

@@ -60,10 +60,11 @@ def scalar_text(v: float) -> str:
 def read_square_csv(text: str, source: str = "matrix") -> tuple[tuple[str, ...], np.ndarray]:
     """Parse a square matrix CSV (similarity or agreement shaped): header
     holds the ids, each row starts with its id, empty fields are missing
-    and all others must be finite numbers. Each row of corpus.text_rows is
-    checked in turn and the first error raised; a row whose cells do not all
-    convert goes cell by cell, to name its first bad cell. The matrix is
-    built once its rows are read, so its memory follows the file."""
+    and all others must be finite numbers. The csv module reads the text a
+    line at a time (corpus.text_rows). Each row is checked in turn and the
+    first error raised; a row whose cells do not all convert goes cell by
+    cell, to name its first bad cell. The matrix is built once its rows are
+    read, so its memory follows the file, not a copy of the text."""
     reader = text_rows(text, source)
     header = next(reader, None)
     if header is None:

@@ -20,7 +20,6 @@ from itemsim import (
     build_features,
     load_corpus,
 )
-from itemsim import corpus as corpus_module
 from itemsim.cli import main
 from itemsim.corpus import _BLOCK_CHARS, csv_field, csv_numbers
 from itemsim.serialize import (
@@ -261,6 +260,21 @@ class TestReadSquareCsv:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_memory_follows_the_rows_not_a_copy_of_the_text(self):
+        # 240 items, 0.7 MB of text: reading it through a 4-byte-a-character
+        # copy made a read peak at about 4 MiB
+        v = np.random.default_rng(4).random((240, 240))
+        text = similarity_csv(SimilarityMatrix(tuple(f"i{k:03d}" for k in range(240)),
+                                               (v + v.T) / 2, "m"))
+        tracemalloc.start()
+        try:
+            ids, values = read_square_csv(text, "m.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (ids, values.tobytes()) == _read_outcome(reference_read_square_csv, text)
+        assert peak < 2 * len(text)
+
 
 def _read_outcome(read, text):
     """(ids, the matrix's bytes) of read(text), or the text of its error."""
@@ -272,9 +286,9 @@ def _read_outcome(read, text):
 
 
 class TestReadSquareCsvMatchesReference:
-    """read_square_csv splits plain blocks at their commas and lets the csv
-    module read from the first other block on; either way it must equal
-    tests/oracles.reference_read_square_csv."""
+    """read_square_csv, whose csv module reads the text a line at a time,
+    must equal tests/oracles.reference_read_square_csv, which reads it
+    through io.StringIO, on written matrices and on every mutant of them."""
 
     @staticmethod
     def written(rng, n):
@@ -287,22 +301,13 @@ class TestReadSquareCsvMatchesReference:
         np.fill_diagonal(v, 1.0)
         return similarity_csv(SimilarityMatrix(tuple(f"i{k:03d}" for k in range(n)), v, "m"))
 
-    def test_written_matrices_and_their_character_mutants(self, monkeypatch):
+    def test_written_matrices_and_their_character_mutants(self):
         rng = np.random.default_rng(17)
         pieces = ['"', "\r", "\0", "\ufeff", ",", "", "nan", "inf", "1e999", "\n", "-0", "x"]
         read = 0
         for n in (1, 2, 5, 40, 90):
             text = self.written(rng, n)
             assert (n < 90) == (len(text) < _BLOCK_CHARS)  # 90 items make two blocks
-            calls = []  # written text is split at its commas, never by the csv module
-            with monkeypatch.context() as patch:
-                patch.setattr(corpus_module, "csv_rows",
-                              lambda *args: calls.append(args) or iter(()))
-                read_square_csv(text)
-                assert calls == []
-                with pytest.raises(ItemsimError, match="empty file"):  # CRLF takes the csv module
-                    read_square_csv(text.replace("\n", "\r\n"))
-                assert len(calls) == 1
             for variant in [text, text.rstrip("\n"), *(char_mutant(text, pieces, rng)
                                                         for _ in range(40))]:
                 outcome = _read_outcome(read_square_csv, variant)
@@ -313,8 +318,8 @@ class TestReadSquareCsvMatchesReference:
     @pytest.mark.parametrize("bad_cell", [None, "first block", "before", "after"])
     @pytest.mark.parametrize("line", ["quoted id", "CRLF", "blank line", "CR in a row"])
     def test_the_csv_module_takes_over_mid_matrix(self, line, bad_cell):
-        # the second block's third line is not plain; the rows before it
-        # were split at commas and must not be read twice or skipped
+        # one line that is not plain, past the first _BLOCK_CHARS characters
+        # and among plain lines: no row may be read twice or skipped
         text = self.written(np.random.default_rng(19), 90)
         lines = text.splitlines(keepends=True)
         second = text.count("\n", 0, text.find("\n", _BLOCK_CHARS - 1) + 1)
