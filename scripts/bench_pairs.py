@@ -5,14 +5,17 @@
 PARENT_DIR and CHANGE_DIR are checkouts; pair k runs the parent first when k
 is even. Writes OUT_DIR/BENCH_<TAG>-parent.json and OUT_DIR/BENCH_<TAG>.json:
 per workload, each run's env line and final JSON line, their medians and their
-first and third quartiles, which need two runs or more of each workload."""
+first and third quartiles, which need two runs or more of each workload: a plan
+with PAIRS under 2 is refused before the first run."""
 import json, statistics, subprocess, sys
 
 parent, change, out, tag, *plan = sys.argv[1:]
+plan = [(w, int(pairs)) for w, pairs in (spec.split(":") for spec in plan)]
+if any(pairs < 2 for _, pairs in plan):  # before any run, not after all of them
+    sys.exit("each WORKLOAD:PAIRS needs PAIRS >= 2: the quartiles take two runs of each side")
 trees, runs = {"parent": parent, "change": change}, {"parent": {}, "change": {}}
-for spec in plan:
-    w, pairs = spec.split(":")
-    for k in range(int(pairs)):
+for w, pairs in plan:
+    for k in range(pairs):
         for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
             lines = subprocess.run([sys.executable, "perfbench/run.py", "--workload", w], cwd=trees[side],
                                    capture_output=True, text=True, check=True).stdout.splitlines()

@@ -96,7 +96,7 @@ def similarity_from_features(
     else:
         rows = v - v.mean(axis=1, keepdims=True) if metric == "correlation" else v
         norms = np.linalg.norm(rows, axis=1)
-        valid = norms > 0
+        valid = (norms > 0) & ((metric == "cosine") | (v.min(axis=1) < v.max(axis=1)))
         safe = np.where(valid, norms, 1.0)
         unit = rows / safe[:, None]
         s = np.clip(unit @ unit.T, -1.0, 1.0)
@@ -116,17 +116,20 @@ def restrict(s: SimilarityMatrix, item_ids: tuple[str, ...]) -> SimilarityMatrix
 
 
 def _centred_sums(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Sums of squares and products about the means, less the error of the
+    rounded means (corrected two-pass; Chan, Golub & LeVeque 1983)."""
     xc = x - x.mean()
     yc = y - y.mean()
-    return float(xc @ xc), float(yc @ yc), float(xc @ yc)
+    sx, sy, n = float(xc.sum()), float(yc.sum()), len(x)
+    return float(xc @ xc) - sx * sx / n, float(yc @ yc) - sy * sy / n, float(xc @ yc) - sx * sy / n
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:
-    """Pearson correlation of two equal-length vectors, clipped to [-1, 1];
-    NaN when all values of either vector are equal (or either holds a NaN
-    or an infinity). Correlation is scale-invariant: vectors whose centred
-    sums of squares leave the float64 range are divided by their largest
-    magnitude first, and all others are used as they are, bit for bit."""
+    """Pearson correlation of two equal-length vectors, clipped to [-1, 1],
+    from `_centred_sums`; NaN when all values of either vector are equal (or
+    either holds a NaN or an infinity). Correlation is scale-invariant:
+    vectors whose centred sums of squares leave the float64 range are
+    divided by their largest magnitude first, the others used as they are."""
     if len(x) == 0 or x.min() == x.max() or y.min() == y.max():
         return math.nan
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -269,12 +272,10 @@ def performance_similarity(
     squares (X*X)^T H and cross-products X^T X give each pair's variances
     and covariance over its common learners. A pair is computed again with
     `pearson` over its common learners when either variance is below 2**-10
-    of its sum of squares about the column mean (cancellation would cost
-    the Gram form more than about 1e-13) or below 2**-20 of the sum of
-    squares of the values themselves (pearson's rounded mean would move
-    its own result by more than that); an exact zero variance is always
-    among them. So values are within 1e-12 of `pearson` over the common
-    learners, and missing exactly where it is."""
+    of its sum of squares about the column mean, where cancellation would
+    cost the Gram form more than about 1e-13; an exact zero variance is
+    always among them. So values are within 1e-12 of `pearson` over the
+    common learners, and missing exactly where it is."""
     if measure not in ("log_time", "success"):
         raise ItemsimError(f"unknown performance measure {measure!r}")
     if min_overlap < 1:
@@ -302,18 +303,11 @@ def performance_similarity(
     values = x.T @ x
     squares = np.square(x, out=x).T @ h
     del h, x
-    shift = shift[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         means = sums / counts
         values -= sums * means.T  # the covariances
         var = np.subtract(squares, sums * means, out=means)
-        # sums of squares of the values themselves: about zero, not the shift
-        unshifted = counts * shift
-        unshifted += 2.0 * sums
-        unshifted *= shift
-        unshifted += squares
-        low = (var <= 2.0 ** -10 * squares) | (var <= 2.0 ** -20 * unshifted)
-        del unshifted
+        low = var <= 2.0 ** -10 * squares
         norms = var * var.T
         values /= np.sqrt(norms, out=norms)
 

@@ -16,8 +16,8 @@ import pytest
 
 import itemsim
 from itemsim import (
-    ItemsimError, NwScoring, compute_measure, edit_similarity, editdist, load_corpus,
-    load_performance, parse_measure, save_corpus,
+    Corpus, Item, ItemsimError, NwScoring, WorldSpec, compute_measure, edit_similarity, editdist,
+    load_corpus, load_performance, parse_measure, save_corpus,
 )
 from itemsim import corpus as corpus_module
 from itemsim.cli import main
@@ -204,6 +204,23 @@ class TestSim:
         run_ok(["sim", "-c", cfg, "-o", str(out)])
         ids, values = read_square_csv((out / "sim.csv").read_text(encoding="utf-8"))
         assert not np.isnan(values[0, 1])
+
+    def test_constant_feature_row_is_missing_under_correlation(self, tmp_path):
+        # after max, item a's world row is three copies of 0.1, whose mean
+        # rounds off; b's is three 1s
+        shapes = {"a": (1, 1, 1), "b": (10, 10, 10), "c": (5, 3, 7), "d": (4, 2, 9)}
+        save_corpus(Corpus(tuple(
+            Item(id=item_id, statement_text="", world=WorldSpec(grid=("." * cols,) * rows,
+                                                                legend={}), command_limit=limit)
+            for item_id, (rows, cols, limit) in shapes.items())), tmp_path / "corpus")
+        cfg = write_config(tmp_path, corpus=str(tmp_path / "corpus"),
+                           measure="world/max/correlation")
+        run_ok(["sim", "-c", cfg, "-o", str(tmp_path / "o")])
+        ids, values = read_square_csv((tmp_path / "o" / "sim.csv").read_text(encoding="utf-8"))
+        assert ids == ("a", "b", "c", "d")
+        assert np.isnan(values).astype(int).tolist() == [
+            [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]]
+        assert values[2, 3] == values[3, 2] == pytest.approx(0.970725343, abs=1e-9)
 
     def test_reruns_are_byte_identical(self, corpus_dir, tmp_path):
         cfg = write_config(tmp_path, corpus=str(corpus_dir),

@@ -21,7 +21,7 @@ from itemsim import (
     load_corpus,
 )
 from itemsim.cli import main
-from itemsim.corpus import _BLOCK_CHARS, csv_field, csv_numbers
+from itemsim.corpus import csv_field, csv_numbers
 from itemsim.serialize import (
     agreement_csv,
     embedding_csv,
@@ -307,7 +307,6 @@ class TestReadSquareCsvMatchesReference:
         read = 0
         for n in (1, 2, 5, 40, 90):
             text = self.written(rng, n)
-            assert (n < 90) == (len(text) < _BLOCK_CHARS)  # 90 items make two blocks
             for variant in [text, text.rstrip("\n"), *(char_mutant(text, pieces, rng)
                                                         for _ in range(40))]:
                 outcome = _read_outcome(read_square_csv, variant)
@@ -315,18 +314,16 @@ class TestReadSquareCsvMatchesReference:
                 read += isinstance(outcome, tuple)
         assert read > 40
 
-    @pytest.mark.parametrize("bad_cell", [None, "first block", "before", "after"])
+    @pytest.mark.parametrize("bad_cell", [None, "early row", "before", "after"])
     @pytest.mark.parametrize("line", ["quoted id", "CRLF", "blank line", "CR in a row"])
     def test_the_csv_module_takes_over_mid_matrix(self, line, bad_cell):
-        # one line that is not plain, past the first _BLOCK_CHARS characters
-        # and among plain lines: no row may be read twice or skipped
+        # one line that is not plain, in the middle of the matrix and among
+        # plain lines: no row may be read twice or skipped
         text = self.written(np.random.default_rng(19), 90)
         lines = text.splitlines(keepends=True)
-        second = text.count("\n", 0, text.find("\n", _BLOCK_CHARS - 1) + 1)
-        assert 10 < second < len(lines) - 5
-        at = second + 2
+        at = 45
         if bad_cell is not None:
-            row = {"first block": 5, "before": second, "after": at + 1}[bad_cell]
+            row = {"early row": 5, "before": at - 2, "after": at + 1}[bad_cell]
             cells = lines[row].split(",")
             cells[3] = f"x{row}"
             lines[row] = ",".join(cells)

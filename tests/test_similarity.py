@@ -378,6 +378,12 @@ class TestPearson:
         x = np.array([1.0, np.nextafter(1.0, 2.0), 1.0, np.nextafter(1.0, 2.0)])
         assert -1.0 <= pearson(x, np.array([1.0, 2.0, 1.0, 3.0])) <= 1.0
 
+    def test_values_a_few_ulps_apart_correlate_exactly(self):
+        # centring by the rounded mean alone gave 0.169
+        x = np.array([1.0, 1.0 + 2.0 ** -52, 1.0, 1.0 + 2.0 ** -52, 1.0])
+        got = pearson(x, np.array([1.0, 2.0, 1.0, 2.0, 3.0]))
+        assert got == pytest.approx(1.0 / math.sqrt(21.0), abs=1e-12)
+
     def test_ordinary_inputs_keep_their_bits(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
@@ -474,7 +480,7 @@ class TestPerformanceSimilarity:
         s = performance_similarity(table, min_overlap=5)
         want = pearson(table.log_time[:, 0], table.log_time[:, 1])
         assert not math.isnan(want)
-        assert s.values[0, 1] == want  # computed again with pearson
+        assert s.values[0, 1] == pytest.approx(want, abs=1e-12)
 
     def test_missing_ids_and_empty_tables_warn_nothing(self):
         table = _table({"l1": {"a": 1.0, "b": 2.0}, "l2": {"a": 2.0, "b": 1.0}})
@@ -504,7 +510,7 @@ class TestPerformanceSimilarity:
             "perfcorr log_time: 3 items, 13 learners, 1 pairs below min_overlap 2, "
             "0 pairs with a constant item, 1 low-variance pairs re-checked",
             "perfcorr log_time: 2 items, 5 learners, 0 pairs below min_overlap 5, "
-            "0 pairs with a constant item, 1 low-variance pairs re-checked",
+            "0 pairs with a constant item, 0 low-variance pairs re-checked",
         ]
 
     def test_explicit_item_ids_fix_order_and_axes(self):
@@ -579,6 +585,21 @@ class TestPerformanceTableMatchesReference:
             want = reference_performance_similarity(rows, measure)
             _assert_close(got, want)
             assert similarity_csv(got) == similarity_csv(want)
+
+    @pytest.mark.parametrize("offset", [1.0, 2.0, 10.0, 100.0, 1e3])
+    def test_near_constant_items(self, offset):
+        # item nK takes times offset * (1 + k * 2**-52), k in 0..K: log times
+        # a few ulps apart, or all equal for n0, beside two ordinary items
+        rng = np.random.default_rng(int(offset))
+        for _ in range(20):
+            rows = []
+            for learner in range(int(rng.integers(3, 16))):
+                times = {f"n{top}": offset * (1.0 + int(rng.integers(top + 1)) * 2.0 ** -52)
+                         for top in (0, 1, 3, 9)}
+                times.update(o1=float(rng.lognormal(0.0, 0.5)), o2=float(rng.lognormal(0.0, 0.5)))
+                rows += [(f"l{learner}", item, t, True) for item, t in times.items()
+                         if rng.random() < 0.8]
+            _assert_same_as_reference(rows, "log_time", int(rng.integers(2, 4)), None)
 
     def test_random_rows(self):
         rng = np.random.default_rng(61)
