@@ -6,7 +6,9 @@ PARENT_DIR and CHANGE_DIR are checkouts; pair k runs the parent first when k
 is even. Writes OUT_DIR/BENCH_<TAG>-parent.json and OUT_DIR/BENCH_<TAG>.json:
 per workload, each run's env line and final JSON line, their medians and their
 first and third quartiles, which need two runs or more of each workload: a plan
-with PAIRS under 2 is refused before the first run."""
+with PAIRS under 2 is refused before the first run. A run that exits non-zero
+stops the script with exit status 1, naming its side, workload and pair, its
+exit code and the last lines of its stderr."""
 import json, statistics, subprocess, sys
 
 parent, change, out, tag, *plan = sys.argv[1:]
@@ -17,8 +19,12 @@ trees, runs = {"parent": parent, "change": change}, {"parent": {}, "change": {}}
 for w, pairs in plan:
     for k in range(pairs):
         for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-            lines = subprocess.run([sys.executable, "perfbench/run.py", "--workload", w], cwd=trees[side],
-                                   capture_output=True, text=True, check=True).stdout.splitlines()
+            done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", w], cwd=trees[side],
+                                  capture_output=True, text=True)
+            if done.returncode:  # name the run and show why, not only the exit status
+                tail = "\n".join(done.stderr.splitlines()[-20:])
+                sys.exit(f"{side} {w} pair {k}: exit code {done.returncode}; last lines of stderr:\n{tail}")
+            lines = done.stdout.splitlines()
             env = next(line for line in lines if line.startswith("env:"))
             run = {"pair": k, "first": side == ("parent", "change")[k % 2], "env": env,
                    "final": json.loads(lines[-1])}

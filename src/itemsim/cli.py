@@ -1,10 +1,12 @@
 """Command-line front end: itemsim <subcommand> -c config.json -o outdir.
 
 Subcommands: features, sim, agree, meta-agree, cluster, project, stability,
-synth, heatmap. Configuration is a JSON object with "schema": 1; every
-output is a pure function of the corpus bytes and the config bytes, so
-reruns are byte-identical. Each subcommand returns its files and main
-writes them once it has returned, so a failed command writes nothing.
+synth, heatmap. Each takes only -c and -o: the config, a JSON object with
+"schema": 1, holds every setting of the run, seeds included ("seed", and
+"synth.seed" for synth). Every output is a pure function of the corpus bytes
+and the config bytes, so reruns are byte-identical. Each subcommand returns
+its files and main writes them once it has returned, so a failed command
+writes nothing.
 """
 
 from __future__ import annotations
@@ -153,31 +155,20 @@ def _inputs(cfg: dict, sources: list[str]):
     return corpus, params, _load_records(cfg, corpus) if needs_records else None
 
 
-def _seed(cfg: dict, args) -> int:
-    seed = args.seed if args.seed is not None else _optional(cfg, "seed", int, 0)
+def _seed(cfg: dict) -> int:
+    seed = _optional(cfg, "seed", int, 0)
     if seed < 0:
         raise ConfigError("seed must be non-negative")
     return seed
 
 
-def _measure_names(cfg: dict, args) -> list[str]:
-    if args.measures:
-        names = [m for m in args.measures.split(",") if m]
-    else:
-        names = _require(cfg, "measures", list, "agreement")
-        if not all(isinstance(n, str) for n in names):
-            raise ConfigError('config key "measures" must be a list of strings')
+def _measure_names(cfg: dict) -> list[str]:
+    names = _require(cfg, "measures", list, "agreement")
+    if not all(isinstance(n, str) for n in names):
+        raise ConfigError('config key "measures" must be a list of strings')
     if len(names) < 2:
         raise ItemsimError("need at least 2 measures")
     return names
-
-
-def _method(cfg: dict, args) -> str:
-    return _normalize_method(args.method or _optional(cfg, "method", str, "correlation"))
-
-
-def _normalize_method(method: str) -> str:
-    return "correlation" if method in ("corr", "correlation") else method
 
 
 def _features(cfg: dict, what: str):
@@ -215,39 +206,37 @@ def _spec(cls, fields: dict, what: str):
 # ---------------------------------------------------------------------------
 
 
-def cmd_features(cfg: dict, args) -> dict[str, str]:
+def cmd_features(cfg: dict) -> dict[str, str]:
     return {"features.csv": feature_csv(_features(cfg, "features"))}
 
 
-def cmd_sim(cfg: dict, args) -> dict[str, str]:
+def cmd_sim(cfg: dict) -> dict[str, str]:
     _, (s,) = _measures(cfg, [_require(cfg, "measure", str, "sim")])
     return {"sim.csv": similarity_csv(s)}
 
 
-def cmd_agree(cfg: dict, args) -> dict[str, str]:
-    names = _measure_names(cfg, args)
-    matrices = _computed_measures(cfg, names)
-    a = agreement_matrix(matrices, method=_method(cfg, args))
+def cmd_agree(cfg: dict) -> dict[str, str]:
+    matrices = _computed_measures(cfg, _measure_names(cfg))
+    a = agreement_matrix(matrices, method=_optional(cfg, "method", str, "correlation"))
     return {"agreement.csv": agreement_csv(a)}
 
 
-def cmd_meta_agree(cfg: dict, args) -> dict[str, str]:
-    names = _measure_names(cfg, args)
+def cmd_meta_agree(cfg: dict) -> dict[str, str]:
+    names = _measure_names(cfg)
     methods = _optional(cfg, "methods", list, ["correlation", "top:5"])
     if len(methods) != 2 or not all(isinstance(m, str) for m in methods):
         raise ConfigError('config key "methods" must be a list of two method strings')
     matrices = _computed_measures(cfg, names)
-    a1 = agreement_matrix(matrices, method=_normalize_method(methods[0]))
-    a2 = agreement_matrix(matrices, method=_normalize_method(methods[1]))
+    a1, a2 = (agreement_matrix(matrices, method=m) for m in methods)
     return {"meta_agree.txt": scalar_text(meta_agreement(a1, a2))}
 
 
-def cmd_cluster(cfg: dict, args) -> dict[str, str]:
+def cmd_cluster(cfg: dict) -> dict[str, str]:
     corpus, (s,) = _measures(cfg, [_require(cfg, "measure", str, "cluster")])
     k = _optional(cfg, "k", int, 9)
     runs = _optional(cfg, "runs", int, 10)
     restarts = _optional(cfg, "restarts", int, 1)
-    seed = _seed(cfg, args)
+    seed = _seed(cfg)
     manual_full = level_partition(corpus)
     index = dict(zip(manual_full.item_ids, manual_full.labels))
     manual = Partition(item_ids=s.item_ids, labels=tuple(index[i] for i in s.item_ids))
@@ -258,7 +247,7 @@ def cmd_cluster(cfg: dict, args) -> dict[str, str]:
     }
 
 
-def cmd_project(cfg: dict, args) -> dict[str, str]:
+def cmd_project(cfg: dict) -> dict[str, str]:
     kind = _optional(cfg, "projection", str, "pca")
     dims = _optional(cfg, "dims", int, 2)
     if kind == "pca":
@@ -271,7 +260,7 @@ def cmd_project(cfg: dict, args) -> dict[str, str]:
     return {"embedding.csv": embedding_csv(embedding)}
 
 
-def cmd_stability(cfg: dict, args) -> dict[str, str]:
+def cmd_stability(cfg: dict) -> dict[str, str]:
     corpus = None
     if "corpus" in cfg:
         corpus = load_corpus(_require(cfg, "corpus", str, "stability"), solutions=False)
@@ -281,19 +270,17 @@ def cmd_stability(cfg: dict, args) -> dict[str, str]:
         records,
         measure=params.perf_measure,
         min_overlap=params.min_overlap,
-        seed=_seed(cfg, args),
+        seed=_seed(cfg),
     )
     return {"stability.txt": scalar_text(value)}
 
 
-def cmd_synth(cfg: dict, args) -> dict[str, str]:
+def cmd_synth(cfg: dict) -> dict[str, str]:
     synth_cfg = _require(cfg, "synth", dict, "synth")
     _check_keys(synth_cfg, _SYNTH_KEYS, "unknown synth keys")
     perf_cfg = _optional(synth_cfg, "performance", dict, None)
-    synth_cfg.pop("performance", None)
-    if args.seed is not None:
-        synth_cfg["seed"] = args.seed
-    corpus_spec = _spec(CorpusSpec, synth_cfg, "synth")
+    corpus_cfg = {k: v for k, v in synth_cfg.items() if k != "performance"}
+    corpus_spec = _spec(CorpusSpec, corpus_cfg, "synth")
     perf_spec = None
     if perf_cfg is not None:
         _check_keys(perf_cfg, _PERF_KEYS, "unknown synth performance keys")
@@ -311,7 +298,7 @@ def cmd_synth(cfg: dict, args) -> dict[str, str]:
     return files
 
 
-def cmd_heatmap(cfg: dict, args) -> dict[str, str]:
+def cmd_heatmap(cfg: dict) -> dict[str, str]:
     matrix_path = _require(cfg, "matrix", str, "heatmap")
     ordering = _optional(cfg, "ordering", str, "none")
     ids, values = read_square_csv(read_text(matrix_path), source=matrix_path)
@@ -344,13 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, (func, help_text) in commands.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("-c", "--config", required=True, help="path to JSON config")
+        p.add_argument("-c", "--config", required=True, help="JSON config: every setting of the run")
         p.add_argument("-o", "--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        if name in ("agree", "meta-agree"):
-            p.add_argument("--measures", default=None, help="comma-separated measure names")
-        if name == "agree":
-            p.add_argument("--method", default=None, help="corr or top:<N>")
         p.set_defaults(func=func)
     return parser
 
@@ -370,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        files = args.func(load_config(args.config), args)
+        files = args.func(load_config(args.config))
         write_files(args.out, files)
     except (ItemsimError, OSError) as e:
         message = " ".join(str(e).split())

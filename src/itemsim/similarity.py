@@ -78,10 +78,10 @@ def _mirror_upper(values: np.ndarray) -> np.ndarray:
 def similarity_from_features(
     m: FeatureMatrix, metric: str = "correlation", measure_name: str | None = None
 ) -> SimilarityMatrix:
-    """Row-vector similarity under correlation (Pearson), cosine, or
-    subtracted euclidean (S = -distance). Degenerate rows (constant for
-    correlation, zero for cosine) yield missing entries against every other
-    item."""
+    """Row-vector similarity under correlation (Pearson, from the corrected
+    sums of `_centred_sums`), cosine, or subtracted euclidean (S = -distance).
+    Degenerate rows (constant for correlation, zero for cosine) yield missing
+    entries against every other item."""
     if metric not in METRICS:
         raise ItemsimError(f"unknown metric {metric!r}")
     if m.n_items == 0 or m.n_features == 0:
@@ -95,11 +95,13 @@ def similarity_from_features(
         np.fill_diagonal(s, 0.0)
     else:
         rows = v - v.mean(axis=1, keepdims=True) if metric == "correlation" else v
-        norms = np.linalg.norm(rows, axis=1)
+        # the row sums carry the error of the rounded means; cosine has none
+        sums = rows.sum(axis=1) if metric == "correlation" else np.zeros(m.n_items)
+        norms = np.sqrt(np.maximum((rows * rows).sum(axis=1) - sums * sums / m.n_features, 0.0))
         valid = (norms > 0) & ((metric == "cosine") | (v.min(axis=1) < v.max(axis=1)))
         safe = np.where(valid, norms, 1.0)
-        unit = rows / safe[:, None]
-        s = np.clip(unit @ unit.T, -1.0, 1.0)
+        unit, unit_sums = rows / safe[:, None], sums / safe
+        s = np.clip(unit @ unit.T - np.outer(unit_sums, unit_sums) / m.n_features, -1.0, 1.0)
         s = _mirror_upper(s)
         s[~valid, :] = np.nan
         s[:, ~valid] = np.nan

@@ -86,14 +86,6 @@ class TestSynth:
         assert (corpus_dir / "performance.csv").is_file()
         assert all(it.sample_solution() is not None for it in corpus.items)
 
-    def test_seed_flag_overrides_config(self, corpus_dir, tmp_path):
-        cfg = write_config(tmp_path, synth={"n_items": 5, "n_levels": 2, "seed": 3})
-        out = tmp_path / "other"
-        run_ok(["synth", "-c", cfg, "-o", str(out), "--seed", "99"])
-        original = (corpus_dir / "items.json").read_bytes()
-        reseeded = (out / "items.json").read_bytes()
-        assert original != reseeded
-
     def test_output_bytes_pinned(self, tmp_path):
         """The sha256 of every file synth writes for one fixed spec, .robot
         sources included, so the emitter and the generators keep their bytes."""
@@ -281,21 +273,6 @@ class TestAgree:
         names, values = read_square_csv(text)
         assert names == tuple(self.MEASURES)
         assert np.allclose(np.diag(values), 1.0)
-
-    def test_measures_flag_overrides_config(self, corpus_dir, tmp_path):
-        cfg = write_config(tmp_path, corpus=str(corpus_dir), measures=["ted"])
-        out = tmp_path / "out"
-        run_ok(["agree", "-c", cfg, "-o", str(out),
-                "--measures", "ted,levenshtein"])
-        names, _ = read_square_csv((out / "agreement.csv").read_text(encoding="utf-8"))
-        assert names == ("ted", "levenshtein")
-
-    def test_corr_method_alias_matches_default(self, corpus_dir, tmp_path):
-        cfg = write_config(tmp_path, corpus=str(corpus_dir), measures=self.MEASURES)
-        out1, out2 = tmp_path / "one", tmp_path / "two"
-        run_ok(["agree", "-c", cfg, "-o", str(out1)])
-        run_ok(["agree", "-c", cfg, "-o", str(out2), "--method", "corr"])
-        assert (out1 / "agreement.csv").read_bytes() == (out2 / "agreement.csv").read_bytes()
 
     def test_topn_method(self, corpus_dir, tmp_path):
         cfg = write_config(tmp_path, corpus=str(corpus_dir), measures=self.MEASURES,
@@ -683,26 +660,56 @@ class TestConfigAndErrors:
 
 
 class TestNegativeSeeds:
-    @pytest.mark.parametrize("sub, settings, flag", [
-        ("cluster", {"measure": "ted", "k": 2, "seed": -1}, []),
-        ("cluster", {"measure": "ted", "k": 2}, ["--seed", "-1"]),
-        ("stability", {"min_overlap": 5, "seed": -1}, []),
-        ("stability", {"min_overlap": 5}, ["--seed", "-1"]),
-    ], ids=["cluster_config", "cluster_flag", "stability_config", "stability_flag"])
-    def test_analysis_seed(self, corpus_dir, tmp_path, capsys, sub, settings, flag):
+    @pytest.mark.parametrize("sub, settings", [
+        ("cluster", {"measure": "ted", "k": 2, "seed": -1}),
+        ("stability", {"min_overlap": 5, "seed": -1}),
+    ], ids=["cluster_config", "stability_config"])
+    def test_analysis_seed(self, corpus_dir, tmp_path, capsys, sub, settings):
         cfg = write_config(tmp_path, corpus=str(corpus_dir), **settings)
-        run_error([sub, "-c", cfg, "-o", str(tmp_path / "o"), *flag], capsys,
+        run_error([sub, "-c", cfg, "-o", str(tmp_path / "o")], capsys,
                   "seed must be non-negative")
 
-    @pytest.mark.parametrize("synth, flag", [
-        ({"n_items": 5, "n_levels": 2, "seed": -1}, []),
-        ({"n_items": 5, "n_levels": 2}, ["--seed", "-1"]),
-        ({"n_items": 5, "n_levels": 2, "performance": {"seed": -1}}, []),
-    ], ids=["config", "flag", "performance"])
-    def test_synth_seed(self, tmp_path, capsys, synth, flag):
+    @pytest.mark.parametrize("synth", [
+        {"n_items": 5, "n_levels": 2, "seed": -1},
+        {"n_items": 5, "n_levels": 2, "performance": {"seed": -1}},
+    ], ids=["config", "performance"])
+    def test_synth_seed(self, tmp_path, capsys, synth):
         cfg = write_config(tmp_path, synth=synth)
-        run_error(["synth", "-c", cfg, "-o", str(tmp_path / "o"), *flag], capsys,
+        run_error(["synth", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
                   "seed must be non-negative")
+
+
+class TestConfigIsTheWholeRun:
+    """Each subcommand takes only -c and -o; every setting, seeds included,
+    comes from the config, and a method has one spelling."""
+
+    @pytest.mark.parametrize("sub, settings, flag", [
+        ("synth", {"synth": {"n_items": 5, "n_levels": 2}}, ["--seed", "5"]),
+        ("cluster", {"measure": "ted", "k": 2}, ["--seed", "5"]),
+        ("stability", {"min_overlap": 5}, ["--seed", "5"]),
+        ("agree", {"measures": ["ted", "levenshtein"]}, ["--measures", "ted,levenshtein"]),
+        ("meta-agree", {"measures": ["ted", "levenshtein", "bag/none/correlation"]},
+         ["--measures", "ted,levenshtein"]),
+        ("agree", {"measures": ["ted", "levenshtein"]}, ["--method", "top:2"]),
+    ], ids=["synth_seed", "cluster_seed", "stability_seed", "agree_measures",
+            "meta_agree_measures", "agree_method"])
+    def test_removed_flag_is_refused(self, corpus_dir, tmp_path, capsys, sub, settings, flag):
+        cfg = write_config(tmp_path, corpus=str(corpus_dir), **settings)
+        out = tmp_path / "o"
+        run_error([sub, "-c", cfg, "-o", str(out), *flag], capsys,
+                  f"unrecognized arguments: {' '.join(flag)}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub, settings", [
+        ("agree", {"method": "corr"}),
+        ("meta-agree", {"methods": ["corr", "top:5"]}),
+    ], ids=["agree", "meta_agree"])
+    def test_corr_is_not_a_method(self, corpus_dir, tmp_path, capsys, sub, settings):
+        cfg = write_config(tmp_path, corpus=str(corpus_dir), measures=TestAgree.MEASURES,
+                           **settings)
+        assert main([sub, "-c", cfg, "-o", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "error: unknown agreement method 'corr'; use correlation or top:<n>\n")
 
 
 NOT_UTF8 = b"move \xff\xfe"

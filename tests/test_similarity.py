@@ -104,6 +104,13 @@ class TestFeatureMetrics:
         via_cosine = similarity_from_features(fm(centered), "cosine").values
         assert np.nanmax(np.abs(direct - via_cosine)) < 1e-9
 
+    def test_values_a_few_ulps_apart_correlate_as_pearson_does(self):
+        # centring by the rounded mean alone gave 0.169
+        u = 2.0 ** -52
+        m = fm([[1.0, 1.0 + u, 1.0, 1.0 + u, 1.0], [1.0, 2.0, 1.0, 2.0, 3.0]])
+        got = similarity_from_features(m, "correlation").values[0, 1]
+        assert got == pytest.approx(1.0 / math.sqrt(21.0), abs=1e-12)
+
     def test_constant_row_is_missing_under_pearson(self):
         s = similarity_from_features(fm([[2.0, 2.0], [1.0, 3.0], [0.0, 4.0]]), "correlation")
         assert np.isnan(s.values[0, 1]) and np.isnan(s.values[0, 2])
