@@ -8,8 +8,25 @@ per workload, each run's env line and final JSON line, their medians and their
 first and third quartiles, which need two runs or more of each workload: a plan
 with PAIRS under 2 is refused before the first run. A run that exits non-zero
 stops the script with exit status 1, naming its side, workload and pair, its
-exit code and the last lines of its stderr."""
+exit code and the last lines of its stderr; so does a run whose stdout lacks an
+env: line or does not end in a JSON object of metrics, with the last lines of
+its stdout and stderr."""
 import json, statistics, subprocess, sys
+
+
+def final_line(lines):
+    """The run's closing JSON object of metrics, or None."""
+    try:
+        final = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        return None
+    return final if isinstance(final, dict) and "metrics" in final else None
+
+
+def fail(side, w, k, why, text):
+    tail = "\n".join(text.splitlines()[-20:])
+    sys.exit(f"{side} {w} pair {k}: {why}; last lines of its output:\n{tail}")
+
 
 parent, change, out, tag, *plan = sys.argv[1:]
 plan = [(w, int(pairs)) for w, pairs in (spec.split(":") for spec in plan)]
@@ -22,12 +39,14 @@ for w, pairs in plan:
             done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", w], cwd=trees[side],
                                   capture_output=True, text=True)
             if done.returncode:  # name the run and show why, not only the exit status
-                tail = "\n".join(done.stderr.splitlines()[-20:])
-                sys.exit(f"{side} {w} pair {k}: exit code {done.returncode}; last lines of stderr:\n{tail}")
+                fail(side, w, k, f"exit code {done.returncode}", done.stderr)
             lines = done.stdout.splitlines()
-            env = next(line for line in lines if line.startswith("env:"))
-            run = {"pair": k, "first": side == ("parent", "change")[k % 2], "env": env,
-                   "final": json.loads(lines[-1])}
+            env = next((line for line in lines if line.startswith("env:")), None)
+            final = final_line(lines)
+            if env is None or final is None:
+                fail(side, w, k, "no env: line or no final JSON line of metrics",
+                     f"{done.stdout}\n{done.stderr}")
+            run = {"pair": k, "first": side == ("parent", "change")[k % 2], "env": env, "final": final}
             runs[side].setdefault(w, []).append(run)
             print(side, w, k, {m: v["value"] for m, v in run["final"]["metrics"].items()}, flush=True)
 for side, name in (("parent", f"BENCH_{tag}-parent.json"), ("change", f"BENCH_{tag}.json")):

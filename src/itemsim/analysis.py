@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,19 +40,16 @@ class AgreementMatrix:
             raise ItemsimError("agreement matrix must be symmetric")
         if n and not np.all(self.values.diagonal() == 1.0):
             raise ItemsimError("agreement diagonal must be exactly 1")
-        _parse_method(self.method)
+        parse_method(self.method)
 
 
-def _parse_method(method: str) -> tuple[str, int | None]:
+def parse_method(method: str) -> tuple[str, int | None]:
+    """("correlation", None), or ("top", n) for top:<n>, n in 1-4300 ASCII digits, no leading 0."""
     if method == "correlation":
         return "correlation", None
-    if method.startswith("top:"):
-        try:
-            n = int(method[4:])
-        except ValueError:
-            n = 0
-        if n >= 1:
-            return "top", n
+    top = re.fullmatch(r"top:([1-9][0-9]{0,4299})", method)  # int() refuses over 4300 digits
+    if top:
+        return "top", int(top[1])
     raise ItemsimError(f"unknown agreement method {method!r}; use correlation or top:<n>")
 
 
@@ -136,7 +134,7 @@ def _topn_overlap(s1: SimilarityMatrix, s2: SimilarityMatrix, neighbors1: tuple,
 
 def agreement_matrix(measures: list[SimilarityMatrix], method: str = "correlation") -> AgreementMatrix:
     """Pairwise agreement between named similarity matrices."""
-    kind, n = _parse_method(method)
+    kind, n = parse_method(method)
     if len(measures) < 2:
         raise ItemsimError("need at least 2 measures")
     names = tuple(m.measure_name for m in measures)
@@ -217,8 +215,17 @@ def _nearest(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _kmeans_once(x: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:
+def kmeans(s: SimilarityMatrix, k: int, seed: int = 0) -> Partition:
+    """Cluster items by one k-means run over similarity-matrix rows:
+    k-means++ seeding from `seed`, then Lloyd iterations until no centre
+    coordinate moves by 1e-9 or more (at most 300 iterations)."""
+    if s.missing_mask().any():
+        raise ItemsimError("similarity matrix has missing entries")
+    x = s.values
     n = len(x)
+    if not 1 <= k <= n:
+        raise ItemsimError(f"k={k} out of range for {n} items")
+    rng = np.random.default_rng(seed)
     # k-means++ seeding
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[rng.integers(n)]
@@ -257,26 +264,7 @@ def _kmeans_once(x: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.nd
         prev_wcss = wcss
         if shift < 1e-9:
             break
-    return labels, prev_wcss
-
-
-def kmeans(s: SimilarityMatrix, k: int, seed: int = 0, restarts: int = 1) -> Partition:
-    """Cluster items by k-means over similarity-matrix rows using k-means++
-    seeding and Lloyd iterations; returns the best of `restarts` runs by
-    within-cluster sum of squares."""
-    if s.missing_mask().any():
-        raise ItemsimError("similarity matrix has missing entries")
-    if not 1 <= k <= s.n_items:
-        raise ItemsimError(f"k={k} out of range for {s.n_items} items")
-    if restarts < 1:
-        raise ItemsimError("restarts must be positive")
-    rng = np.random.default_rng(seed)
-    best_labels, best_wcss = None, math.inf
-    for _ in range(restarts):
-        labels, wcss = _kmeans_once(s.values, k, rng)
-        if wcss < best_wcss:
-            best_labels, best_wcss = labels, wcss
-    return Partition(item_ids=s.item_ids, labels=tuple(int(l) for l in best_labels))
+    return Partition(item_ids=s.item_ids, labels=tuple(int(l) for l in labels))
 
 
 def rand_index(p1: Partition, p2: Partition) -> float:
@@ -304,9 +292,7 @@ def cluster_eval(
         raise ItemsimError("runs must be positive")
     if manual.item_ids != s.item_ids:
         raise ItemsimError("manual partition covers a different item set")
-    scores = [
-        rand_index(kmeans(s, k, seed=seed + r, restarts=1), manual) for r in range(runs)
-    ]
+    scores = [rand_index(kmeans(s, k, seed=seed + r), manual) for r in range(runs)]
     return float(np.mean(scores))
 
 

@@ -25,6 +25,7 @@ from .analysis import (
     cluster_eval,
     kmeans,
     meta_agreement,
+    parse_method,
     split_half_stability,
 )
 from .corpus import (
@@ -61,9 +62,8 @@ from .synth import CorpusSpec, PerfSpec, generate_corpus, generate_performance, 
 _CONFIG_KEYS = {
     "schema", "corpus", "performance", "stopwords", "measure", "measures",
     "method", "methods", "selector", "aggregation", "min_overlap",
-    "perf_measure", "nw", "unroll_cap", "total_cap", "seed", "k", "runs",
-    "restarts", "source", "transforms", "projection", "dims", "synth",
-    "matrix", "ordering",
+    "perf_measure", "nw", "seed", "k", "runs", "source", "transforms",
+    "projection", "dims", "synth", "matrix", "ordering",
 }
 
 _SYNTH_KEYS = {f.name for f in fields(CorpusSpec)} | {"performance"}
@@ -139,8 +139,6 @@ def _measure_params(cfg: dict) -> MeasureParams:
         min_overlap=_optional(cfg, "min_overlap", int, default.min_overlap),
         perf_measure=_optional(cfg, "perf_measure", str, default.perf_measure),
         stopwords=stopwords,
-        unroll_cap=_optional(cfg, "unroll_cap", int, default.unroll_cap),
-        total_cap=_optional(cfg, "total_cap", int, default.total_cap),
     )
 
 
@@ -216,8 +214,10 @@ def cmd_sim(cfg: dict) -> dict[str, str]:
 
 
 def cmd_agree(cfg: dict) -> dict[str, str]:
-    matrices = _computed_measures(cfg, _measure_names(cfg))
-    a = agreement_matrix(matrices, method=_optional(cfg, "method", str, "correlation"))
+    names = _measure_names(cfg)
+    method = _optional(cfg, "method", str, "correlation")
+    parse_method(method)  # a bad method is refused before any measure is computed
+    a = agreement_matrix(_computed_measures(cfg, names), method=method)
     return {"agreement.csv": agreement_csv(a)}
 
 
@@ -226,6 +226,8 @@ def cmd_meta_agree(cfg: dict) -> dict[str, str]:
     methods = _optional(cfg, "methods", list, ["correlation", "top:5"])
     if len(methods) != 2 or not all(isinstance(m, str) for m in methods):
         raise ConfigError('config key "methods" must be a list of two method strings')
+    for m in methods:
+        parse_method(m)
     matrices = _computed_measures(cfg, names)
     a1, a2 = (agreement_matrix(matrices, method=m) for m in methods)
     return {"meta_agree.txt": scalar_text(meta_agreement(a1, a2))}
@@ -235,12 +237,11 @@ def cmd_cluster(cfg: dict) -> dict[str, str]:
     corpus, (s,) = _measures(cfg, [_require(cfg, "measure", str, "cluster")])
     k = _optional(cfg, "k", int, 9)
     runs = _optional(cfg, "runs", int, 10)
-    restarts = _optional(cfg, "restarts", int, 1)
     seed = _seed(cfg)
     manual_full = level_partition(corpus)
     index = dict(zip(manual_full.item_ids, manual_full.labels))
     manual = Partition(item_ids=s.item_ids, labels=tuple(index[i] for i in s.item_ids))
-    part = kmeans(s, k, seed=seed, restarts=restarts)
+    part = kmeans(s, k, seed=seed)
     return {
         "partition.csv": partition_csv(part),
         "rand_index.txt": scalar_text(cluster_eval(s, manual, k, runs=runs, seed=seed)),

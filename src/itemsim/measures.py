@@ -34,7 +34,6 @@ from .features import (
 from .similarity import (
     METRICS, SimilarityMatrix, edit_similarity, performance_similarity, similarity_from_features,
 )
-from .tree import DEFAULT_TOTAL_CAP, DEFAULT_UNROLL_CAP
 
 BARE_MEASURES = ("ted", "levenshtein", "nw", "perfcorr")
 
@@ -106,8 +105,6 @@ class MeasureParams:
     min_overlap: int = 10
     perf_measure: str = "log_time"
     stopwords: frozenset[str] = frozenset()
-    unroll_cap: int = DEFAULT_UNROLL_CAP
-    total_cap: int = DEFAULT_TOTAL_CAP
 
 
 def build_features(
@@ -164,8 +161,6 @@ def compute_measure(
                 selector=params.selector,
                 aggregation=params.aggregation,
                 nw_scoring=params.nw_scoring,
-                unroll_cap=params.unroll_cap,
-                total_cap=params.total_cap,
             )
         return replace(s, measure_name=canonical)
     m = build_features(corpus, name.source, performance=performance, params=params)

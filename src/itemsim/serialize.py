@@ -72,6 +72,11 @@ def read_square_csv(text: str, source: str = "matrix") -> tuple[tuple[str, ...],
     if len(header) < 2:
         raise ItemsimError(f"{source}: expected an id column plus one column per entry")
     ids = tuple(header[1:])
+    seen = set()
+    for i in ids:
+        if i in seen:
+            raise ItemsimError(f"{source}: duplicate id {i!r}")
+        seen.add(i)
     n = len(ids)
     row_ids, rows = [], []
     for row in reader:

@@ -18,7 +18,7 @@ from .corpus import Corpus, PerformanceTable, select_solutions
 from .editdist import NwScoring, levenshtein_batch, needleman_wunsch_batch, zhang_shasha_batch
 from .errors import ItemsimError
 from .features import FeatureMatrix, item_rows
-from .tree import DEFAULT_TOTAL_CAP, DEFAULT_UNROLL_CAP, action_sequence, canonize, node_count
+from .tree import action_sequence, canonize, node_count
 
 log = logging.getLogger("itemsim.similarity")
 
@@ -148,7 +148,7 @@ def _distance_similarity(d: float, la: int, lb: int) -> float:
     return 1.0 - d / max(la + lb, 1)
 
 
-# kind -> (prepare(ast, caps), size(input), kernel(inputs, pairs, nw_scoring),
+# kind -> (prepare(ast), size(input), kernel(inputs, pairs, nw_scoring),
 # to_similarity(value, size_a, size_b), sign, self_value). prepare returns a
 # hashable kernel input. kernel returns the value of each (index_a, index_b)
 # pair of inputs and the number of batches it swept (for ted, block batches:
@@ -159,13 +159,13 @@ def _distance_similarity(d: float, la: int, lb: int) -> float:
 # depends on the scoring. The lambdas look canonize and action_sequence up
 # at call time, so rebinding the module attributes reaches them.
 _EDIT_KINDS = {
-    "levenshtein": (lambda ast, caps: tuple(canonize(ast)), len,
+    "levenshtein": (lambda ast: tuple(canonize(ast)), len,
                     lambda seqs, pairs, scoring: levenshtein_batch(seqs, pairs),
                     _distance_similarity, 1.0, 0),
-    "ted": (lambda ast, caps: ast, node_count,
+    "ted": (lambda ast: ast, node_count,
             lambda trees, pairs, scoring: zhang_shasha_batch(trees, pairs),
             _distance_similarity, 1.0, 0),
-    "nw": (lambda ast, caps: tuple(action_sequence(ast, **caps)), len, needleman_wunsch_batch,
+    "nw": (lambda ast: tuple(action_sequence(ast)), len, needleman_wunsch_batch,
            lambda score, la, lb: score / max(la, lb, 1), -1.0, None),
 }
 
@@ -176,8 +176,6 @@ def edit_similarity(
     selector: str = "sample",
     aggregation: str = "min",
     nw_scoring: NwScoring = NwScoring(),
-    unroll_cap: int = DEFAULT_UNROLL_CAP,
-    total_cap: int = DEFAULT_TOTAL_CAP,
 ) -> SimilarityMatrix:
     """Solution-based similarity. Distances are computed between every
     cross-pair of the items' selected solutions and aggregated: min keeps
@@ -187,8 +185,8 @@ def edit_similarity(
 
     Conversion per pair: levenshtein and ted use S = 1 - d/(len(a)+len(b))
     over token and node counts; nw uses S = score/max(len(a), len(b), 1)
-    over action sequences. An alignment score or mean that overflows
-    float64 is an error.
+    over action sequences, at tree's fixed caps. An alignment score or
+    mean that overflows float64 is an error.
 
     Each solution is prepared once. Solutions with equal kernel inputs
     share one index, so each ordered pair of distinct inputs is computed
@@ -205,10 +203,9 @@ def edit_similarity(
             f"no solution under selector {selector!r} for items: {', '.join(empty)}"
         )
     prepare, size, kernel, to_similarity, sign, self_value = _EDIT_KINDS[kind]
-    caps = {"unroll_cap": unroll_cap, "total_cap": total_cap}
     index: dict = {}  # kernel input -> its index among the distinct inputs
     groups = [
-        [index.setdefault(prepare(s.ast, caps), len(index)) for s in sols] for _, sols in chosen
+        [index.setdefault(prepare(s.ast), len(index)) for s in sols] for _, sols in chosen
     ]
     inputs = list(index)
     sizes = [size(x) for x in inputs]

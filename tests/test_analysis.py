@@ -1,6 +1,7 @@
 """Agreement levels, split-half stability, clustering quality."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -240,6 +241,22 @@ class TestAgreementMatrix:
         with pytest.raises(ItemsimError, match="unknown agreement method"):
             agreement_matrix(self.make_measures(), method="spearman")
 
+    # int() would read each of the first six as top:5, and refuse the last
+    @pytest.mark.parametrize("method", ["top:+5", "top: 5", "top:0_5", "top:05", "top:\u0665",
+                                        "top:5 ",
+                                        pytest.param("top:" + "1" * 5000, id="top:5000_digits")])
+    def test_top_n_is_spelled_in_plain_digits(self, method):
+        error = f"unknown agreement method {method!r}; use correlation or top:<n>"
+        with pytest.raises(ItemsimError, match=re.escape(error)):
+            agreement_matrix(self.make_measures(), method=method)
+        with pytest.raises(ItemsimError, match=re.escape(error)):
+            AgreementMatrix(("x", "y"), np.eye(2), method)
+
+    @pytest.mark.parametrize("method, n", [("top:1", 1), ("top:10", 10)])
+    def test_top_n_parses(self, method, n):
+        assert analysis.parse_method(method) == ("top", n)
+        assert AgreementMatrix(("x", "y"), np.eye(2), method).method == method
+
     def test_topn_warns_and_scores_as_pair_by_pair_calls(self, caplog):
         # in measure k, item k's one defined neighbor is item 6, so each pair
         # skips its own two items; the matrix takes each measure's neighbor
@@ -429,7 +446,7 @@ class TestKmeans:
         v[3:, 3:] = 0.9
         np.fill_diagonal(v, 1.0)
         s = sim(v, ids=ids)
-        p = kmeans(s, k=2, seed=0, restarts=5)
+        p = kmeans(s, k=2, seed=0)
         assert len(set(p.labels[:3])) == 1
         assert len(set(p.labels[3:])) == 1
         assert p.labels[0] != p.labels[3]

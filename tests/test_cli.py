@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from itemsim import (
     Corpus, Item, ItemsimError, NwScoring, WorldSpec, compute_measure, edit_similarity, editdist,
     load_corpus, load_performance, parse_measure, save_corpus,
 )
+from itemsim import cli
 from itemsim import corpus as corpus_module
 from itemsim.cli import main
 from itemsim.measures import FEATURE_SOURCES, SOLUTION_SOURCES, MeasureParams
@@ -129,6 +131,27 @@ class TestSynth:
     def test_spec_value_types(self, tmp_path, capsys, synth, fragment):
         cfg = write_config(tmp_path, synth={"n_items": 5, "n_levels": 2, **synth})
         run_error(["synth", "-c", cfg, "-o", str(tmp_path / "o")], capsys, fragment)
+
+    @pytest.mark.parametrize("field, value, fragment", [
+        ("statement_vocab", 10**9, "statement_vocab is over the budget of 2097152 words"),
+        ("statement_len", 10**12, "= 4000000000824 tokens"),
+        ("noise_tokens", 10**12, "= 4000000000972 tokens"),
+        ("concepts_per_level", 10**12, "= 4000000000972 tokens"),
+        ("n_items", 10**12, "= 246000000000000 tokens"),
+    ], ids=["statement_vocab", "statement_len", "noise_tokens", "concepts_per_level", "n_items"])
+    def test_oversized_corpus_spec_writes_nothing(self, tmp_path, capsys, field, value,
+                                                  fragment):
+        # refused before any draw, where the vocabulary alone would not fit
+        # in memory and the statements would take hours
+        if fragment.startswith("="):
+            fragment = ("n_items x (200 + concepts_per_level + statement_len + noise_tokens) "
+                        f"{fragment} is over the budget of 2097152")
+        cfg = write_config(tmp_path, synth={"n_items": 4, "n_levels": 2, field: value})
+        start = time.perf_counter()
+        run_error(["synth", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
+                  f"error: bad synth spec: {fragment}\n")
+        assert time.perf_counter() - start < 1.0
+        assert not (tmp_path / "o").exists()
 
     def test_bad_performance_spec_writes_nothing(self, tmp_path, capsys):
         cfg = write_config(tmp_path, synth={"n_items": 5, "n_levels": 2,
@@ -450,6 +473,15 @@ class TestHeatmap:
                       "heatmap cells from -1e+308 to 1.5e+308 span beyond the float64 range")
         assert not list(tmp_path.glob("o/*"))
 
+    @pytest.mark.parametrize("ordering", ["none", "hierarchical"])
+    def test_a_repeated_id_names_the_file(self, tmp_path, capsys, ordering):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("item_id,a,a\na,1,0.5\na,0.5,1\n", encoding="utf-8")
+        cfg = write_config(tmp_path, matrix=str(matrix), ordering=ordering)
+        assert main(["heatmap", "-c", cfg, "-o", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {matrix}: duplicate id 'a'\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("char", ["\x01", "\x00", "\ufffe"])
     def test_an_id_xml_forbids(self, tmp_path, capsys, char):
         # the SVG would not parse as XML
@@ -710,6 +742,37 @@ class TestConfigIsTheWholeRun:
         assert main([sub, "-c", cfg, "-o", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == (
             "error: unknown agreement method 'corr'; use correlation or top:<n>\n")
+
+    @pytest.mark.parametrize("sub, settings, method", [
+        ("agree", {"method": "corr"}, "corr"),
+        ("meta-agree", {"methods": ["correlation", "top:x"]}, "top:x"),
+        ("agree", {"method": "top:" + "1" * 5000}, "top:" + "1" * 5000),
+    ], ids=["agree", "meta_agree", "digits_past_int_limit"])
+    def test_a_bad_method_is_refused_before_any_measure(self, corpus_dir, tmp_path, capsys,
+                                                        monkeypatch, sub, settings, method):
+        def no_measure(*args, **kwargs):
+            raise AssertionError("a measure was computed")
+
+        monkeypatch.setattr(cli, "compute_measure", no_measure)
+        cfg = write_config(tmp_path, corpus=str(corpus_dir), measures=TestAgree.MEASURES,
+                           **settings)
+        assert main([sub, "-c", cfg, "-o", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: unknown agreement method {method!r}; use correlation or top:<n>\n")
+
+    @pytest.mark.parametrize("sub, settings", [
+        ("sim", {"measure": "nw", "unroll_cap": 20}),
+        ("sim", {"measure": "nw", "total_cap": 200}),
+        ("cluster", {"measure": "ted", "k": 2, "restarts": 2}),
+    ], ids=["unroll_cap", "total_cap", "restarts"])
+    def test_removed_setting_is_an_unknown_key(self, corpus_dir, tmp_path, capsys, sub,
+                                               settings):
+        # the action-sequence caps are tree's constants; k-means runs once
+        cfg = write_config(tmp_path, corpus=str(corpus_dir), **settings)
+        out = tmp_path / "o"
+        key = [k for k in settings if k not in ("measure", "k")][0]
+        run_error([sub, "-c", cfg, "-o", str(out)], capsys, f"unknown config keys: {key}\n")
+        assert not out.exists()
 
 
 NOT_UTF8 = b"move \xff\xfe"

@@ -68,7 +68,7 @@ def _configs(root) -> dict[str, tuple[str, dict]]:
         }),
         "sim": ("sim", {
             "corpus": corpus, "measure": "nw", "selector": "all", "aggregation": "average",
-            "nw": {"match": 2, "mismatch": -1, "gap": -1}, "unroll_cap": 20, "total_cap": 200,
+            "nw": {"match": 2, "mismatch": -1, "gap": -1},
         }),
         "sim_perfcorr": ("sim", {
             "corpus": corpus, "measure": "perfcorr", "min_overlap": 3,
@@ -83,8 +83,7 @@ def _configs(root) -> dict[str, tuple[str, dict]]:
             "methods": ["correlation", "top:1"],
         }),
         "cluster": ("cluster", {
-            "corpus": corpus, "measure": "bag/log/correlation", "k": 2, "runs": 3,
-            "restarts": 2, "seed": 1,
+            "corpus": corpus, "measure": "bag/log/correlation", "k": 2, "runs": 3, "seed": 1,
         }),
         "project_pca": ("project", {
             "corpus": corpus, "projection": "pca", "source": "solution",

@@ -337,6 +337,17 @@ class TestReadSquareCsvMatchesReference:
         assert outcome == _read_outcome(reference_read_square_csv, text)
         assert isinstance(outcome, tuple) == (bad_cell is None and line != "CR in a row")
 
+    @pytest.mark.parametrize("bad_row", [False, True])
+    def test_a_repeated_header_id(self, bad_row):
+        lines = self.written(np.random.default_rng(20), 6).splitlines(keepends=True)
+        lines[0] = lines[0].replace("i003", "i001")
+        if bad_row:
+            lines[2] = "i001,1\n"
+        text = "".join(lines)
+        outcome = _read_outcome(read_square_csv, text)
+        assert outcome == _read_outcome(reference_read_square_csv, text)
+        assert outcome == "m.csv: duplicate id 'i001'"
+
     @pytest.mark.parametrize("where", ["header", "first row", "last row"])
     def test_blank_lines_and_a_field_over_the_csv_limit(self, where):
         lines = self.written(np.random.default_rng(18), 6).splitlines(keepends=True)

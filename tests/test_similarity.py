@@ -248,9 +248,9 @@ class TestEditSimilarity:
         assert np.all(np.diag(s.values) == 1.0)
 
     def test_nw_respects_scoring_and_caps(self):
+        # the caps are tree's constants now; test_tree.py covers them
         corpus = make_tiny_corpus()
-        s = edit_similarity(corpus, kind="nw", nw_scoring=NwScoring(match=2.0),
-                            unroll_cap=1)
+        s = edit_similarity(corpus, kind="nw", nw_scoring=NwScoring(match=2.0))
         assert np.all(np.diag(s.values) == 2.0)
 
     def test_overflowing_mean_is_an_error(self):

@@ -12,6 +12,7 @@ from itemsim import (
     level_partition,
     solution_keyword_features,
 )
+from itemsim import synth
 from itemsim.corpus import Corpus, Item, performance_csv
 from itemsim.robot import pretty_print
 from itemsim.tree import ast_to_document
@@ -27,6 +28,15 @@ class TestSpecs:
             CorpusSpec(n_items=5, n_levels=6)
         with pytest.raises(ItemsimError, match="noise_tokens"):
             CorpusSpec(noise_tokens=-1)
+
+    def test_corpus_spec_budget(self, monkeypatch):
+        # 2 items x (200 + 3 + 40 + 3) tokens, and a vocabulary, at the budget
+        monkeypatch.setattr(synth, "_SPEC_TOKENS", 492)
+        CorpusSpec(n_items=2, n_levels=1, statement_vocab=492)
+        with pytest.raises(ItemsimError, match="= 494 tokens is over the budget of 492"):
+            CorpusSpec(n_items=2, n_levels=1, statement_len=41)
+        with pytest.raises(ItemsimError, match="statement_vocab is over the budget of 492"):
+            CorpusSpec(n_items=2, n_levels=1, statement_vocab=493)
 
     def test_perf_spec_validation(self):
         with pytest.raises(ItemsimError, match="n_learners"):
