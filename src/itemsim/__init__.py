@@ -65,7 +65,7 @@ from .similarity import (
     similarity_from_features,
 )
 from .synth import CorpusSpec, PerfSpec, generate_corpus, generate_performance, level_partition
-from .tree import AstNode, action_sequence, canonize, max_depth, node, node_count, parse_ast_document
+from .tree import AstNode, action_sequence, ast_from_document, canonize, max_depth, node, node_count
 
 __version__ = "0.1.0"
 

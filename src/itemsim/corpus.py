@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ItemsimError
 from .robot import parse_robot_program, pretty_print
-from .tree import AstNode, ast_to_document, parse_ast_document
+from .tree import AstNode, ast_from_document, ast_to_document
 
 log = logging.getLogger("itemsim.corpus")
 
@@ -296,12 +296,33 @@ def read_text(path: str | Path) -> str:
         return Path(path).read_text(encoding="utf-8")
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def read_json(path: str | Path):
-    """The JSON document in a UTF-8 file."""
+    """The JSON document in a UTF-8 file; every JSON document itemsim reads,
+    the config included, is decoded here. Anything the decoder refuses, an
+    integer over 4300 digits included, is `<path>: malformed JSON: ...`, and
+    so is a \\u escape of a lone surrogate, which no UTF-8 file can hold.
+    Nesting past the decoder's recursion limit is `<path>: nesting too deep`."""
+    text = read_text(path)
     try:
-        return json.loads(read_text(path))
-    except json.JSONDecodeError as e:
-        raise ItemsimError(f"{path}: malformed JSON: {e}") from e
+        doc = json.loads(text)
+    except ValueError as e:
+        raise ItemsimError(f"{path}: malformed JSON: {e}") from None
+    except RecursionError:
+        raise ItemsimError(f"{path}: nesting too deep") from None
+    # a surrogate can only come from an escape; the walk keeps its own stack
+    stack = [doc] if "\\u" in text else []
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            stack += [*value, *value.values()]
+        elif isinstance(value, list):
+            stack += value
+        elif isinstance(value, str) and (lone := _SURROGATE.search(value)):
+            raise ItemsimError(f"{path}: malformed JSON: lone surrogate \\u{ord(lone[0]):04x}")
+    return doc
 
 
 def _world_from_obj(obj, item_id: str) -> WorldSpec:
@@ -388,19 +409,17 @@ def _load_solutions(sol_dir: Path) -> tuple[Solution, ...]:
     solutions = []
     for name in names:
         if name.endswith(".ast.json"):
-            parse = parse_ast_document
+            read, parse = read_json, ast_from_document
         elif name.endswith(".robot") and name != ".robot":  # a bare ".robot" has no suffix
-            parse = parse_robot_program
+            read, parse = read_text, parse_robot_program
         else:
             continue  # weights.json and any other file that is not a solution
         path = os.path.join(sol_dir, name)
-        text = read_text(path)
+        source = read(path)
         try:
-            ast = parse(text)
+            ast = parse(source)
         except ItemsimError as e:
             raise ItemsimError(f"{path}: {e}") from e
-        except RecursionError as e:  # the JSON decoder and its node builder recurse per level
-            raise ItemsimError(f"{path}: nesting too deep") from e
         kind = "sample" if name.split(".")[0].startswith("sample") else "learner"
         weight = weights.get(name, 1.0)
         # an int past float range would overflow float()

@@ -50,8 +50,8 @@ _ONE_CHAR_TOKENS = frozenset("0123456789{}_" + string.ascii_letters)
 _IDENT_FIRST = frozenset("_" + string.ascii_letters)
 
 
-# open blocks nest at most this deep, whatever the form; an if/else block
-# is two tree levels, which the recursive tree walks can follow
+# open blocks nest at most this deep, whatever the form: pretty_print writes a
+# program back by one frame per block, within reach of a deep caller's stack
 _MAX_NESTING = 329
 
 # what the parser expects next

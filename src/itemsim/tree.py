@@ -6,11 +6,14 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .errors import ItemsimError
 
 DEFAULT_UNROLL_CAP = 100
 DEFAULT_TOTAL_CAP = 10000
+# action_sequence enters at most its tree's size plus this many nodes per action
+NODES_PER_ACTION = 32
 
 # the N of a repeat_N label; the robot DSL parses and writes the same count
 REPEAT_COUNT = re.compile(r"[1-9][0-9]*")
@@ -59,12 +62,7 @@ def node(label: str, *children: AstNode) -> AstNode:
     return AstNode(label, tuple(children))
 
 
-# node_count, max_depth and iter_labels keep their own stack (max_depth one
-# level of nodes at a time), so they follow a tree of any depth. canonize
-# and action_sequence recurse, one frame per tree level, and the parsers'
-# limits bound that depth: the robot parser's bound on nested blocks (an
-# if/else block is two tree levels) and the recursion limit that stops the
-# .ast.json decoder.
+# every walk that reads or flattens a tree keeps its own stack, so it follows a tree of any depth
 
 
 def node_count(ast: AstNode) -> int:
@@ -98,33 +96,32 @@ def iter_labels(ast: AstNode):
 # ---------------------------------------------------------------------------
 
 
-def parse_ast_document(text: str) -> AstNode:
-    """Parse the canonical JSON document carrying an externally produced AST.
-
-    The document is an object with exactly the keys "label" (non-empty
-    string) and "children" (list of the same shape). Labels are preserved
-    byte-exact.
-    """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ItemsimError(f"malformed AST document: {e}") from e
-    return _node_from_obj(doc)
-
-
-def _node_from_obj(obj) -> AstNode:
-    if not isinstance(obj, dict):
-        raise ItemsimError("malformed AST document: node is not an object")
-    extra = set(obj) - {"label", "children"}
-    if extra:
-        raise ItemsimError(f"malformed AST document: unknown keys {sorted(extra)}")
-    label = obj.get("label")
-    if not isinstance(label, str) or label == "":
-        raise ItemsimError("malformed AST document: empty or non-string label")
-    children = obj.get("children", [])
-    if not isinstance(children, list):
-        raise ItemsimError("malformed AST document: children field is not a list")
-    return AstNode(label, tuple(_node_from_obj(c) for c in children))
+def ast_from_document(doc) -> AstNode:
+    """The tree of a decoded AST document (corpus.read_json decodes files):
+    each node an object with exactly the keys "label" (non-empty string) and
+    "children" (list of nodes, [] if absent), labels kept byte-exact. It
+    keeps its own stack, so it builds any depth the decoder accepts."""
+    nodes = []  # each node's label and number of children, in preorder
+    stack = [doc]
+    while stack:
+        obj = stack.pop()
+        if not isinstance(obj, dict):
+            raise ItemsimError("malformed AST document: node is not an object")
+        extra = set(obj) - {"label", "children"}
+        if extra:
+            raise ItemsimError(f"malformed AST document: unknown keys {sorted(extra)}")
+        label, children = obj.get("label"), obj.get("children", [])
+        if not isinstance(label, str) or label == "":
+            raise ItemsimError("malformed AST document: empty or non-string label")
+        if not isinstance(children, list):
+            raise ItemsimError("malformed AST document: children field is not a list")
+        nodes.append((label, len(children)))
+        stack += reversed(children)
+    built: list[AstNode] = []  # in reverse preorder, a node's k children are the top k, first on top
+    for label, k in reversed(nodes):
+        at = len(built) - k
+        built[at:] = [AstNode(label, tuple(reversed(built[at:])))]
+    return built[0]
 
 
 def ast_to_document(ast: AstNode) -> str:
@@ -147,16 +144,18 @@ def canonize(ast: AstNode) -> list[str]:
     tokens, hence injective over a fixed label vocabulary.
     """
     out: list[str] = []
-
-    def walk(n: AstNode):
-        out.append(n.label)
-        if n.children:
-            out.append("(")
-            for c in n.children:
-                walk(c)
-            out.append(")")
-
-    walk(ast)
+    walk = [iter((ast,))]  # iterators over the nodes still to visit, innermost last
+    while walk:
+        for n in walk[-1]:
+            out.append(n.label)
+            if n.children:
+                out.append("(")
+                walk.append(iter(n.children))
+                break
+        else:
+            walk.pop()
+            if walk:  # the children of a node are done
+                out.append(")")
     return out
 
 
@@ -181,52 +180,57 @@ def action_sequence(
     min(N, unroll_cap) times, `while`/`if`/`else` bodies exactly once in
     source order. `def_F` bodies are emitted only at `call_F` sites; a call
     to a function already being expanded is skipped, so recursion
-    contributes one level. Output is truncated at total_cap.
+    contributes one level. Output is truncated at total_cap actions, and
+    the walk stops too once it has entered the tree's node count plus
+    NODES_PER_ACTION x total_cap nodes, so calls nested in repeats that
+    emit little cost bounded work.
     """
     if unroll_cap < 1 or total_cap < 1:
         raise ItemsimError("caps must be >= 1")
 
-    # def_F nodes anywhere in the tree are callable by name F
+    # def_F nodes anywhere in the tree are callable by name F; the walk may
+    # enter as many nodes as the tree has, and NODES_PER_ACTION x total_cap more
     defs: dict[str, AstNode] = {}
-
-    def collect(n: AstNode):
+    budget = NODES_PER_ACTION * total_cap  # nodes the walk may still enter
+    stack = [ast]
+    while stack:
+        n = stack.pop()
+        budget += 1
         if n.label.startswith("def_") and len(n.label) > 4:
             defs.setdefault(n.label[4:], n)
-        for c in n.children:
-            collect(c)
-
-    collect(ast)
+        stack += reversed(n.children)
 
     out: list[str] = []
     active: set[str] = set()
-
-    # one frame per tree level
-    def emit(nodes: tuple[AstNode, ...]):
-        for n in nodes:
-            if len(out) >= total_cap:
-                return
+    # iterators over the nodes still to enter, innermost last; above the
+    # iterator of a call's body, the name its end releases from active
+    walk: list = [iter((ast,))]
+    while walk:
+        if walk[-1].__class__ is str:
+            active.discard(walk.pop())
+            continue
+        for n in walk[-1]:
+            budget -= 1
+            if len(out) >= total_cap or budget < 0:
+                return out
             label = n.label
-            count = _repeat_count(label, unroll_cap)
-            if count is not None:
-                for _ in range(count):
-                    if len(out) >= total_cap:
-                        return
-                    emit(n.children)
-            elif label in ("program", "then", "else") or label.startswith(("while_", "if_")):
-                emit(n.children)
-            elif label.startswith("def_"):
-                pass  # body contributes at call sites only
-            elif label.startswith("call_"):
+            if label.startswith("repeat_") and (count := _repeat_count(label, unroll_cap)):
+                walk.append(chain.from_iterable(repeat(n.children, count)))
+                break
+            if label.startswith("def_"):
+                continue  # body contributes at call sites only
+            if label.startswith("call_"):
                 name = label[5:]
                 body = defs.get(name)
-                if body is not None and name not in active:
+                if body is not None and body.children and name not in active:
                     active.add(name)
-                    emit(body.children)
-                    active.discard(name)
+                    walk += (name, iter(body.children))
+                    break
             elif n.children:
-                emit(n.children)
-            else:
+                walk.append(iter(n.children))
+                break
+            elif label not in ("program", "then", "else") and not label.startswith(("while_", "if_")):
                 out.append(label)
-
-    emit((ast,))
+        else:
+            walk.pop()  # top is done
     return out

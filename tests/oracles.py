@@ -25,6 +25,7 @@ from itemsim.corpus import csv_field
 from itemsim.errors import ParseError
 from itemsim.projection import _pivot_signs
 from itemsim.similarity import pearson
+from itemsim.tree import DEFAULT_TOTAL_CAP, DEFAULT_UNROLL_CAP, _repeat_count
 
 
 def oracle_levenshtein(a, b) -> int:
@@ -948,3 +949,79 @@ def reference_nearest(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return equal labels."""
     d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     return d2.argmin(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# The sequence views by recursion, one frame per tree level
+# ---------------------------------------------------------------------------
+
+
+def reference_canonize(ast: AstNode) -> list[str]:
+    """`itemsim.tree.canonize` by recursion: the label, then the children
+    between "(" and ")" when there are any."""
+    out: list[str] = []
+
+    def walk(n: AstNode):
+        out.append(n.label)
+        if n.children:
+            out.append("(")
+            for c in n.children:
+                walk(c)
+            out.append(")")
+
+    walk(ast)
+    return out
+
+
+def reference_action_sequence(
+    ast: AstNode,
+    unroll_cap: int = DEFAULT_UNROLL_CAP,
+    total_cap: int = DEFAULT_TOTAL_CAP,
+) -> list[str]:
+    """`itemsim.tree.action_sequence` by recursion, with no bound on the
+    nodes it enters: equal to it wherever that bound is not reached."""
+    if unroll_cap < 1 or total_cap < 1:
+        raise ItemsimError("caps must be >= 1")
+
+    defs: dict[str, AstNode] = {}
+
+    def collect(n: AstNode):
+        if n.label.startswith("def_") and len(n.label) > 4:
+            defs.setdefault(n.label[4:], n)
+        for c in n.children:
+            collect(c)
+
+    collect(ast)
+
+    out: list[str] = []
+    active: set[str] = set()
+
+    def emit(nodes: tuple[AstNode, ...]):
+        for n in nodes:
+            if len(out) >= total_cap:
+                return
+            label = n.label
+            count = _repeat_count(label, unroll_cap)
+            if count is not None:
+                for _ in range(count):
+                    if len(out) >= total_cap:
+                        return
+                    emit(n.children)
+            elif label in ("program", "then", "else") or label.startswith(("while_", "if_")):
+                emit(n.children)
+            elif label.startswith("def_"):
+                pass  # body contributes at call sites only
+            elif label.startswith("call_"):
+                name = label[5:]
+                body = defs.get(name)
+                if body is not None and name not in active:
+                    active.add(name)
+                    emit(body.children)
+                    active.discard(name)
+            elif n.children:
+                emit(n.children)
+            else:
+                out.append(label)
+
+    emit((ast,))
+    return out

@@ -878,6 +878,14 @@ class TestInputFiles:
         run_error(["sim", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
                   "weights.json: malformed JSON")
 
+    def test_malformed_ast_json(self, tiny_dir, tmp_path, capsys):
+        path = tiny_dir / "solutions" / "alpha" / "learner.ast.json"
+        path.write_text('{"label": "program", "children": [', encoding="utf-8")
+        cfg = write_config(tmp_path, corpus=str(tiny_dir), measure="ted")
+        run_error(["sim", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
+                  f"{path}: malformed JSON: Expecting value")
+        assert not (tmp_path / "o").exists()
+
 
 class TestInputValues:
     """Badly typed values in items.json and weights.json are rejected where
@@ -971,6 +979,117 @@ class TestDeepNesting:
         ids, values = read_square_csv((tmp_path / "o" / "sim.csv").read_text(encoding="utf-8"))
         assert ids == ("alpha", "beta", "gamma")
         assert np.isfinite(values).all()
+
+
+# JSON text the decoder refuses: an integer over int()'s 4300 digits, and
+# nesting past its recursion limit, which json.dumps cannot write either
+_JSON_SHAPES = {
+    "huge_int": ("1" * 5000, "malformed JSON: Exceeds the limit (4300 digits)"),
+    "deep": ("[" * 200_000 + "]" * 200_000, "nesting too deep"),
+}
+
+
+def _json_with(obj, shape: str) -> str:
+    """obj as JSON text, with the "SHAPE" string replaced by the shape's text."""
+    return json.dumps(obj).replace('"SHAPE"', _JSON_SHAPES[shape][0])
+
+
+def _write_json_document(document, shape, tiny_dir, tmp_path) -> tuple[Path, str]:
+    """The path of the document that holds the shape, and the config of a
+    sim run that reads it."""
+    cfg = {"schema": 1, "corpus": str(tiny_dir), "measure": "ted"}
+    if document == "config":
+        path = tmp_path / "config.json"
+        cfg["seed"] = "SHAPE"
+    elif document == "items.json":
+        path = tiny_dir / "items.json"
+        entries = json.loads(path.read_text(encoding="utf-8"))
+        entries[0]["level"] = "SHAPE"
+        path.write_text(_json_with(entries, shape), encoding="utf-8")
+    elif document == "weights.json":
+        path = tiny_dir / "solutions" / "alpha" / "weights.json"
+        path.write_text(_json_with({"learner.robot": "SHAPE"}, shape), encoding="utf-8")
+    else:
+        path = tiny_dir / "solutions" / "gamma" / "learner.ast.json"
+        path.write_text(_json_with({"label": "program", "children": "SHAPE"}, shape),
+                        encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(_json_with(cfg, shape), encoding="utf-8")
+    return path, str(config)
+
+
+class TestOneJsonRule:
+    """Every JSON document is decoded by corpus.read_json: whatever the
+    decoder refuses is one error line naming the file, exit 1, no -o."""
+
+    @pytest.mark.parametrize("shape", list(_JSON_SHAPES))
+    @pytest.mark.parametrize("document", ["config", "items.json", "weights.json", "ast.json"])
+    def test_refused_text_names_the_file(self, tiny_dir, tmp_path, capsys, document, shape):
+        path, cfg = _write_json_document(document, shape, tiny_dir, tmp_path)
+        run_error(["sim", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
+                  f"{path}: {_JSON_SHAPES[shape][1]}")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sub, settings", [
+        ("cluster", {"schema": 1, "measure": "ted", "k": 2, "seed": "SHAPE"}),
+        ("synth", {"schema": 1, "synth": {"n_items": 4, "n_levels": 2, "seed": "SHAPE"}}),
+        ("synth", {"schema": "SHAPE", "synth": {"n_items": 4, "n_levels": 2}}),
+    ], ids=["cluster_seed", "synth_seed", "synth_schema"])
+    def test_huge_config_integer(self, tiny_dir, tmp_path, capsys, sub, settings):
+        path = tmp_path / "config.json"
+        path.write_text(_json_with({"corpus": str(tiny_dir), **settings}, "huge_int"),
+                        encoding="utf-8")
+        run_error([sub, "-c", str(path), "-o", str(tmp_path / "o")], capsys,
+                  f"{path}: malformed JSON: Exceeds the limit (4300 digits)")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("document, text, settings", [
+        ("items.json", None, {"source": "world"}),
+        ("gamma/learner.ast.json", '{"label": "program", "children": [{"label": "\\ud800"}]}',
+         {"source": "solution", "selector": "all"}),
+    ], ids=["world_legend", "ast_label"])
+    def test_lone_surrogate_escape(self, tiny_dir, tmp_path, capsys, document, text, settings):
+        if text is None:  # a legend concept
+            path = tiny_dir / "items.json"
+            text = path.read_text(encoding="utf-8").replace('"diamond"', '"\\udc80"', 1)
+        else:
+            path = tiny_dir / "solutions" / document
+        path.write_text(text, encoding="utf-8")
+        cfg = write_config(tmp_path, corpus=str(tiny_dir), **settings)
+        run_error(["features", "-c", cfg, "-o", str(tmp_path / "o")], capsys,
+                  f"{path}: malformed JSON: lone surrogate \\u")
+        assert not (tmp_path / "o").exists()
+
+    def test_escaped_surrogate_pair_is_one_character(self, tiny_dir, tmp_path):
+        (tiny_dir / "solutions" / "gamma" / "learner.ast.json").write_text(
+            '{"label": "program", "children": [{"label": "\\ud83d\\ude00"}]}',
+            encoding="utf-8")
+        cfg = write_config(tmp_path, corpus=str(tiny_dir), source="solution", selector="all")
+        run_ok(["features", "-c", cfg, "-o", str(tmp_path / "o")])
+        assert "\U0001f600" in (tmp_path / "o" / "features.csv").read_text(encoding="utf-8")
+
+
+class TestLongCallChains:
+    def test_1200_chained_calls_compute_under_nw(self, tiny_dir, tmp_path):
+        source = "".join(f"def f{i} {{ call f{i + 1} }}\n" for i in range(1200))
+        (tiny_dir / "solutions" / "gamma" / "sample.robot").write_text(
+            source + "def f1200 { move }\ncall f0\n", encoding="utf-8")
+        cfg = write_config(tmp_path, corpus=str(tiny_dir), measure="nw")
+        run_ok(["sim", "-c", cfg, "-o", str(tmp_path / "o")])
+        ids, values = read_square_csv((tmp_path / "o" / "sim.csv").read_text(encoding="utf-8"))
+        assert ids == ("alpha", "beta", "gamma")
+        assert np.isfinite(values).all()
+
+    def test_calls_in_nested_repeats_end_within_a_second(self, tiny_dir, tmp_path):
+        # 155 bytes: 10^8 calls of an empty function without the walk's node bound
+        source = "".join(f"def f{i} {{ repeat 100 {{ call f{i + 1} }} }}\n" for i in range(4))
+        source += "def f4 { }\ncall f0\n"
+        assert len(source) == 155
+        (tiny_dir / "solutions" / "gamma" / "sample.robot").write_text(source, encoding="utf-8")
+        cfg = write_config(tmp_path, corpus=str(tiny_dir), measure="nw")
+        start = time.perf_counter()
+        run_ok(["sim", "-c", cfg, "-o", str(tmp_path / "o")])
+        assert time.perf_counter() - start < 1.0
 
 
 class TestOneNestingBound:

@@ -32,6 +32,7 @@ from itemsim.corpus import (
     corpus_files,
     items_index_json,
     performance_csv,
+    read_json,
     read_performance,
     text_rows,
     write_files,
@@ -273,11 +274,11 @@ def _without_solutions(corpus):
 
 
 def _refuse_to_parse(monkeypatch):
-    def refuse(text):
+    def refuse(source):
         raise AssertionError("a solution file was parsed")
 
     monkeypatch.setattr(corpus_module, "parse_robot_program", refuse)
-    monkeypatch.setattr(corpus_module, "parse_ast_document", refuse)
+    monkeypatch.setattr(corpus_module, "ast_from_document", refuse)
 
 
 def _load_error(path, solutions):
@@ -741,3 +742,37 @@ class TestWriteFiles:
         assert (root / "a" / "b" / "deep.txt").read_text(encoding="utf-8") == "x"
         write_files(root, {"top.txt": "again\n"})  # into an existing -o, overwriting
         assert (root / "top.txt").read_text(encoding="utf-8") == "again\n"
+
+
+class TestReadJson:
+    """One decoder for every JSON document: each refusal is an ItemsimError
+    naming the file once."""
+
+    def _read(self, tmp_path, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        return path, lambda: read_json(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("{oops", "malformed JSON: Expecting property name"),
+        ('{"n": ' + "7" * 5000 + "}", "malformed JSON: Exceeds the limit (4300 digits)"),
+        ("[" * 200_000 + "]" * 200_000, "nesting too deep"),
+        ('{"a": "\\ud800"}', "malformed JSON: lone surrogate \\ud800"),
+        ('{"\\udc80": 1}', "malformed JSON: lone surrogate \\udc80"),
+        ('["ok", ["\\ude00\\ud83d"]]', "malformed JSON: lone surrogate \\ude00"),
+    ], ids=["syntax", "huge_int", "deep", "high_value", "low_key", "reversed_pair"])
+    def test_refused(self, tmp_path, text, message):
+        path, read = self._read(tmp_path, text)
+        with pytest.raises(ItemsimError) as excinfo:
+            read()
+        assert str(excinfo.value).startswith(f"{path}: {message}")
+        assert str(excinfo.value).count(str(path)) == 1
+
+    @pytest.mark.parametrize("text, value", [
+        ('["\\ud83d\\ude00"]', ["\U0001f600"]),
+        ('["\\\\ud800"]', ["\\ud800"]),  # an escaped backslash, then text
+        ('{"k": [1, 2.5, null, true, "\\u00e9"]}', {"k": [1, 2.5, None, True, "\u00e9"]}),
+    ], ids=["pair", "escaped_backslash", "plain_values"])
+    def test_accepted(self, tmp_path, text, value):
+        _, read = self._read(tmp_path, text)
+        assert read() == value

@@ -5,7 +5,9 @@ fuzzer mutates it (drop a key, give a value another JSON type, negate a
 number; nested objects and lists included) and runs the result through
 `main`. The items.json and solution files of the corpus are mutated the
 same way, and by character; performance.csv by field and by byte; the
-heatmap's matrix CSV by character. Every run gets a fresh `-o` and must
+heatmap's matrix CSV by character. Every JSON document also gets one
+value written as a 5000-digit integer and one as 200,000 levels of
+nesting, which must fail. Every run gets a fresh `-o` and must
 either succeed, writing well-formed XML for any SVG, or print exactly
 one `error:` line, exit 1 and leave no `-o`: a traceback fails the test
 with the input that caused it.
@@ -131,6 +133,23 @@ def _mutate(cfg: dict, rng) -> dict:
     return cfg
 
 
+# JSON text the decoder refuses, which every JSON mutant set also gets: an
+# integer over int()'s 4300 digits, and nesting json.dumps cannot write
+_SHAPES = ("1" * 5000, "[" * 200_000 + "]" * 200_000)
+
+
+def _shaped(obj, rng, shape: str) -> str:
+    """obj as JSON text with one value, at any depth, written as shape."""
+    obj = copy.deepcopy(obj)
+    slots = list(_slots(obj))
+    path, _ = slots[int(rng.integers(len(slots)))]
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = "\0SHAPE"
+    return json.dumps(obj).replace('"\\u0000SHAPE"', shape)
+
+
 def _run(sub: str, config: Path, capsys, what: str) -> int:
     """Exit code of one run into a fresh -o beside the config, which must
     succeed, writing any SVG as well-formed XML, or print one error line
@@ -163,12 +182,15 @@ def test_mutated_configs(inputs, tmp_path, capsys, name):
     mutants = [base] + [_mutate(base, rng) for _ in range(MUTANTS_PER_CONFIG)]
     for k in range(MUTANTS_PER_CONFIG // 4):
         mutants.append(_mutate(mutants[1 + k], rng))  # two mutations at once
+    texts = [json.dumps({"schema": 1, **cfg}) for cfg in mutants]
+    shaped = [_shaped({"schema": 1, **base}, rng, shape) for shape in _SHAPES for _ in range(2)]
     config = tmp_path / "config.json"
-    for i, cfg in enumerate(mutants):
-        config.write_text(json.dumps({"schema": 1, **cfg}), encoding="utf-8")
-        code = _run(sub, config, capsys, json.dumps(cfg))
+    for i, text in enumerate(texts + shaped):
+        config.write_text(text, encoding="utf-8")
+        code = _run(sub, config, capsys, text[:300])
         if i == 0:
             assert code == 0, f"base config of {name} fails"
+        assert code == 1 or i < len(texts), f"{name}: a refused JSON text passed"
 
 
 MUTANTS_PER_FILE = 80
@@ -198,7 +220,7 @@ def _run_file_mutants(path: Path, pieces, runs: dict, tmp_path, capsys, seed: st
     """Run each config of runs over the file at path, as given and then
     under MUTANTS_PER_FILE mutations: half by JSON value for a .json file,
     the rest by character. The unmutated file must pass and some mutant
-    must fail."""
+    must fail; a .json file also gets each of _SHAPES, which must fail."""
     base = path.read_text(encoding="utf-8")
     rng = np.random.default_rng(sum(map(ord, seed)))
     mutants = [base]
@@ -207,15 +229,19 @@ def _run_file_mutants(path: Path, pieces, runs: dict, tmp_path, capsys, seed: st
             mutants.append(json.dumps(_mutate(json.loads(base), rng)))
         else:
             mutants.append(char_mutant(base, pieces, rng))
+    drawn = len(mutants)  # the shapes come after, and are not counted in failed
+    if path.name.endswith(".json"):
+        mutants += [_shaped(json.loads(base), rng, shape) for shape in _SHAPES]
     config = tmp_path / "config.json"
     failed = 0
     for i, text in enumerate(mutants):
         path.write_text(text, encoding="utf-8")
         for name, (sub, cfg) in runs.items():
             config.write_text(json.dumps({"schema": 1, **cfg}), encoding="utf-8")
-            code = _run(sub, config, capsys, f"{name}, {path.name} = {text!r}")
+            code = _run(sub, config, capsys, f"{name}, {path.name} = {text[:300]!r}")
             assert code == 0 or i > 0, f"{name} fails on the unmutated {path.name}"
-            failed += code
+            assert code == 1 or i < drawn, f"{name}: a refused JSON text passed"
+            failed += code if i < drawn else 0
     assert failed > 0
 
 

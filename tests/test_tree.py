@@ -3,22 +3,27 @@ sequences."""
 
 import json
 
+import numpy as np
 import pytest
 
 from itemsim import (
     AstNode,
+    CorpusSpec,
+    ast_from_document,
+    generate_corpus,
     ItemsimError,
     action_sequence,
     canonize,
     max_depth,
     node,
     node_count,
-    parse_ast_document,
     parse_robot_program,
 )
-from itemsim.tree import ast_to_document, iter_labels
+from itemsim.corpus import read_json
+from itemsim.tree import DEFAULT_TOTAL_CAP, NODES_PER_ACTION, ast_to_document, iter_labels
 
-from conftest import nested_robot_source
+from conftest import nested_robot_source, random_robot_program, random_tree
+from oracles import reference_action_sequence, reference_canonize
 
 
 def test_empty_label_rejected():
@@ -103,40 +108,58 @@ class TestStructuralEquality:
 
 
 class TestAstDocument:
+    """ast_from_document builds a tree from a decoded document;
+    corpus.read_json decodes the file."""
+
     def test_leaf(self):
-        assert parse_ast_document('{"label":"print","children":[]}') == node("print")
+        assert ast_from_document({"label": "print", "children": []}) == node("print")
 
     def test_nested(self):
-        text = ('{"label":"for","children":[{"label":"range","children":[]},'
-                '{"label":"print","children":[]}]}')
-        assert parse_ast_document(text) == node("for", node("range"), node("print"))
+        doc = {"label": "for", "children": [{"label": "range", "children": []},
+                                            {"label": "print", "children": []}]}
+        assert ast_from_document(doc) == node("for", node("range"), node("print"))
 
     def test_missing_children_defaults_to_leaf(self):
-        assert parse_ast_document('{"label":"print"}') == node("print")
+        assert ast_from_document({"label": "print"}) == node("print")
 
     def test_empty_label_rejected(self):
         with pytest.raises(ItemsimError, match="label"):
-            parse_ast_document('{"label":"","children":[]}')
+            ast_from_document({"label": "", "children": []})
 
     def test_children_must_be_a_list(self):
         with pytest.raises(ItemsimError, match="children"):
-            parse_ast_document('{"label":"x","children":{}}')
+            ast_from_document({"label": "x", "children": {}})
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ItemsimError, match="unknown keys"):
-            parse_ast_document('{"label":"x","children":[],"extra":1}')
+            ast_from_document({"label": "x", "children": [], "extra": 1})
 
-    def test_malformed_json(self):
-        with pytest.raises(ItemsimError, match="malformed"):
-            parse_ast_document("{not json")
+    def test_malformed_json(self, tmp_path):
+        path = tmp_path / "bad.ast.json"
+        path.write_text("{not json", encoding="utf-8")
+        with pytest.raises(ItemsimError, match="malformed JSON"):
+            read_json(path)
 
     def test_non_object_rejected(self):
         with pytest.raises(ItemsimError):
-            parse_ast_document("[1,2]")
+            ast_from_document([1, 2])
+
+    def test_first_bad_node_in_preorder_is_reported(self):
+        doc = {"label": "r", "children": [
+            {"label": "a", "children": [{"label": ""}]}, {"label": "b", "children": {}}]}
+        with pytest.raises(ItemsimError, match="empty or non-string label"):
+            ast_from_document(doc)
+
+    def test_documents_deeper_than_the_recursion_limit(self):
+        doc = {"label": "move", "children": []}
+        for _ in range(5000):
+            doc = {"label": "while_wall", "children": [doc]}
+        assert ast_from_document(doc) == _chain(5000)
 
     def test_round_trip(self):
         t = node("for", node("range", node("n")), node("print", node("i")))
-        assert parse_ast_document(ast_to_document(t)) == t
+        assert ast_from_document(json.loads(ast_to_document(t))) == t
+        assert ast_from_document(json.loads(ast_to_document(_chain(300)))) == _chain(300)
 
     def test_document_bytes_are_canonical(self):
         t = node("a", node("b"))
@@ -233,3 +256,65 @@ class TestActionSequence:
             action_sequence(node("move"), unroll_cap=0)
         with pytest.raises(ItemsimError):
             action_sequence(node("move"), total_cap=0)
+
+
+def test_a_walk_enters_at_most_a_fixed_multiple_of_total_cap_nodes():
+    # each iteration enters 40 calls of an empty function, then the move
+    t = node("program", node("def_E"), node("repeat_100", *[node("call_E")] * 40, node("move")))
+    assert reference_action_sequence(t, total_cap=10) == ["move"] * 10
+    # the budget is the tree's 44 nodes and NODES_PER_ACTION per action; program,
+    # def_E and repeat_100 are entered before the first iteration
+    budget = node_count(t) + NODES_PER_ACTION * 10
+    assert action_sequence(t, total_cap=10) == ["move"] * ((budget - 3) // 41)
+
+
+def test_calls_of_empty_functions_in_nested_repeats_end_at_the_node_bound():
+    source = "".join(f"def f{i} {{ repeat 100 {{ call f{i + 1} }} }}\n" for i in range(4))
+    ast = parse_robot_program(source + "def f4 { }\ncall f0\n")
+    assert action_sequence(ast) == []  # 10^8 calls without it
+    # with an action at the bottom, the walk stops at total_cap, not at the bound
+    ast = parse_robot_program(source + "def f4 { move }\ncall f0\n")
+    assert action_sequence(ast) == ["move"] * DEFAULT_TOTAL_CAP
+
+
+def test_walks_follow_chains_of_calls_deeper_than_the_recursion_limit():
+    defs = [node(f"def_f{i}", node(f"call_f{i + 1}")) for i in range(1200)]
+    t = node("program", *defs, node("def_f1200", node("move")), node("call_f0"))
+    assert action_sequence(t) == ["move"]
+    assert canonize(_chain(5000)) == ["while_wall", "("] * 5000 + ["move"] + [")"] * 5000
+
+
+class TestSequenceViewsMatchReference:
+    """canonize and action_sequence keep their own stack; the recursive
+    forms in tests/oracles.py give the same tokens."""
+
+    def test_random_trees(self):
+        rng = np.random.default_rng(21)
+        labels = ("a", "repeat_2", "while_wall", "def_go", "call_go", "then", "move")
+        for _ in range(500):
+            t = random_tree(rng, max_nodes=12, labels=labels)
+            assert canonize(t) == reference_canonize(t)
+            assert action_sequence(t) == reference_action_sequence(t)
+
+    @pytest.mark.parametrize("unroll_cap", [1, 2, 5, 100])
+    @pytest.mark.parametrize("total_cap", [1, 3, 10, 10000])
+    def test_random_robot_programs(self, unroll_cap, total_cap):
+        rng = np.random.default_rng(unroll_cap * 10007 + total_cap)
+        for _ in range(200):
+            t = random_robot_program(rng, max_stmts=6)
+            assert canonize(t) == reference_canonize(t)
+            assert action_sequence(t, unroll_cap, total_cap) == reference_action_sequence(
+                t, unroll_cap, total_cap)
+
+    def test_many_defs_before_the_main_code(self):
+        t = node("program", *[node(f"def_f{i}", node("move")) for i in range(40)], node("move"))
+        assert action_sequence(t, total_cap=1) == reference_action_sequence(t, total_cap=1)
+        assert action_sequence(t, total_cap=1) == ["move"]
+
+    def test_synth_programs(self):
+        corpus = generate_corpus(CorpusSpec(n_items=240, n_levels=9, seed=1))
+        programs = [s.ast for it in corpus.items for s in it.solutions]
+        assert len(programs) == 240
+        assert [canonize(t) for t in programs] == [reference_canonize(t) for t in programs]
+        assert ([action_sequence(t) for t in programs]
+                == [reference_action_sequence(t) for t in programs])
