@@ -4,16 +4,23 @@
 
 PARENT_DIR and CHANGE_DIR are checkouts; pair k runs the parent first when k
 is even. Writes OUT_DIR/BENCH_<TAG>-parent.json and OUT_DIR/BENCH_<TAG>.json:
-per workload, each run's env line and final JSON line, their medians and their
-first and third quartiles, which need two runs or more of each workload: a plan
-with PAIRS under 2 is refused before the first run. A run that exits non-zero
-stops the runs, as does a run whose stdout lacks an env: line or does not end
-in a JSON object of metrics. Both files are still written, with the runs
-collected so far (quartiles only where a workload has two runs or more) and a
-"failed" entry naming the run's side, workload, pair and reason; the script
-then exits with status 1, naming the same and the last lines of the run's
-stderr (and, for a malformed run, its stdout)."""
-import json, statistics, subprocess, sys
+per workload, each run's env line, final JSON line and pass medians (below), the
+runs' medians and their first and third quartiles, which need two runs or more
+of each workload: a plan with PAIRS under 2 is refused before the first run.
+A run that exits non-zero stops the runs, as does a run whose stdout lacks an
+env: line or does not end in a JSON object of metrics. Both files are still
+written, with the runs collected so far (quartiles only where a workload has
+two runs or more) and a "failed" entry naming the run's side, workload, pair
+and reason; the script then exits with status 1, naming the same and the last
+lines of the run's stderr (and, for a malformed run, its stdout).
+
+run_s is wall time corrected by a host-speed probe, so each run also keeps
+what the probe read: pass_host_speed and pass_wall_seconds are the medians of
+those lists in .perfbench/results/<workload>-seed<seed>-trace0.json, which
+perfbench/run.py writes in the checkout, and are printed with the run's
+metrics. Each is null where that file is missing, unreadable, or another
+run's: its end_to_end differs from the run's final metrics."""
+import json, re, statistics, subprocess, sys
 
 
 def final_line(lines):
@@ -23,6 +30,22 @@ def final_line(lines):
     except (IndexError, json.JSONDecodeError):
         return None
     return final if isinstance(final, dict) and "metrics" in final else None
+
+
+def pass_medians(tree, w, lines, final):
+    """The medians of pass_host_speed and pass_wall_seconds in the results file
+    of the run whose stdout lines and final metrics are given; None each where
+    that file is missing, unreadable or another run's."""
+    seed = next((m[1] for m in (re.match(rf"== {re.escape(w)}  seed (\d+)", line)
+                                for line in lines) if m), None)
+    try:
+        with open(f"{tree}/.perfbench/results/{w}-seed{seed}-trace0.json") as fh:
+            doc = json.load(fh)
+        if doc["end_to_end"] == {m: v["value"] for m, v in final["metrics"].items()}:
+            return {k: statistics.median(doc[k]) for k in ("pass_host_speed", "pass_wall_seconds")}
+    except (OSError, ValueError, KeyError, TypeError):  # ValueError: bad JSON or no passes
+        pass
+    return {"pass_host_speed": None, "pass_wall_seconds": None}
 
 
 def failure(side, w, k, why, text):
@@ -47,9 +70,10 @@ def collect(plan, trees, runs):
                     return failure(side, w, k, "no env: line or no final JSON line of metrics",
                                    f"{done.stdout}\n{done.stderr}")
                 run = {"pair": k, "first": side == ("parent", "change")[k % 2], "env": env,
-                       "final": final}
+                       "final": final, **pass_medians(trees[side], w, lines, final)}
                 runs[side].setdefault(w, []).append(run)
-                print(side, w, k, {m: v["value"] for m, v in final["metrics"].items()}, flush=True)
+                print(side, w, k, {m: v["value"] for m, v in final["metrics"].items()},
+                      {m: run[m] for m in ("pass_host_speed", "pass_wall_seconds")}, flush=True)
     return None
 
 

@@ -25,7 +25,6 @@ import re
 import sys
 from collections import defaultdict
 from collections.abc import Iterable
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, compress
 from pathlib import Path
@@ -280,20 +279,20 @@ class PerformanceTable:
 # ---------------------------------------------------------------------------
 
 
-@contextmanager
-def _decoding(path):
-    """Report input that is not UTF-8 as an error naming the file it came from."""
-    try:
-        yield
-    except UnicodeDecodeError as e:
-        raise ItemsimError(f"{path}: not valid UTF-8 ({e.reason})") from None
+def _not_utf8(path, error: UnicodeDecodeError) -> ItemsimError:
+    """The error for input that is not UTF-8, naming the file it came from."""
+    return ItemsimError(f"{path}: not valid UTF-8 ({error.reason})")
 
 
 def read_text(path: str | Path) -> str:
-    """The text of a UTF-8 file. Every input file is read through here, or
-    for streamed files, under `_decoding`."""
-    with _decoding(path):
-        return Path(path).read_text(encoding="utf-8")
+    """The text of a UTF-8 file, line endings read as in text mode. Every input
+    file is read through here, or, for streamed files, under `_not_utf8`."""
+    try:
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise _not_utf8(path, e) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
@@ -363,49 +362,44 @@ def load_corpus(path: str | Path, solutions: bool = True) -> Corpus:
         entries[item_id] = obj
 
     solutions_root = root / "solutions"
-    if solutions_root.is_dir():
-        for name in _listing(solutions_root, os.DirEntry.is_dir):
-            if name not in entries:
-                raise ItemsimError(
-                    f"solutions directory {name!r} has no matching item in items.json"
-                )
+    # the ids with a solutions directory: no other item has solutions
+    dirs = set(_listing(solutions_root, os.DirEntry.is_dir)) if solutions_root.is_dir() else set()
+    orphans = sorted(dirs - entries.keys())
+    if orphans:
+        raise ItemsimError(f"solutions directory {orphans[0]!r} has no matching item in items.json")
 
     items = []
     for item_id in sorted(entries):
         obj = entries[item_id]
         world = _world_from_obj(obj["world"], item_id) if obj.get("world") is not None else None
         statement = obj.get("statement_text")
-        needed = solutions or (statement is None and world is None)
+        needed = item_id in dirs and (solutions or (statement is None and world is None))
         items.append(
             Item(
                 id=item_id,
                 statement_text=statement,
                 world=world,
                 command_limit=obj.get("command_limit"),
-                solutions=_load_solutions(solutions_root / item_id) if needed else (),
+                solutions=_load_solutions(os.path.join(solutions_root, item_id)) if needed else (),
                 level=obj.get("level"),
             )
         )
     return Corpus(tuple(items))
 
 
-def _listing(directory: Path, keep) -> list[str]:
+def _listing(directory: str | Path, keep) -> list[str]:
     """The names of the entries of a directory that `keep` accepts, sorted;
     one listing, with the file type of each entry taken from the listing."""
     with os.scandir(directory) as it:
         return sorted(e.name for e in it if keep(e))
 
 
-def _load_solutions(sol_dir: Path) -> tuple[Solution, ...]:
-    if not sol_dir.is_dir():
-        return ()
+def _load_solutions(sol_dir: str) -> tuple[Solution, ...]:
     names = _listing(sol_dir, os.DirEntry.is_file)
-    weights = {}
-    weights_path = sol_dir / "weights.json"
-    if "weights.json" in names:
-        weights = read_json(weights_path)
-        if not isinstance(weights, dict):
-            raise ItemsimError(f"{weights_path}: expected an object")
+    weights_path = os.path.join(sol_dir, "weights.json")
+    weights = read_json(weights_path) if "weights.json" in names else {}
+    if not isinstance(weights, dict):
+        raise ItemsimError(f"{weights_path}: expected an object")
     solutions = []
     for name in names:
         if name.endswith(".ast.json"):
@@ -434,9 +428,11 @@ def load_performance(path: str | Path, corpus: Corpus | None = None) -> Performa
     occurrence; the dropped count is logged. When a corpus is given, item
     ids are cross-checked against it. Running out of memory is an error."""
     path = Path(path)
-    with _decoding(path), path.open(encoding="utf-8", newline="") as fh:
+    with path.open(encoding="utf-8", newline="") as fh:
         try:
             return read_performance(fh, corpus=corpus, source=str(path))
+        except UnicodeDecodeError as e:
+            raise _not_utf8(path, e) from None
         except MemoryError as e:
             raise ItemsimError(f"{path}: {str(e) or 'out of memory'}") from None
 

@@ -887,6 +887,59 @@ class TestInputFiles:
         assert not (tmp_path / "o").exists()
 
 
+class TestRelativeCorpusPath:
+    """With the corpus given as "./tiny/", each load error prints its whole
+    line, the path as Path renders it ("tiny/..."): the lines are pinned
+    whole, so that any change in how the load spells a path shows."""
+
+    @pytest.fixture
+    def tiny(self, tmp_path, monkeypatch):
+        save_corpus(make_tiny_corpus(), tmp_path / "tiny")
+        monkeypatch.chdir(tmp_path)
+        return tmp_path / "tiny"
+
+    def run(self, capsys, measure):
+        cfg = write_config(Path("."), corpus="./tiny/", measure=measure)
+        code = main(["sim", "-c", cfg, "-o", "out"])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("relative, data, line", [
+        ("solutions/alpha/learner.robot", b"\xffmove\n",
+         "error: tiny/solutions/alpha/learner.robot: not valid UTF-8 (invalid start byte)\n"),
+        ("solutions/alpha/learner.robot", b"\nrepeat { move }",
+         "error: tiny/solutions/alpha/learner.robot: 2:8: repeat count not a positive integer\n"),
+        ("solutions/alpha/weights.json", b"{oops",
+         "error: tiny/solutions/alpha/weights.json: malformed JSON: Expecting property name "
+         "enclosed in double quotes: line 1 column 2 (char 1)\n"),
+        ("solutions/alpha/weights.json", b'{"learner.robot": "abc"}',
+         "error: tiny/solutions/alpha/weights.json: 'learner.robot' needs a finite positive "
+         "weight\n"),
+        ("solutions/zz/sample.robot", b"move\n",
+         "error: solutions directory 'zz' has no matching item in items.json\n"),
+    ], ids=["undecodable", "parse_error", "malformed_weights", "bad_weight", "orphan"])
+    def test_error_line(self, tiny, capsys, relative, data, line):
+        (tiny / relative).parent.mkdir(parents=True, exist_ok=True)
+        (tiny / relative).write_bytes(data)
+        assert self.run(capsys, "ted") == (1, line)
+        assert not Path("out").exists()
+
+    def test_a_file_at_an_item_directory_is_no_solutions(self, tiny, capsys):
+        shutil.rmtree(tiny / "solutions" / "gamma")
+        (tiny / "solutions" / "gamma").write_text("not a directory\n", encoding="utf-8")
+        assert self.run(capsys, "statement/none/cosine") == (0, "")
+        assert self.run(capsys, "ted") == (
+            1, "error: no solution under selector 'sample' for items: gamma\n")
+
+    def test_an_id_naming_a_path_outside_solutions_reads_nothing_there(self, tiny, capsys):
+        # before its id is refused, no item reads the files at solutions/<id>
+        # unless the listing of solutions/ names that directory
+        entries = json.loads((tiny / "items.json").read_text(encoding="utf-8"))
+        (tiny / "items.json").write_text(
+            json.dumps([*entries, {"id": "..", "statement_text": "up"}]), encoding="utf-8")
+        (tiny / "x.robot").write_text("fly {", encoding="utf-8")
+        assert self.run(capsys, "ted") == (1, "error: invalid item id '..'\n")
+
+
 class TestInputValues:
     """Badly typed values in items.json and weights.json are rejected where
     they are read, by the subcommand that used to crash on them; values

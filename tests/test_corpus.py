@@ -28,7 +28,7 @@ from itemsim import (
 from itemsim import corpus as corpus_module
 from itemsim.corpus import (
     _BLOCK_CHARS,
-    _decoding,
+    _not_utf8,
     corpus_files,
     items_index_json,
     performance_csv,
@@ -342,6 +342,62 @@ class TestLoadWithoutSolutions:
         assert _load_error(tmp_path, False) == expected
 
 
+class TestLoadWork:
+    """On the tiny corpus, counted through wrappers around the module's
+    directory listing and file open: one listing of solutions/ and one of
+    each item's directory, and one open of each file the corpus holds."""
+
+    @pytest.fixture
+    def calls(self, tmp_path, monkeypatch):
+        save_corpus(make_tiny_corpus(), tmp_path / "tiny")
+        listed, opened = [], []
+        listing = corpus_module._listing
+
+        def counting_listing(directory, keep):
+            listed.append(str(directory))
+            return listing(directory, keep)
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(corpus_module, "_listing", counting_listing)
+        monkeypatch.setattr(corpus_module, "open", counting_open, raising=False)
+        return tmp_path / "tiny", listed, opened
+
+    def test_each_directory_listed_and_each_file_opened_once(self, calls):
+        root, listed, opened = calls
+        load_corpus(root)
+        solutions = root / "solutions"
+        assert sorted(listed) == [str(solutions), *(str(solutions / i) for i in
+                                                     ("alpha", "beta", "gamma"))]
+        files = sorted(str(p) for p in root.rglob("*") if p.is_file())
+        assert any(p.endswith("weights.json") for p in files)
+        assert sorted(opened) == files
+
+    def test_without_solutions_no_solution_file_is_opened(self, calls):
+        # every tiny item has a statement
+        root, listed, opened = calls
+        load_corpus(root, solutions=False)
+        assert listed == [str(root / "solutions")]
+        assert opened == [str(root / "items.json")]
+
+
+class TestReadText:
+    def test_line_endings_read_as_in_text_mode(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes("\ufeffa\r\nb\rc\n\r\r\nd".encode("utf-8"))
+        assert corpus_module.read_text(path) == path.read_text(encoding="utf-8")
+        assert corpus_module.read_text(str(path)) == "\ufeffa\nb\nc\n\n\nd"
+
+    def test_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"ok\r\n\xc3")
+        with pytest.raises(ItemsimError) as excinfo:
+            corpus_module.read_text(path)
+        assert str(excinfo.value) == f"{path}: not valid UTF-8 (unexpected end of data)"
+
+
 PERF_TEXT = """learner_id,item_id,time_seconds,success
 l1,alpha,12.5,1
 l1,beta,3,0
@@ -580,8 +636,11 @@ def assert_reads_as_reference(path, data: bytes):
     path.write_bytes(data)
 
     def reference():
-        with _decoding(path), open(path, encoding="utf-8", newline="") as fh:
-            return reference_read_performance(fh, SWEEP_CORPUS, str(path))
+        with open(path, encoding="utf-8", newline="") as fh:
+            try:
+                return reference_read_performance(fh, SWEEP_CORPUS, str(path))
+            except UnicodeDecodeError as e:
+                raise _not_utf8(path, e) from None
 
     expected = _outcome(reference)
     assert _outcome(lambda: load_performance(path, SWEEP_CORPUS)) == expected
